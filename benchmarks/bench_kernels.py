@@ -1,9 +1,8 @@
-"""Timing comparison of the flow tube kernel backends.
+"""Timing of the flow tube kernel on three fixed workloads.
 
-Runs the same workloads through the compiled kernel and the interpreted
-fallback, checks that the outputs agree bit for bit, and prints wall
-times with the speedup. The first compiled call includes JIT work, so a
-warm-up call precedes every measurement.
+Each workload runs once to warm up and then --repeat more times; the
+median wall time is printed with the final status and the widest axis of
+the tube.
 
     python3 benchmarks/bench_kernels.py [--steps N] [--repeat K]
 """
@@ -11,13 +10,14 @@ warm-up call precedes every measurement.
 from __future__ import annotations
 
 import argparse
-import os
 import statistics
 import time
 
 import numpy as np
 
-from hyltlmc.reach.kernels import flow_tube
+from hyltlmc.reach.kernels import FLOW_BUDGET, FLOW_DONE, FLOW_NO_ENCLOSURE, flow_tube
+
+STATUS = {FLOW_DONE: "done", FLOW_BUDGET: "step budget", FLOW_NO_ENCLOSURE: "no enclosure"}
 
 
 def workloads(steps: int):
@@ -64,44 +64,25 @@ def workloads(steps: int):
     )
 
 
-def run_backend(name: str, kw: dict, repeat: int) -> tuple[float, tuple]:
-    os.environ["HYLTL_MC_BACKEND"] = name
-    result = flow_tube(**kw)
-    times = []
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        flow_tube(**kw)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times), result
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--steps", type=int, default=20000)
     ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args()
-    saved = os.environ.get("HYLTL_MC_BACKEND")
 
-    print(f"{'workload':<30} {'numpy':>10} {'numba':>10} {'speedup':>8}  agree")
-    try:
-        for name, kw in workloads(args.steps):
-            t_py, r_py = run_backend("numpy", kw, args.repeat)
-            t_nb, r_nb = run_backend("numba", kw, args.repeat)
-            agree = all(
-                np.array_equal(a, b, equal_nan=True)
-                for a, b in zip(r_py[:4], r_nb[:4])
-            ) and r_py[4] == r_nb[4]
-            print(
-                f"{name:<30} {t_py * 1e3:>8.2f}ms {t_nb * 1e3:>8.2f}ms "
-                f"{t_py / t_nb:>7.1f}x  {'yes' if agree else 'NO'}"
-            )
-            if not agree:
-                return 1
-    finally:
-        if saved is None:
-            os.environ.pop("HYLTL_MC_BACKEND", None)
-        else:
-            os.environ["HYLTL_MC_BACKEND"] = saved
+    print(f"{'workload':<30} {'median':>10}  {'status':<12} {'tube width':>10}")
+    for name, kw in workloads(args.steps):
+        tube_lo, tube_hi, _, _, status = flow_tube(**kw)
+        times = []
+        for _ in range(args.repeat):
+            t0 = time.perf_counter()
+            flow_tube(**kw)
+            times.append(time.perf_counter() - t0)
+        width = float(np.max(tube_hi - tube_lo))
+        print(
+            f"{name:<30} {statistics.median(times) * 1e3:>8.2f}ms  "
+            f"{STATUS[status]:<12} {width:>10.4g}"
+        )
     return 0
 
 

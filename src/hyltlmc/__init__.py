@@ -26,7 +26,7 @@ from .hybrid.modelio import load_model, model_to_str, parse_model
 from .monitor import evaluate_trace, evaluate_word, random_trace
 from .phaver import embedded_model, export_phaver
 from .product import Verdict, check
-from .reach import ReachResult, backend_name, reachable
+from .reach import ReachResult, reachable
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,6 @@ __all__ = [
     "TraceError",
     "UnsupportedDynamicsError",
     "Verdict",
-    "backend_name",
     "check",
     "compose",
     "embedded_model",

@@ -14,8 +14,7 @@ outcome is a single key=value line on stdout and errors carry their
 E_* code.
 
 Numeric settings resolve in order: command line flag, environment
-(HYLTL_MC_EPS, HYLTL_MC_TOL; HYLTL_MC_BACKEND picks the kernel), JSON
---config file, built-in default.
+(HYLTL_MC_EPS, HYLTL_MC_TOL), JSON --config file, built-in default.
 """
 
 from __future__ import annotations
@@ -169,7 +168,6 @@ def _cmd_check(args, config: dict) -> int:
                 hits=len(verdict.hits),
                 complete=verdict.complete,
                 boxes=s["boxes"],
-                backend=s["backend"],
             )
         )
     else:
@@ -182,8 +180,7 @@ def _cmd_check(args, config: dict) -> int:
         )
         print(
             f"explored: {s['boxes']} boxes "
-            f"({'complete' if s['reach_complete'] else 'budget hit'}), "
-            f"backend {s['backend']}"
+            f"({s['reach_incomplete'] or 'complete'})"
         )
         for hit in verdict.hits:
             spans = ", ".join(
@@ -315,7 +312,7 @@ def _cmd_selftest(args, config: dict) -> int:
 
     from .monitor import evaluate_word, random_trace
     from .phaver import embedded_model
-    from .reach import backend_name, reachable
+    from .reach import reachable
     from .tableau import build_formula_automaton
 
     failures = 0
@@ -359,8 +356,6 @@ def _cmd_selftest(args, config: dict) -> int:
         "export embeds a faithful copy",
         back is not None and model_to_str(back) == model_to_str(model),
     )
-
-    report(f"reach kernel backend is {backend_name()}", backend_name() in ("numba", "numpy"))
 
     return 1 if failures else 0
 

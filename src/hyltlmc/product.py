@@ -37,7 +37,6 @@ from .hybrid.constraints import FlowConstraint, JumpConstraint, Relation
 from .hybrid.expr import Const, DotVar, PrimedVar, Var
 from .reach.boxes import clip_rows, is_empty, linear_rows
 from .reach.engine import ReachResult, reachable
-from .reach.kernels import backend_name
 from .tableau import build_formula_automaton, prune_unreachable
 
 
@@ -316,13 +315,13 @@ def check(
             )
 
     stats = {
-        "backend": backend_name(),
         "product_locations": len(inst.locations),
         "product_transitions": len(inst.transitions),
         "query_targets": len(targets),
         "boxes": sum(len(v) for v in reach.boxes.values()),
         "visits": dict(reach.visits),
         "reach_complete": reach.complete,
+        "reach_incomplete": reach.incompleteness(),
         "aux": {"f": f_name, "y": y_names, "witness": w_names},
     }
     text = to_str(formula)
@@ -339,7 +338,7 @@ def check(
     if not reach.complete:
         return Verdict(
             "Inconclusive",
-            "reachability exploration incomplete within the budget",
+            f"reachability exploration {reach.incompleteness()}",
             text,
             [],
             False,

@@ -1,6 +1,5 @@
 """Interval box reachability for affine hybrid automata."""
 
 from .engine import ReachResult, reachable
-from .kernels import backend_name
 
-__all__ = ["ReachResult", "reachable", "backend_name"]
+__all__ = ["ReachResult", "reachable"]

@@ -9,8 +9,9 @@ the invariant bounds on every growing axis, which forces termination.
 
 The result is an over-approximation: every reachable state lies in some
 stored box. It is only guaranteed to cover everything when `complete`
-is true; budget exhaustion or a failed flow enclosure clears the flag,
-and callers must then treat absence of a hit as unknown.
+is true; budget exhaustion or a failed flow enclosure makes it false,
+and callers must then treat absence of a hit as unknown. The first such
+cause is recorded with the location where it struck.
 """
 
 from __future__ import annotations
@@ -24,15 +25,26 @@ from ..errors import UnsupportedDynamicsError
 from ..hybrid.automaton import HybridAutomaton, Loc
 from .boxes import clip_rows, contains, full_box, hull, is_empty, linear_rows, row_range
 from .dynamics import TransitionImage, location_dynamics, transition_image
-from .kernels import FLOW_DONE, flow_tube
+from .kernels import FLOW_BUDGET, FLOW_DONE, flow_tube
 
 
 @dataclass
 class ReachResult:
     names: tuple[str, ...]
     boxes: dict[Loc, list[tuple[np.ndarray, np.ndarray]]]
-    complete: bool
     visits: dict[Loc, int] = field(default_factory=dict)
+    cause: str | None = None
+    cause_location: Loc | None = None
+
+    @property
+    def complete(self) -> bool:
+        return self.cause is None
+
+    def incompleteness(self) -> str | None:
+        """Why `complete` is false, with the location; None when complete."""
+        if self.cause is None:
+            return None
+        return f"incomplete, {self.cause} at location {self.cause_location!r}"
 
     def hull(self) -> dict[str, tuple[float, float]]:
         """Per-variable bounds over every stored box of every location."""
@@ -98,7 +110,8 @@ def reachable(
             )
         work.append((l, lo, hi))
 
-    complete = True
+    cause: str | None = None
+    cause_location: Loc | None = None
     total = 0
     while work:
         l, lo, hi = work.pop()
@@ -106,7 +119,8 @@ def reachable(
             continue
         total += 1
         if total > max_visits:
-            complete = False
+            if cause is None:
+                cause, cause_location = f"visit budget of {max_visits} spent", l
             break
         visits[l] += 1
         d_l = dyn[l]
@@ -121,8 +135,12 @@ def reachable(
         tube_lo, tube_hi, _end_lo, _end_hi, status = flow_tube(
             lo, hi, d_l.A, d_l.b, step, n_steps, d_l.inv_lo, d_l.inv_hi
         )
-        if status != FLOW_DONE:
-            complete = False
+        if status != FLOW_DONE and cause is None:
+            cause_location = l
+            if status == FLOW_BUDGET:
+                cause = f"flow step budget of {n_steps} steps spent"
+            else:
+                cause = "no validated flow enclosure"
         tube_lo, tube_hi = clip_rows(tube_lo, tube_hi, d_l.inv_C, d_l.inv_d)
         if is_empty(tube_lo, tube_hi):
             tube_lo, tube_hi = lo, hi
@@ -141,4 +159,4 @@ def reachable(
                 continue
             work.append((img.target, p_lo, p_hi))
 
-    return ReachResult(names, store, complete, visits)
+    return ReachResult(names, store, visits, cause, cause_location)

@@ -52,7 +52,15 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert out.startswith("Verified:")
-        assert "backend" in out
+        assert "explored: " in out and "(complete)" in out
+
+    def test_explored_line_names_the_incomplete_cause(self, heater_path, capsys):
+        code = main(["check", "--model", heater_path, "--step", "50",
+                     "--formula", "!F(x >= 21 & X on)"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "incomplete, no validated flow enclosure at location" in out
+        assert "budget hit" not in out
 
     def test_witness_all_tracks_the_full_state(self, heater_path, capsys):
         code = main(["check", "--model", heater_path,

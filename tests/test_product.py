@@ -3,6 +3,7 @@
 import itertools
 import random
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hyltlmc.errors import (
 from hyltlmc.formula.parser import Declarations, parse_formula
 from hyltlmc.hybrid.automaton import compose
 from hyltlmc.hybrid.discrete import accepts_lasso_word
+from hyltlmc.hybrid.modelio import load_model
 from hyltlmc.monitor import evaluate_trace, evaluate_word, random_trace
 from hyltlmc.product import (
     build_negated_observer,
@@ -258,6 +260,31 @@ class TestCheck:
         v = check(heater_model(), phi("true"))
         text = str(v)
         assert text.startswith("Verified: ") and "\n" not in text
+
+
+TANKS = Path(__file__).resolve().parents[1] / "perfbench" / "models" / "tanks.hyha"
+
+
+class TestIncompleteReason:
+    """An incomplete exploration names its first cause and location."""
+
+    def test_tanks_reason_names_the_failed_enclosure(self):
+        # Every flow of the coupled tanks fails to validate an enclosure
+        # long before the 4000-visit budget is near.
+        tanks = load_model(TANKS)
+        decls = Declarations(variables=tanks.variables, actions=tanks.actions)
+        v = check(tanks, parse_formula("!F(a >= 5 & X fill)", decls))
+        assert v.status == "Inconclusive" and not v.complete
+        assert v.reason == (
+            "reachability exploration incomplete, no validated flow "
+            "enclosure at location ('resting', 'q3')"
+        )
+        assert v.stats["reach_incomplete"] in v.reason
+        assert "budget" not in v.reason
+
+    def test_complete_run_has_no_cause(self):
+        v = check(heater_model(), phi("!F(x >= 21 & X on)"))
+        assert v.stats["reach_incomplete"] is None
 
 
 class TestCheckAgreesWithTheMonitor:

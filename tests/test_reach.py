@@ -1,11 +1,8 @@
 """Box reachability: rows, affine views, flow kernels, worklist engine."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyltlmc.errors import UnsupportedDynamicsError
 from hyltlmc.formula.parser import Declarations, parse_flow_constraint
@@ -26,11 +23,11 @@ from hyltlmc.reach.kernels import (
     FLOW_BUDGET,
     FLOW_DONE,
     FLOW_NO_ENCLOSURE,
-    _flow_tube_py,
     flow_tube,
 )
 
 from conftest import heater_model
+from reference_kernel import reference_flow_tube
 
 XY = Declarations(variables=("x", "y"), actions=("a",))
 
@@ -201,34 +198,99 @@ class TestFlowKernel:
         *_, status = self.decay(19.0, 21.0, h=50.0)
         assert status == FLOW_NO_ENCLOSURE
 
-    def test_backends_produce_identical_arrays(self):
-        pytest.importorskip("numba")
-        args = (
-            np.array([1.0, -1.0]),
-            np.array([2.0, 1.0]),
-            np.array([[0.0, 1.0], [-1.0, 0.0]]),
-            np.array([0.5, 0.0]),
-            0.01,
-            500,
-            np.array([-10.0, -10.0]),
-            np.array([10.0, 10.0]),
-        )
-        plain = _flow_tube_py(*args)
-        compiled = flow_tube(*args)
-        for a, b in zip(plain, compiled):
-            assert np.array_equal(a, b)
 
-    def test_backend_env_flag_is_validated(self):
-        code = (
-            "import os; os.environ['HYLTL_MC_BACKEND'] = 'cuda'\n"
-            "from hyltlmc.reach.kernels import backend_name\n"
-            "backend_name()\n"
+def assert_same_tube(new, old):
+    """Same status and the same four float64 arrays, bit for bit."""
+    assert new[4] == old[4]
+    for a, b in zip(new[:4], old[:4]):
+        assert a.dtype == np.float64 and a.shape == b.shape
+        assert np.array_equal(a, b, equal_nan=True)
+        assert a.tobytes() == b.tobytes()  # also the sign of every zero
+
+
+def bench_kernel_inputs(steps=20000):
+    """The three flow_tube inputs of benchmarks/bench_kernels.py."""
+    rng = np.random.default_rng(11)
+    A6 = -np.eye(6) + 0.1 * rng.standard_normal((6, 6))
+    b6 = rng.standard_normal(6) * 0.1
+    return {
+        "heater": ([19.0], [21.0], [[-0.2]], [0.0], 0.01, steps, [17.0], [np.inf]),
+        "rotation": (
+            [0.9, -0.1], [1.1, 0.1], [[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.0],
+            0.005, steps, [-np.inf] * 2, [np.inf] * 2,
+        ),
+        "dense6d": ([-1.0] * 6, [1.0] * 6, A6, b6, 0.01, steps, [-100.0] * 6, [100.0] * 6),
+    }
+
+
+# Sparse rows with a zero row and a zero column, as in an instrumented
+# product: x flows, the latch f and the snapshot y are constant.
+_AUX_A = [[-0.2, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+_AUX_B = [6.0, 0.0, 0.0]
+
+
+@st.composite
+def kernel_inputs(draw):
+    n = draw(st.integers(1, 4))
+    coef = st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_nan=False))
+    A = [[draw(coef) for _ in range(n)] for _ in range(n)]
+    b = [draw(st.floats(-5.0, 5.0)) for _ in range(n)]
+    lo = [draw(st.floats(-10.0, 10.0)) for _ in range(n)]
+    hi = [x + draw(st.floats(0.0, 3.0)) for x in lo]
+    bound = st.one_of(st.just(np.inf), st.floats(0.0, 20.0))
+    inv_lo = [min(x, -draw(bound)) for x in lo]
+    inv_hi = [max(x, draw(bound)) for x in hi]
+    h = draw(st.sampled_from([1e-3, 0.01, 0.1, 0.5, 3.0]))
+    n_steps = draw(st.integers(0, 300))
+    return lo, hi, A, b, h, n_steps, inv_lo, inv_hi
+
+
+class TestKernelMatchesReference:
+    """flow_tube returns exactly what the frozen element-wise loop does."""
+
+    @pytest.mark.parametrize("name", ["heater", "rotation", "dense6d"])
+    def test_bench_inputs(self, name):
+        args = bench_kernel_inputs()[name]
+        assert_same_tube(flow_tube(*args), reference_flow_tube(*args))
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_inputs())
+    def test_drawn_inputs(self, args):
+        assert_same_tube(flow_tube(*args), reference_flow_tube(*args))
+
+    @pytest.mark.parametrize(
+        "h, n_steps, inv_hi, status",
+        [
+            (0.01, 20000, 23.0, FLOW_DONE),  # leaves through x <= 23
+            (0.01, 5, np.inf, FLOW_BUDGET),
+            (60.0, 100, np.inf, FLOW_NO_ENCLOSURE),
+        ],
+    )
+    def test_zero_rows_and_columns(self, h, n_steps, inv_hi, status):
+        args = (
+            [19.0, 1.0, 19.5], [21.0, 1.0, 20.5], _AUX_A, _AUX_B, h, n_steps,
+            [17.0, -np.inf, -np.inf], [inv_hi, np.inf, np.inf],
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
-        )
-        assert proc.returncode != 0
-        assert "HYLTL_MC_BACKEND" in proc.stderr
+        new = flow_tube(*args)
+        assert new[4] == status
+        assert_same_tube(new, reference_flow_tube(*args))
+
+    def test_every_status_and_infinite_bounds(self):
+        seen = set()
+        for lo, hi, A, b, inv in (
+            ([1.0], [2.0], [[0.5]], [0.0], ([-np.inf], [np.inf])),
+            ([1.0], [2.0], [[0.0]], [1.0], ([-np.inf], [3.0])),
+            ([-1.0], [1.0], [[-1.0]], [0.0], ([-np.inf], [np.inf])),
+            ([0.9, -0.1], [1.1, 0.1], [[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.0],
+             ([-np.inf, -2.0], [2.0, np.inf])),
+        ):
+            for h in (1e-3, 0.05, 0.7, 4.0):
+                for n_steps in (0, 1, 40, 2000):
+                    args = (lo, hi, A, b, h, n_steps, *inv)
+                    new = flow_tube(*args)
+                    assert_same_tube(new, reference_flow_tube(*args))
+                    seen.add(new[4])
+        assert seen == {FLOW_DONE, FLOW_BUDGET, FLOW_NO_ENCLOSURE}
 
 
 class TestEngine:
@@ -254,6 +316,29 @@ class TestEngine:
         )
         with pytest.raises(UnsupportedDynamicsError, match="unbounded"):
             reachable(h)
+
+    def test_complete_run_records_no_cause(self):
+        r = reachable(heater_model())
+        assert r.cause is None and r.incompleteness() is None
+
+    def test_visit_budget_is_named_with_its_location(self):
+        r = reachable(heater_model(), max_visits=1)
+        assert not r.complete
+        assert r.incompleteness() == (
+            "incomplete, visit budget of 1 spent at location 'heat'"
+        )
+
+    def test_flow_budget_is_named_with_its_location(self):
+        r = reachable(heater_model(), horizon=0.02, step=0.01)
+        assert not r.complete
+        assert r.cause == "flow step budget of 2 steps spent"
+        assert r.cause_location == "idle"
+
+    def test_failed_enclosure_is_named(self):
+        r = reachable(heater_model(), step=50.0)
+        assert not r.complete
+        assert r.cause == "no validated flow enclosure"
+        assert r.cause_location == "idle"
 
     def test_diverging_counter_terminates_by_widening(self):
         h = parse_model(
