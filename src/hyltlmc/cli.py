@@ -40,13 +40,7 @@ from .hybrid.modelio import load_model, model_to_str, parse_model
 from .hybrid.trajectory import DEFAULT_FLOW_TOL, SampledTrajectory
 from .monitor import evaluate_trace
 from .phaver import export_phaver
-from .product import (
-    build_negated_observer,
-    check,
-    degeneralize,
-    instrument,
-    normalize_acceptance,
-)
+from .product import build_negated_observer, check
 
 DEFAULTS = {
     "horizon": 100.0,
@@ -147,15 +141,10 @@ def _cmd_check(args, config: dict) -> int:
             witness=args.witness or config.get("witness"),
         )
         if args.export_phaver:
-            observer = build_negated_observer(
-                formula, model.actions, strict=args.strict_negation
-            )
-            product = normalize_acceptance(degeneralize(compose(model, observer)))
-            inst, _, _, _, _ = instrument(
-                product, args.witness or config.get("witness")
-            )
             try:
-                Path(args.export_phaver).write_text(export_phaver(inst, name="query"))
+                Path(args.export_phaver).write_text(
+                    export_phaver(verdict.product, name="query")
+                )
             except OSError as e:
                 raise HyltlError(f"cannot write export file: {e}") from e
     s = verdict.stats
@@ -399,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--export-phaver",
         metavar="FILE",
-        help="also write the instrumented product in PhaVer syntax",
+        help="also write the pruned, instrumented product it queried, in PhaVer syntax",
     )
     p.set_defaults(func=_cmd_check)
 

@@ -90,6 +90,8 @@ class ClosureSet:
             ordered.append(p)
             ordered.append(neg(p))
         self.members: tuple[Formula, ...] = tuple(ordered)
+        # Rendered once here, so formatting a set is a join of cached text.
+        self.texts: tuple[str, ...] = tuple(to_str(g) for g in ordered)
         self.index: dict[Formula, int] = {g: i for i, g in enumerate(ordered)}
         self.n_pairs = len(positives)
 
@@ -171,7 +173,10 @@ class MCS:
         )
 
     def __repr__(self) -> str:
-        return "{" + ", ".join(to_str(g) for g in self.formulas()) + "}"
+        texts = self.closure.texts
+        return "{" + ", ".join(
+            texts[i] for i in range(len(texts)) if self.bits >> i & 1
+        ) + "}"
 
 
 def closure(formula: Formula, actions: Iterable[str]) -> ClosureSet:

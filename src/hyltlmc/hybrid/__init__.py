@@ -1,7 +1,6 @@
 """Hybrid automata: valuations, trajectories, constraints, composition."""
 
 from .automaton import (
-    GBHA,
     HybridAutomaton,
     Transition,
     accepts,
@@ -21,7 +20,6 @@ from .trajectory import DEFAULT_FLOW_TOL, SampledTrajectory, satisfies_flow
 from .valuation import Valuation
 
 __all__ = [
-    "GBHA",
     "HybridAutomaton",
     "Transition",
     "accepts",

@@ -73,8 +73,15 @@ class HybridAutomaton:
         for l in self.init:
             if l not in locset:
                 raise ModelError(f"initial location {l!r} not declared")
+        # Products share their components' constraint objects, so each
+        # distinct object is checked once; the first location or edge
+        # holding a bad one is still the first one reported.
+        seen: set[int] = set()
         for l, cs in self.dyn.items():
             for c in cs:
+                if id(c) in seen:
+                    continue
+                seen.add(id(c))
                 bad = (c.state_vars | c.dot_vars) - varset
                 if bad:
                     raise ModelError(
@@ -92,12 +99,16 @@ class HybridAutomaton:
                     raise ModelError(
                         f"init region constraint '{c}' uses undeclared variables"
                     )
+        seen = set()
         for t in self.transitions:
             if t.source not in locset or t.target not in locset:
                 raise ModelError(f"transition endpoints undeclared: {t}")
             if t.action not in self.actions:
                 raise ModelError(f"transition action '{t.action}' not declared")
             for jc in t.jumps:
+                if id(jc) in seen:
+                    continue
+                seen.add(id(jc))
                 plain, _, primed = (set() for _ in range(3))
                 for e in (jc.lhs, jc.rhs):
                     p, _, pr = expr_variables(e)
@@ -148,9 +159,6 @@ class HybridAutomaton:
         )
 
     __hash__ = None
-
-
-GBHA = HybridAutomaton
 
 
 def _freeze_jumps(names: Iterable[str]) -> tuple[JumpConstraint, ...]:

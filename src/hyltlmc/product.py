@@ -5,10 +5,14 @@ The question is reduced to a reachability query in four steps:
 1. The negated formula is compiled into an observer automaton whose
    accepting runs are exactly the traces violating the property.
 2. Observer and system are composed; accepting product runs are system
-   traces that violate the property.
+   traces that violate the property. Such a run only visits locations
+   that an initial location reaches and that reach a cycle meeting every
+   acceptance set, so the product is pruned to those.
 3. Generalized acceptance is reduced to a single final set (counter
    product), and an empty family becomes the trivial one, since an
-   automaton with no acceptance sets accepts every run.
+   automaton with no acceptance sets accepts every run. The counter
+   product is pruned again; when nothing is left, no run violates the
+   property, and it is Verified from the location graph alone.
 4. The product is instrumented with a latch f and snapshots: every exit
    edge of a final location gets a twin that, once, records a code in f
    and each witness variable in its snapshot. An accepting run must
@@ -32,10 +36,10 @@ import numpy as np
 from .errors import ModelError, VariableRenamedWarning
 from .formula.nnf import to_nnf
 from .formula.syntax import Formula, Not, action_atoms, to_str
-from .hybrid.automaton import GBHA, HybridAutomaton, Loc, Transition, compose
+from .hybrid.automaton import HybridAutomaton, Loc, Transition, compose
 from .hybrid.constraints import FlowConstraint, JumpConstraint, Relation
 from .hybrid.expr import Const, DotVar, PrimedVar, Var
-from .reach.boxes import clip_rows, is_empty, linear_rows
+from .reach.boxes import clip_rows, is_empty
 from .reach.engine import ReachResult, reachable
 from .tableau import build_formula_automaton, prune_unreachable
 
@@ -54,7 +58,7 @@ def build_negated_observer(
     return prune_unreachable(observer) if prune else observer
 
 
-def degeneralize(h: GBHA) -> HybridAutomaton:
+def degeneralize(h: HybridAutomaton) -> HybridAutomaton:
     """Counter product reducing a generalized family to one final set.
 
     Locations become (location, index); the index advances past set i
@@ -196,20 +200,25 @@ def instrument(
     codes = {l: i + 1 for i, l in enumerate(order)}
     targets = tuple(QueryTarget(l, codes[l]) for l in order)
 
+    # One set of latch rows per final location, shared by its exit twins.
+    unlatched = JumpConstraint(Var(f_name), Relation.EQ, zero)
+    copies = tuple(
+        JumpConstraint(PrimedVar(y), Relation.EQ, Var(w))
+        for y, w in zip(y_names, witness_vars)
+    )
+    latch = {
+        l: (
+            unlatched,
+            JumpConstraint(PrimedVar(f_name), Relation.EQ, Const(float(code))),
+            *copies,
+        )
+        for l, code in codes.items()
+    }
     transitions = list(h.transitions)
     for t in h.transitions:
-        code = codes.get(t.source)
-        if code is None:
-            continue
-        snap = t.jumps + (
-            JumpConstraint(Var(f_name), Relation.EQ, zero),
-            JumpConstraint(PrimedVar(f_name), Relation.EQ, Const(float(code))),
-            *(
-                JumpConstraint(PrimedVar(y), Relation.EQ, Var(w))
-                for y, w in zip(y_names, witness_vars)
-            ),
-        )
-        transitions.append(Transition(t.source, t.action, t.target, snap))
+        rows = latch.get(t.source)
+        if rows is not None:
+            transitions.append(Transition(t.source, t.action, t.target, t.jumps + rows))
 
     out = HybridAutomaton(
         variables,
@@ -227,7 +236,11 @@ def instrument(
 
 @dataclass
 class Verdict:
-    """Outcome of a check run; Verified only when the proof is airtight."""
+    """Outcome of a check run; Verified only when the proof is airtight.
+
+    product is the instrumented product the query ran on, kept out of
+    stats; `hyltl-mc check --export-phaver` writes it.
+    """
 
     status: str
     reason: str
@@ -235,6 +248,7 @@ class Verdict:
     hits: list[dict] = field(default_factory=list)
     complete: bool = True
     stats: dict = field(default_factory=dict)
+    product: HybridAutomaton | None = field(default=None, repr=False, compare=False)
 
     @property
     def verified(self) -> bool:
@@ -244,32 +258,20 @@ class Verdict:
         return f"{self.status}: {self.reason}"
 
 
-def check(
-    system: HybridAutomaton,
-    formula: Formula,
-    horizon: float = 100.0,
-    step: float = 0.01,
-    eps: float = 1e-6,
-    widen_after: int = 16,
-    max_visits: int = 4000,
-    prune: bool = True,
-    strict: bool = False,
-    witness: str | None = None,
-) -> Verdict:
-    """Decide system |= formula via the instrumented reachability query."""
-    observer = build_negated_observer(formula, system.actions, prune, strict)
-    product = compose(system, observer)
-    product = normalize_acceptance(degeneralize(product))
-    inst, targets, f_name, y_names, w_names = instrument(product, witness)
+def recurrence_hits(
+    reach: ReachResult,
+    targets: tuple[QueryTarget, ...],
+    f_name: str,
+    y_names: tuple[str, ...],
+    w_names: tuple[str, ...],
+    eps: float,
+) -> tuple[list[dict], bool]:
+    """Stored boxes where a target's recurrence query may hold.
 
-    reach = reachable(
-        inst,
-        horizon=horizon,
-        step=step,
-        widen_after=widen_after,
-        max_visits=max_visits,
-    )
-    names = inst.variables
+    Returns the hits and whether some latched box left a witness pair
+    unbounded, which makes a missing hit inconclusive.
+    """
+    names = reach.names
     fi = names.index(f_name)
     pairs = [(names.index(y), names.index(w)) for y, w in zip(y_names, w_names)]
 
@@ -313,6 +315,46 @@ def check(
                     },
                 }
             )
+    return hits, unbounded
+
+
+def check(
+    system: HybridAutomaton,
+    formula: Formula,
+    horizon: float = 100.0,
+    step: float = 0.01,
+    eps: float = 1e-6,
+    widen_after: int = 16,
+    max_visits: int = 4000,
+    strict: bool = False,
+    witness: str | None = None,
+) -> Verdict:
+    """Decide system |= formula via the instrumented reachability query.
+
+    An accepting product run stays on locations that an initial location
+    reaches and that reach a cycle meeting every acceptance set, so the
+    composed product and the counter product are both pruned to those
+    locations. When none is left, no run violates the formula and the
+    verdict is Verified from the location graph alone, without
+    reachability.
+    """
+    observer = build_negated_observer(formula, system.actions, strict=strict)
+    product = prune_unreachable(compose(system, observer))
+    product = prune_unreachable(normalize_acceptance(degeneralize(product)))
+    inst, targets, f_name, y_names, w_names = instrument(product, witness)
+
+    graph_only = not inst.locations
+    if graph_only:
+        reach = ReachResult(inst.variables, {})
+    else:
+        reach = reachable(
+            inst,
+            horizon=horizon,
+            step=step,
+            widen_after=widen_after,
+            max_visits=max_visits,
+        )
+    hits, unbounded = recurrence_hits(reach, targets, f_name, y_names, w_names, eps)
 
     stats = {
         "product_locations": len(inst.locations),
@@ -324,40 +366,19 @@ def check(
         "reach_incomplete": reach.incompleteness(),
         "aux": {"f": f_name, "y": y_names, "witness": w_names},
     }
-    text = to_str(formula)
-
     if hits:
-        return Verdict(
-            "Inconclusive",
-            f"recurrence query reachable at {len(hits)} final location box(es)",
-            text,
-            hits,
-            reach.complete,
-            stats,
-        )
-    if not reach.complete:
-        return Verdict(
-            "Inconclusive",
-            f"reachability exploration {reach.incompleteness()}",
-            text,
-            [],
-            False,
-            stats,
-        )
-    if unbounded:
-        return Verdict(
-            "Inconclusive",
-            "witness variable unbounded at a latched final location",
-            text,
-            [],
-            True,
-            stats,
-        )
-    return Verdict(
-        "Verified",
-        "no reachable state closes the recurrence at any final location",
-        text,
-        [],
-        True,
-        stats,
-    )
+        status = "Inconclusive"
+        reason = f"recurrence query reachable at {len(hits)} final location box(es)"
+    elif not reach.complete:
+        status = "Inconclusive"
+        reason = f"reachability exploration {reach.incompleteness()}"
+    elif unbounded:
+        status = "Inconclusive"
+        reason = "witness variable unbounded at a latched final location"
+    elif graph_only:
+        status = "Verified"
+        reason = "no path from an initial location reaches an accepting cycle of the product"
+    else:
+        status = "Verified"
+        reason = "no reachable state closes the recurrence at any final location"
+    return Verdict(status, reason, to_str(formula), hits, reach.complete, stats, inst)

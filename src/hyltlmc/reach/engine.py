@@ -24,7 +24,12 @@ import numpy as np
 from ..errors import UnsupportedDynamicsError
 from ..hybrid.automaton import HybridAutomaton, Loc
 from .boxes import clip_rows, contains, full_box, hull, is_empty, linear_rows, row_range
-from .dynamics import TransitionImage, location_dynamics, transition_image
+from .dynamics import (
+    LocationDynamics,
+    TransitionImage,
+    location_dynamics,
+    transition_image,
+)
 from .kernels import FLOW_BUDGET, FLOW_DONE, flow_tube
 
 
@@ -86,10 +91,21 @@ def reachable(
     names = h.variables
     n = len(names)
     n_steps = max(1, math.ceil(horizon / step))
-    dyn = {l: location_dynamics(h, l) for l in h.locations}
-    images: dict[Loc, list[TransitionImage]] = {l: [] for l in h.locations}
+    # Dynamics are read when a box first needs them, and a location's
+    # edge images when a box is first flowed there, so locations and edges
+    # no box reaches are never read.
+    dyn: dict[Loc, LocationDynamics] = {}
+
+    def dynamics(l: Loc) -> LocationDynamics:
+        d = dyn.get(l)
+        if d is None:
+            d = dyn[l] = location_dynamics(h, l)
+        return d
+
+    edges: dict[Loc, list] = {}
     for t in h.transitions:
-        images[t.source].append(transition_image(h, t))
+        edges.setdefault(t.source, []).append(t)
+    images: dict[Loc, list[TransitionImage]] = {}
 
     store: dict[Loc, list[tuple[np.ndarray, np.ndarray]]] = {
         l: [] for l in h.locations
@@ -100,7 +116,8 @@ def reachable(
     for l in h.init:
         C, d = linear_rows(h.init_region.get(l, ()), names)
         lo, hi = clip_rows(*full_box(n), C, d)
-        lo, hi = clip_rows(lo, hi, dyn[l].inv_C, dyn[l].inv_d)
+        d_l = dynamics(l)
+        lo, hi = clip_rows(lo, hi, d_l.inv_C, d_l.inv_d)
         if is_empty(lo, hi):
             continue
         bad = [x for i, x in enumerate(names) if not np.isfinite([lo[i], hi[i]]).all()]
@@ -123,7 +140,7 @@ def reachable(
                 cause, cause_location = f"visit budget of {max_visits} spent", l
             break
         visits[l] += 1
-        d_l = dyn[l]
+        d_l = dynamics(l)
         if visits[l] > widen_after and store[l]:
             w_lo = np.full(n, np.inf)
             w_hi = np.full(n, -np.inf)
@@ -148,12 +165,15 @@ def reachable(
         # any later box inside it has nothing new to contribute.
         store[l].append((tube_lo, tube_hi))
 
-        for img in images[l]:
+        out = images.get(l)
+        if out is None:
+            out = images[l] = [transition_image(h, t) for t in edges.get(l, ())]
+        for img in out:
             g_lo, g_hi = clip_rows(tube_lo, tube_hi, img.guard_C, img.guard_d)
             if is_empty(g_lo, g_hi):
                 continue
             p_lo, p_hi = _reset_image(img, g_lo, g_hi)
-            d_t = dyn[img.target]
+            d_t = dynamics(img.target)
             p_lo, p_hi = clip_rows(p_lo, p_hi, d_t.inv_C, d_t.inv_d)
             if is_empty(p_lo, p_hi):
                 continue

@@ -123,8 +123,11 @@ def build_formula_automaton(formula: Formula, actions: Sequence[str]) -> HybridA
                 transitions.append(Transition(src, a, names[sets[ti]]))
 
     dyn = {names[m]: m.positive_flow_constraints() for m in sets}
+    i_formula = cl.index[cl.formula]
     init = tuple(
-        names[m] for m in sets if cl.formula in m and not m.positive_actions()
+        names[m]
+        for m in sets
+        if m.bits >> i_formula & 1 and not m.positive_actions()
     )
     acceptance = tuple(
         frozenset(

@@ -1,0 +1,146 @@
+"""The eager check pipeline, kept only as a test oracle.
+
+`check()` prunes the composed product and the counter product to the
+locations on a path from an initial location to an accepting cycle, and
+its reach engine reads a location's dynamics and edge images on first
+use. This module keeps the pipeline that came before: the whole counter
+product is instrumented, and `eager_reachable` is a frozen copy of the
+reach loop that read the dynamics of every location and the image of
+every edge up front. Tests compare the two; nothing in the package
+imports this module.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from hyltlmc.errors import UnsupportedDynamicsError
+from hyltlmc.hybrid.automaton import HybridAutomaton, compose
+from hyltlmc.product import (
+    QueryTarget,
+    build_negated_observer,
+    degeneralize,
+    instrument,
+    normalize_acceptance,
+    recurrence_hits,
+)
+from hyltlmc.reach.boxes import clip_rows, contains, full_box, hull, is_empty, linear_rows
+from hyltlmc.reach.dynamics import location_dynamics, transition_image
+from hyltlmc.reach.engine import ReachResult, _reset_image
+from hyltlmc.reach.kernels import FLOW_BUDGET, FLOW_DONE, flow_tube
+
+
+def eager_reachable(
+    h: HybridAutomaton,
+    horizon: float = 100.0,
+    step: float = 0.01,
+    widen_after: int = 16,
+    max_visits: int = 4000,
+) -> ReachResult:
+    """The reach loop with every location's dynamics built up front."""
+    names = h.variables
+    n = len(names)
+    n_steps = max(1, math.ceil(horizon / step))
+    dyn = {l: location_dynamics(h, l) for l in h.locations}
+    images = {l: [] for l in h.locations}
+    for t in h.transitions:
+        images[t.source].append(transition_image(h, t))
+
+    store = {l: [] for l in h.locations}
+    visits = {l: 0 for l in h.locations}
+    work = []
+
+    for l in h.init:
+        C, d = linear_rows(h.init_region.get(l, ()), names)
+        lo, hi = clip_rows(*full_box(n), C, d)
+        lo, hi = clip_rows(lo, hi, dyn[l].inv_C, dyn[l].inv_d)
+        if is_empty(lo, hi):
+            continue
+        bad = [x for i, x in enumerate(names) if not np.isfinite([lo[i], hi[i]]).all()]
+        if bad:
+            raise UnsupportedDynamicsError(
+                f"initial region of {l!r} leaves {bad} unbounded"
+            )
+        work.append((l, lo, hi))
+
+    cause = None
+    cause_location = None
+    total = 0
+    while work:
+        l, lo, hi = work.pop()
+        if any(contains(s_lo, s_hi, lo, hi) for s_lo, s_hi in store[l]):
+            continue
+        total += 1
+        if total > max_visits:
+            if cause is None:
+                cause, cause_location = f"visit budget of {max_visits} spent", l
+            break
+        visits[l] += 1
+        d_l = dyn[l]
+        if visits[l] > widen_after and store[l]:
+            w_lo = np.full(n, np.inf)
+            w_hi = np.full(n, -np.inf)
+            for s_lo, s_hi in store[l]:
+                w_lo, w_hi = hull(w_lo, w_hi, s_lo, s_hi)
+            lo = np.where(lo < w_lo, d_l.inv_lo, lo)
+            hi = np.where(hi > w_hi, d_l.inv_hi, hi)
+
+        tube_lo, tube_hi, _end_lo, _end_hi, status = flow_tube(
+            lo, hi, d_l.A, d_l.b, step, n_steps, d_l.inv_lo, d_l.inv_hi
+        )
+        if status != FLOW_DONE and cause is None:
+            cause_location = l
+            if status == FLOW_BUDGET:
+                cause = f"flow step budget of {n_steps} steps spent"
+            else:
+                cause = "no validated flow enclosure"
+        tube_lo, tube_hi = clip_rows(tube_lo, tube_hi, d_l.inv_C, d_l.inv_d)
+        if is_empty(tube_lo, tube_hi):
+            tube_lo, tube_hi = lo, hi
+        store[l].append((tube_lo, tube_hi))
+
+        for img in images[l]:
+            g_lo, g_hi = clip_rows(tube_lo, tube_hi, img.guard_C, img.guard_d)
+            if is_empty(g_lo, g_hi):
+                continue
+            p_lo, p_hi = _reset_image(img, g_lo, g_hi)
+            d_t = dyn[img.target]
+            p_lo, p_hi = clip_rows(p_lo, p_hi, d_t.inv_C, d_t.inv_d)
+            if is_empty(p_lo, p_hi):
+                continue
+            work.append((img.target, p_lo, p_hi))
+
+    return ReachResult(names, store, visits, cause, cause_location)
+
+
+@dataclass
+class EagerRun:
+    status: str
+    hits: list[dict]
+    reach: ReachResult
+    product: HybridAutomaton
+    targets: tuple[QueryTarget, ...]
+
+
+def eager_check(
+    system: HybridAutomaton,
+    formula,
+    step: float = 0.01,
+    horizon: float = 100.0,
+    eps: float = 1e-6,
+) -> EagerRun:
+    """compose -> degeneralize -> instrument -> reach, nothing pruned
+    after the observer."""
+    observer = build_negated_observer(formula, system.actions)
+    product = normalize_acceptance(degeneralize(compose(system, observer)))
+    inst, targets, f_name, y_names, w_names = instrument(product)
+    reach = eager_reachable(inst, horizon=horizon, step=step)
+    hits, unbounded = recurrence_hits(reach, targets, f_name, y_names, w_names, eps)
+    if hits or not reach.complete or unbounded:
+        status = "Inconclusive"
+    else:
+        status = "Verified"
+    return EagerRun(status, hits, reach, inst, targets)

@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 from argparse import Namespace
+from importlib.resources import files
 
 import pytest
 
@@ -30,6 +31,11 @@ def heater_path(tmp_path, heater):
     p = tmp_path / "heater.hyha"
     p.write_text(model_to_str(heater))
     return str(p)
+
+
+@pytest.fixture
+def thermostat_path():
+    return str(files("hyltlmc.models").joinpath("thermostat.hyha"))
 
 
 @pytest.fixture
@@ -109,6 +115,35 @@ class TestCheckCommand:
         back = embedded_model(text)
         assert back is not None
         assert "f" in back.variables and "y" in back.variables
+
+    def test_export_is_the_queried_product(self, thermostat_path, tmp_path, capsys):
+        target = tmp_path / "query.pha"
+        code = main(["check", "--model", thermostat_path,
+                     "--formula", "!F(x >= 21 & X on)",
+                     "--export-phaver", str(target)])
+        assert code == 0
+        line = next(
+            l for l in capsys.readouterr().out.splitlines() if l.startswith("product:")
+        )
+        locations = int(line.split()[1])
+        assert locations > 0
+        assert len(embedded_model(target.read_text()).locations) == locations
+
+    def test_graph_only_verdict_exports_an_empty_product(
+        self, thermostat_path, tmp_path, capsys
+    ):
+        target = tmp_path / "query.pha"
+        code = main(["check", "--model", thermostat_path,
+                     "--formula", "G(on -> X(!on U off))",
+                     "--export-phaver", str(target)])
+        assert code == 0
+        assert "product: 0 locations" in capsys.readouterr().out
+        text = target.read_text()
+        assert "initially: false;" in text
+        back = embedded_model(text)
+        assert back.locations == ()
+        assert back.variables == ("x", "f", "y")
+        assert back.actions == ("on", "off")
 
 
 class TestTranslateCommand:

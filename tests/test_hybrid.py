@@ -234,6 +234,54 @@ class TestAutomaton:
                 init=("l",),
             )
 
+    def test_shared_bad_jump_constraint_is_rejected(self):
+        """One undeclared-variable jump object on every edge, behind a
+        shared good one, still fails validation."""
+        good = JumpConstraint(PrimedVar("x"), Relation.EQ, Var("x"))
+        bad = JumpConstraint(Var("z"), Relation.LE, Const(1.0))
+        locations = tuple(f"l{i}" for i in range(6))
+        with pytest.raises(ModelError, match="undeclared"):
+            HybridAutomaton(
+                variables=("x",),
+                actions=("a",),
+                locations=locations,
+                transitions=[
+                    Transition(s, "a", t, (good, bad))
+                    for s in locations
+                    for t in locations
+                ],
+                dyn={},
+                init=("l0",),
+            )
+
+    def test_shared_bad_flow_constraint_is_rejected(self):
+        bad = FlowConstraint(DotVar("y"), Relation.EQ, Const(1.0))
+        locations = tuple(f"l{i}" for i in range(6))
+        with pytest.raises(ModelError, match="'l0' uses undeclared"):
+            HybridAutomaton(
+                variables=("x",),
+                actions=("a",),
+                locations=locations,
+                transitions=(),
+                dyn={l: (bad,) for l in locations},
+                init=("l0",),
+            )
+
+    def test_flow_constraint_reused_in_init_region_is_checked_there(self):
+        """A rate row that passes as dynamics is still refused in an
+        initial region."""
+        rate = FlowConstraint(DotVar("x"), Relation.EQ, Const(1.0))
+        with pytest.raises(ModelError, match="must not use derivatives"):
+            HybridAutomaton(
+                variables=("x",),
+                actions=("a",),
+                locations=("l",),
+                transitions=(),
+                dyn={"l": (rate,)},
+                init=("l",),
+                init_region={"l": (rate,)},
+            )
+
     def test_discrete_step_fires_when_guard_holds(self, heater):
         out = discrete_step(heater, ("idle", Valuation({"x": 18.0})), "on")
         assert out == (("heat", Valuation({"x": 18.0})),)
