@@ -1,8 +1,10 @@
-"""Timing of the flow tube kernel on three fixed workloads.
+"""Timing of the flow tube kernel on four fixed workloads.
 
 Each workload runs once to warm up and then --repeat more times; the
-median wall time is printed with the final status and the widest axis of
-the tube.
+median wall time is printed with the final status, the widest axis of
+the tube, the tube's radius over the start box's radius (the largest
+absolute coordinate of each box), and whether the axes with a zero row
+of A and zero b kept their start interval exactly.
 
     python3 benchmarks/bench_kernels.py [--steps N] [--repeat K]
 """
@@ -62,6 +64,34 @@ def workloads(steps: int):
             inv_hi=np.full(6, 100.0),
         ),
     )
+    yield (
+        "growth beside a constant axis",
+        dict(
+            lo=np.array([1.0, 1.0]),
+            hi=np.array([2.0, 1.0]),
+            A=np.array([[0.5, 0.0], [0.0, 0.0]]),
+            b=np.array([0.0, 0.0]),
+            h=0.5,
+            n_steps=3,
+            inv_lo=np.full(2, -np.inf),
+            inv_hi=np.full(2, np.inf),
+        ),
+    )
+
+
+def radius(lo: np.ndarray, hi: np.ndarray) -> float:
+    return float(np.max(np.maximum(np.abs(lo), np.abs(hi))))
+
+
+def constant_axes(kw: dict, tube_lo: np.ndarray, tube_hi: np.ndarray) -> str:
+    """'exact' or 'widened' for the axes with a zero row and zero b."""
+    const = ~kw["A"].any(axis=1) & (kw["b"] == 0.0)
+    if not const.any():
+        return "-"
+    kept = np.array_equal(tube_lo[const], kw["lo"][const]) and np.array_equal(
+        tube_hi[const], kw["hi"][const]
+    )
+    return "exact" if kept else "widened"
 
 
 def main() -> int:
@@ -70,7 +100,10 @@ def main() -> int:
     ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args()
 
-    print(f"{'workload':<30} {'median':>10}  {'status':<12} {'tube width':>10}")
+    print(
+        f"{'workload':<30} {'median':>10}  {'status':<12} {'tube width':>10}"
+        f" {'radius x':>9} {'constant axes':>13}"
+    )
     for name, kw in workloads(args.steps):
         tube_lo, tube_hi, _, _, status = flow_tube(**kw)
         times = []
@@ -79,9 +112,11 @@ def main() -> int:
             flow_tube(**kw)
             times.append(time.perf_counter() - t0)
         width = float(np.max(tube_hi - tube_lo))
+        ratio = radius(tube_lo, tube_hi) / radius(kw["lo"], kw["hi"])
         print(
             f"{name:<30} {statistics.median(times) * 1e3:>8.2f}ms  "
-            f"{STATUS[status]:<12} {width:>10.4g}"
+            f"{STATUS[status]:<12} {width:>10.4g} {ratio:>9.4f} "
+            f"{constant_axes(kw, tube_lo, tube_hi):>13}"
         )
     return 0
 

@@ -30,7 +30,7 @@ from .dynamics import (
     location_dynamics,
     transition_image,
 )
-from .kernels import FLOW_BUDGET, FLOW_DONE, flow_tube
+from .kernels import FLOW_BUDGET, FLOW_DONE, Discretization, flow_tube
 
 
 @dataclass
@@ -106,6 +106,9 @@ def reachable(
     for t in h.transitions:
         edges.setdefault(t.source, []).append(t)
     images: dict[Loc, list[TransitionImage]] = {}
+    # One discretization per distinct field, made on its first flow; the
+    # product repeats each system location's field at many locations.
+    discs: dict[tuple[bytes, bytes], Discretization] = {}
 
     store: dict[Loc, list[tuple[np.ndarray, np.ndarray]]] = {
         l: [] for l in h.locations
@@ -149,8 +152,12 @@ def reachable(
             lo = np.where(lo < w_lo, d_l.inv_lo, lo)
             hi = np.where(hi > w_hi, d_l.inv_hi, hi)
 
+        key = (d_l.A.tobytes(), d_l.b.tobytes())
+        disc = discs.get(key)
+        if disc is None:
+            disc = discs[key] = Discretization(d_l.A, d_l.b, step)
         tube_lo, tube_hi, _end_lo, _end_hi, status = flow_tube(
-            lo, hi, d_l.A, d_l.b, step, n_steps, d_l.inv_lo, d_l.inv_hi
+            lo, hi, d_l.A, d_l.b, step, n_steps, d_l.inv_lo, d_l.inv_hi, disc=disc
         )
         if status != FLOW_DONE and cause is None:
             cause_location = l

@@ -1,25 +1,74 @@
 """Flow tube kernel: the hot loop of box reachability.
 
-One call advances a box through up to n_steps Euler-Taylor steps of
-der(x) = A x + b, clipping to per-axis invariant bounds, and returns the
-hull of everything visited (the tube), the final box, and a status flag.
-Each step encloses the whole [0, h] slice with a validated a priori box,
-so the tube covers intra-step states, not just step endpoints.
+One call encloses every state that der(x) = A x + b reaches from the box
+X0 = [lo, hi] while it stays inside the per-axis invariant bounds
+inv = [inv_lo, inv_hi], over up to n_steps segments of length h. It
+returns the hull of those states (the tube), the last segment box and a
+status.
 
-The loop runs on plain Python floats: the boxes are lists, and each row
-of A is reduced once per call to its nonzero coefficients in ascending
-column order. Reading a numpy array one element at a time costs far more
-than the arithmetic it feeds, and skipping zeros was already part of the
-interval sums (0 * inf is nan), so the sums run in the same order and
-the results equal those of an element-wise numpy loop bit for bit.
+Exact discretization. Over one step the flow is the affine map
+x -> Phi x + g, with Phi = e^{Ah} and g = int_0^h e^{As} b ds. Both are
+read off Psi = e^{Mh} = [[Phi, g], [0, 1]] for M = [[A, b], [0, 0]], and
+Psi^k = [[Phi^k, v_k], [0, 1]] maps a state to its value k steps later.
+The exponential is a Taylor series with scaling and squaring, so a zero
+row of M stays an exact unit row of every power.
 
-Status codes: 0 ran to a provable fixpoint or left the invariant, 1 hit
-the step budget first, 2 could not validate an enclosure (both nonzero
-codes mean the tube may miss states and the caller must degrade the
-overall verdict).
+Segment enclosure. E0 holds every state of the first segment [0, h].
+For x' = f(x) = A x + b, x(t) = x0 + t f(x0) + R(t) with
+R(t) = sum_{k>=2} t^k / k! A^{k-1} f(x0), so |R(t)| <= W F per axis for
+t in [0, h], with W = sum_{k>=2} h^k / k! |A|^{k-1} and F = sup |f| over
+X0. Hence E0 = [lo + h min(0, f_lo) - W F, hi + h max(0, f_hi) + W F],
+where [f_lo, f_hi] is the range of f over X0. An axis whose derivative
+keeps one sign over E0 is monotone along every trajectory on [0, h], so
+each of its states lies between its start value and its value at h:
+the axis is also cut to the hull of X0 and X1 = box(Phi X0 + g). A
+constant axis (zero row of A, zero b) thus keeps its start interval
+exactly, in every segment.
+
+Direct mapping. A trajectory that is inside the invariant at time
+kh + t stayed inside it from time 0, so it was in S_0 = E0 & inv at
+time t, and every state of segment k is Psi^k applied to a state of
+S_0: S_k = box(Phi^k S_0 + v_k) & inv. Each S_k is computed from S_0,
+never from S_{k-1}, so no wrapping builds up. Segments are evaluated
+in vectorized chunks; the powers of Psi for one chunk are computed once
+per field and shifted by Psi^(chunk start) for later chunks.
+
+Stopping rules and statuses:
+- FLOW_DONE, S_k empty: every trajectory left the invariant before or
+  during segment k and cannot come back, so the tube is the hull of X0
+  and S_0 .. S_{k-1}.
+- FLOW_DONE, box(Phi S_k + g) & inv inside S_k: the states of segment
+  k + 1 are images of states of segment k that stay in the invariant,
+  so they lie in S_k; by induction so do all later ones, and the tube
+  (which includes S_k) holds every reachable state.
+- FLOW_BUDGET: n_steps segments passed without either rule; the tube
+  holds every state up to time n_steps h, not later ones.
+- FLOW_NO_ENCLOSURE: Psi or one of its powers is not finite, or a
+  segment endpoint is nan: the flow map overflowed, and the tube holds
+  the segments before that point only.
+Both nonzero codes mean the tube may miss states, and the caller must
+degrade the overall verdict.
+
+Representation. Inside the kernel a box [lo, hi] is the vector of
+upper bounds z = (-lo, hi), so clipping, hulls and containment are each
+one elementwise operation and a box is empty when some z_i + z_{n+i} < 0.
+The box image under a matrix M is G(M) z with the nonnegative block
+matrix G(M) = [[M+, M-], [M-, M+]], where M+ = max(M, 0) and
+M- = max(-M, 0); it is exact per axis and keeps every endpoint that M
+passes through unchanged, bit for bit.
+
+Infinite endpoints. Boxes widened to the invariant bounds may have
+infinite sides, +inf in z. Products take 0 * inf = 0, so an infinite
+side spreads only along nonzero coefficients.
+
+Arithmetic is float64 rounded to nearest, with no outward rounding: the
+tube is exact up to rounding errors in the powers of Psi, of relative
+order k times machine epsilon after k steps.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -27,162 +76,195 @@ FLOW_DONE = 0
 FLOW_BUDGET = 1
 FLOW_NO_ENCLOSURE = 2
 
-_ENCLOSURE_TRIES = 8
+# Segments per chunk. Much smaller chunks cost more numpy calls than they
+# save work on short flows; larger ones hold more memory per field.
+_CHUNK = 256
+# Taylor terms of e^X for a scaled norm |X| below 1/2: the series stops
+# once a term is below 1e-18, and after 18 terms it is below 1e-22.
+_TAYLOR_TERMS = 18
 
 
-def _floats(v) -> list[float]:
-    return np.asarray(v, dtype=np.float64).tolist()
+def _expm(M: np.ndarray) -> np.ndarray:
+    """e^M by scaling and squaring a Taylor series; nan if M is not finite."""
+    norm = float(np.abs(M).sum(axis=1).max(initial=0.0))
+    if not math.isfinite(norm):
+        return np.full_like(M, np.nan)
+    s = max(0, math.frexp(norm)[1] + 1)
+    X = M * 2.0**-s
+    E = T = np.eye(len(M))
+    for k in range(1, _TAYLOR_TERMS + 1):
+        T = (T @ X) / k
+        E = E + T
+        if not np.abs(T).max() >= 1e-18:
+            break
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
-def _signed_rows(A, n: int) -> list[list[tuple[float, int, int]]]:
-    """Per row of A, its nonzero terms as (a, p, q) in ascending column.
+def _split(M: np.ndarray) -> np.ndarray:
+    """G(M) of the module docstring, for an (n, n) matrix M."""
+    n = len(M)
+    G = np.empty((2 * n, 2 * n))
+    G[:n, :n] = G[n:, n:] = np.maximum(M, 0.0)
+    G[:n, n:] = G[n:, :n] = G[:n, :n] - M
+    return G
 
-    Interval sums read the concatenation lo + hi of a box: the lower sum
-    adds a * box[p] and the upper sum a * box[q], so p and q pick the
-    endpoint that the sign of a calls for.
+
+def _bound(G: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """G z for a nonnegative G and z of shape (m,) or (m, cols).
+
+    Takes 0 * inf = 0: an infinite entry of z spreads only along the
+    nonzero entries of G.
     """
-    rows = np.asarray(A, dtype=np.float64).tolist()
-    out = []
-    for i in range(n):
-        terms = []
-        for j in range(n):
-            a = rows[i][j]
-            if a > 0.0:
-                terms.append((a, j, n + j))
-            elif a < 0.0:
-                terms.append((a, n + j, j))
-        out.append(terms)
+    inf = np.isinf(z)
+    if not inf.any():
+        return G @ z
+    out = G @ np.where(inf, 0.0, z)
+    out[(G > 0.0) @ inf] = np.inf
     return out
 
 
-def _affine_range(rows, base, box):
-    """Interval range of base + A x over x in box (lo list + hi list)."""
-    out_lo = []
-    out_hi = []
-    for c, terms in zip(base, rows):
-        s_lo = c
-        s_hi = c
-        for a, p, q in terms:
-            s_lo += a * box[p]
-            s_hi += a * box[q]
-        out_lo.append(s_lo)
-        out_hi.append(s_hi)
-    return out_lo, out_hi
+def _box(lo, hi) -> np.ndarray:
+    """The box [lo, hi] as its vector of upper bounds z = (-lo, hi)."""
+    return np.concatenate(
+        [-np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)]
+    )
 
 
-def flow_tube(lo, hi, A, b, h, n_steps, inv_lo, inv_hi):
+def _shift(P: np.ndarray, V: np.ndarray, phi: np.ndarray, v: np.ndarray):
+    """Phi^i -> Phi^i phi and v_i -> Phi^i v + v_i, for all i at once."""
+    count, n = V.shape
+    flat = P.reshape(-1, n)
+    return (flat @ phi).reshape(count, n, n), (flat @ v).reshape(count, n) + V
+
+
+class Discretization:
+    """The one-step map of der(x) = A x + b at step h, with cached powers.
+
+    phi = e^{Ah} and g are read off e^{[[A, b], [0, 0]] h}; W bounds the
+    Taylor remainder of one step (see the module docstring). Build one
+    per distinct (A, b, h) and pass it to every flow_tube call on that
+    field, so its powers are computed once.
+    """
+
+    def __init__(self, A, b, h: float):
+        A = np.asarray(A, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        self.h = h = float(h)
+        self.n = n = len(b)
+        # g is linear in b: scaling b down by a power of two c to the size
+        # of A h and g back up is exact, and keeps a large b from scaling
+        # A h away in the squaring.
+        a_norm = float(np.abs(A).sum(axis=1).max(initial=0.0)) * h
+        b_norm = float(np.abs(b).max(initial=0.0)) * h
+        c = 2.0 ** max(0, math.frexp(b_norm)[1] - math.frexp(max(a_norm, 1.0))[1])
+        M = np.zeros((n + 1, n + 1))
+        M[:n, :n] = A * h
+        M[:n, n] = b * (h / c)
+        # The upper right block of e^K, K = [[|A|, I], [0, 0]] h, is
+        # sum_{k>=1} h^k / k! |A|^{k-1} = h I + W.
+        K = np.zeros((2 * n, 2 * n))
+        K[:n, :n] = np.abs(A) * h
+        K[:n, n:] = np.eye(n) * h
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi = _expm(M)
+            self.W = np.maximum(_expm(K)[:n, n:] - np.eye(n) * h, 0.0)
+            self.phi = np.ascontiguousarray(psi[:n, :n])
+            self.Gphi = _split(self.phi)
+        self.g = psi[:n, n] * c
+        self.finite = bool(np.isfinite(psi).all() and np.isfinite(self.g).all())
+        self.GA = _split(A)
+        self.b2 = np.concatenate([-b, b])
+        self.g2 = np.concatenate([-self.g, self.g])
+        self._P = np.eye(n)[None]
+        self._V = np.zeros((1, n))
+
+    def powers(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Phi^k and v_k for k < count, shapes (count, n, n) and (count, n)."""
+        P, V = self._P, self._V
+        while len(P) < count:
+            # Psi^len(P) = Psi^(len(P) - 1) Psi; the length doubles.
+            P2, V2 = _shift(P, V, P[-1] @ self.phi, P[-1] @ self.g + V[-1])
+            P, V = np.concatenate([P, P2]), np.concatenate([V, V2])
+        self._P, self._V = P, V
+        return P[:count], V[:count]
+
+
+def _first_segment(disc: Discretization, x: np.ndarray, bound) -> np.ndarray:
+    """E0, the enclosure of every state on [0, h] from the box x."""
+    n = disc.n
+    f = bound(disc.GA, x) + disc.b2
+    rem = bound(disc.W, np.maximum(np.abs(f[:n]), np.abs(f[n:])))
+    e = x + disc.h * np.maximum(f, 0.0) + np.concatenate([rem, rem])
+    d = bound(disc.GA, e) + disc.b2
+    mono = (d[:n] <= 0.0) | (d[n:] <= 0.0)
+    if mono.any():
+        x1 = bound(disc.Gphi, x) + disc.g2
+        e = np.where(np.concatenate([mono, mono]), np.minimum(e, np.maximum(x, x1)), e)
+    return e
+
+
+def flow_tube(lo, hi, A, b, h, n_steps, inv_lo, inv_hi, *, disc=None):
     """Tube, final box and status of der(x) = A x + b from [lo, hi].
 
     Returns (tube_lo, tube_hi, end_lo, end_hi, status) with float64
-    arrays; see the module docstring for the status codes.
+    arrays; see the module docstring for the status codes. disc, when
+    given, must be Discretization(A, b, h); callers that flow the same
+    field many times pass it to share its powers.
     """
-    cur_lo = _floats(lo)
-    cur_hi = _floats(hi)
-    n = len(cur_lo)
-    rows = _signed_rows(A, n)
-    b = _floats(b)
-    zero = [0.0] * n
-    inv_lo = _floats(inv_lo)
-    inv_hi = _floats(inv_hi)
-    h = float(h)
-    half = 0.5 * h * h
-    tube_lo = cur_lo[:]
-    tube_hi = cur_hi[:]
-    status = FLOW_BUDGET
+    x = _box(lo, hi)
+    n = len(x) // 2
+    n_steps = int(n_steps)
+    if disc is None and n_steps > 0:
+        disc = Discretization(A, b, h)
+    if n_steps <= 0 or not disc.finite:
+        status = FLOW_BUDGET if n_steps <= 0 else FLOW_NO_ENCLOSURE
+        return -x[:n], x[n:], -x[:n], x[n:], status
+    # Overflow is detected from the results and reported as a status.
+    with np.errstate(over="ignore", invalid="ignore"):
+        tube, end, status = _flow(disc, x, n_steps, _box(inv_lo, inv_hi))
+    return -tube[:n], tube[n:], -end[:n], end[n:], status
 
-    for _step in range(int(n_steps)):
-        # Derivative range over the current box.
-        f_lo, f_hi = _affine_range(rows, b, cur_lo + cur_hi)
 
-        # A priori enclosure of every state in [0, h]: must absorb one
-        # Picard iterate of itself. Conditional expressions spell out
-        # min and max with their exact tie and nan behaviour.
-        e_lo = []
-        e_hi = []
-        for c_lo, c_hi, d_lo, d_hi in zip(cur_lo, cur_hi, f_lo, f_hi):
-            t = c_lo + h * d_lo
-            e_lo.append(t if t < c_lo else c_lo)
-            t = c_hi + h * d_hi
-            e_hi.append(t if t > c_hi else c_hi)
-        pad = h
-        for _try in range(_ENCLOSURE_TRIES):
-            g_lo, g_hi = _affine_range(rows, b, e_lo + e_hi)
-            new_lo = []
-            new_hi = []
-            ok = True
-            for c_lo, c_hi, d_lo, d_hi, el, eh in zip(
-                cur_lo, cur_hi, g_lo, g_hi, e_lo, e_hi
-            ):
-                nl = c_lo + h * (0.0 if d_lo > 0.0 else d_lo)
-                nh = c_hi + h * (0.0 if d_hi < 0.0 else d_hi)
-                new_lo.append(nl)
-                new_hi.append(nh)
-                if nl < el or nh > eh:
-                    ok = False
-            if ok:
-                break
-            for i in range(n):
-                t = new_lo[i] - pad
-                if t < e_lo[i]:
-                    e_lo[i] = t
-                t = new_hi[i] + pad
-                if t > e_hi[i]:
-                    e_hi[i] = t
-            pad = pad * 2.0
-        if not ok:
-            status = FLOW_NO_ENCLOSURE
-            break
-
-        # Step image with second order remainder: the second derivative
-        # along the flow is A (A x + b), bounded over the enclosure. The
-        # invariant truncates both the slice and the step image, and a
-        # step image inside the previous box can never escape it.
-        s_lo, s_hi = _affine_range(rows, zero, g_lo + g_hi)
-        new_lo = []
-        new_hi = []
-        empty = False
-        inside = True
-        for i in range(n):
-            c_lo = cur_lo[i]
-            c_hi = cur_hi[i]
-            nl = c_lo + h * f_lo[i] + half * s_lo[i]
-            nh = c_hi + h * f_hi[i] + half * s_hi[i]
-            il = inv_lo[i]
-            ih = inv_hi[i]
-            el = e_lo[i]
-            if il > el:
-                el = il
-            eh = e_hi[i]
-            if ih < eh:
-                eh = ih
-            if el <= eh:
-                if el < tube_lo[i]:
-                    tube_lo[i] = el
-                if eh > tube_hi[i]:
-                    tube_hi[i] = eh
-            if nl < il:
-                nl = il
-            if nh > ih:
-                nh = ih
-            if nl > nh:
-                empty = True
-            if nl < c_lo or nh > c_hi:
-                inside = False
-            new_lo.append(nl)
-            new_hi.append(nh)
-        if empty:
-            status = FLOW_DONE
-            break
-        cur_lo = new_lo
-        cur_hi = new_hi
-        if inside:
-            status = FLOW_DONE
-            break
-
-    return (
-        np.array(tube_lo, dtype=np.float64),
-        np.array(tube_hi, dtype=np.float64),
-        np.array(cur_lo, dtype=np.float64),
-        np.array(cur_hi, dtype=np.float64),
-        status,
-    )
+def _flow(disc: Discretization, x, n_steps: int, inv):
+    n = disc.n
+    # A finite start box keeps every box finite, and an overflow then
+    # shows as nan; only infinite sides need 0 * inf = 0.
+    bound = np.matmul if np.isfinite(x).all() else _bound
+    s0 = np.minimum(_first_segment(disc, x, bound), inv)
+    # Columns (z_lo, z_hi): the positive and negative parts of Phi^k,
+    # stacked, times them give every product that G(Phi^k) s0 sums.
+    halves = np.stack([s0[:n], s0[n:]], axis=1)
+    tube = end = x
+    start, count = 0, min(_CHUNK, n_steps)
+    P, V = disc.powers(count)
+    while True:
+        flat = P.reshape(-1, n)
+        pos = np.maximum(flat, 0.0)
+        R = bound(np.concatenate([pos, pos - flat]), halves).reshape(2, count, n, 2)
+        seg = np.concatenate(
+            [R[0, ..., 0] + R[1, ..., 1] - V, R[1, ..., 0] + R[0, ..., 1] + V], axis=1
+        )
+        seg = np.minimum(seg, inv)
+        img = np.minimum(bound(disc.Gphi, seg.T).T + disc.g2, inv)
+        bad = np.isnan(seg).any(axis=1)
+        if not (np.isfinite(P[-1]).all() and np.isfinite(V[-1]).all()):
+            # A non-finite power or offset makes every later one non-finite.
+            bad |= ~(np.isfinite(P).all(axis=(1, 2)) & np.isfinite(V).all(axis=1))
+        empty = (seg[:, :n] + seg[:, n:] < 0.0).any(axis=1)
+        stop = bad | empty | (img <= seg).all(axis=1)
+        k = int(stop.argmax()) if stop.any() else count
+        last = k + 1 if k < count and not (bad[k] or empty[k]) else k
+        if last:
+            tube = np.maximum(tube, seg[:last].max(axis=0))
+            end = seg[last - 1]
+        if k < count:
+            return tube, end, FLOW_NO_ENCLOSURE if bad[k] else FLOW_DONE
+        start += count
+        if start >= n_steps:
+            return tube, end, FLOW_BUDGET
+        # Phi^start and v_start from the last power, then the next chunk.
+        phi_s, v_s = P[-1] @ disc.phi, P[-1] @ disc.g + V[-1]
+        count = min(_CHUNK, n_steps - start)
+        P, V = _shift(*disc.powers(count), phi_s, v_s)

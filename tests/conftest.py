@@ -29,17 +29,20 @@ from hyltlmc.hybrid import (
 from hyltlmc.hybrid.expr import Const, DotVar, Mul, PrimedVar, Sub, Var
 
 
-def heater_model(on_guard_max: float = 19.0) -> HybridAutomaton:
+def heater_model(
+    on_guard_max: float = 19.0, idle_rate: float = -0.2
+) -> HybridAutomaton:
     """Two-location heater: cooling 'idle' and warming 'heat'.
 
-    idle: der(x) = -0.2 x, inv x >= 17, switch-on allowed while x <= guard.
+    idle: der(x) = rate x (rate -0.2), inv x >= 17, switch-on allowed
+    while x <= guard.
     heat: der(x) = 30 - 0.2 x, inv x <= 23, switch-off allowed once x >= 21.
     Starts in idle with x in [19, 21].
     """
     x = Var("x")
     dyn = {
         "idle": (
-            FlowConstraint(DotVar("x"), Relation.EQ, Mul(Const(-0.2), x)),
+            FlowConstraint(DotVar("x"), Relation.EQ, Mul(Const(idle_rate), x)),
             FlowConstraint(x, Relation.GE, Const(17.0)),
         ),
         "heat": (

@@ -60,8 +60,11 @@ class TestCheckCommand:
         assert out.startswith("Verified:")
         assert "explored: " in out and "(complete)" in out
 
-    def test_explored_line_names_the_incomplete_cause(self, heater_path, capsys):
-        code = main(["check", "--model", heater_path, "--step", "50",
+    def test_explored_line_names_the_incomplete_cause(self, tmp_path, capsys):
+        # der(x) = 800 x in idle: e^(800 h) overflows at step 1.
+        path = tmp_path / "overflow.hyha"
+        path.write_text(model_to_str(heater_model(idle_rate=800.0)))
+        code = main(["check", "--model", str(path), "--step", "1",
                      "--formula", "!F(x >= 21 & X on)"])
         out = capsys.readouterr().out
         assert code == 2

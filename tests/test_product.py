@@ -17,7 +17,7 @@ from hyltlmc.errors import (
 from hyltlmc.formula.parser import Declarations, parse_formula
 from hyltlmc.hybrid.automaton import compose
 from hyltlmc.hybrid.discrete import accepts_lasso_word
-from hyltlmc.hybrid.modelio import load_model
+from hyltlmc.hybrid.modelio import load_model, parse_model
 from hyltlmc.monitor import evaluate_trace, evaluate_word, random_trace
 from hyltlmc.product import (
     build_negated_observer,
@@ -268,12 +268,15 @@ TANKS = Path(__file__).resolve().parents[1] / "perfbench" / "models" / "tanks.hy
 class TestIncompleteReason:
     """An incomplete exploration names its first cause and location."""
 
-    def test_tanks_reason_names_the_failed_enclosure(self):
-        # Every flow of the coupled tanks fails to validate an enclosure
-        # long before the 4000-visit budget is near.
-        tanks = load_model(TANKS)
+    def test_overflowing_flow_reason_names_the_failed_enclosure(self):
+        # With der(a) = 800 a in resting, e^(800 h) overflows at step 1, so
+        # the very first flow has no enclosure, long before any budget.
+        text = TANKS.read_text().replace(
+            "der(a) = -0.5 * a + 0.1 * b;", "der(a) = 800 * a;"
+        )
+        tanks = parse_model(text)
         decls = Declarations(variables=tanks.variables, actions=tanks.actions)
-        v = check(tanks, parse_formula("!F(a >= 5 & X fill)", decls))
+        v = check(tanks, parse_formula("!F(a >= 5 & X fill)", decls), step=1.0)
         assert v.status == "Inconclusive" and not v.complete
         assert v.reason == (
             "reachability exploration incomplete, no validated flow "
@@ -285,6 +288,16 @@ class TestIncompleteReason:
     def test_complete_run_has_no_cause(self):
         v = check(heater_model(), phi("!F(x >= 21 & X on)"))
         assert v.stats["reach_incomplete"] is None
+
+    def test_coupled_tanks_are_verified(self):
+        # Both flows of the coupled tanks are stable contractions; with an
+        # exact discretization every flow completes, and the fill guard
+        # a <= 2 keeps fill from following a >= 5.
+        tanks = load_model(TANKS)
+        decls = Declarations(variables=tanks.variables, actions=tanks.actions)
+        v = check(tanks, parse_formula("!F(a >= 5 & X fill)", decls), step=0.01)
+        assert v.status == "Verified" and v.complete
+        assert v.stats["reach_complete"] and v.stats["reach_incomplete"] is None
 
 
 class TestCheckAgreesWithTheMonitor:
