@@ -12,6 +12,7 @@ directly on recorded or simulated lasso traces.
 from .errors import (
     ComplementError,
     ComplementStrengtheningWarning,
+    ConfigError,
     ExportError,
     HyltlError,
     ModelError,
@@ -33,6 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ComplementError",
     "ComplementStrengtheningWarning",
+    "ConfigError",
     "Declarations",
     "ExportError",
     "HybridAutomaton",

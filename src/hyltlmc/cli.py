@@ -189,13 +189,13 @@ def _cmd_translate(args, config: dict) -> int:
             formula, actions, prune=not args.no_prune, strict=args.strict_negation
         )
     else:
-        from .tableau import build_formula_automaton, prune_unreachable
+        from .tableau import build_formula_automaton
 
         observer = build_formula_automaton(
-            to_nnf(formula, strict=args.strict_negation), actions
+            to_nnf(formula, strict=args.strict_negation),
+            actions,
+            prune=not args.no_prune,
         )
-        if not args.no_prune:
-            observer = prune_unreachable(observer)
     _write_out(args, model_to_str(observer))
     return 0
 

@@ -48,6 +48,12 @@ class TraceError(HyltlError):
     code = "E_TRACE"
 
 
+class ConfigError(HyltlError):
+    """A numeric setting outside its usable range (step 0, nan, ...)."""
+
+    code = "E_CONFIG"
+
+
 class ComplementStrengtheningWarning(UserWarning):
     """NNF rewrote a negated flow atom to its pointwise complement.
 

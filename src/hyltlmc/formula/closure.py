@@ -10,7 +10,10 @@ A maximally consistent set picks exactly one member of every pair such that
 true is in, conjunctions and disjunctions agree with their arguments, and at
 most one action atom is positive. Sets are represented as bit vectors over
 closure ordinals: the pair with index k owns bits 2k (positive form) and
-2k + 1 (negated form).
+2k + 1 (negated form). Members are ordered by size, so the arguments of a
+conjunction or disjunction come before it; the sets are enumerated from
+the free choices (flow atoms, next, until, release) and the action atom,
+with every conjunction and disjunction then read off its arguments.
 """
 
 from __future__ import annotations
@@ -190,39 +193,40 @@ def _bit_key(bits: int, width: int) -> tuple[int, ...]:
 def maximally_consistent_sets(cl: ClosureSet) -> tuple[MCS, ...]:
     """Enumerate all maximally consistent sets, lexicographic on bit vectors.
 
-    Works by choosing one side of every complementary pair and filtering by
-    the local consistency conditions; cost O(2^pairs * |cl|), fine at the
-    closure sizes the logic produces.
+    Only flow atoms, next, until and release pairs are free choices. True
+    is always in, the action atoms are none or exactly one positive, and
+    every conjunction or disjunction follows from its arguments, which
+    precede it in closure order. The candidates built that way are
+    exactly the consistent sets, so the cost is O(2^free * (|actions| + 1)
+    * |cl|) with free the number of free pairs, and nothing is rejected.
     """
-    top_ord = cl.index[Top()]
-    action_mask = 0
+    top = cl.index[Top()]
+    derived = sorted(
+        [(i, l, r, True) for i, l, r in cl.and_nodes]
+        + [(i, l, r, False) for i, l, r in cl.or_nodes]
+    )
+    fixed = {top} | set(cl.action_ordinals.values()) | {i for i, *_ in derived}
+    free = [2 * k for k in range(cl.n_pairs) if 2 * k not in fixed]
+    actions = [0] + [1 << i for i in sorted(cl.action_ordinals.values())]
+    # Every action pair starts negative; a chosen action flips its pair.
+    base = 1 << top
     for i in cl.action_ordinals.values():
-        action_mask |= 1 << i
+        base |= 1 << (i + 1)
 
     out: list[MCS] = []
-    for choice in product((0, 1), repeat=cl.n_pairs):
-        bits = 0
-        for k, c in enumerate(choice):
-            bits |= 1 << (2 * k + c)
-        if not bits >> top_ord & 1:
-            continue
-        ok = True
-        for i, l, r in cl.and_nodes:
-            if (bits >> i & 1) != ((bits >> l & 1) and (bits >> r & 1)):
-                ok = False
-                break
-        if not ok:
-            continue
-        for i, l, r in cl.or_nodes:
-            if (bits >> i & 1) != ((bits >> l & 1) or (bits >> r & 1)):
-                ok = False
-                break
-        if not ok:
-            continue
-        pos_actions = bits & action_mask
-        if pos_actions and pos_actions & (pos_actions - 1):
-            continue
-        out.append(MCS(cl, bits))
+    for choice in product((0, 1), repeat=len(free)):
+        bits = base
+        for i, c in zip(free, choice):
+            bits |= 1 << (i + c)
+        for a in actions:
+            b = bits ^ (a | a << 1)
+            for i, l, r, conj in derived:
+                if conj:
+                    v = b >> l & b >> r & 1
+                else:
+                    v = (b >> l | b >> r) & 1
+                b |= 1 << (i + 1 - v)
+            out.append(MCS(cl, b))
 
     width = len(cl.members)
     out.sort(key=lambda m: _bit_key(m.bits, width))

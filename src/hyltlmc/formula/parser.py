@@ -20,8 +20,8 @@ constraint) comes from a Declarations context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from ..errors import ParseError
 from ..hybrid.constraints import FlowConstraint, JumpConstraint, Relation
@@ -371,15 +371,6 @@ def parse_formula(text: str, decls: Declarations | None = None) -> Formula:
 def parse_flow_constraint(text: str, decls: Declarations) -> FlowConstraint:
     p = _Parser(tokenize(text), decls)
     c = p.comparison(allow_dot=True, allow_primed=False)
-    t = p.peek()
-    if t.kind != "EOF":
-        raise ParseError(f"unexpected trailing input '{t.value}'", t.line, t.column)
-    return c
-
-
-def parse_jump_constraint(text: str, decls: Declarations) -> JumpConstraint:
-    p = _Parser(tokenize(text), decls)
-    c = p.comparison(allow_dot=False, allow_primed=True)
     t = p.peek()
     if t.kind != "EOF":
         raise ParseError(f"unexpected trailing input '{t.value}'", t.line, t.column)

@@ -139,10 +139,6 @@ def action_atoms(f: Formula) -> frozenset[str]:
     return frozenset(g.action for g in subformulas(f) if isinstance(g, ActionAtom))
 
 
-def flow_atoms(f: Formula) -> frozenset[FlowConstraint]:
-    return frozenset(g.constraint for g in subformulas(f) if isinstance(g, FlowAtom))
-
-
 # Precedence levels for printing and parsing: | < & < U/R < unary < atom.
 _OR, _AND, _UR, _UNARY, _ATOM = 1, 2, 3, 4, 5
 

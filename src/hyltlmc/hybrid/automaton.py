@@ -99,12 +99,18 @@ class HybridAutomaton:
                     raise ModelError(
                         f"init region constraint '{c}' uses undeclared variables"
                     )
+        actions = set(self.actions)
+        # Jump tuples are shared by many edges too; a tuple seen before
+        # had every one of its constraints checked then.
         seen = set()
         for t in self.transitions:
             if t.source not in locset or t.target not in locset:
                 raise ModelError(f"transition endpoints undeclared: {t}")
-            if t.action not in self.actions:
+            if t.action not in actions:
                 raise ModelError(f"transition action '{t.action}' not declared")
+            if id(t.jumps) in seen:
+                continue
+            seen.add(id(t.jumps))
             for jc in t.jumps:
                 if id(jc) in seen:
                     continue
@@ -178,36 +184,77 @@ def compose(h1: HybridAutomaton, h2: HybridAutomaton) -> HybridAutomaton:
     variables; shared variables are related by whichever jump constraints the
     owning components impose. Acceptance families are lifted through the two
     projections, first automaton's sets first.
+
+    Only the location pairs reachable from an initial pair are built, so
+    no run of the product is lost. They keep the order of the full cross
+    product, first automaton's location first, and the edges keep the
+    order (action, edge of h1, edge of h2) of the full edge product.
     """
     variables = _dedup(h1.variables + h2.variables)
     actions = _dedup(h1.actions + h2.actions)
-    locations = tuple((l1, l2) for l1 in h1.locations for l2 in h2.locations)
+    L1, L2 = h1.locations, h2.locations
 
-    private1 = set(h1.variables) - set(h2.variables)
-    private2 = set(h2.variables) - set(h1.variables)
+    def moves(h: HybridAutomaton, private: set):
+        """Per action and source index: (rank, target index, jumps).
 
-    def moves(h: HybridAutomaton, private: set, action: str):
-        if action in h.actions:
-            return [
-                (t.source, t.target, t.jumps) for t in h.transitions if t.action == action
-            ]
+        The rank is the move's place in the full product's order: the
+        edge's among h's edges with that action, or, for a stutter on an
+        action h does not own, the location's index.
+        """
+        idx = {l: i for i, l in enumerate(h.locations)}
         frozen = _freeze_jumps(private)
-        return [(l, l, frozen) for l in h.locations]
+        table = []
+        for a in actions:
+            out: list[list] = [[] for _ in h.locations]
+            if a in h.actions:
+                rank = 0
+                for t in h.transitions:
+                    if t.action == a:
+                        out[idx[t.source]].append((rank, idx[t.target], t.jumps))
+                        rank += 1
+            else:
+                for i in range(len(out)):
+                    out[i].append((i, i, frozen))
+            table.append(out)
+        return table, idx
 
+    moves1, idx1 = moves(h1, set(h1.variables) - set(h2.variables))
+    moves2, idx2 = moves(h2, set(h2.variables) - set(h1.variables))
+
+    init_pairs = [(idx1[l1], idx2[l2]) for l1 in h1.init for l2 in h2.init]
+    seen = set(init_pairs)
+    stack = list(seen)
+    edges = []
+    while stack:
+        s1, s2 = stack.pop()
+        for k in range(len(actions)):
+            out2 = moves2[k][s2]
+            if not out2:
+                continue
+            for r1, t1, j1 in moves1[k][s1]:
+                for r2, t2, j2 in out2:
+                    edges.append((k, r1, r2, s1, s2, t1, t2, j1, j2))
+                    if (t1, t2) not in seen:
+                        seen.add((t1, t2))
+                        stack.append((t1, t2))
+    # (action, rank in h1, rank in h2) is unique per edge, so sorting
+    # never compares further fields.
+    edges.sort()
+
+    pair = {(i1, i2): (L1[i1], L2[i2]) for i1, i2 in sorted(seen)}
+    locations = tuple(pair.values())
+    # Components share their jump tuples across edges; merge each
+    # combination once.
+    merged: dict[tuple[int, int], tuple[JumpConstraint, ...]] = {}
     transitions = []
-    for a in actions:
-        for s1, t1, j1 in moves(h1, private1, a):
-            for s2, t2, j2 in moves(h2, private2, a):
-                transitions.append(
-                    Transition((s1, s2), a, (t1, t2), _dedup(j1 + j2))
-                )
+    for k, _, _, s1, s2, t1, t2, j1, j2 in edges:
+        jumps = merged.get((id(j1), id(j2)))
+        if jumps is None:
+            jumps = merged[id(j1), id(j2)] = _dedup(j1 + j2)
+        transitions.append(Transition(pair[s1, s2], actions[k], pair[t1, t2], jumps))
 
-    dyn = {
-        (l1, l2): _dedup(h1.dyn[l1] + h2.dyn[l2])
-        for l1 in h1.locations
-        for l2 in h2.locations
-    }
-    init = tuple((l1, l2) for l1 in h1.init for l2 in h2.init)
+    dyn = {p: _dedup(h1.dyn[p[0]] + h2.dyn[p[1]]) for p in locations}
+    init = tuple(pair[ij] for ij in init_pairs)
 
     init_region = {}
     for l1, l2 in locations:
@@ -217,10 +264,8 @@ def compose(h1: HybridAutomaton, h2: HybridAutomaton) -> HybridAutomaton:
             init_region[(l1, l2)] = _dedup(tuple(r1 or ()) + tuple(r2 or ()))
 
     acceptance = [
-        frozenset((l1, l2) for l1, l2 in locations if l1 in s) for s in h1.acceptance
-    ] + [
-        frozenset((l1, l2) for l1, l2 in locations if l2 in s) for s in h2.acceptance
-    ]
+        frozenset(p for p in locations if p[0] in s) for s in h1.acceptance
+    ] + [frozenset(p for p in locations if p[1] in s) for s in h2.acceptance]
 
     notes = {}
     for l1, l2 in locations:

@@ -86,9 +86,6 @@ class SampledTrajectory:
     def value_at(self, i: int) -> Valuation:
         return Valuation(zip(self.names, self.values[i]))
 
-    def dot_at(self, i: int) -> Valuation:
-        return Valuation(zip(self.names, self.derivs[i]))
-
     def column(self, name: str) -> np.ndarray:
         try:
             return self.values[:, self.names.index(name)]

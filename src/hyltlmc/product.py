@@ -3,11 +3,14 @@
 The question is reduced to a reachability query in four steps:
 
 1. The negated formula is compiled into an observer automaton whose
-   accepting runs are exactly the traces violating the property.
-2. Observer and system are composed; accepting product runs are system
-   traces that violate the property. Such a run only visits locations
-   that an initial location reaches and that reach a cycle meeting every
-   acceptance set, so the product is pruned to those.
+   accepting runs are exactly the traces violating the property. Only
+   its locations on a path from an initial location to a cycle meeting
+   every acceptance set are built.
+2. Observer and system are composed, from the initial pairs forward;
+   accepting product runs are system traces that violate the property.
+   Such a run only visits locations that an initial location reaches and
+   that reach a cycle meeting every acceptance set, so the product is
+   pruned to those.
 3. Generalized acceptance is reduced to a single final set (counter
    product), and an empty family becomes the trivial one, since an
    automaton with no acceptance sets accepts every run. The counter
@@ -28,12 +31,14 @@ Inconclusive, never Falsified.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import ModelError, VariableRenamedWarning
+from .errors import ConfigError, ModelError, VariableRenamedWarning
 from .formula.nnf import to_nnf
 from .formula.syntax import Formula, Not, action_atoms, to_str
 from .hybrid.automaton import HybridAutomaton, Loc, Transition, compose
@@ -47,15 +52,18 @@ from .tableau import build_formula_automaton, prune_unreachable
 def build_negated_observer(
     formula: Formula, actions, prune: bool = True, strict: bool = False
 ) -> HybridAutomaton:
-    """Observer automaton accepting exactly the traces violating formula."""
+    """Observer automaton accepting exactly the traces violating formula.
+
+    With prune, only the locations on a path from an initial location to
+    an accepting cycle are built, as prune_unreachable would keep them.
+    """
     missing = set(action_atoms(formula)) - set(actions)
     if missing:
         raise ModelError(
             f"formula uses actions outside the system alphabet: {sorted(missing)}"
         )
     negated = to_nnf(Not(formula), strict=strict)
-    observer = build_formula_automaton(negated, actions)
-    return prune_unreachable(observer) if prune else observer
+    return build_formula_automaton(negated, actions, prune=prune)
 
 
 def degeneralize(h: HybridAutomaton) -> HybridAutomaton:
@@ -318,6 +326,22 @@ def recurrence_hits(
     return hits, unbounded
 
 
+def _check_settings(horizon, step, eps, widen_after, max_visits) -> None:
+    """Raise ConfigError unless every numeric setting of check is usable."""
+
+    def real(v) -> bool:
+        return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
+
+    for name, v in (("horizon", horizon), ("step", step)):
+        if not (real(v) and v > 0):
+            raise ConfigError(f"{name} must be a finite number > 0, got {v!r}")
+    if not (real(eps) and eps >= 0):
+        raise ConfigError(f"eps must be a finite number >= 0, got {eps!r}")
+    for name, v in (("widen_after", widen_after), ("max_visits", max_visits)):
+        if not (isinstance(v, Integral) and not isinstance(v, bool) and v >= 1):
+            raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
+
+
 def check(
     system: HybridAutomaton,
     formula: Formula,
@@ -336,8 +360,11 @@ def check(
     composed product and the counter product are both pruned to those
     locations. When none is left, no run violates the formula and the
     verdict is Verified from the location graph alone, without
-    reachability.
+    reachability. Raises ConfigError on a step or horizon that is not
+    finite and positive, an eps that is not finite and nonnegative, or a
+    widen_after or max_visits that is not an integer of at least 1.
     """
+    _check_settings(horizon, step, eps, widen_after, max_visits)
     observer = build_negated_observer(formula, system.actions, strict=strict)
     product = prune_unreachable(compose(system, observer))
     product = prune_unreachable(normalize_acceptance(degeneralize(product)))

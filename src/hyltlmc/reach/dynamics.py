@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import UnsupportedDynamicsError
 from ..hybrid.automaton import HybridAutomaton, Loc
 from ..hybrid.constraints import Relation
-from ..hybrid.expr import DotVar, PrimedVar, Sub, affine_form, variables
+from ..hybrid.expr import DotVar, PrimedVar, affine_form, variables
 from .boxes import clip_rows, full_box, linear_rows
 
 

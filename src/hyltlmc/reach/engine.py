@@ -91,16 +91,25 @@ def reachable(
     names = h.variables
     n = len(names)
     n_steps = max(1, math.ceil(horizon / step))
-    # Dynamics are read when a box first needs them, and a location's
-    # edge images when a box is first flowed there, so locations and edges
-    # no box reaches are never read.
+    # Dynamics are read when a box is initialised or popped at a location,
+    # and a location's edge images when a box is first flowed there. A
+    # pushed box only needs the target's invariant rows for its clip, so
+    # locations and edges no box is flowed at are never read.
     dyn: dict[Loc, LocationDynamics] = {}
+    inv_rows: dict[Loc, tuple[np.ndarray, np.ndarray]] = {}
 
     def dynamics(l: Loc) -> LocationDynamics:
         d = dyn.get(l)
         if d is None:
             d = dyn[l] = location_dynamics(h, l)
         return d
+
+    def invariant_rows(l: Loc) -> tuple[np.ndarray, np.ndarray]:
+        rows = inv_rows.get(l)
+        if rows is None:
+            # The same call location_dynamics makes, so the rows agree.
+            rows = inv_rows[l] = linear_rows(h.invariant(l), names)
+        return rows
 
     edges: dict[Loc, list] = {}
     for t in h.transitions:
@@ -163,6 +172,12 @@ def reachable(
             cause_location = l
             if status == FLOW_BUDGET:
                 cause = f"flow step budget of {n_steps} steps spent"
+            elif disc.stalled:
+                stalled = [names[i] for i in disc.stalled]
+                cause = (
+                    f"no validated flow enclosure: step {step:g} rounds the "
+                    f"one-step flow map of {stalled} to the identity"
+                )
             else:
                 cause = "no validated flow enclosure"
         tube_lo, tube_hi = clip_rows(tube_lo, tube_hi, d_l.inv_C, d_l.inv_d)
@@ -180,8 +195,7 @@ def reachable(
             if is_empty(g_lo, g_hi):
                 continue
             p_lo, p_hi = _reset_image(img, g_lo, g_hi)
-            d_t = dynamics(img.target)
-            p_lo, p_hi = clip_rows(p_lo, p_hi, d_t.inv_C, d_t.inv_d)
+            p_lo, p_hi = clip_rows(p_lo, p_hi, *invariant_rows(img.target))
             if is_empty(p_lo, p_hi):
                 continue
             work.append((img.target, p_lo, p_hi))

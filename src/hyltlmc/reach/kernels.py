@@ -45,7 +45,11 @@ Stopping rules and statuses:
   holds every state up to time n_steps h, not later ones.
 - FLOW_NO_ENCLOSURE: Psi or one of its powers is not finite, or a
   segment endpoint is nan: the flow map overflowed, and the tube holds
-  the segments before that point only.
+  the segments before that point only. Also when the step is so small
+  that the one-step map of a moving axis (nonzero row of A or nonzero
+  b) rounds to the identity, a unit row of Phi and g = 0: the fixpoint
+  rule would then hold at once, although the flow moves. The tube is
+  then the start box.
 Both nonzero codes mean the tube may miss states, and the caller must
 degrade the overall verdict.
 
@@ -174,6 +178,10 @@ class Discretization:
             self.Gphi = _split(self.phi)
         self.g = psi[:n, n] * c
         self.finite = bool(np.isfinite(psi).all() and np.isfinite(self.g).all())
+        moving = (A != 0.0).any(axis=1) | (b != 0.0)
+        unit = (self.phi == np.eye(n)).all(axis=1) & (self.g == 0.0)
+        # Indices of moving axes whose one-step map rounds to the identity.
+        self.stalled = tuple(int(i) for i in np.flatnonzero(moving & unit))
         self.GA = _split(A)
         self.b2 = np.concatenate([-b, b])
         self.g2 = np.concatenate([-self.g, self.g])
@@ -218,7 +226,7 @@ def flow_tube(lo, hi, A, b, h, n_steps, inv_lo, inv_hi, *, disc=None):
     n_steps = int(n_steps)
     if disc is None and n_steps > 0:
         disc = Discretization(A, b, h)
-    if n_steps <= 0 or not disc.finite:
+    if n_steps <= 0 or not disc.finite or disc.stalled:
         status = FLOW_BUDGET if n_steps <= 0 else FLOW_NO_ENCLOSURE
         return -x[:n], x[n:], -x[:n], x[n:], status
     # Overflow is detected from the results and reported as a status.

@@ -9,25 +9,34 @@ positively held flow constraints; discrete jumps are unconstrained.
 Initial locations hold the formula and no action atom. One acceptance set
 per until operator, listing the locations where that until is fulfilled
 or dropped, keeps runs from postponing an until forever.
+
+Successors are computed on set indices first. A pruned automaton keeps
+only the locations on a path from an initial location to a cycle that
+meets every acceptance set (live_nodes, the one rule prune_unreachable
+also applies), and no edge or note is made for any other location.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ModelError
-from .formula.closure import ClosureSet, MCS, closure, maximally_consistent_sets
+from .formula.closure import ClosureSet, closure, maximally_consistent_sets
 from .formula.syntax import Formula, action_atoms
 from .hybrid.automaton import HybridAutomaton, Transition
 from .hybrid.discrete import strongly_connected_components, _reaching_set
 
 
-def build_formula_automaton(formula: Formula, actions: Sequence[str]) -> HybridAutomaton:
+def build_formula_automaton(
+    formula: Formula, actions: Sequence[str], prune: bool = False
+) -> HybridAutomaton:
     """Translate a formula over the given action alphabet.
 
     The alphabet must cover every action atom of the formula. Location
     names follow the maximally consistent set enumeration, so q17 is the
-    eighteenth set in the order maximally_consistent_sets returns.
+    eighteenth set in the order maximally_consistent_sets returns. With
+    prune, only the locations prune_unreachable would keep are built;
+    the result equals prune_unreachable of the full automaton.
     """
     actions = tuple(actions)
     missing = action_atoms(formula) - set(actions)
@@ -38,7 +47,8 @@ def build_formula_automaton(formula: Formula, actions: Sequence[str]) -> HybridA
 
     cl = closure(formula, actions)
     sets = maximally_consistent_sets(cl)
-    names = {m: f"q{i}" for i, m in enumerate(sets)}
+    n = len(sets)
+    names = [f"q{i}" for i in range(n)]
 
     vnames: set[str] = set()
     for c in cl.flow_ordinals:
@@ -48,124 +58,117 @@ def build_formula_automaton(formula: Formula, actions: Sequence[str]) -> HybridA
     target_bits = [m.bits for m in sets]
     target_actions = [m.positive_actions() for m in sets]
 
-    transitions: list[Transition] = []
+    # Successor indices per set. Sets sharing a pin profile share one list;
+    # a set without a positive action is never a target.
+    succ: list[list[int]] = []
     profile_targets: dict[tuple[int, int], list[int]] = {}
-    for m in sets:
-        b = m.bits
-        # Required bit values on the target set. A next obligation and an
-        # until/release unfolding can pin the same ordinal; a disagreement
-        # means the source has no successors at all.
-        pins: dict[int, int] = {}
-        ok = True
-
-        for i_x, i_op in cl.next_nodes:
-            want = b >> i_x & 1
-            prev = pins.get(i_op)
-            if prev is None:
-                pins[i_op] = want
-            elif prev != want:
-                ok = False
-                break
-        if ok:
-            for i_u, i_1, i_2 in cl.until_nodes:
-                u = b >> i_u & 1
-                if b >> i_2 & 1:
-                    if not u:
-                        ok = False
-                        break
-                elif b >> i_1 & 1:
-                    prev = pins.get(i_u)
-                    if prev is None:
-                        pins[i_u] = u
-                    elif prev != u:
-                        ok = False
-                        break
-                else:
-                    if u:
-                        ok = False
-                        break
-        if ok:
-            for i_r, i_1, i_2 in cl.release_nodes:
-                r = b >> i_r & 1
-                if not (b >> i_2 & 1):
-                    if r:
-                        ok = False
-                        break
-                elif b >> i_1 & 1:
-                    if not r:
-                        ok = False
-                        break
-                else:
-                    prev = pins.get(i_r)
-                    if prev is None:
-                        pins[i_r] = r
-                    elif prev != r:
-                        ok = False
-                        break
-        if not ok:
+    for b in target_bits:
+        pins = _pins(cl, b)
+        if pins is None:
+            succ.append([])
             continue
-        mask = 0
-        vals = 0
-        for i, v in pins.items():
-            mask |= 1 << i
-            if v:
-                vals |= 1 << i
-        key = (mask, vals)
-        targets = profile_targets.get(key)
+        targets = profile_targets.get(pins)
         if targets is None:
-            targets = [
-                ti for ti, tb in enumerate(target_bits) if tb & mask == vals
+            mask, vals = pins
+            targets = profile_targets[pins] = [
+                ti
+                for ti, tb in enumerate(target_bits)
+                if tb & mask == vals and target_actions[ti]
             ]
-            profile_targets[key] = targets
-        src = names[m]
-        for ti in targets:
-            for a in target_actions[ti]:
-                transitions.append(Transition(src, a, names[sets[ti]]))
+        succ.append(targets)
 
-    dyn = {names[m]: m.positive_flow_constraints() for m in sets}
     i_formula = cl.index[cl.formula]
-    init = tuple(
-        names[m]
-        for m in sets
-        if m.bits >> i_formula & 1 and not m.positive_actions()
-    )
-    acceptance = tuple(
-        frozenset(
-            names[m]
-            for m in sets
-            if (m.bits >> i_2 & 1) or not (m.bits >> i_u & 1)
-        )
+    init = [
+        i
+        for i, m in enumerate(sets)
+        if m.bits >> i_formula & 1 and not target_actions[i]
+    ]
+    acceptance = [
+        [i for i, b in enumerate(target_bits) if (b >> i_2 & 1) or not (b >> i_u & 1)]
         for i_u, i_1, i_2 in cl.until_nodes
-    )
-    notes = {names[m]: repr(m) for m in sets}
+    ]
 
+    live = live_nodes(n, succ, init, acceptance) if prune else range(n)
+    kept = sorted(live)
+
+    transitions = [
+        Transition(names[i], a, names[ti])
+        for i in kept
+        for ti in succ[i]
+        if ti in live
+        for a in target_actions[ti]
+    ]
     return HybridAutomaton(
         variables=variables,
         actions=actions,
-        locations=tuple(names[m] for m in sets),
+        locations=tuple(names[i] for i in kept),
         transitions=tuple(transitions),
-        dyn=dyn,
-        init=init,
-        acceptance=acceptance,
-        location_notes=notes,
+        dyn={names[i]: sets[i].positive_flow_constraints() for i in kept},
+        init=tuple(names[i] for i in init if i in live),
+        acceptance=tuple(
+            frozenset(names[i] for i in F if i in live) for F in acceptance
+        ),
+        location_notes={names[i]: repr(sets[i]) for i in kept},
     )
 
 
-def prune_unreachable(h: HybridAutomaton) -> HybridAutomaton:
-    """Restrict to locations on a graph path from an initial location to a
-    cycle meeting every acceptance set.
+def _pins(cl: ClosureSet, b: int) -> tuple[int, int] | None:
+    """(mask, values) every successor of the set with bits b must match.
 
-    Only the location graph is inspected, never continuous feasibility, so
-    every run of the automaton survives pruning.
+    A next obligation and an until/release unfolding can pin the same
+    ordinal; a disagreement means the set has no successors at all, and
+    gives None.
     """
-    locs = list(h.locations)
-    idx = {l: i for i, l in enumerate(locs)}
-    n = len(locs)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for t in h.transitions:
-        succ[idx[t.source]].append(idx[t.target])
+    pins: dict[int, int] = {}
 
-    forward = {idx[l] for l in h.init}
+    def pin(i: int, v: int) -> bool:
+        return pins.setdefault(i, v) == v
+
+    for i_x, i_op in cl.next_nodes:
+        if not pin(i_op, b >> i_x & 1):
+            return None
+    for i_u, i_1, i_2 in cl.until_nodes:
+        u = b >> i_u & 1
+        if b >> i_2 & 1:
+            if not u:
+                return None
+        elif b >> i_1 & 1:
+            if not pin(i_u, u):
+                return None
+        elif u:
+            return None
+    for i_r, i_1, i_2 in cl.release_nodes:
+        r = b >> i_r & 1
+        if not (b >> i_2 & 1):
+            if r:
+                return None
+        elif b >> i_1 & 1:
+            if not r:
+                return None
+        elif not pin(i_r, r):
+            return None
+    mask = vals = 0
+    for i, v in pins.items():
+        mask |= 1 << i
+        vals |= v << i
+    return mask, vals
+
+
+def live_nodes(
+    n: int,
+    succ: Sequence[Sequence[int]],
+    init: Iterable[int],
+    acceptance: Sequence[Iterable[int]],
+) -> set[int]:
+    """Nodes on a path from an initial node to a nontrivial strongly
+    connected component that meets every acceptance set.
+
+    Such a component holds a cycle visiting every set, so these are the
+    nodes an accepting run can visit. Every node on such a path is
+    reachable from init, so only the forward-reachable subgraph is
+    searched.
+    """
+    forward = set(init)
     frontier = list(forward)
     while frontier:
         v = frontier.pop()
@@ -173,19 +176,38 @@ def prune_unreachable(h: HybridAutomaton) -> HybridAutomaton:
             if w not in forward:
                 forward.add(w)
                 frontier.append(w)
+    nodes = sorted(forward)
+    local = {v: k for k, v in enumerate(nodes)}
+    sub = [[local[w] for w in succ[v]] for v in nodes]
+    sets = [{local[v] for v in F if v in local} for F in acceptance]
 
     good: set[int] = set()
-    for comp in strongly_connected_components(n, succ):
-        members = set(comp)
-        nontrivial = len(comp) > 1 or comp[0] in succ[comp[0]]
-        if not nontrivial:
-            continue
-        if all(members & {idx[l] for l in F} for F in h.acceptance):
-            good.update(members)
-    live = _reaching_set(n, succ, good)
+    for comp in strongly_connected_components(len(nodes), sub):
+        nontrivial = len(comp) > 1 or comp[0] in sub[comp[0]]
+        if nontrivial and all(F.intersection(comp) for F in sets):
+            good.update(comp)
+    return {nodes[k] for k in _reaching_set(len(nodes), sub, good)}
 
-    keep = forward & live
-    kept_locs = tuple(l for l in locs if idx[l] in keep)
+
+def prune_unreachable(h: HybridAutomaton) -> HybridAutomaton:
+    """Restrict to locations on a graph path from an initial location to a
+    cycle meeting every acceptance set (see live_nodes).
+
+    Only the location graph is inspected, never continuous feasibility, so
+    every run of the automaton survives pruning.
+    """
+    locs = h.locations
+    idx = {l: i for i, l in enumerate(locs)}
+    succ: list[list[int]] = [[] for _ in locs]
+    for t in h.transitions:
+        succ[idx[t.source]].append(idx[t.target])
+    live = live_nodes(
+        len(locs),
+        succ,
+        (idx[l] for l in h.init),
+        [[idx[l] for l in F] for F in h.acceptance],
+    )
+    kept_locs = tuple(l for l in locs if idx[l] in live)
     kept_set = set(kept_locs)
     return HybridAutomaton(
         variables=h.variables,

@@ -6,19 +6,30 @@ its reach engine reads a location's dynamics and edge images on first
 use. This module keeps the pipeline that came before: the whole counter
 product is instrumented, and `eager_reachable` is a frozen copy of the
 reach loop that read the dynamics of every location and the image of
-every edge up front. Tests compare the two; nothing in the package
-imports this module.
+every edge up front. It also keeps frozen copies of the 2^pairs
+consistent-set enumerator (`powerset_consistent_sets`) and of the full
+cross-product `eager_compose`, which the pipeline's enumerator and
+forward compose must agree with. Tests compare the two; nothing in the
+package imports this module.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from hyltlmc.errors import UnsupportedDynamicsError
-from hyltlmc.hybrid.automaton import HybridAutomaton, compose
+from hyltlmc.formula.closure import MCS, ClosureSet, _bit_key
+from hyltlmc.formula.syntax import Top
+from hyltlmc.hybrid.automaton import (
+    HybridAutomaton,
+    Transition,
+    _dedup,
+    _freeze_jumps,
+)
 from hyltlmc.product import (
     QueryTarget,
     build_negated_observer,
@@ -31,6 +42,108 @@ from hyltlmc.reach.boxes import clip_rows, contains, full_box, hull, is_empty, l
 from hyltlmc.reach.dynamics import location_dynamics, transition_image
 from hyltlmc.reach.engine import ReachResult, _reset_image
 from hyltlmc.reach.kernels import FLOW_BUDGET, FLOW_DONE, flow_tube
+
+
+def powerset_consistent_sets(cl: ClosureSet) -> tuple[MCS, ...]:
+    """Every one of the 2^pairs sign choices, filtered by consistency."""
+    top_ord = cl.index[Top()]
+    action_mask = 0
+    for i in cl.action_ordinals.values():
+        action_mask |= 1 << i
+
+    out: list[MCS] = []
+    for choice in itertools.product((0, 1), repeat=cl.n_pairs):
+        bits = 0
+        for k, c in enumerate(choice):
+            bits |= 1 << (2 * k + c)
+        if not bits >> top_ord & 1:
+            continue
+        ok = True
+        for i, l, r in cl.and_nodes:
+            if (bits >> i & 1) != ((bits >> l & 1) and (bits >> r & 1)):
+                ok = False
+                break
+        if not ok:
+            continue
+        for i, l, r in cl.or_nodes:
+            if (bits >> i & 1) != ((bits >> l & 1) or (bits >> r & 1)):
+                ok = False
+                break
+        if not ok:
+            continue
+        pos_actions = bits & action_mask
+        if pos_actions and pos_actions & (pos_actions - 1):
+            continue
+        out.append(MCS(cl, bits))
+
+    width = len(cl.members)
+    out.sort(key=lambda m: _bit_key(m.bits, width))
+    return tuple(out)
+
+
+def eager_compose(h1: HybridAutomaton, h2: HybridAutomaton) -> HybridAutomaton:
+    """The full cross product: every location pair and every edge pair."""
+    variables = _dedup(h1.variables + h2.variables)
+    actions = _dedup(h1.actions + h2.actions)
+    locations = tuple((l1, l2) for l1 in h1.locations for l2 in h2.locations)
+
+    private1 = set(h1.variables) - set(h2.variables)
+    private2 = set(h2.variables) - set(h1.variables)
+
+    def moves(h: HybridAutomaton, private: set, action: str):
+        if action in h.actions:
+            return [
+                (t.source, t.target, t.jumps) for t in h.transitions if t.action == action
+            ]
+        frozen = _freeze_jumps(private)
+        return [(l, l, frozen) for l in h.locations]
+
+    transitions = []
+    for a in actions:
+        for s1, t1, j1 in moves(h1, private1, a):
+            for s2, t2, j2 in moves(h2, private2, a):
+                transitions.append(
+                    Transition((s1, s2), a, (t1, t2), _dedup(j1 + j2))
+                )
+
+    dyn = {
+        (l1, l2): _dedup(h1.dyn[l1] + h2.dyn[l2])
+        for l1 in h1.locations
+        for l2 in h2.locations
+    }
+    init = tuple((l1, l2) for l1 in h1.init for l2 in h2.init)
+
+    init_region = {}
+    for l1, l2 in locations:
+        r1 = h1.init_region.get(l1)
+        r2 = h2.init_region.get(l2)
+        if r1 is not None or r2 is not None:
+            init_region[(l1, l2)] = _dedup(tuple(r1 or ()) + tuple(r2 or ()))
+
+    acceptance = [
+        frozenset((l1, l2) for l1, l2 in locations if l1 in s) for s in h1.acceptance
+    ] + [
+        frozenset((l1, l2) for l1, l2 in locations if l2 in s) for s in h2.acceptance
+    ]
+
+    notes = {}
+    for l1, l2 in locations:
+        parts = [h1.location_notes.get(l1), h2.location_notes.get(l2)]
+        parts = [p for p in parts if p]
+        if parts:
+            notes[(l1, l2)] = "; ".join(parts)
+
+    return HybridAutomaton(
+        variables,
+        actions,
+        locations,
+        transitions,
+        dyn,
+        init,
+        init_region,
+        acceptance,
+        notes,
+    )
 
 
 def eager_reachable(
@@ -135,7 +248,7 @@ def eager_check(
     """compose -> degeneralize -> instrument -> reach, nothing pruned
     after the observer."""
     observer = build_negated_observer(formula, system.actions)
-    product = normalize_acceptance(degeneralize(compose(system, observer)))
+    product = normalize_acceptance(degeneralize(eager_compose(system, observer)))
     inst, targets, f_name, y_names, w_names = instrument(product)
     reach = eager_reachable(inst, horizon=horizon, step=step)
     hits, unbounded = recurrence_hits(reach, targets, f_name, y_names, w_names, eps)

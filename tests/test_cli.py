@@ -71,6 +71,24 @@ class TestCheckCommand:
         assert "incomplete, no validated flow enclosure at location" in out
         assert "budget hit" not in out
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--step", v) for v in ("0", "-1", "nan", "inf")]
+        + [("--horizon", v) for v in ("0", "-1", "nan", "inf")]
+        + [("--eps", v) for v in ("-1", "nan")],
+    )
+    def test_unusable_settings_exit_one_with_e_config(
+        self, heater_path, capsys, flag, value
+    ):
+        args = ["check", "--model", heater_path, "--formula", "!F(x >= 21 & X on)",
+                f"{flag}={value}"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag[2:]} must be a finite number")
+        assert main(["--machine"] + args) == 1
+        fields = machine_fields(capsys.readouterr().out)
+        assert fields["error"] == "E_CONFIG"
+
     def test_witness_all_tracks_the_full_state(self, heater_path, capsys):
         code = main(["check", "--model", heater_path,
                      "--formula", "!F(x >= 21 & X on)", "--witness", "all"])

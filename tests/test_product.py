@@ -11,6 +11,7 @@ import pytest
 from hyltlmc.errors import (
     ComplementError,
     ComplementStrengtheningWarning,
+    ConfigError,
     ModelError,
     VariableRenamedWarning,
 )
@@ -298,6 +299,49 @@ class TestIncompleteReason:
         v = check(tanks, parse_formula("!F(a >= 5 & X fill)", decls), step=0.01)
         assert v.status == "Verified" and v.complete
         assert v.stats["reach_complete"] and v.stats["reach_incomplete"] is None
+
+
+class TestSettings:
+    """check refuses numeric settings it cannot run on, with E_CONFIG."""
+
+    @pytest.mark.parametrize("name", ["step", "horizon"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_step_and_horizon_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ConfigError, match=name) as err:
+            check(heater_model(), phi("!F(x >= 21 & X on)"), **{name: value})
+        assert err.value.code == "E_CONFIG"
+
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_eps_must_be_finite_and_nonnegative(self, value):
+        with pytest.raises(ConfigError, match="eps"):
+            check(heater_model(), phi("!F(x >= 21 & X on)"), eps=value)
+
+    @pytest.mark.parametrize("name", ["max_visits", "widen_after"])
+    @pytest.mark.parametrize("value", [0, -3, 2.5, True])
+    def test_budgets_must_be_positive_integers(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            check(heater_model(), phi("!F(x >= 21 & X on)"), **{name: value})
+
+    def test_a_graph_only_verdict_checks_settings_too(self):
+        with pytest.raises(ConfigError):
+            check(heater_model(), phi("true"), step=0.0)
+
+    def test_boundary_values_run(self):
+        v = check(heater_model(), phi("!F(x >= 21 & X on)"), eps=0.0, max_visits=1,
+                  widen_after=1)
+        assert v.status in ("Verified", "Inconclusive")
+
+    def test_a_step_rounding_the_flow_to_the_identity_is_not_a_fixpoint(self):
+        # At step 1e-17 the idle flow's one-step map rounds to the identity.
+        # Its boxes would pass as fixpoints without moving and exclude the
+        # states the flow really reaches; the verdict must say so.
+        v = check(heater_model(), phi("!F(x >= 21 & X on)"), step=1e-17)
+        assert v.status == "Inconclusive" and not v.complete
+        assert "rounds the one-step flow map of ['x'] to the identity" in v.reason
+        relaxed = check(heater_model(on_guard_max=25.0), phi("!F(x >= 21 & X on)"),
+                        step=1e-17)
+        assert not relaxed.complete
+        assert "identity" in relaxed.stats["reach_incomplete"]
 
 
 class TestCheckAgreesWithTheMonitor:

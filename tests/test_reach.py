@@ -26,6 +26,7 @@ from hyltlmc.reach.kernels import (
     FLOW_BUDGET,
     FLOW_DONE,
     FLOW_NO_ENCLOSURE,
+    Discretization,
     flow_tube,
 )
 
@@ -208,6 +209,24 @@ class TestFlowKernel:
             [19.0], [21.0], [[rate]], [drift], 1.0, 100, [17.0], [np.inf]
         )
         assert status == FLOW_NO_ENCLOSURE
+
+    def test_step_rounding_the_map_to_the_identity_is_reported(self):
+        # At step 1e-17, e^(-0.2 h) rounds to 1 and g is 0, so the first
+        # segment would pass the fixpoint rule without moving.
+        disc = Discretization(np.array([[-0.2]]), np.array([0.0]), 1e-17)
+        assert disc.stalled == (0,)
+        tube_lo, tube_hi, _, _, status = flow_tube(
+            [19.0], [21.0], [[-0.2]], [0.0], 1e-17, 10**19, [17.0], [np.inf]
+        )
+        assert status == FLOW_NO_ENCLOSURE
+        assert tube_lo.tolist() == [19.0] and tube_hi.tolist() == [21.0]
+
+    def test_constant_axes_and_usable_steps_are_not_stalled(self):
+        A = np.array([[-0.2, 0.0], [0.0, 0.0]])
+        assert Discretization(A, np.zeros(2), 1e-17).stalled == (0,)
+        assert Discretization(A, np.zeros(2), 1e-6).stalled == ()
+        # A drift alone moves the axis: g = 1e-17 is not 0.
+        assert Discretization(np.zeros((1, 1)), np.ones(1), 1e-17).stalled == ()
 
     def test_large_steps_stay_sound(self):
         # The first segment's remainder bound is loose at step 50 but the
@@ -476,6 +495,31 @@ class TestEngine:
         assert not r.complete
         assert r.cause == "no validated flow enclosure"
         assert r.cause_location == "idle"
+
+    def test_stalled_flow_is_named(self):
+        r = reachable(heater_model(), step=1e-17)
+        assert not r.complete
+        assert r.cause == (
+            "no validated flow enclosure: step 1e-17 rounds the one-step "
+            "flow map of ['x'] to the identity"
+        )
+        assert r.cause_location == "idle"
+
+    def test_push_target_reads_only_its_invariant(self):
+        # Every box pushed into hot is emptied by its invariant, so its
+        # nonaffine dynamics are never read.
+        text = (
+            "vars x; actions a;\n"
+            "location p { der(x) = -0.2 * x; x >= 17; }\n"
+            "location hot { der(x) = x * x; x >= 30; }\n"
+            "edge p -a-> hot { x <= 19; x' = x; }\n"
+            "initial p;\ninit { x >= 19; x <= 21; }"
+        )
+        r = reachable(parse_model(text))
+        assert r.complete
+        assert r.boxes["hot"] == [] and r.visits["hot"] == 0
+        with pytest.raises(UnsupportedDynamicsError, match="not affine"):
+            reachable(parse_model(text.replace("x >= 30", "x <= 30")))
 
     def test_diverging_counter_terminates_by_widening(self):
         h = parse_model(
