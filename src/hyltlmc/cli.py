@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import shlex
 import sys
@@ -235,9 +236,12 @@ def _read_trace_csv(path: str) -> tuple[tuple[str, ...], list[SampledTrajectory]
         if len(row) != len(header):
             raise TraceError(f"row {row!r} does not match the header")
         try:
-            blocks[-1].append([float(c) for c in row])
+            sample = [float(c) for c in row]
         except ValueError:
             raise TraceError(f"row {row!r} holds a non-numeric sample")
+        if not all(map(math.isfinite, sample)):
+            raise TraceError(f"row {row!r} holds a non-finite time or sample")
+        blocks[-1].append(sample)
     if not blocks[-1]:
         blocks.pop()
     segments = []

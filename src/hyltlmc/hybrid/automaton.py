@@ -316,6 +316,22 @@ def _solve_jump(
     return Valuation(new)
 
 
+def _successors(h: HybridAutomaton, loc: Loc, v: Valuation, action=None, tol=0.0):
+    """(transition, successor valuation) pairs of the concrete jumps from v.
+
+    Successors are built by solving the defining reset equations and
+    holding unconstrained variables, then filtered by the full jump
+    constraint set and admissibility in the target location, in
+    transition order.
+    """
+    for t in h.transitions_from(loc, action):
+        v2 = _solve_jump(v, t.jumps, h.variables)
+        if v2 is None or not all(satisfies_jump(v, v2, jc) for jc in t.jumps):
+            continue
+        if h.admissible(t.target, v2, tol):
+            yield t, v2
+
+
 def discrete_step(
     h: HybridAutomaton,
     state: tuple[Loc, Valuation],
@@ -324,11 +340,9 @@ def discrete_step(
 ) -> tuple[tuple[Loc, Valuation], ...]:
     """Concrete successors of (location, valuation) under one action.
 
-    Successors are built by solving the defining reset equations and holding
-    unconstrained variables, then filtered by the full jump constraint set
-    and admissibility in the target location. Only this canonical
-    identity-completed family is enumerated; constraints leaving a variable
-    genuinely free describe more successors than any finite set could.
+    Only the canonical identity-completed family of `_successors` is
+    enumerated; constraints leaving a variable genuinely free describe
+    more successors than any finite set could.
     """
     loc, v = state
     if loc not in h.dyn:
@@ -336,32 +350,19 @@ def discrete_step(
     if not h.admissible(loc, v, tol):
         return ()
     out = []
-    for t in h.transitions_from(loc, action):
-        v2 = _solve_jump(v, t.jumps, h.variables)
-        if v2 is None:
-            continue
-        if not all(satisfies_jump(v, v2, jc) for jc in t.jumps):
-            continue
-        if not h.admissible(t.target, v2, tol):
-            continue
+    for t, v2 in _successors(h, loc, v, action, tol):
         if (t.target, v2) not in out:
             out.append((t.target, v2))
     return tuple(out)
 
 
-def _link_ok(
-    h: HybridAutomaton,
-    src: Loc,
-    action: str,
-    dst: Loc,
-    v_end: Valuation,
-    v_next: Valuation,
-) -> bool:
-    for t in h.transitions:
-        if t.source == src and t.action == action and t.target == dst:
-            if all(satisfies_jump(v_end, v_next, jc) for jc in t.jumps):
-                return True
-    return False
+def _on_witness(trace, h, witness, tol, acceptance) -> bool:
+    """The layered search of find_accepting_witness, one location per segment."""
+    wp, wc = tuple(witness[0]), tuple(witness[1])
+    locs = wp + wc
+    if (len(wp), len(wc)) != (trace.p, trace.c) or not all(l in h.dyn for l in locs):
+        return False
+    return _witness_search(trace, h, tol, acceptance, locs) is not None
 
 
 def is_generated(
@@ -377,39 +378,10 @@ def is_generated(
     when one is declared), every trajectory must satisfy its location's
     dynamics, and every consecutive pair, including the cycle wrap, must be
     linked by a transition whose jump constraints the endpoint valuations
-    satisfy.
+    satisfy. A witness of the wrong length or with an unknown location is
+    simply not generated.
     """
-    wp, wc = tuple(witness[0]), tuple(witness[1])
-    if len(wp) != trace.p or len(wc) != trace.c:
-        return False
-    locs = wp + wc
-    for l in locs:
-        if l not in h.dyn:
-            return False
-
-    first = locs[0]
-    if first not in h.init:
-        return False
-    region = h.init_region.get(first)
-    if region is not None:
-        fstate = trace.segment(1)[0].fstate
-        if not all(bool(c.holds_at(fstate, tol=tol)) for c in region):
-            return False
-
-    n = trace.p + trace.c
-    for i in range(1, n + 1):
-        traj = trace.trajectory(i)
-        if not satisfies_all_flows(traj, h.dyn[locs[i - 1]], tol):
-            return False
-
-    for i in range(1, n + 1):
-        j = i + 1 if i < n else trace.p + 1  # wrap to cycle start
-        src, dst = locs[i - 1], locs[j - 1]
-        v_end = trace.trajectory(i).lstate
-        v_next = trace.trajectory(j).fstate
-        if not _link_ok(h, src, trace.action_after(i), dst, v_end, v_next):
-            return False
-    return True
+    return _on_witness(trace, h, witness, tol, ())
 
 
 def accepts(
@@ -419,10 +391,7 @@ def accepts(
     tol: float = DEFAULT_FLOW_TOL,
 ) -> bool:
     """Generated along the witness, and the cycle meets every acceptance set."""
-    if not is_generated(trace, h, witness, tol):
-        return False
-    cycle_locs = set(witness[1])
-    return all(s & cycle_locs for s in h.acceptance)
+    return _on_witness(trace, h, witness, tol, h.acceptance)
 
 
 def find_accepting_witness(
@@ -434,7 +403,8 @@ def find_accepting_witness(
 
     Returns a witness (prefix locations, cycle locations) with
     accepts(trace, h, witness) true, or None when no assignment works, in
-    which case the automaton rejects the trace outright.
+    which case the automaton rejects the trace outright. `is_generated`
+    and `accepts` run the same search with one location per segment.
 
     Runs a layered search: candidate locations per segment are those whose
     dynamics the trajectory satisfies, consecutive candidates must be
@@ -443,14 +413,19 @@ def find_accepting_witness(
     cycle has touched so far, closing only on a wrap link back to its
     entry location with every set covered.
     """
+    return _witness_search(trace, h, tol, h.acceptance)
+
+
+def _witness_search(trace, h, tol, acceptance, fixed=None):
+    """Witness over the given acceptance family; fixed pins segment i to
+    fixed[i - 1] instead of trying every location."""
     p, c = trace.p, trace.c
     n = p + c
     cands: list[list[Loc]] = []
     for i in range(1, n + 1):
         traj = trace.trajectory(i)
-        cands.append(
-            [l for l in h.locations if satisfies_all_flows(traj, h.dyn[l], tol)]
-        )
+        pool = h.locations if fixed is None else (fixed[i - 1],)
+        cands.append([l for l in pool if satisfies_all_flows(traj, h.dyn[l], tol)])
         if not cands[-1]:
             return None
 
@@ -496,10 +471,11 @@ def find_accepting_witness(
         layer = nxt
         prefix_parents.append(dict(layer))
 
-    full_mask = (1 << len(h.acceptance)) - 1
+    full_mask = (1 << len(acceptance)) - 1
     loc_mask = {
-        l: sum(1 << j for j, F in enumerate(h.acceptance) if l in F)
-        for l in h.locations
+        l: sum(1 << j for j, F in enumerate(acceptance) if l in F)
+        for cs in cands[p:]
+        for l in cs
     }
 
     cycle_links = [

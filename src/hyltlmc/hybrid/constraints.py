@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ComplementError, ModelError
-from .expr import Expr, Sub, affine_form, evaluate, to_str, variables
+from .expr import Expr, evaluate, to_str, variables
 from .valuation import Valuation
 
 
@@ -144,44 +144,3 @@ def satisfies_jump(v: Valuation, v_next: Valuation, jc: JumpConstraint) -> bool:
     b = evaluate(jc.rhs, state=v, primed=v_next)
     return bool(holds(a, jc.rel, b, 0.0))
 
-
-def bounding_box(constraints, names) -> dict[str, tuple[float, float]]:
-    """Per-variable interval bounds implied by a set of state constraints.
-
-    Only rows that are affine in a single plain variable tighten the box;
-    anything else is skipped, so the box over-approximates the described
-    region. Strict bounds are closed, again widening. A constant row that
-    is false empties every interval.
-    """
-    lo = {x: float("-inf") for x in names}
-    hi = {x: float("inf") for x in names}
-    for c in constraints:
-        form = affine_form(Sub(c.lhs, c.rhs))
-        if form is None:
-            continue
-        coeffs, k = form
-        coeffs = {key: a for key, a in coeffs.items() if a != 0.0}
-        if not coeffs:
-            if not holds(k, c.rel, 0.0):
-                for x in names:
-                    lo[x], hi[x] = float("inf"), float("-inf")
-            continue
-        if len(coeffs) != 1:
-            continue
-        (kind, x), a = next(iter(coeffs.items()))
-        if kind != "v" or x not in lo:
-            continue
-        bound = -k / a
-        rel = c.rel
-        if a < 0:
-            rel = {Relation.LT: Relation.GT, Relation.LE: Relation.GE,
-                   Relation.GE: Relation.LE, Relation.GT: Relation.LT,
-                   Relation.EQ: Relation.EQ}[rel]
-        if rel in (Relation.LE, Relation.LT):
-            hi[x] = min(hi[x], bound)
-        elif rel in (Relation.GE, Relation.GT):
-            lo[x] = max(lo[x], bound)
-        else:
-            lo[x] = max(lo[x], bound)
-            hi[x] = min(hi[x], bound)
-    return {x: (lo[x], hi[x]) for x in names}

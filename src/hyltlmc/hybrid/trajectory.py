@@ -38,8 +38,8 @@ class SampledTrajectory:
             raise TraceError("trajectory values must be (n_samples, n_vars)")
         if values.shape[0] < 1:
             raise TraceError("trajectory needs at least one sample")
-        if h <= 0:
-            raise TraceError("sample step must be positive")
+        if not (np.isfinite(h) and h > 0):
+            raise TraceError(f"sample step must be finite and positive, got {h}")
         if derivs is None:
             derivs = _central_differences(values, h)
         else:

@@ -34,12 +34,13 @@ from .formula.syntax import (
     Top,
     Until,
 )
-from .hybrid.automaton import HybridAutomaton, Loc, _solve_jump
-from .hybrid.constraints import FlowConstraint, Relation, bounding_box, satisfies_jump
-from .hybrid.expr import DotVar, Expr, evaluate, variables as expr_variables
+from .hybrid.automaton import HybridAutomaton, Loc, _successors
+from .hybrid.constraints import FlowConstraint, satisfies_jump
 from .hybrid.lasso import HybridLassoTrace
 from .hybrid.trajectory import DEFAULT_FLOW_TOL, SampledTrajectory, satisfies_flow
 from .hybrid.valuation import Valuation
+from .reach.boxes import clip_rows, full_box, linear_rows
+from .reach.dynamics import location_dynamics
 
 
 def _succ_values(val: int, n: int, wrap_bit: int) -> int:
@@ -47,7 +48,14 @@ def _succ_values(val: int, n: int, wrap_bit: int) -> int:
     return (val >> 1) | ((val >> wrap_bit & 1) << (n - 1))
 
 
-def _eval_positions(formula: Formula, n: int, wrap_bit: int, atom_mask) -> int:
+def _eval_positions(
+    formula: Formula, n: int, wrap_bit: int, action_before, flow_mask
+) -> int:
+    """Bit i - 1 holds the formula's value at position i of the quotient.
+
+    action_before(i) is the action taken just before position i >= 2, and
+    flow_mask(con) gives the positions whose trajectory meets con.
+    """
     full = (1 << n) - 1
     memo: dict[Formula, int] = {}
 
@@ -56,6 +64,17 @@ def _eval_positions(formula: Formula, n: int, wrap_bit: int, atom_mask) -> int:
         if v is not None:
             return v
         match f:
+            case Top():
+                v = full
+            case Bot():
+                v = 0
+            case ActionAtom(a):
+                v = 0
+                for i in range(2, n + 1):
+                    if action_before(i) == a:
+                        v |= 1 << (i - 1)
+            case FlowAtom(con):
+                v = flow_mask(con)
             case Not(x):
                 v = ~go(x) & full
             case And(a, b):
@@ -81,7 +100,7 @@ def _eval_positions(formula: Formula, n: int, wrap_bit: int, atom_mask) -> int:
                         break
                     v = nv
             case _:
-                v = atom_mask(f) & full
+                raise TypeError(f"not a formula atom: {f!r}")
         memo[f] = v
         return v
 
@@ -94,35 +113,17 @@ def evaluate_trace(
     """Does the trace satisfy the formula at position 1?"""
     p, c = trace.p, trace.c
     n = p + 2 * c
-    flow_cache: dict[tuple[int, FlowConstraint], bool] = {}
 
-    def atom_mask(f: Formula) -> int:
-        match f:
-            case Top():
-                return -1
-            case Bot():
-                return 0
-            case ActionAtom(a):
-                m = 0
-                for i in range(2, n + 1):
-                    if trace.action_before(i) == a:
-                        m |= 1 << (i - 1)
-                return m
-            case FlowAtom(con):
-                m = 0
-                for i in range(1, n + 1):
-                    s = i if i <= p + c else i - c
-                    key = (s, con)
-                    ok = flow_cache.get(key)
-                    if ok is None:
-                        ok = satisfies_flow(trace.trajectory(s), con, tol)
-                        flow_cache[key] = ok
-                    if ok:
-                        m |= 1 << (i - 1)
-                return m
-        raise TypeError(f"not a formula atom: {f!r}")
+    def flow_mask(con: FlowConstraint) -> int:
+        m = 0
+        for s in range(1, p + c + 1):
+            if satisfies_flow(trace.trajectory(s), con, tol):
+                m |= 1 << (s - 1)
+                if s > p:  # cycle segments recur c positions later
+                    m |= 1 << (s + c - 1)
+        return m
 
-    return bool(_eval_positions(formula, n, p + c, atom_mask) & 1)
+    return bool(_eval_positions(formula, n, p + c, trace.action_before, flow_mask) & 1)
 
 
 def evaluate_word(
@@ -132,70 +133,29 @@ def evaluate_word(
     if not cycle:
         raise TraceError("lasso word needs a nonempty cycle")
     p, c = len(prefix), len(cycle)
-    n = p + 2 * c
     w = tuple(prefix) + tuple(cycle) + tuple(cycle)
 
-    def atom_mask(f: Formula) -> int:
-        match f:
-            case Top():
-                return -1
-            case Bot():
-                return 0
-            case ActionAtom(a):
-                m = 0
-                for i in range(2, n + 1):
-                    if w[i - 2] == a:
-                        m |= 1 << (i - 1)
-                return m
-            case FlowAtom(con):
-                raise TraceError(
-                    f"formula constrains the continuous state ('{con}') "
-                    "but a word carries no trajectories"
-                )
-        raise TypeError(f"not a formula atom: {f!r}")
+    def flow_mask(con: FlowConstraint) -> int:
+        raise TraceError(
+            f"formula constrains the continuous state ('{con}') "
+            "but a word carries no trajectories"
+        )
 
-    return bool(_eval_positions(formula, n, p + c, atom_mask) & 1)
+    return bool(
+        _eval_positions(formula, p + 2 * c, p + c, lambda i: w[i - 2], flow_mask) & 1
+    )
 
 
 # -- random valid traces ---------------------------------------------------
 
 
-def _vector_field(h: HybridAutomaton, loc: Loc) -> dict[str, Expr]:
-    """der(x) = e rows of the location, one per variable."""
-    out: dict[str, Expr] = {}
-    for cst in h.dyn[loc]:
-        if cst.rel is not Relation.EQ:
-            continue
-        for dot_side, expr_side in ((cst.lhs, cst.rhs), (cst.rhs, cst.lhs)):
-            if isinstance(dot_side, DotVar) and not expr_variables(expr_side)[1]:
-                out[dot_side.name] = expr_side
-                break
-    missing = set(h.variables) - set(out)
-    if missing:
-        raise TraceError(
-            f"dynamics of {loc!r} do not define der() for {sorted(missing)}"
-        )
-    return out
-
-
-def _rk4(field: dict[str, Expr], names, vec: np.ndarray, dt: float) -> np.ndarray:
-    def f(v: np.ndarray) -> np.ndarray:
-        state = dict(zip(names, v))
-        return np.array([float(evaluate(field[x], state=state)) for x in names])
-
-    k1 = f(vec)
-    k2 = f(vec + 0.5 * dt * k1)
-    k3 = f(vec + 0.5 * dt * k2)
-    k4 = f(vec + dt * k3)
-    return vec + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def _derivs(field: dict[str, Expr], names, values: np.ndarray) -> np.ndarray:
-    out = np.empty_like(values)
-    for k, row in enumerate(values):
-        state = dict(zip(names, row))
-        out[k] = [float(evaluate(field[x], state=state)) for x in names]
-    return out
+def _runge_kutta(A: np.ndarray, b: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
+    """One fourth order Runge-Kutta step of der(x) = A x + b."""
+    k1 = A @ v + b
+    k2 = A @ (v + 0.5 * dt * k1) + b
+    k3 = A @ (v + 0.5 * dt * k2) + b
+    k4 = A @ (v + dt * k3) + b
+    return v + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def random_trace(
@@ -208,32 +168,36 @@ def random_trace(
 ):
     """A random valid lasso trace of the automaton, with its witness.
 
-    Simulates each location's vector field with fourth order Runge-Kutta
-    from a random initial state, dwelling a random time before taking a
-    random enabled transition (or jumping early when the invariant is
-    about to break). Derivative samples come from the field itself, so
-    derivative equations hold exactly at every sample. The lasso closes
-    once a post-jump state nearly recurs; the final pre-jump sample is
-    then snapped so the closing jump reproduces the recurrence target
-    exactly. Returns (trace, (prefix locations, cycle locations)).
+    Simulates each location's affine field der(x) = A x + b, read by
+    `reach.dynamics.location_dynamics` as for check(), with fourth order
+    Runge-Kutta from a random initial state in the bounding box of the
+    initial region, dwelling a random time before taking a random enabled
+    transition (or jumping early when the invariant is about to break).
+    Derivative samples come from the field itself, so derivative
+    equations hold at every sample. The lasso closes once a post-jump
+    state nearly recurs; the final pre-jump sample is then snapped so the
+    closing jump reproduces the recurrence target exactly. Returns
+    (trace, (prefix locations, cycle locations)).
 
-    Needs dynamics that define der() for every variable and a bounded
-    initial region; raises TraceError otherwise, or when no cycle closes
-    within max_jumps.
+    Raises UnsupportedDynamicsError when some location's dynamics lie
+    outside the affine fragment check() accepts (a nonaffine field or a
+    variable without der()), and TraceError when the initial region gives
+    no bounded box or no cycle closes within max_jumps.
     """
     names = h.variables
     if not h.init:
         raise TraceError("automaton has no initial location")
     loc = h.init[int(rng.integers(len(h.init)))]
-    box = bounding_box(h.init_region.get(loc, ()), names)
+    lo, hi = clip_rows(
+        *full_box(len(names)), *linear_rows(h.init_region.get(loc, ()), names)
+    )
     vec = np.empty(len(names))
     for k, x in enumerate(names):
-        lo, hi = box[x]
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+        if not (np.isfinite(lo[k]) and np.isfinite(hi[k]) and lo[k] <= hi[k]):
             raise TraceError(f"initial region gives no bounded interval for {x}")
-        vec[k] = rng.uniform(lo, hi)
+        vec[k] = rng.uniform(lo[k], hi[k])
 
-    fields = {l: _vector_field(h, l) for l in h.locations}
+    fields = {l: location_dynamics(h, l) for l in h.locations}
     segments: list[tuple[Loc, np.ndarray, str]] = []
     history: list[tuple[Loc, np.ndarray, int]] = []
     history.append((loc, vec.copy(), 1))
@@ -242,18 +206,10 @@ def random_trace(
         return h.admissible(l, dict(zip(names, v)))
 
     def enabled(l: Loc, v: np.ndarray):
-        out = []
-        val = Valuation(dict(zip(names, v)))
-        for t in h.transitions_from(l):
-            v2 = _solve_jump(val, t.jumps, names)
-            if v2 is None:
-                continue
-            if not all(satisfies_jump(val, v2, jc) for jc in t.jumps):
-                continue
-            if not h.admissible(t.target, v2):
-                continue
-            out.append((t, np.array([v2[x] for x in names])))
-        return out
+        return [
+            (t, np.array([v2[x] for x in names]))
+            for t, v2 in _successors(h, l, Valuation(dict(zip(names, v))))
+        ]
 
     for _ in range(max_jumps):
         field = fields[loc]
@@ -262,7 +218,7 @@ def random_trace(
         while True:
             elapsed = (len(values) - 1) * step
             options = enabled(loc, values[-1]) if elapsed >= dwell else []
-            nxt = _rk4(field, names, values[-1], step)
+            nxt = _runge_kutta(field.A, field.b, values[-1], step)
             if not admissible(loc, nxt) and not options:
                 options = enabled(loc, values[-1])
                 if not options:
@@ -272,7 +228,6 @@ def random_trace(
                 break
             values.append(nxt)
 
-        v_end = values[-1]
         closed = None
         for (hloc, hvec, hseg) in history:
             if hloc != t.target:
@@ -296,12 +251,7 @@ def random_trace(
             values[-1] = snapped
             segments.append((loc, np.stack(values), t.action))
             trajs = [
-                (
-                    SampledTrajectory(
-                        names, vals, step, _derivs(fields[l], names, vals)
-                    ),
-                    a,
-                )
+                (SampledTrajectory(names, vals, step, vals @ fields[l].A.T + fields[l].b), a)
                 for l, vals, a in segments
             ]
             trace = HybridLassoTrace(trajs[: hseg - 1], trajs[hseg - 1 :])

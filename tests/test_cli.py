@@ -255,6 +255,21 @@ class TestMonitorCommand:
         assert code == 1
         assert "uniformly spaced" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["t", "x"])
+    def test_non_finite_rows_rejected(self, tmp_path, capsys, bad, column):
+        """A NaN time once passed the spacing check and gave Holds."""
+        rows = [["0.0", "20.0"], ["0.1", "20.1"], ["0.2", "20.2"]]
+        rows[1][column == "x"] = bad
+        trace = tmp_path / "bad.csv"
+        trace.write_text("t,x\n" + "".join(f"{t},{x}\n" for t, x in rows))
+        code = main(["--machine", "monitor", "--trace", str(trace),
+                     "--actions", "on", "--formula", "G(x <= 30)"])
+        fields = machine_fields(capsys.readouterr().out.strip())
+        assert code == 1
+        assert fields["error"] == "E_TRACE"
+        assert "non-finite" in fields["message"]
+
     def test_generated_search_reports_no_run(self, lasso_path, heater_path,
                                              capsys):
         """Constant samples have derivative zero, which no heater location

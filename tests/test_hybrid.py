@@ -187,6 +187,11 @@ class TestTrajectory:
         with pytest.raises(TraceError):
             SampledTrajectory(("x", "y"), np.zeros((3, 1)), 0.1)
 
+    @pytest.mark.parametrize("h", [float("nan"), float("inf"), float("-inf"), 0.0])
+    def test_step_must_be_finite_and_positive(self, h):
+        with pytest.raises(TraceError, match="finite and positive"):
+            SampledTrajectory(("x",), np.zeros((3, 1)), h)
+
 
 class TestJump:
     def test_substitution_semantics(self):

@@ -12,14 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hyltlmc.errors import TraceError
+from hyltlmc.errors import TraceError, UnsupportedDynamicsError
 from hyltlmc.formula.parser import Declarations, parse_flow_constraint, parse_formula
+from hyltlmc.hybrid import FlowConstraint, HybridAutomaton, Relation
 from hyltlmc.hybrid.automaton import accepts, find_accepting_witness, is_generated
-from hyltlmc.hybrid.constraints import bounding_box
 from hyltlmc.hybrid.discrete import accepts_lasso_word
 from hyltlmc.hybrid.lasso import HybridLassoTrace
+from hyltlmc.hybrid.expr import Const, DotVar, Mul, Var
 from hyltlmc.hybrid.trajectory import SampledTrajectory
 from hyltlmc.monitor import _succ_values, evaluate_trace, evaluate_word, random_trace
+from hyltlmc.reach.boxes import clip_rows, full_box, linear_rows
 from hyltlmc.tableau import build_formula_automaton
 
 from conftest import BOOL_ATOMS, heater_model, random_formula
@@ -30,6 +32,10 @@ DECLS = Declarations(variables=("x",), actions=("on", "off"))
 
 def phi(s: str):
     return parse_formula(s, DECLS)
+
+
+def phi_constraint(s: str):
+    return parse_flow_constraint(s, DECLS)
 
 
 def idle_curve(x0: float, n: int) -> np.ndarray:
@@ -64,6 +70,16 @@ def cooling_lasso() -> HybridLassoTrace:
     )
 
 
+def rebuilt(h: HybridAutomaton, **changes) -> HybridAutomaton:
+    """The automaton h with some constructor arguments replaced."""
+    args = dict(
+        variables=h.variables, actions=h.actions, locations=h.locations,
+        transitions=h.transitions, dyn=h.dyn, init=h.init,
+        init_region=h.init_region, acceptance=h.acceptance,
+    )
+    return HybridAutomaton(**{**args, **changes})
+
+
 class TestHandBuiltLasso:
     """A concrete heater lasso with every verdict derived by hand."""
 
@@ -76,6 +92,39 @@ class TestHandBuiltLasso:
     def test_wrong_location_assignment_is_rejected(self):
         trace = cooling_lasso()
         assert not is_generated(trace, heater_model(), (("idle",), ("idle", "heat")))
+
+    @pytest.mark.parametrize(
+        "witness, changes",
+        [
+            ((("idle",), ("heat",)), {}),
+            ((("idle",), ("heat", "cool")), {}),
+            ((("idle",), ("heat", "idle")), {"init": ("heat",)}),
+            ((("idle",), ("heat", "idle")), {"init_region": {"idle": ("x >= 20.5",)}}),
+        ],
+        ids=["wrong-length", "unknown-location", "not-initial", "outside-init"],
+    )
+    def test_bad_witness_is_neither_generated_nor_accepted(self, witness, changes):
+        # Only the change named by the id separates each case from the
+        # run test_is_a_run_of_the_heater accepts.
+        if "init_region" in changes:
+            changes = {"init_region": {
+                l: tuple(map(phi_constraint, texts))
+                for l, texts in changes["init_region"].items()
+            }}
+        h = rebuilt(heater_model(), **changes)
+        trace = cooling_lasso()
+        assert is_generated(trace, h, witness) is False
+        assert accepts(trace, h, witness) is False
+
+    def test_cycle_missing_an_acceptance_set_is_not_accepted(self):
+        # The cycle meets the first set but never the unreachable spare.
+        h = heater_model()
+        h = rebuilt(h, locations=h.locations + ("spare",),
+                    acceptance=({"idle"}, {"spare"}))
+        w = (("idle",), ("heat", "idle"))
+        assert is_generated(cooling_lasso(), h, w)
+        assert not accepts(cooling_lasso(), h, w)
+        assert find_accepting_witness(cooling_lasso(), h) is None
 
     def test_witness_search_recovers_the_assignment(self):
         trace = cooling_lasso()
@@ -239,44 +288,40 @@ class TestRandomTraces:
             assert 19.0 <= x0 <= 21.0
 
     def test_no_initial_location_is_an_error(self):
-        h = heater_model()
-        empty = type(h)(
-            variables=h.variables,
-            actions=h.actions,
-            locations=h.locations,
-            transitions=h.transitions,
-            dyn=h.dyn,
-            init=(),
-            init_region={},
-            acceptance=h.acceptance,
-        )
+        empty = rebuilt(heater_model(), init=(), init_region={})
         with pytest.raises(TraceError, match="no initial location"):
             random_trace(empty, np.random.default_rng(0))
 
     def test_unbounded_initial_region_is_an_error(self):
-        h = heater_model()
-        unbounded = type(h)(
-            variables=h.variables,
-            actions=h.actions,
-            locations=h.locations,
-            transitions=h.transitions,
-            dyn=h.dyn,
-            init=h.init,
-            init_region={},
-            acceptance=h.acceptance,
-        )
+        unbounded = rebuilt(heater_model(), init_region={})
         with pytest.raises(TraceError, match="bounded interval"):
             random_trace(unbounded, np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "heat_flow",
+        [
+            (FlowConstraint(DotVar("x"), Relation.EQ, Mul(Var("x"), Var("x"))),),
+            (),
+        ],
+        ids=["nonaffine", "no-der"],
+    )
+    def test_dynamics_outside_the_affine_fragment_are_unsupported(self, heat_flow):
+        h = heater_model()
+        inv = (FlowConstraint(Var("x"), Relation.LE, Const(23.0)),)
+        h = rebuilt(h, dyn={**h.dyn, "heat": heat_flow + inv})
+        with pytest.raises(UnsupportedDynamicsError):
+            random_trace(h, np.random.default_rng(0))
+
 
 class TestBoundingBox:
-    """Interval extraction from conjunctions of state constraints."""
+    """Interval extraction from conjunctions of state constraints, as
+    random_trace reads its initial box: the full box clipped by the rows."""
 
     def probe(self, *texts, names=("x",)):
         decls = Declarations(variables=("x", "y"), actions=("on",))
-        return bounding_box(
-            tuple(parse_flow_constraint(t, decls) for t in texts), names
-        )
+        rows = linear_rows(tuple(parse_flow_constraint(t, decls) for t in texts), names)
+        lo, hi = clip_rows(*full_box(len(names)), *rows)
+        return {x: (lo[i], hi[i]) for i, x in enumerate(names)}
 
     def test_two_sided_interval(self):
         assert self.probe("x >= 19", "x <= 21") == {"x": (19.0, 21.0)}

@@ -237,7 +237,11 @@ class TestFlowKernel:
 
 
 def bench_kernel_inputs(steps=20000):
-    """The three flow_tube inputs of benchmarks/bench_kernels.py."""
+    """Heater, rotation and dense 6-d flow_tube inputs.
+
+    The same three inputs are timed by the benchmark's kernels.probe.*
+    metrics (perfbench/bench.py, kernel_probe).
+    """
     rng = np.random.default_rng(11)
     A6 = -np.eye(6) + 0.1 * rng.standard_normal((6, 6))
     b6 = rng.standard_normal(6) * 0.1
