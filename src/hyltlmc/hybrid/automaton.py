@@ -59,6 +59,9 @@ class HybridAutomaton:
         }
         self.acceptance = tuple(frozenset(s) for s in acceptance)
         self.location_notes = dict(location_notes or {})
+        # Edges by source and invariants, computed on first use.
+        self._out: dict[Loc, list[Transition]] | None = None
+        self._invariants: dict[Loc, tuple[FlowConstraint, ...]] = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -112,15 +115,7 @@ class HybridAutomaton:
                 continue
             seen.add(id(t.jumps))
             for jc in t.jumps:
-                if id(jc) in seen:
-                    continue
-                seen.add(id(jc))
-                plain, _, primed = (set() for _ in range(3))
-                for e in (jc.lhs, jc.rhs):
-                    p, _, pr = expr_variables(e)
-                    plain |= p
-                    primed |= pr
-                if (plain | primed) - varset:
+                if (jc.state_vars | jc.primed_vars) - varset:
                     raise ModelError(
                         f"jump constraint '{jc}' uses undeclared variables"
                     )
@@ -131,13 +126,24 @@ class HybridAutomaton:
     # -- structure helpers -------------------------------------------------
 
     def transitions_from(self, loc: Loc, action: str | None = None):
-        for t in self.transitions:
-            if t.source == loc and (action is None or t.action == action):
+        """Edges from loc (with the action, if given) in transition order."""
+        if self._out is None:
+            self._out = {}
+            for t in self.transitions:
+                self._out.setdefault(t.source, []).append(t)
+        for t in self._out.get(loc, ()):
+            if action is None or t.action == action:
                 yield t
 
     def invariant(self, loc: Loc) -> tuple[FlowConstraint, ...]:
-        """The derivative-free part of the location's dynamics."""
-        return tuple(c for c in self.dyn[loc] if not c.mentions_dot)
+        """The derivative-free part of the location's dynamics, computed
+        once per location."""
+        inv = self._invariants.get(loc)
+        if inv is None:
+            inv = self._invariants[loc] = tuple(
+                c for c in self.dyn[loc] if not c.mentions_dot
+            )
+        return inv
 
     def admissible(self, loc: Loc, v: Valuation, tol: float = 0.0) -> bool:
         return all(bool(c.holds_at(v, tol=tol)) for c in self.invariant(loc))

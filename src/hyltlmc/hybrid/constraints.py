@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import ComplementError, ModelError
-from .expr import Expr, evaluate, to_str, variables
+from .expr import Expr, evaluate, fields_only, to_str, variables
 from .valuation import Valuation
 
 
@@ -60,7 +61,8 @@ class FlowConstraint:
 
     The optional complement is a constraint equivalent to the pointwise
     negation; it is consulted when negation normal form needs to rewrite a
-    negated atom. It does not participate in equality or hashing.
+    negated atom. It does not participate in equality or hashing. The
+    variable sets are cached, outside equality, hashing, repr and pickles.
     """
 
     lhs: Expr
@@ -74,15 +76,17 @@ class FlowConstraint:
             if primed:
                 raise ModelError(f"primed variable in flow constraint: {to_str(e)}")
 
-    @property
-    def mentions_dot(self) -> bool:
-        return bool(variables(self.lhs)[1] or variables(self.rhs)[1])
+    __getstate__ = fields_only
 
-    @property
+    @cached_property
+    def mentions_dot(self) -> bool:
+        return bool(self.dot_vars)
+
+    @cached_property
     def state_vars(self) -> frozenset[str]:
         return variables(self.lhs)[0] | variables(self.rhs)[0]
 
-    @property
+    @cached_property
     def dot_vars(self) -> frozenset[str]:
         return variables(self.lhs)[1] | variables(self.rhs)[1]
 
@@ -97,7 +101,8 @@ class FlowConstraint:
 
 @dataclass(frozen=True)
 class JumpConstraint:
-    """Comparison over state and primed variables, e.g. x' = x."""
+    """Comparison over state and primed variables, e.g. x' = x; variable
+    sets cached as on FlowConstraint."""
 
     lhs: Expr
     rel: Relation
@@ -109,7 +114,13 @@ class JumpConstraint:
             if dotted:
                 raise ModelError(f"dotted variable in jump constraint: {to_str(e)}")
 
-    @property
+    __getstate__ = fields_only
+
+    @cached_property
+    def state_vars(self) -> frozenset[str]:
+        return variables(self.lhs)[0] | variables(self.rhs)[0]
+
+    @cached_property
     def primed_vars(self) -> frozenset[str]:
         return variables(self.lhs)[2] | variables(self.rhs)[2]
 

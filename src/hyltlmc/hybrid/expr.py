@@ -10,7 +10,7 @@ constraints may use plain and primed variables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping
 
 import numpy as np
@@ -18,10 +18,17 @@ import numpy as np
 from ..errors import ModelError
 
 
+def fields_only(obj) -> dict:
+    """Pickle and copy state of an expression or constraint: its fields,
+    never the derived values it caches beside them."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 class Expr:
     """Base class; concrete nodes are frozen dataclasses below."""
 
     __slots__ = ()
+    __getstate__ = fields_only
 
 
 @dataclass(frozen=True)
@@ -126,31 +133,32 @@ def evaluate(
 
 
 def variables(e: Expr) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
-    """Return (plain, dotted, primed) variable name sets of an expression."""
-    plain: set[str] = set()
-    dotted: set[str] = set()
-    primed: set[str] = set()
+    """Return (plain, dotted, primed) variable name sets of an expression.
 
-    def walk(x: Expr) -> None:
-        match x:
-            case Const(_):
-                pass
-            case Var(n):
-                plain.add(n)
-            case DotVar(n):
-                dotted.add(n)
-            case PrimedVar(n):
-                primed.add(n)
-            case Add(a, b) | Sub(a, b) | Mul(a, b) | Div(a, b):
-                walk(a)
-                walk(b)
-            case Neg(a) | Call(_, a):
-                walk(a)
-            case _:
-                raise TypeError(f"not an expression: {x!r}")
-
-    walk(e)
-    return frozenset(plain), frozenset(dotted), frozenset(primed)
+    Computed on first use and kept on the node, so a subtree shared by
+    several expressions is walked once.
+    """
+    got = getattr(e, "_variables", None)
+    if got is not None:
+        return got
+    none = frozenset()
+    match e:
+        case Const(_):
+            got = (none, none, none)
+        case Var(n):
+            got = (frozenset((n,)), none, none)
+        case DotVar(n):
+            got = (none, frozenset((n,)), none)
+        case PrimedVar(n):
+            got = (none, none, frozenset((n,)))
+        case Add(a, b) | Sub(a, b) | Mul(a, b) | Div(a, b):
+            got = tuple(x | y for x, y in zip(variables(a), variables(b)))
+        case Neg(a) | Call(_, a):
+            got = variables(a)
+        case _:
+            raise TypeError(f"not an expression: {e!r}")
+    object.__setattr__(e, "_variables", got)
+    return got
 
 
 # Affine form: mapping from term keys to coefficients plus a constant.

@@ -32,7 +32,9 @@ Inconclusive, never Falsified.
 from __future__ import annotations
 
 import math
+import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
@@ -222,11 +224,15 @@ def instrument(
         )
         for l, code in codes.items()
     }
+    # Edges share their jump tuples, and so do their twins: one twin tuple
+    # per (jumps, latch rows) pair.
+    twins: dict[tuple[int, int], tuple[JumpConstraint, ...]] = {}
     transitions = list(h.transitions)
     for t in h.transitions:
         rows = latch.get(t.source)
         if rows is not None:
-            transitions.append(Transition(t.source, t.action, t.target, t.jumps + rows))
+            jumps = twins.setdefault((id(t.jumps), id(rows)), t.jumps + rows)
+            transitions.append(Transition(t.source, t.action, t.target, jumps))
 
     out = HybridAutomaton(
         variables,
@@ -326,6 +332,14 @@ def recurrence_hits(
     return hits, unbounded
 
 
+@contextmanager
+def _timed(timings: dict[str, float], stage: str):
+    """Record the wall seconds of the enclosed stage under its name."""
+    start = time.perf_counter()
+    yield
+    timings[stage] = time.perf_counter() - start
+
+
 def _check_settings(horizon, step, eps, widen_after, max_visits) -> None:
     """Raise ConfigError unless every numeric setting of check is usable."""
 
@@ -363,25 +377,33 @@ def check(
     reachability. Raises ConfigError on a step or horizon that is not
     finite and positive, an eps that is not finite and nonnegative, or a
     widen_after or max_visits that is not an integer of at least 1.
+    stats["timings"] holds the wall seconds of each stage, observer to query.
     """
     _check_settings(horizon, step, eps, widen_after, max_visits)
-    observer = build_negated_observer(formula, system.actions, strict=strict)
-    product = prune_unreachable(compose(system, observer))
-    product = prune_unreachable(normalize_acceptance(degeneralize(product)))
-    inst, targets, f_name, y_names, w_names = instrument(product, witness)
+    timings: dict[str, float] = {}
+    with _timed(timings, "observer"):
+        observer = build_negated_observer(formula, system.actions, strict=strict)
+    with _timed(timings, "compose+prune"):
+        product = prune_unreachable(compose(system, observer))
+    with _timed(timings, "degeneralize+prune"):
+        product = prune_unreachable(normalize_acceptance(degeneralize(product)))
+    with _timed(timings, "instrument"):
+        inst, targets, f_name, y_names, w_names = instrument(product, witness)
 
     graph_only = not inst.locations
-    if graph_only:
-        reach = ReachResult(inst.variables, {})
-    else:
-        reach = reachable(
-            inst,
-            horizon=horizon,
-            step=step,
-            widen_after=widen_after,
-            max_visits=max_visits,
-        )
-    hits, unbounded = recurrence_hits(reach, targets, f_name, y_names, w_names, eps)
+    with _timed(timings, "reach"):
+        if graph_only:
+            reach = ReachResult(inst.variables, {})
+        else:
+            reach = reachable(
+                inst,
+                horizon=horizon,
+                step=step,
+                widen_after=widen_after,
+                max_visits=max_visits,
+            )
+    with _timed(timings, "query"):
+        hits, unbounded = recurrence_hits(reach, targets, f_name, y_names, w_names, eps)
 
     stats = {
         "product_locations": len(inst.locations),
@@ -392,6 +414,7 @@ def check(
         "reach_complete": reach.complete,
         "reach_incomplete": reach.incompleteness(),
         "aux": {"f": f_name, "y": y_names, "witness": w_names},
+        "timings": timings,
     }
     if hits:
         status = "Inconclusive"

@@ -34,11 +34,8 @@ class LocationDynamics:
 
 @dataclass(frozen=True)
 class TransitionImage:
-    """One edge's guard rows and affine reset x' = R x + r."""
+    """A jump tuple's guard rows and affine reset x' = R x + r."""
 
-    source: Loc
-    target: Loc
-    action: str
     guard_C: np.ndarray
     guard_d: np.ndarray
     R: np.ndarray
@@ -108,9 +105,12 @@ def location_dynamics(h: HybridAutomaton, loc: Loc) -> LocationDynamics:
 def transition_image(h: HybridAutomaton, t) -> TransitionImage:
     """Affine jump view: guard rows on the source state, reset matrix.
 
-    Defining rows x' = e(state) fill the reset; variables without one keep
-    their value. Constraint rows that mention primed variables without
-    defining one are dropped, over-approximating the jump relation.
+    It depends on the edge's jump tuple only, so edges that share a tuple
+    can share its image; the edge itself is only named in errors.
+    Defining rows x' = e(state) fill the reset; variables without one
+    keep their value. Constraint rows that mention primed variables
+    without defining one are dropped, over-approximating the jump
+    relation.
     """
     names = h.variables
     idx = {x: i for i, x in enumerate(names)}
@@ -142,4 +142,4 @@ def transition_image(h: HybridAutomaton, t) -> TransitionImage:
             R[idx[p_side.name]], r[idx[p_side.name]] = got
             break
     C, d = linear_rows(guards, names)
-    return TransitionImage(t.source, t.target, t.action, C, d, R, r)
+    return TransitionImage(C, d, R, r)

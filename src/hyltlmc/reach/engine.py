@@ -94,9 +94,13 @@ def reachable(
     # Dynamics are read when a box is initialised or popped at a location,
     # and a location's edge images when a box is first flowed there. A
     # pushed box only needs the target's invariant rows for its clip, so
-    # locations and edges no box is flowed at are never read.
+    # locations and edges no box is flowed at are never read. The product
+    # repeats a few invariant and jump tuples at many locations and edges,
+    # so their rows are built once per tuple.
     dyn: dict[Loc, LocationDynamics] = {}
-    inv_rows: dict[Loc, tuple[np.ndarray, np.ndarray]] = {}
+    inv_rows: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+    images: dict[int, TransitionImage] = {}
+    out_edges: dict[Loc, list[tuple[TransitionImage, Loc]]] = {}
 
     def dynamics(l: Loc) -> LocationDynamics:
         d = dyn.get(l)
@@ -105,16 +109,20 @@ def reachable(
         return d
 
     def invariant_rows(l: Loc) -> tuple[np.ndarray, np.ndarray]:
-        rows = inv_rows.get(l)
+        inv = h.invariant(l)
+        key = tuple(map(id, inv))
+        rows = inv_rows.get(key)
         if rows is None:
             # The same call location_dynamics makes, so the rows agree.
-            rows = inv_rows[l] = linear_rows(h.invariant(l), names)
+            rows = inv_rows[key] = linear_rows(inv, names)
         return rows
 
-    edges: dict[Loc, list] = {}
-    for t in h.transitions:
-        edges.setdefault(t.source, []).append(t)
-    images: dict[Loc, list[TransitionImage]] = {}
+    def image(t) -> TransitionImage:
+        img = images.get(id(t.jumps))
+        if img is None:
+            img = images[id(t.jumps)] = transition_image(h, t)
+        return img
+
     # One discretization per distinct field, made on its first flow; the
     # product repeats each system location's field at many locations.
     discs: dict[tuple[bytes, bytes], Discretization] = {}
@@ -187,17 +195,17 @@ def reachable(
         # any later box inside it has nothing new to contribute.
         store[l].append((tube_lo, tube_hi))
 
-        out = images.get(l)
+        out = out_edges.get(l)
         if out is None:
-            out = images[l] = [transition_image(h, t) for t in edges.get(l, ())]
-        for img in out:
+            out = out_edges[l] = [(image(t), t.target) for t in h.transitions_from(l)]
+        for img, target in out:
             g_lo, g_hi = clip_rows(tube_lo, tube_hi, img.guard_C, img.guard_d)
             if is_empty(g_lo, g_hi):
                 continue
             p_lo, p_hi = _reset_image(img, g_lo, g_hi)
-            p_lo, p_hi = clip_rows(p_lo, p_hi, *invariant_rows(img.target))
+            p_lo, p_hi = clip_rows(p_lo, p_hi, *invariant_rows(target))
             if is_empty(p_lo, p_hi):
                 continue
-            work.append((img.target, p_lo, p_hi))
+            work.append((target, p_lo, p_hi))
 
     return ReachResult(names, store, visits, cause, cause_location)

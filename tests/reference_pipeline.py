@@ -160,7 +160,7 @@ def eager_reachable(
     dyn = {l: location_dynamics(h, l) for l in h.locations}
     images = {l: [] for l in h.locations}
     for t in h.transitions:
-        images[t.source].append(transition_image(h, t))
+        images[t.source].append((transition_image(h, t), t.target))
 
     store = {l: [] for l in h.locations}
     visits = {l: 0 for l in h.locations}
@@ -215,16 +215,16 @@ def eager_reachable(
             tube_lo, tube_hi = lo, hi
         store[l].append((tube_lo, tube_hi))
 
-        for img in images[l]:
+        for img, target in images[l]:
             g_lo, g_hi = clip_rows(tube_lo, tube_hi, img.guard_C, img.guard_d)
             if is_empty(g_lo, g_hi):
                 continue
             p_lo, p_hi = _reset_image(img, g_lo, g_hi)
-            d_t = dyn[img.target]
+            d_t = dyn[target]
             p_lo, p_hi = clip_rows(p_lo, p_hi, d_t.inv_C, d_t.inv_d)
             if is_empty(p_lo, p_hi):
                 continue
-            work.append((img.target, p_lo, p_hi))
+            work.append((target, p_lo, p_hi))
 
     return ReachResult(names, store, visits, cause, cause_location)
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 import warnings
 from pathlib import Path
 
@@ -261,6 +262,31 @@ class TestCheck:
         v = check(heater_model(), phi("true"))
         text = str(v)
         assert text.startswith("Verified: ") and "\n" not in text
+
+
+class TestTimings:
+    """stats["timings"] splits a check's wall time into its stages."""
+
+    STAGES = ("observer", "compose+prune", "degeneralize+prune", "instrument", "reach", "query")
+
+    def test_stages_cover_the_check(self):
+        f = phi("!F(x >= 21 & X on) & G(x<=23) & G(off -> X(x <= 21 U on))")
+        h = heater_model()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            start = time.perf_counter()
+            v = check(h, f)
+            wall = time.perf_counter() - start
+        assert v.verified and v.stats["boxes"] > 0
+        timings = v.stats["timings"]
+        assert tuple(timings) == self.STAGES
+        assert all(t >= 0.0 for t in timings.values())
+        assert 0.9 * wall <= sum(timings.values()) <= wall
+
+    def test_graph_only_verdict_has_every_stage(self):
+        v = check(heater_model(), phi("G(on -> X(!on U off))"))
+        assert v.stats["boxes"] == 0
+        assert tuple(v.stats["timings"]) == self.STAGES
 
 
 TANKS = Path(__file__).resolve().parents[1] / "perfbench" / "models" / "tanks.hyha"
