@@ -1,5 +1,8 @@
 """Exception and warning types shared across the package."""
 
+import math
+from numbers import Real
+
 
 class HyltlError(Exception):
     """Base class for all errors raised by this package."""
@@ -52,6 +55,11 @@ class ConfigError(HyltlError):
     """A numeric setting outside its usable range (step 0, nan, ...)."""
 
     code = "E_CONFIG"
+
+
+def finite_real(v) -> bool:
+    """Is v a finite real number, for a ConfigError check? A bool is not."""
+    return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 class ComplementStrengtheningWarning(UserWarning):

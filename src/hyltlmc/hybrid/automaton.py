@@ -19,7 +19,7 @@ from ..errors import ModelError
 from .constraints import FlowConstraint, JumpConstraint, Relation, satisfies_jump
 from .expr import PrimedVar, Var, evaluate, variables as expr_variables
 from .lasso import HybridLassoTrace
-from .trajectory import DEFAULT_FLOW_TOL, satisfies_all_flows
+from .trajectory import DEFAULT_FLOW_TOL, check_tol, satisfies_all_flows
 from .valuation import Valuation
 
 Loc = object  # str for source models, tuples for products
@@ -364,6 +364,7 @@ def discrete_step(
 
 def _on_witness(trace, h, witness, tol, acceptance) -> bool:
     """The layered search of find_accepting_witness, one location per segment."""
+    check_tol(tol)
     wp, wc = tuple(witness[0]), tuple(witness[1])
     locs = wp + wc
     if (len(wp), len(wc)) != (trace.p, trace.c) or not all(l in h.dyn for l in locs):
@@ -417,8 +418,10 @@ def find_accepting_witness(
     linked by a transition whose jumps the endpoint valuations meet, and
     the cycle part additionally tracks which acceptance sets the candidate
     cycle has touched so far, closing only on a wrap link back to its
-    entry location with every set covered.
+    entry location with every set covered. Raises ConfigError unless tol
+    is a finite number >= 0.
     """
+    check_tol(tol)
     return _witness_search(trace, h, tol, h.acceptance)
 
 

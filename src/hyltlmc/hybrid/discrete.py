@@ -81,6 +81,41 @@ def _reaching_set(n: int, succ: Sequence[Sequence[int]], targets: set[int]) -> s
     return seen
 
 
+def live_nodes(
+    n: int,
+    succ: Sequence[Sequence[int]],
+    init: Iterable[int],
+    acceptance: Sequence[Iterable[int]],
+) -> set[int]:
+    """Nodes on a path from an initial node to a nontrivial strongly
+    connected component that meets every acceptance set.
+
+    Such a component holds a cycle visiting every set, so these are the
+    nodes an accepting run can visit. Every node on such a path is
+    reachable from init, so only the forward-reachable subgraph is
+    searched.
+    """
+    forward = set(init)
+    frontier = list(forward)
+    while frontier:
+        v = frontier.pop()
+        for w in succ[v]:
+            if w not in forward:
+                forward.add(w)
+                frontier.append(w)
+    nodes = sorted(forward)
+    local = {v: k for k, v in enumerate(nodes)}
+    sub = [[local[w] for w in succ[v]] for v in nodes]
+    sets = [{local[v] for v in F if v in local} for F in acceptance]
+
+    good: set[int] = set()
+    for comp in strongly_connected_components(len(nodes), sub):
+        nontrivial = len(comp) > 1 or comp[0] in sub[comp[0]]
+        if nontrivial and all(F.intersection(comp) for F in sets):
+            good.update(comp)
+    return {nodes[k] for k in _reaching_set(len(nodes), sub, good)}
+
+
 class WordAutomaton:
     """Graph view of an automaton for answering lasso-word membership.
 
@@ -122,35 +157,27 @@ class WordAutomaton:
         """Locations that, reading the cycle forever, can satisfy acceptance.
 
         Built on the product of locations with cycle positions: an entry is
-        good when its position-0 node reaches a cycle-closed component
-        containing a member of every acceptance set.
+        good when its position-0 node is live (live_nodes) with every node
+        initial and each acceptance set lifted to its (location, position)
+        nodes.
         """
         cycle = tuple(cycle)
         cached = self._good_cache.get(cycle)
         if cached is not None:
             return cached
         c = len(cycle)
-        n = self.n
-        N = n * c
+        N = self.n * c
         succ: list[list[int]] = [[] for _ in range(N)]
         for i, a in enumerate(cycle):
             sa = self.succ.get(a)
             if sa is None:
                 continue
             j = (i + 1) % c
-            for li in range(n):
+            for li in range(self.n):
                 succ[li * c + i] = [w * c + j for w in sa[li]]
-        good_nodes: set[int] = set()
-        for comp in strongly_connected_components(N, succ):
-            members = set(comp)
-            nontrivial = len(comp) > 1 or comp[0] in succ[comp[0]]
-            if not nontrivial:
-                continue
-            comp_locs = {node // c for node in comp}
-            if all(comp_locs & F for F in self.acceptance):
-                good_nodes.update(members)
-        reach = _reaching_set(N, succ, good_nodes)
-        out = frozenset(node // c for node in reach if node % c == 0)
+        sets = [[l * c + i for l in F for i in range(c)] for F in self.acceptance]
+        live = live_nodes(N, succ, range(N), sets)
+        out = frozenset(node // c for node in live if node % c == 0)
         self._good_cache[cycle] = out
         return out
 

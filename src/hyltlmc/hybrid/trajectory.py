@@ -6,12 +6,22 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..errors import ModelError, TraceError
+from ..errors import ConfigError, ModelError, TraceError, finite_real
 from .constraints import FlowConstraint, holds
 from .expr import evaluate
 from .valuation import Valuation
 
 DEFAULT_FLOW_TOL = 1e-9
+
+
+def check_tol(tol) -> None:
+    """Raise ConfigError unless the flow tolerance is a finite number >= 0.
+
+    A nan tolerance fails every comparison and an infinite one passes
+    every inequality, so either would decide a trace without reading it.
+    """
+    if not (finite_real(tol) and tol >= 0):
+        raise ConfigError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 class SampledTrajectory:

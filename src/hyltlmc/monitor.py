@@ -37,9 +37,10 @@ from .formula.syntax import (
 from .hybrid.automaton import HybridAutomaton, Loc, _successors
 from .hybrid.constraints import FlowConstraint, satisfies_jump
 from .hybrid.lasso import HybridLassoTrace
-from .hybrid.trajectory import DEFAULT_FLOW_TOL, SampledTrajectory, satisfies_flow
+from .hybrid.trajectory import DEFAULT_FLOW_TOL, SampledTrajectory, check_tol
+from .hybrid.trajectory import satisfies_flow
 from .hybrid.valuation import Valuation
-from .reach.boxes import clip_rows, full_box, linear_rows
+from .reach.boxes import bounds, clip, compile_rows, full_box, linear_rows
 from .reach.dynamics import location_dynamics
 
 
@@ -110,7 +111,11 @@ def _eval_positions(
 def evaluate_trace(
     trace: HybridLassoTrace, formula: Formula, tol: float = DEFAULT_FLOW_TOL
 ) -> bool:
-    """Does the trace satisfy the formula at position 1?"""
+    """Does the trace satisfy the formula at position 1?
+
+    Raises ConfigError unless tol is a finite number >= 0.
+    """
+    check_tol(tol)
     p, c = trace.p, trace.c
     n = p + 2 * c
 
@@ -188,9 +193,8 @@ def random_trace(
     if not h.init:
         raise TraceError("automaton has no initial location")
     loc = h.init[int(rng.integers(len(h.init)))]
-    lo, hi = clip_rows(
-        *full_box(len(names)), *linear_rows(h.init_region.get(loc, ()), names)
-    )
+    init = compile_rows(*linear_rows(h.init_region.get(loc, ()), names))
+    lo, hi = bounds(clip(full_box(len(names)), init))
     vec = np.empty(len(names))
     for k, x in enumerate(names):
         if not (np.isfinite(lo[k]) and np.isfinite(hi[k]) and lo[k] <= hi[k]):

@@ -31,22 +31,21 @@ Inconclusive, never Falsified.
 
 from __future__ import annotations
 
-import math
 import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigError, ModelError, VariableRenamedWarning
+from .errors import ConfigError, ModelError, VariableRenamedWarning, finite_real
 from .formula.nnf import to_nnf
 from .formula.syntax import Formula, Not, action_atoms, to_str
 from .hybrid.automaton import HybridAutomaton, Loc, Transition, compose
 from .hybrid.constraints import FlowConstraint, JumpConstraint, Relation
 from .hybrid.expr import Const, DotVar, PrimedVar, Var
-from .reach.boxes import clip_rows, is_empty
+from .reach.boxes import _box, bounds, is_empty
 from .reach.engine import ReachResult, reachable
 from .tableau import build_formula_automaton, prune_unreachable
 
@@ -292,13 +291,14 @@ def recurrence_hits(
     hits: list[dict] = []
     unbounded = False
     for target in targets:
-        C = np.zeros((2, len(names)))
-        C[0, fi], C[1, fi] = 1.0, -1.0
-        d = np.array([-float(target.code), float(target.code)])
+        # f = code as an upper-bound vector (see reach.boxes).
+        u = np.full(2 * len(names), np.inf)
+        u[fi], u[len(names) + fi] = -float(target.code), float(target.code)
         for lo, hi in reach.boxes.get(target.location, ()):
-            c_lo, c_hi = clip_rows(lo, hi, C, d)
-            if is_empty(c_lo, c_hi):
+            z = np.minimum(u, _box(lo, hi))
+            if is_empty(z):
                 continue
+            c_lo, c_hi = bounds(z)
             # A hit needs every snapshot within eps of its variable. A
             # pair that definitely misses rules the box out even when
             # another pair is unbounded.
@@ -343,13 +343,10 @@ def _timed(timings: dict[str, float], stage: str):
 def _check_settings(horizon, step, eps, widen_after, max_visits) -> None:
     """Raise ConfigError unless every numeric setting of check is usable."""
 
-    def real(v) -> bool:
-        return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
-
     for name, v in (("horizon", horizon), ("step", step)):
-        if not (real(v) and v > 0):
+        if not (finite_real(v) and v > 0):
             raise ConfigError(f"{name} must be a finite number > 0, got {v!r}")
-    if not (real(eps) and eps >= 0):
+    if not (finite_real(eps) and eps >= 0):
         raise ConfigError(f"eps must be a finite number >= 0, got {eps!r}")
     for name, v in (("widen_after", widen_after), ("max_visits", max_visits)):
         if not (isinstance(v, Integral) and not isinstance(v, bool) and v >= 1):

@@ -1,17 +1,36 @@
 """Axis-aligned interval boxes and linear constraint rows over them.
 
-A box is a pair of float arrays (lo, hi); axis i covers [lo[i], hi[i]].
-Infinite endpoints are allowed. All operations stay sound under
-over-approximation: anything not provably excluded is kept.
+Representation. A box [lo, hi] over n variables is the vector of upper
+bounds z = (-lo, hi), so clipping, hulls and containment are each one
+elementwise operation (np.minimum, np.maximum, z <= s) and a box is
+empty when some z_i + z_{n+i} < 0. The box image under a matrix M is
+G(M) z with the nonnegative block matrix G(M) = [[M+, M-], [M-, M+]],
+where M+ = max(M, 0) and M- = max(-M, 0); it is exact per axis and keeps
+every endpoint that M passes through unchanged, bit for bit.
 
-Constraint sets are normalized to rows a . x + k <= 0. Strict
-inequalities are closed and equalities become two rows; every relaxation
-only enlarges the described region.
+Infinite endpoints. Boxes widened to the invariant bounds may have
+infinite sides, +inf in z. Products take 0 * inf = 0, so an infinite
+side spreads only along nonzero coefficients.
+
+Constraint rows. Constraint sets are normalized to rows a . x + k <= 0.
+Strict inequalities are closed and equalities become two rows; every
+relaxation only enlarges the described region. All operations stay
+sound under over-approximation: anything not provably excluded is kept.
+
+One clip pass. A row set compiles once into a Clip: the upper-bound
+vector of its single-variable rows, and the split rows of its
+multi-variable rows. A single-variable row bounds its own axis and no
+other, so all of them together are one np.minimum. A multi-variable row
+never tightens an axis-aligned box; it only proves the box empty, when
+its least value over the box is positive. Neither kind can sharpen
+what the other does, so testing the multi-variable rows once, on the
+box the single-variable rows have bounded, is as tight as repeating the
+rows to a fixpoint.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,30 +38,62 @@ from ..hybrid.constraints import FlowConstraint, Relation
 from ..hybrid.expr import Sub, affine_form
 
 
-def full_box(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.full(n, -np.inf), np.full(n, np.inf)
+def _box(lo, hi) -> np.ndarray:
+    """The box [lo, hi] as its vector of upper bounds z = (-lo, hi)."""
+    return np.concatenate(
+        [-np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)]
+    )
 
 
-def is_empty(lo: np.ndarray, hi: np.ndarray) -> bool:
-    return bool(np.any(lo > hi))
+def bounds(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (lo, hi) pair of the box z."""
+    n = len(z) // 2
+    return -z[:n], z[n:]
 
 
-def contains(
-    out_lo: np.ndarray, out_hi: np.ndarray, in_lo: np.ndarray, in_hi: np.ndarray
-) -> bool:
-    return bool(np.all(out_lo <= in_lo) and np.all(in_hi <= out_hi))
+def _split(M: np.ndarray) -> np.ndarray:
+    """G(M) of the module docstring, for an (m, n) matrix M."""
+    pos = np.maximum(M, 0.0)
+    neg = pos - M
+    return np.block([[pos, neg], [neg, pos]])
 
 
-def hull(
-    a_lo: np.ndarray, a_hi: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    return np.minimum(a_lo, b_lo), np.maximum(a_hi, b_hi)
+def _bound(G: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """G z for a nonnegative G and z of shape (m,) or (m, cols).
+
+    Takes 0 * inf = 0: an infinite entry of z spreads only along the
+    nonzero entries of G.
+    """
+    inf = np.isinf(z)
+    if not inf.any():
+        return G @ z
+    out = G @ np.where(inf, 0.0, z)
+    out[(G > 0.0) @ inf] = np.inf
+    return out
 
 
-def intersect(
-    a_lo: np.ndarray, a_hi: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    return np.maximum(a_lo, b_lo), np.minimum(a_hi, b_hi)
+def full_box(n: int) -> np.ndarray:
+    return np.full(2 * n, np.inf)
+
+
+def is_empty(z: np.ndarray) -> bool:
+    n = len(z) // 2
+    return bool((z[:n] + z[n:] < 0.0).any())
+
+
+def contains(outer: np.ndarray, inner: np.ndarray) -> bool:
+    return bool((inner <= outer).all())
+
+
+def image(G: np.ndarray, offset: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The box of M x + c over the box z, for G = G(M) and offset (-c, c).
+
+    A nan bound, left where an overflow meets an opposite one, reads as
+    no bound.
+    """
+    out = _bound(G, z) + offset
+    out[np.isnan(out)] = np.inf
+    return out
 
 
 def linear_rows(
@@ -85,63 +136,46 @@ def linear_rows(
     return np.stack(rows), np.array(consts)
 
 
-def row_range(
-    row: np.ndarray, k: float, lo: np.ndarray, hi: np.ndarray
-) -> tuple[float, float]:
-    """Exact range of row . x + k over the box; 0 coefficients contribute 0."""
-    r_lo = r_hi = float(k)
-    for a, l, u in zip(row, lo, hi):
-        if a > 0.0:
-            r_lo += a * l
-            r_hi += a * u
-        elif a < 0.0:
-            r_lo += a * u
-            r_hi += a * l
-    if np.isnan(r_lo):
-        r_lo = -np.inf
-    if np.isnan(r_hi):
-        r_hi = np.inf
-    return r_lo, r_hi
+class Clip(NamedTuple):
+    """Rows C . x + d <= 0 compiled for clipping boxes (module docstring).
 
-
-def clip_rows(
-    lo: np.ndarray, hi: np.ndarray, C: np.ndarray, d: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Intersect a box with rows C . x + d <= 0.
-
-    Single-variable rows tighten their axis exactly. Rows over several
-    variables cannot tighten an axis-aligned box; they only empty it when
-    interval evaluation proves them infeasible. Tightening by one row can
-    sharpen another, so passes repeat until a fixpoint.
+    u is the upper-bound vector of the single-variable rows, all -inf
+    when a constant row is false. The multi-variable rows prove a box z
+    empty when G z < k for one of them, with G their split rows.
     """
-    lo = lo.copy()
-    hi = hi.copy()
-    for _ in range(len(d) + 1):
-        changed = False
-        for row, k in zip(C, d):
-            nz = np.nonzero(row)[0]
-            if len(nz) == 0:
-                if k > 0.0:
-                    return np.full_like(lo, np.inf), np.full_like(hi, -np.inf)
-                continue
-            if len(nz) == 1:
-                i = nz[0]
-                a = row[i]
-                bound = -k / a
-                if a > 0.0:
-                    if bound < hi[i]:
-                        hi[i] = bound
-                        changed = True
-                else:
-                    if bound > lo[i]:
-                        lo[i] = bound
-                        changed = True
-                if lo[i] > hi[i]:
-                    return lo, hi
-                continue
-            r_lo, _ = row_range(row, k, lo, hi)
-            if r_lo > 0.0:
-                return np.full_like(lo, np.inf), np.full_like(hi, -np.inf)
-        if not changed:
-            break
-    return lo, hi
+
+    u: np.ndarray
+    G: np.ndarray
+    k: np.ndarray
+
+
+def compile_rows(C: np.ndarray, d: np.ndarray) -> Clip:
+    n = C.shape[1]
+    u = np.full(2 * n, np.inf)
+    multi = []
+    for r, (row, k) in enumerate(zip(C, d)):
+        nz = np.flatnonzero(row)
+        if len(nz) > 1:
+            multi.append(r)
+        elif len(nz) == 0:
+            if k > 0.0:
+                u[:] = -np.inf
+        else:
+            # a x_i + k <= 0 bounds x_i above by -k / a when a > 0, and
+            # -x_i above by k / a when a < 0. A tie keeps the earlier row.
+            i = nz[0]
+            a = row[i]
+            j, v = (n + i, -k / a) if a > 0.0 else (i, k / a)
+            if v < u[j]:
+                u[j] = v
+    return Clip(u, _split(C[multi])[: len(multi)], d[multi])
+
+
+def clip(z: np.ndarray, rows: Clip) -> np.ndarray:
+    """z intersected with the compiled rows; all -inf when they prove it empty."""
+    # np.minimum returns its second operand on a tie, so an endpoint the
+    # rows do not move keeps its bits, signed zeros included.
+    z = np.minimum(rows.u, z)
+    if len(rows.k) and (_bound(rows.G, z) < rows.k).any():
+        return np.full_like(z, -np.inf)
+    return z

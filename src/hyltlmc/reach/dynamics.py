@@ -17,7 +17,7 @@ from ..errors import UnsupportedDynamicsError
 from ..hybrid.automaton import HybridAutomaton, Loc
 from ..hybrid.constraints import Relation
 from ..hybrid.expr import DotVar, PrimedVar, affine_form, variables
-from .boxes import clip_rows, full_box, linear_rows
+from .boxes import bounds, clip, compile_rows, full_box, linear_rows
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def location_dynamics(h: HybridAutomaton, loc: Loc) -> LocationDynamics:
             f"{loc!r}: no derivative equation for {sorted(missing)}"
         )
     C, d = linear_rows(h.invariant(loc), names)
-    lo, hi = clip_rows(*full_box(n), C, d)
+    lo, hi = bounds(clip(full_box(n), compile_rows(C, d)))
     return LocationDynamics(A, b, C, d, lo, hi)
 
 

@@ -23,13 +23,9 @@ import numpy as np
 
 from ..errors import UnsupportedDynamicsError
 from ..hybrid.automaton import HybridAutomaton, Loc
-from .boxes import clip_rows, contains, full_box, hull, is_empty, linear_rows, row_range
-from .dynamics import (
-    LocationDynamics,
-    TransitionImage,
-    location_dynamics,
-    transition_image,
-)
+from .boxes import Clip, _box, _split, bounds, clip, compile_rows, contains, full_box
+from .boxes import image, is_empty, linear_rows
+from .dynamics import LocationDynamics, location_dynamics, transition_image
 from .kernels import FLOW_BUDGET, FLOW_DONE, Discretization, flow_tube
 
 
@@ -53,25 +49,12 @@ class ReachResult:
 
     def hull(self) -> dict[str, tuple[float, float]]:
         """Per-variable bounds over every stored box of every location."""
-        n = len(self.names)
-        lo = np.full(n, np.inf)
-        hi = np.full(n, -np.inf)
+        z = np.full(2 * len(self.names), -np.inf)
         for store in self.boxes.values():
-            for b_lo, b_hi in store:
-                lo = np.minimum(lo, b_lo)
-                hi = np.maximum(hi, b_hi)
+            for box in store:
+                z = np.maximum(z, _box(*box))
+        lo, hi = bounds(z)
         return {x: (float(lo[i]), float(hi[i])) for i, x in enumerate(self.names)}
-
-
-def _reset_image(
-    img: TransitionImage, lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    n = len(lo)
-    out_lo = np.empty(n)
-    out_hi = np.empty(n)
-    for i in range(n):
-        out_lo[i], out_hi[i] = row_range(img.R[i], img.r[i], lo, hi)
-    return out_lo, out_hi
 
 
 def reachable(
@@ -91,16 +74,17 @@ def reachable(
     names = h.variables
     n = len(names)
     n_steps = max(1, math.ceil(horizon / step))
-    # Dynamics are read when a box is initialised or popped at a location,
-    # and a location's edge images when a box is first flowed there. A
-    # pushed box only needs the target's invariant rows for its clip, so
-    # locations and edges no box is flowed at are never read. The product
-    # repeats a few invariant and jump tuples at many locations and edges,
-    # so their rows are built once per tuple.
+    # Every box is an upper-bound vector z = (-lo, hi) (see reach.boxes)
+    # until the result is returned. Dynamics are read when a box is
+    # popped at a location, and a location's edges when a box is first
+    # flowed there. Initial and pushed boxes only need an invariant clip,
+    # so locations and edges no box is flowed at are never read. The
+    # product repeats a few invariant and jump tuples at many locations
+    # and edges, so their clips and reset images are built once per tuple.
     dyn: dict[Loc, LocationDynamics] = {}
-    inv_rows: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-    images: dict[int, TransitionImage] = {}
-    out_edges: dict[Loc, list[tuple[TransitionImage, Loc]]] = {}
+    inv_clips: dict[tuple[int, ...], Clip] = {}
+    jumps: dict[int, tuple[Clip, np.ndarray, np.ndarray]] = {}
+    out_edges: dict[Loc, list[tuple[Clip, np.ndarray, np.ndarray, Clip, Loc]]] = {}
 
     def dynamics(l: Loc) -> LocationDynamics:
         d = dyn.get(l)
@@ -108,51 +92,53 @@ def reachable(
             d = dyn[l] = location_dynamics(h, l)
         return d
 
-    def invariant_rows(l: Loc) -> tuple[np.ndarray, np.ndarray]:
+    def invariant(l: Loc) -> Clip:
         inv = h.invariant(l)
         key = tuple(map(id, inv))
-        rows = inv_rows.get(key)
-        if rows is None:
-            # The same call location_dynamics makes, so the rows agree.
-            rows = inv_rows[key] = linear_rows(inv, names)
-        return rows
+        c = inv_clips.get(key)
+        if c is None:
+            # The same rows location_dynamics reads, so the bounds agree.
+            c = inv_clips[key] = compile_rows(*linear_rows(inv, names))
+        return c
 
-    def image(t) -> TransitionImage:
-        img = images.get(id(t.jumps))
-        if img is None:
-            img = images[id(t.jumps)] = transition_image(h, t)
-        return img
+    def jump(t) -> tuple[Clip, np.ndarray, np.ndarray]:
+        """The guard clip and the reset's G(R) and offset (-r, r)."""
+        j = jumps.get(id(t.jumps))
+        if j is None:
+            img = transition_image(h, t)
+            j = jumps[id(t.jumps)] = (
+                compile_rows(img.guard_C, img.guard_d),
+                _split(img.R),
+                np.concatenate([-img.r, img.r]),
+            )
+        return j
 
     # One discretization per distinct field, made on its first flow; the
     # product repeats each system location's field at many locations.
     discs: dict[tuple[bytes, bytes], Discretization] = {}
 
-    store: dict[Loc, list[tuple[np.ndarray, np.ndarray]]] = {
-        l: [] for l in h.locations
-    }
+    store: dict[Loc, list[np.ndarray]] = {l: [] for l in h.locations}
     visits = {l: 0 for l in h.locations}
-    work: list[tuple[Loc, np.ndarray, np.ndarray]] = []
+    work: list[tuple[Loc, np.ndarray]] = []
 
     for l in h.init:
-        C, d = linear_rows(h.init_region.get(l, ()), names)
-        lo, hi = clip_rows(*full_box(n), C, d)
-        d_l = dynamics(l)
-        lo, hi = clip_rows(lo, hi, d_l.inv_C, d_l.inv_d)
-        if is_empty(lo, hi):
+        init = compile_rows(*linear_rows(h.init_region.get(l, ()), names))
+        z = clip(clip(full_box(n), init), invariant(l))
+        if is_empty(z):
             continue
-        bad = [x for i, x in enumerate(names) if not np.isfinite([lo[i], hi[i]]).all()]
+        bad = [x for i, x in enumerate(names) if not np.isfinite(z[[i, n + i]]).all()]
         if bad:
             raise UnsupportedDynamicsError(
                 f"initial region of {l!r} leaves {bad} unbounded"
             )
-        work.append((l, lo, hi))
+        work.append((l, z))
 
     cause: str | None = None
     cause_location: Loc | None = None
     total = 0
     while work:
-        l, lo, hi = work.pop()
-        if any(contains(s_lo, s_hi, lo, hi) for s_lo, s_hi in store[l]):
+        l, z = work.pop()
+        if any(contains(s, z) for s in store[l]):
             continue
         total += 1
         if total > max_visits:
@@ -161,20 +147,16 @@ def reachable(
             break
         visits[l] += 1
         d_l = dynamics(l)
+        inv = invariant(l)
         if visits[l] > widen_after and store[l]:
-            w_lo = np.full(n, np.inf)
-            w_hi = np.full(n, -np.inf)
-            for s_lo, s_hi in store[l]:
-                w_lo, w_hi = hull(w_lo, w_hi, s_lo, s_hi)
-            lo = np.where(lo < w_lo, d_l.inv_lo, lo)
-            hi = np.where(hi > w_hi, d_l.inv_hi, hi)
+            z = np.where(z > np.max(store[l], axis=0), inv.u, z)
 
         key = (d_l.A.tobytes(), d_l.b.tobytes())
         disc = discs.get(key)
         if disc is None:
             disc = discs[key] = Discretization(d_l.A, d_l.b, step)
         tube_lo, tube_hi, _end_lo, _end_hi, status = flow_tube(
-            lo, hi, d_l.A, d_l.b, step, n_steps, d_l.inv_lo, d_l.inv_hi, disc=disc
+            *bounds(z), d_l.A, d_l.b, step, n_steps, d_l.inv_lo, d_l.inv_hi, disc=disc
         )
         if status != FLOW_DONE and cause is None:
             cause_location = l
@@ -188,24 +170,27 @@ def reachable(
                 )
             else:
                 cause = "no validated flow enclosure"
-        tube_lo, tube_hi = clip_rows(tube_lo, tube_hi, d_l.inv_C, d_l.inv_d)
-        if is_empty(tube_lo, tube_hi):
-            tube_lo, tube_hi = lo, hi
+        tube = clip(_box(tube_lo, tube_hi), inv)
+        if is_empty(tube):
+            tube = z
         # The stored tube is flow closed whenever the flow completed, so
         # any later box inside it has nothing new to contribute.
-        store[l].append((tube_lo, tube_hi))
+        store[l].append(tube)
 
         out = out_edges.get(l)
         if out is None:
-            out = out_edges[l] = [(image(t), t.target) for t in h.transitions_from(l)]
-        for img, target in out:
-            g_lo, g_hi = clip_rows(tube_lo, tube_hi, img.guard_C, img.guard_d)
-            if is_empty(g_lo, g_hi):
+            out = out_edges[l] = [
+                (*jump(t), invariant(t.target), t.target)
+                for t in h.transitions_from(l)
+            ]
+        for guard, G, offset, target_inv, target in out:
+            g = clip(tube, guard)
+            if is_empty(g):
                 continue
-            p_lo, p_hi = _reset_image(img, g_lo, g_hi)
-            p_lo, p_hi = clip_rows(p_lo, p_hi, *invariant_rows(target))
-            if is_empty(p_lo, p_hi):
+            p = clip(image(G, offset, g), target_inv)
+            if is_empty(p):
                 continue
-            work.append((target, p_lo, p_hi))
+            work.append((target, p))
 
-    return ReachResult(names, store, visits, cause, cause_location)
+    boxes = {l: [bounds(z) for z in zs] for l, zs in store.items()}
+    return ReachResult(names, boxes, visits, cause, cause_location)

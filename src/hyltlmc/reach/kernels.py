@@ -53,17 +53,8 @@ Stopping rules and statuses:
 Both nonzero codes mean the tube may miss states, and the caller must
 degrade the overall verdict.
 
-Representation. Inside the kernel a box [lo, hi] is the vector of
-upper bounds z = (-lo, hi), so clipping, hulls and containment are each
-one elementwise operation and a box is empty when some z_i + z_{n+i} < 0.
-The box image under a matrix M is G(M) z with the nonnegative block
-matrix G(M) = [[M+, M-], [M-, M+]], where M+ = max(M, 0) and
-M- = max(-M, 0); it is exact per axis and keeps every endpoint that M
-passes through unchanged, bit for bit.
-
-Infinite endpoints. Boxes widened to the invariant bounds may have
-infinite sides, +inf in z. Products take 0 * inf = 0, so an infinite
-side spreads only along nonzero coefficients.
+Boxes are upper-bound vectors z = (-lo, hi), imaged under a matrix M by
+G(M) z with 0 * inf = 0; `reach.boxes` defines both.
 
 Arithmetic is float64 rounded to nearest, with no outward rounding: the
 tube is exact up to rounding errors in the powers of Psi, of relative
@@ -75,6 +66,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .boxes import _bound, _box, _split, bounds
 
 FLOW_DONE = 0
 FLOW_BUDGET = 1
@@ -104,36 +97,6 @@ def _expm(M: np.ndarray) -> np.ndarray:
     for _ in range(s):
         E = E @ E
     return E
-
-
-def _split(M: np.ndarray) -> np.ndarray:
-    """G(M) of the module docstring, for an (n, n) matrix M."""
-    n = len(M)
-    G = np.empty((2 * n, 2 * n))
-    G[:n, :n] = G[n:, n:] = np.maximum(M, 0.0)
-    G[:n, n:] = G[n:, :n] = G[:n, :n] - M
-    return G
-
-
-def _bound(G: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """G z for a nonnegative G and z of shape (m,) or (m, cols).
-
-    Takes 0 * inf = 0: an infinite entry of z spreads only along the
-    nonzero entries of G.
-    """
-    inf = np.isinf(z)
-    if not inf.any():
-        return G @ z
-    out = G @ np.where(inf, 0.0, z)
-    out[(G > 0.0) @ inf] = np.inf
-    return out
-
-
-def _box(lo, hi) -> np.ndarray:
-    """The box [lo, hi] as its vector of upper bounds z = (-lo, hi)."""
-    return np.concatenate(
-        [-np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)]
-    )
 
 
 def _shift(P: np.ndarray, V: np.ndarray, phi: np.ndarray, v: np.ndarray):
@@ -222,17 +185,16 @@ def flow_tube(lo, hi, A, b, h, n_steps, inv_lo, inv_hi, *, disc=None):
     field many times pass it to share its powers.
     """
     x = _box(lo, hi)
-    n = len(x) // 2
     n_steps = int(n_steps)
     if disc is None and n_steps > 0:
         disc = Discretization(A, b, h)
     if n_steps <= 0 or not disc.finite or disc.stalled:
         status = FLOW_BUDGET if n_steps <= 0 else FLOW_NO_ENCLOSURE
-        return -x[:n], x[n:], -x[:n], x[n:], status
+        return *bounds(x), *bounds(x), status
     # Overflow is detected from the results and reported as a status.
     with np.errstate(over="ignore", invalid="ignore"):
         tube, end, status = _flow(disc, x, n_steps, _box(inv_lo, inv_hi))
-    return -tube[:n], tube[n:], -end[:n], end[n:], status
+    return *bounds(tube), *bounds(end), status
 
 
 def _flow(disc: Discretization, x, n_steps: int, inv):

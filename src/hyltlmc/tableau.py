@@ -18,13 +18,13 @@ also applies), and no edge or note is made for any other location.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ModelError
 from .formula.closure import ClosureSet, closure, maximally_consistent_sets
 from .formula.syntax import Formula, action_atoms
 from .hybrid.automaton import HybridAutomaton, Transition
-from .hybrid.discrete import strongly_connected_components, _reaching_set
+from .hybrid.discrete import live_nodes
 
 
 def build_formula_automaton(
@@ -152,41 +152,6 @@ def _pins(cl: ClosureSet, b: int) -> tuple[int, int] | None:
         mask |= 1 << i
         vals |= v << i
     return mask, vals
-
-
-def live_nodes(
-    n: int,
-    succ: Sequence[Sequence[int]],
-    init: Iterable[int],
-    acceptance: Sequence[Iterable[int]],
-) -> set[int]:
-    """Nodes on a path from an initial node to a nontrivial strongly
-    connected component that meets every acceptance set.
-
-    Such a component holds a cycle visiting every set, so these are the
-    nodes an accepting run can visit. Every node on such a path is
-    reachable from init, so only the forward-reachable subgraph is
-    searched.
-    """
-    forward = set(init)
-    frontier = list(forward)
-    while frontier:
-        v = frontier.pop()
-        for w in succ[v]:
-            if w not in forward:
-                forward.add(w)
-                frontier.append(w)
-    nodes = sorted(forward)
-    local = {v: k for k, v in enumerate(nodes)}
-    sub = [[local[w] for w in succ[v]] for v in nodes]
-    sets = [{local[v] for v in F if v in local} for F in acceptance]
-
-    good: set[int] = set()
-    for comp in strongly_connected_components(len(nodes), sub):
-        nontrivial = len(comp) > 1 or comp[0] in sub[comp[0]]
-        if nontrivial and all(F.intersection(comp) for F in sets):
-            good.update(comp)
-    return {nodes[k] for k in _reaching_set(len(nodes), sub, good)}
 
 
 def prune_unreachable(h: HybridAutomaton) -> HybridAutomaton:

@@ -9,8 +9,10 @@ reach loop that read the dynamics of every location and the image of
 every edge up front. It also keeps frozen copies of the 2^pairs
 consistent-set enumerator (`powerset_consistent_sets`) and of the full
 cross-product `eager_compose`, which the pipeline's enumerator and
-forward compose must agree with. Tests compare the two; nothing in the
-package imports this module.
+forward compose must agree with, and of the box operations on (lo, hi)
+pairs that the reach loop used before boxes became upper-bound vectors
+(`clip_rows`, `row_range`, `reset_image`). Tests compare the two;
+nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -38,10 +40,109 @@ from hyltlmc.product import (
     normalize_acceptance,
     recurrence_hits,
 )
-from hyltlmc.reach.boxes import clip_rows, contains, full_box, hull, is_empty, linear_rows
-from hyltlmc.reach.dynamics import location_dynamics, transition_image
-from hyltlmc.reach.engine import ReachResult, _reset_image
+from hyltlmc.reach.boxes import linear_rows
+from hyltlmc.reach.dynamics import TransitionImage, location_dynamics, transition_image
+from hyltlmc.reach.engine import ReachResult
 from hyltlmc.reach.kernels import FLOW_BUDGET, FLOW_DONE, flow_tube
+
+
+# -- boxes as (lo, hi) pairs ------------------------------------------------
+
+
+def full_box(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.full(n, -np.inf), np.full(n, np.inf)
+
+
+def is_empty(lo: np.ndarray, hi: np.ndarray) -> bool:
+    return bool(np.any(lo > hi))
+
+
+def contains(
+    out_lo: np.ndarray, out_hi: np.ndarray, in_lo: np.ndarray, in_hi: np.ndarray
+) -> bool:
+    return bool(np.all(out_lo <= in_lo) and np.all(in_hi <= out_hi))
+
+
+def hull(
+    a_lo: np.ndarray, a_hi: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    return np.minimum(a_lo, b_lo), np.maximum(a_hi, b_hi)
+
+
+def row_range(
+    row: np.ndarray, k: float, lo: np.ndarray, hi: np.ndarray
+) -> tuple[float, float]:
+    """Exact range of row . x + k over the box; 0 coefficients contribute 0."""
+    r_lo = r_hi = float(k)
+    for a, l, u in zip(row, lo, hi):
+        if a > 0.0:
+            r_lo += a * l
+            r_hi += a * u
+        elif a < 0.0:
+            r_lo += a * u
+            r_hi += a * l
+    if np.isnan(r_lo):
+        r_lo = -np.inf
+    if np.isnan(r_hi):
+        r_hi = np.inf
+    return r_lo, r_hi
+
+
+def clip_rows(
+    lo: np.ndarray, hi: np.ndarray, C: np.ndarray, d: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Intersect a box with rows C . x + d <= 0.
+
+    Single-variable rows tighten their axis exactly. Rows over several
+    variables cannot tighten an axis-aligned box; they only empty it when
+    interval evaluation proves them infeasible. Passes repeat until a
+    fixpoint.
+    """
+    lo = lo.copy()
+    hi = hi.copy()
+    for _ in range(len(d) + 1):
+        changed = False
+        for row, k in zip(C, d):
+            nz = np.nonzero(row)[0]
+            if len(nz) == 0:
+                if k > 0.0:
+                    return np.full_like(lo, np.inf), np.full_like(hi, -np.inf)
+                continue
+            if len(nz) == 1:
+                i = nz[0]
+                a = row[i]
+                bound = -k / a
+                if a > 0.0:
+                    if bound < hi[i]:
+                        hi[i] = bound
+                        changed = True
+                else:
+                    if bound > lo[i]:
+                        lo[i] = bound
+                        changed = True
+                if lo[i] > hi[i]:
+                    return lo, hi
+                continue
+            r_lo, _ = row_range(row, k, lo, hi)
+            if r_lo > 0.0:
+                return np.full_like(lo, np.inf), np.full_like(hi, -np.inf)
+        if not changed:
+            break
+    return lo, hi
+
+
+def reset_image(
+    img: TransitionImage, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    n = len(lo)
+    out_lo = np.empty(n)
+    out_hi = np.empty(n)
+    for i in range(n):
+        out_lo[i], out_hi[i] = row_range(img.R[i], img.r[i], lo, hi)
+    return out_lo, out_hi
+
+
+# -- the eager pipeline -----------------------------------------------------
 
 
 def powerset_consistent_sets(cl: ClosureSet) -> tuple[MCS, ...]:
@@ -219,7 +320,7 @@ def eager_reachable(
             g_lo, g_hi = clip_rows(tube_lo, tube_hi, img.guard_C, img.guard_d)
             if is_empty(g_lo, g_hi):
                 continue
-            p_lo, p_hi = _reset_image(img, g_lo, g_hi)
+            p_lo, p_hi = reset_image(img, g_lo, g_hi)
             d_t = dyn[target]
             p_lo, p_hi = clip_rows(p_lo, p_hi, d_t.inv_C, d_t.inv_d)
             if is_empty(p_lo, p_hi):

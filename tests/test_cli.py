@@ -270,6 +270,34 @@ class TestMonitorCommand:
         assert fields["error"] == "E_TRACE"
         assert "non-finite" in fields["message"]
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize("formula", ["x >= 1", "x >= 100"])
+    def test_unusable_tol_exits_one_with_e_config(
+        self, lasso_path, capsys, value, formula
+    ):
+        """On this trace (x = 22) nan and -1 once gave Fails for x >= 1,
+        and inf gave Holds for x >= 100."""
+        args = ["monitor", "--trace", lasso_path, "--actions", "on,off",
+                "--formula", formula, f"--tol={value}"]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error: tol must be a finite number")
+        assert main(["--machine"] + args) == 1
+        assert machine_fields(capsys.readouterr().out)["error"] == "E_CONFIG"
+
+    def test_unusable_tol_from_environment_or_config(
+        self, lasso_path, tmp_path, monkeypatch, capsys
+    ):
+        args = ["monitor", "--trace", lasso_path, "--actions", "on,off",
+                "--formula", "x >= 1"]
+        monkeypatch.setenv("HYLTL_MC_TOL", "nan")
+        assert main(["--machine"] + args) == 1
+        assert machine_fields(capsys.readouterr().out)["error"] == "E_CONFIG"
+        monkeypatch.delenv("HYLTL_MC_TOL")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": -1}))
+        assert main(["--config", str(cfg), "--machine"] + args) == 1
+        assert machine_fields(capsys.readouterr().out)["error"] == "E_CONFIG"
+
     def test_generated_search_reports_no_run(self, lasso_path, heater_path,
                                              capsys):
         """Constant samples have derivative zero, which no heater location

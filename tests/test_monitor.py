@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hyltlmc.errors import TraceError, UnsupportedDynamicsError
+from hyltlmc.errors import ConfigError, TraceError, UnsupportedDynamicsError
 from hyltlmc.formula.parser import Declarations, parse_flow_constraint, parse_formula
 from hyltlmc.hybrid import FlowConstraint, HybridAutomaton, Relation
 from hyltlmc.hybrid.automaton import accepts, find_accepting_witness, is_generated
@@ -21,7 +21,7 @@ from hyltlmc.hybrid.lasso import HybridLassoTrace
 from hyltlmc.hybrid.expr import Const, DotVar, Mul, Var
 from hyltlmc.hybrid.trajectory import SampledTrajectory
 from hyltlmc.monitor import _succ_values, evaluate_trace, evaluate_word, random_trace
-from hyltlmc.reach.boxes import clip_rows, full_box, linear_rows
+from hyltlmc.reach.boxes import bounds, clip, compile_rows, full_box, linear_rows
 from hyltlmc.tableau import build_formula_automaton
 
 from conftest import BOOL_ATOMS, heater_model, random_formula
@@ -150,6 +150,28 @@ class TestHandBuiltLasso:
         }
         for s, want in verdicts.items():
             assert evaluate_trace(trace, phi(s)) is want, s
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), True, "0"])
+    def test_unusable_tol_is_a_config_error(self, tol):
+        # A nan or negative tol once failed G(x >= 17) on this run, and an
+        # infinite one held F(x >= 100).
+        trace = cooling_lasso()
+        h = heater_model()
+        w = (("idle",), ("heat", "idle"))
+        with pytest.raises(ConfigError, match="tol must be a finite number >= 0"):
+            evaluate_trace(trace, phi("G(x >= 17)"), tol=tol)
+        with pytest.raises(ConfigError, match="tol"):
+            evaluate_trace(trace, phi("F(x >= 100)"), tol=tol)
+        for search in (
+            lambda: find_accepting_witness(trace, h, tol=tol),
+            lambda: is_generated(trace, h, w, tol=tol),
+            lambda: accepts(trace, h, w, tol=tol),
+        ):
+            with pytest.raises(ConfigError, match="tol"):
+                search()
+
+    def test_zero_tol_is_usable(self):
+        assert evaluate_trace(cooling_lasso(), phi("G(x >= 17)"), tol=0)
 
     def test_position_one_satisfies_no_action_atom(self):
         trace = cooling_lasso()
@@ -320,7 +342,7 @@ class TestBoundingBox:
     def probe(self, *texts, names=("x",)):
         decls = Declarations(variables=("x", "y"), actions=("on",))
         rows = linear_rows(tuple(parse_flow_constraint(t, decls) for t in texts), names)
-        lo, hi = clip_rows(*full_box(len(names)), *rows)
+        lo, hi = bounds(clip(full_box(len(names)), compile_rows(*rows)))
         return {x: (lo[i], hi[i]) for i, x in enumerate(names)}
 
     def test_two_sided_interval(self):

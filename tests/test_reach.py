@@ -11,16 +11,18 @@ from hyltlmc.errors import UnsupportedDynamicsError
 from hyltlmc.formula.parser import Declarations, parse_flow_constraint
 from hyltlmc.hybrid.modelio import parse_model
 from hyltlmc.reach.boxes import (
-    clip_rows,
+    _box,
+    _split,
+    bounds,
+    clip,
+    compile_rows,
     contains,
     full_box,
-    hull,
-    intersect,
+    image,
     is_empty,
     linear_rows,
-    row_range,
 )
-from hyltlmc.reach.dynamics import location_dynamics, transition_image
+from hyltlmc.reach.dynamics import TransitionImage, location_dynamics, transition_image
 from hyltlmc.reach.engine import reachable
 from hyltlmc.reach.kernels import (
     FLOW_BUDGET,
@@ -31,6 +33,7 @@ from hyltlmc.reach.kernels import (
 )
 
 from conftest import heater_model
+from reference_pipeline import clip_rows, reset_image
 
 XY = Declarations(variables=("x", "y"), actions=("a",))
 
@@ -39,51 +42,130 @@ def rows_of(*texts, names=("x", "y")):
     return linear_rows(tuple(parse_flow_constraint(t, XY) for t in texts), names)
 
 
+def clipped(z, C, d):
+    return clip(z, compile_rows(C, d))
+
+
 class TestRows:
     """Constraint normalization to a . x + k <= 0 and box clipping."""
 
     def test_single_variable_rows_tighten(self):
-        lo, hi = clip_rows(*full_box(2), *rows_of("x >= 19", "x <= 21"))
+        lo, hi = bounds(clipped(full_box(2), *rows_of("x >= 19", "x <= 21")))
         assert lo[0] == 19.0 and hi[0] == 21.0
         assert lo[1] == -np.inf and hi[1] == np.inf
 
     def test_equality_becomes_two_rows(self):
         C, d = rows_of("x = 5")
         assert C.shape == (2, 2)
-        lo, hi = clip_rows(*full_box(2), C, d)
+        lo, hi = bounds(clipped(full_box(2), C, d))
         assert lo[0] == hi[0] == 5.0
 
     def test_multi_variable_row_prunes_but_never_tightens(self):
         C, d = rows_of("x + y <= -5")
-        box = (np.zeros(2), np.ones(2))
-        assert is_empty(*clip_rows(*box, C, d))
+        box = _box(np.zeros(2), np.ones(2))
+        assert is_empty(clipped(box, C, d))
         C2, d2 = rows_of("x + y <= 5")
-        lo, hi = clip_rows(*box, C2, d2)
+        lo, hi = bounds(clipped(box, C2, d2))
         assert (lo == 0).all() and (hi == 1).all()
 
     def test_constant_false_row_empties(self):
         C, d = rows_of("1 >= 2")
-        assert is_empty(*clip_rows(*full_box(2), C, d))
+        assert is_empty(clipped(full_box(2), C, d))
 
     def test_contradictory_bounds_empty(self):
         C, d = rows_of("x <= 3", "x >= 4")
-        assert is_empty(*clip_rows(*full_box(2), C, d))
+        assert is_empty(clipped(full_box(2), C, d))
 
     def test_row_range_is_exact_and_infinity_safe(self):
         C, d = rows_of("x + 2 * y <= 0")
         lo = np.array([-1.0, -np.inf])
         hi = np.array([2.0, 0.0])
-        r_lo, r_hi = row_range(C[0], d[0], lo, hi)
+        r_lo, r_hi = bounds(image(_split(C[:1]), np.array([-d[0], d[0]]), _box(lo, hi)))
         assert r_lo == -np.inf and r_hi == 2.0
 
     def test_box_algebra(self):
-        a = (np.array([0.0]), np.array([2.0]))
-        b = (np.array([1.0]), np.array([3.0]))
-        assert hull(*a, *b) == (pytest.approx([0.0]), pytest.approx([3.0]))
-        i_lo, i_hi = intersect(*a, *b)
-        assert i_lo[0] == 1.0 and i_hi[0] == 2.0
-        assert contains(*a, np.array([0.5]), np.array([1.5]))
-        assert not contains(*a, *b)
+        a = _box([0.0], [2.0])
+        b = _box([1.0], [3.0])
+        assert bounds(np.maximum(a, b)) == (pytest.approx([0.0]), pytest.approx([3.0]))
+        assert contains(a, _box([0.5], [1.5]))
+        assert not contains(a, b)
+
+
+@st.composite
+def start_boxes(draw, n):
+    """A nonempty box with small integer endpoints; any side may be infinite."""
+    lo, hi = [], []
+    for _ in range(n):
+        a, b = sorted(draw(st.lists(st.integers(-6, 6), min_size=2, max_size=2)))
+        lo.append(-np.inf if draw(st.booleans()) else float(a))
+        hi.append(np.inf if draw(st.booleans()) else float(b))
+    return np.array(lo), np.array(hi)
+
+
+@st.composite
+def row_sets(draw, n):
+    """Rows C x + d <= 0 of every kind: zero, single-variable, over several
+    variables, and contradictory pairs on one axis. Single-variable
+    coefficients are powers of two, so every bound is a multiple of 1/4
+    and every sum over the box stays exact."""
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["zero", "single", "multi", "clash"]), max_size=5)):
+        row = np.zeros(n)
+        k = float(draw(st.integers(-6, 6)))
+        i = draw(st.integers(0, n - 1))
+        if kind == "single":
+            row[i] = draw(st.sampled_from([-4.0, -2.0, -1.0, 1.0, 2.0, 4.0]))
+        elif kind == "multi" and n > 1:
+            for j in draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True)):
+                row[j] = draw(st.sampled_from([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]))
+        elif kind == "clash":
+            # x_i <= -k and x_i >= 1 - k.
+            other = np.zeros(n)
+            row[i], other[i] = 1.0, -1.0
+            rows.append((other, 1.0 - k))
+        rows.append((row, k))
+    if not rows:
+        return np.zeros((0, n)), np.zeros(0)
+    return np.array([r for r, _ in rows]), np.array([k for _, k in rows])
+
+
+class TestAgainstFrozenAlgebra:
+    """The compiled clip and the reset image agree exactly with the
+    (lo, hi) operations frozen in reference_pipeline. Small integer data
+    keep every sum exact, so any difference is a fault, not rounding."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(start_boxes(n), row_sets(n))))
+    def test_clip(self, case):
+        (lo, hi), (C, d) = case
+        r_lo, r_hi = clip_rows(lo, hi, C, d)
+        z = clip(_box(lo, hi), compile_rows(C, d))
+        assert is_empty(z) == bool((r_lo > r_hi).any())
+        if not is_empty(z):
+            n_lo, n_hi = bounds(z)
+            assert n_lo.tobytes() == r_lo.tobytes() and n_hi.tobytes() == r_hi.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                start_boxes(n),
+                st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n),
+                st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+            )
+        )
+    )
+    def test_reset_image(self, case):
+        (lo, hi), R, r = case
+        n = len(lo)
+        R = np.array(R, dtype=np.float64).reshape(n, n)
+        r = np.array(r, dtype=np.float64)
+        img = TransitionImage(np.zeros((0, n)), np.zeros(0), R, r)
+        r_lo, r_hi = reset_image(img, lo, hi)
+        n_lo, n_hi = bounds(image(_split(R), np.concatenate([-r, r]), _box(lo, hi)))
+        # Equal as floats: a zero endpoint summed in z = (-lo, hi) may come
+        # out as 0.0 where the (lo, hi) sum gives -0.0, or the reverse.
+        assert np.array_equal(n_lo, r_lo) and np.array_equal(n_hi, r_hi)
 
 
 class TestDynamics:
@@ -106,7 +188,7 @@ class TestDynamics:
         img = transition_image(h, on)
         assert img.R == pytest.approx(np.eye(1))
         assert img.r == pytest.approx([0.0])
-        lo, hi = clip_rows(*full_box(1), img.guard_C, img.guard_d)
+        lo, hi = bounds(clipped(full_box(1), img.guard_C, img.guard_d))
         assert hi[0] == 19.0
 
     def model(self, text):
