@@ -1,7 +1,7 @@
 """Exception and warning types shared across the package."""
 
 import math
-from numbers import Real
+from numbers import Integral, Real
 
 
 class HyltlError(Exception):
@@ -57,9 +57,23 @@ class ConfigError(HyltlError):
     code = "E_CONFIG"
 
 
-def finite_real(v) -> bool:
-    """Is v a finite real number, for a ConfigError check? A bool is not."""
-    return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
+def check_settings(positive=(), nonnegative=(), counts=()) -> None:
+    """Raise ConfigError unless every (name, value) pair of positive holds
+    a finite number > 0, of nonnegative a finite number >= 0 and of counts
+    an integer >= 1. A bool is none of these."""
+
+    def finite(v) -> bool:
+        return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
+
+    for name, v in positive:
+        if not (finite(v) and v > 0):
+            raise ConfigError(f"{name} must be a finite number > 0, got {v!r}")
+    for name, v in nonnegative:
+        if not (finite(v) and v >= 0):
+            raise ConfigError(f"{name} must be a finite number >= 0, got {v!r}")
+    for name, v in counts:
+        if isinstance(v, bool) or not (isinstance(v, Integral) and v >= 1):
+            raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
 
 
 class ComplementStrengtheningWarning(UserWarning):

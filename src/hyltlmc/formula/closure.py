@@ -186,10 +186,6 @@ def closure(formula: Formula, actions: Iterable[str]) -> ClosureSet:
     return ClosureSet(formula, actions)
 
 
-def _bit_key(bits: int, width: int) -> tuple[int, ...]:
-    return tuple(bits >> i & 1 for i in range(width))
-
-
 def maximally_consistent_sets(cl: ClosureSet) -> tuple[MCS, ...]:
     """Enumerate all maximally consistent sets, lexicographic on bit vectors.
 
@@ -228,6 +224,8 @@ def maximally_consistent_sets(cl: ClosureSet) -> tuple[MCS, ...]:
                 b |= 1 << (i + 1 - v)
             out.append(MCS(cl, b))
 
-    width = len(cl.members)
-    out.sort(key=lambda m: _bit_key(m.bits, width))
+    # Lexicographic on the bit vectors, bit 0 first: the binary digits
+    # read from the lowest bit.
+    spec = f"0{len(cl.members)}b"
+    out.sort(key=lambda m: format(m.bits, spec)[::-1])
     return tuple(out)

@@ -12,8 +12,7 @@ tuples for products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ..errors import ModelError
 from .constraints import FlowConstraint, JumpConstraint, Relation, satisfies_jump
@@ -25,8 +24,9 @@ from .valuation import Valuation
 Loc = object  # str for source models, tuples for products
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
+    """An edge; immutable, and equal to the plain 4-tuple of its fields."""
+
     source: Loc
     action: str
     target: Loc

@@ -9,13 +9,15 @@ before a discrete action to the values right after it.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
 from ..errors import ComplementError, ModelError
-from .expr import Expr, evaluate, fields_only, to_str, variables
+from .expr import Expr, Sub, affine_form, evaluate, fields_only, to_str, variables
 from .valuation import Valuation
 
 
@@ -90,6 +92,35 @@ class FlowConstraint:
     def dot_vars(self) -> frozenset[str]:
         return variables(self.lhs)[1] | variables(self.rhs)[1]
 
+    @cached_property
+    def bound(self) -> tuple[str | None, float, float] | None:
+        """(x, lo, hi) when the constraint confines the one variable x to
+        [lo, hi], read as reach.boxes.compile_rows reads its row: strict
+        inequalities closed, an equality giving both ends. A constant
+        false row gives (None, inf, -inf). None when it confines no single
+        variable: it mentions a derivative, is not affine, has several
+        variables or always holds.
+        """
+        if self.mentions_dot:
+            return None
+        form = affine_form(Sub(self.lhs, self.rhs))
+        if form is None:
+            return None
+        coeffs, k = form
+        terms = [(name, a) for (kind, name), a in coeffs.items() if a != 0.0]
+        upper = self.rel in (Relation.LE, Relation.LT)
+        if not terms:
+            # The row k <= 0, -k <= 0 for >= and >, and both for =.
+            rows = (k, -k) if self.rel is Relation.EQ else (k if upper else -k,)
+            return (None, math.inf, -math.inf) if any(r > 0.0 for r in rows) else None
+        if len(terms) > 1:
+            return None
+        [(name, a)] = terms
+        v = -k / a
+        if self.rel is Relation.EQ:
+            return name, v, v
+        return (name, -math.inf, v) if upper == (a > 0.0) else (name, v, math.inf)
+
     def holds_at(self, state, dot=None, tol: float = 0.0):
         a = evaluate(self.lhs, state=state, dot=dot)
         b = evaluate(self.rhs, state=state, dot=dot)
@@ -126,6 +157,30 @@ class JumpConstraint:
 
     def __str__(self) -> str:
         return f"{to_str(self.lhs)} {self.rel} {to_str(self.rhs)}"
+
+
+def satisfiable(constraints: Iterable[FlowConstraint]) -> bool:
+    """False when the constraints' single-variable bounds (see
+    FlowConstraint.bound) prove that no state meets them all.
+
+    Every other row is skipped, so True only means not proved empty. The
+    engine's invariant clip reads the same rows and floats, so it rejects
+    every box at a location whose invariant this rejects.
+    """
+    box: dict[str | None, tuple[float, float]] = {}
+    for c in constraints:
+        b = c.bound
+        if b is None:
+            continue
+        name, lo, hi = b
+        old_lo, old_hi = box.get(name, (-math.inf, math.inf))
+        # A nan end leaves the old one, as compile_rows does.
+        lo = lo if lo > old_lo else old_lo
+        hi = hi if hi < old_hi else old_hi
+        if hi < lo:
+            return False
+        box[name] = lo, hi
+    return True
 
 
 def complement_of(c: FlowConstraint, strict: bool = False) -> FlowConstraint:

@@ -6,7 +6,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..errors import ConfigError, ModelError, TraceError, finite_real
+from ..errors import ModelError, TraceError, check_settings
 from .constraints import FlowConstraint, holds
 from .expr import evaluate
 from .valuation import Valuation
@@ -20,8 +20,7 @@ def check_tol(tol) -> None:
     A nan tolerance fails every comparison and an infinite one passes
     every inequality, so either would decide a trace without reading it.
     """
-    if not (finite_real(tol) and tol >= 0):
-        raise ConfigError(f"tol must be a finite number >= 0, got {tol!r}")
+    check_settings(nonnegative=[("tol", tol)])
 
 
 class SampledTrajectory:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import TraceError
+from .errors import TraceError, check_settings
 from .formula.syntax import (
     ActionAtom,
     And,
@@ -184,11 +184,19 @@ def random_trace(
     closing jump reproduces the recurrence target exactly. Returns
     (trace, (prefix locations, cycle locations)).
 
-    Raises UnsupportedDynamicsError when some location's dynamics lie
-    outside the affine fragment check() accepts (a nonaffine field or a
-    variable without der()), and TraceError when the initial region gives
-    no bounded box or no cycle closes within max_jumps.
+    Raises ConfigError, before any random draw, unless step and
+    dwell_max are finite numbers > 0, recurrence_tol a finite number >= 0
+    and max_jumps an integer >= 1. Raises UnsupportedDynamicsError when
+    some location's dynamics lie outside the affine fragment check()
+    accepts (a nonaffine field or a variable without der()), and
+    TraceError when the initial region gives no bounded box or no cycle
+    closes within max_jumps.
     """
+    check_settings(
+        positive=[("step", step), ("dwell_max", dwell_max)],
+        nonnegative=[("recurrence_tol", recurrence_tol)],
+        counts=[("max_jumps", max_jumps)],
+    )
     names = h.variables
     if not h.init:
         raise TraceError("automaton has no initial location")

@@ -5,12 +5,14 @@ The question is reduced to a reachability query in four steps:
 1. The negated formula is compiled into an observer automaton whose
    accepting runs are exactly the traces violating the property. Only
    its locations on a path from an initial location to a cycle meeting
-   every acceptance set are built.
+   every acceptance set, and whose flow atoms some state can meet, are
+   built.
 2. Observer and system are composed, from the initial pairs forward;
    accepting product runs are system traces that violate the property.
-   Such a run only visits locations that an initial location reaches and
-   that reach a cycle meeting every acceptance set, so the product is
-   pruned to those.
+   Such a run only visits locations that an initial location reaches,
+   that reach a cycle meeting every acceptance set and whose invariant
+   some state meets, so the product is pruned to those
+   (tableau.prune_unreachable).
 3. Generalized acceptance is reduced to a single final set (counter
    product), and an empty family becomes the trivial one, since an
    automaton with no acceptance sets accepts every run. The counter
@@ -35,11 +37,10 @@ import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigError, ModelError, VariableRenamedWarning, finite_real
+from .errors import ModelError, VariableRenamedWarning, check_settings
 from .formula.nnf import to_nnf
 from .formula.syntax import Formula, Not, action_atoms, to_str
 from .hybrid.automaton import HybridAutomaton, Loc, Transition, compose
@@ -55,8 +56,9 @@ def build_negated_observer(
 ) -> HybridAutomaton:
     """Observer automaton accepting exactly the traces violating formula.
 
-    With prune, only the locations on a path from an initial location to
-    an accepting cycle are built, as prune_unreachable would keep them.
+    With prune, only the locations prune_unreachable would keep are
+    built: those with a satisfiable invariant on a path from an initial
+    location to an accepting cycle.
     """
     missing = set(action_atoms(formula)) - set(actions)
     if missing:
@@ -340,19 +342,6 @@ def _timed(timings: dict[str, float], stage: str):
     timings[stage] = time.perf_counter() - start
 
 
-def _check_settings(horizon, step, eps, widen_after, max_visits) -> None:
-    """Raise ConfigError unless every numeric setting of check is usable."""
-
-    for name, v in (("horizon", horizon), ("step", step)):
-        if not (finite_real(v) and v > 0):
-            raise ConfigError(f"{name} must be a finite number > 0, got {v!r}")
-    if not (finite_real(eps) and eps >= 0):
-        raise ConfigError(f"eps must be a finite number >= 0, got {eps!r}")
-    for name, v in (("widen_after", widen_after), ("max_visits", max_visits)):
-        if not (isinstance(v, Integral) and not isinstance(v, bool) and v >= 1):
-            raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
-
-
 def check(
     system: HybridAutomaton,
     formula: Formula,
@@ -367,16 +356,21 @@ def check(
     """Decide system |= formula via the instrumented reachability query.
 
     An accepting product run stays on locations that an initial location
-    reaches and that reach a cycle meeting every acceptance set, so the
-    composed product and the counter product are both pruned to those
-    locations. When none is left, no run violates the formula and the
-    verdict is Verified from the location graph alone, without
-    reachability. Raises ConfigError on a step or horizon that is not
-    finite and positive, an eps that is not finite and nonnegative, or a
-    widen_after or max_visits that is not an integer of at least 1.
-    stats["timings"] holds the wall seconds of each stage, observer to query.
+    reaches, that reach a cycle meeting every acceptance set and whose
+    invariant some state meets, so the composed product and the counter
+    product are both pruned to those locations. When none is left, no
+    run violates the formula and the verdict is Verified from the
+    location graph alone, without reachability. Raises ConfigError on a
+    step or horizon that is not finite and positive, an eps that is not
+    finite and nonnegative, or a widen_after or max_visits that is not an
+    integer of at least 1. stats["timings"] holds the wall seconds of
+    each stage, observer to query.
     """
-    _check_settings(horizon, step, eps, widen_after, max_visits)
+    check_settings(
+        positive=[("horizon", horizon), ("step", step)],
+        nonnegative=[("eps", eps)],
+        counts=[("widen_after", widen_after), ("max_visits", max_visits)],
+    )
     timings: dict[str, float] = {}
     with _timed(timings, "observer"):
         observer = build_negated_observer(formula, system.actions, strict=strict)

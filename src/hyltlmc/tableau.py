@@ -12,8 +12,10 @@ or dropped, keeps runs from postponing an until forever.
 
 Successors are computed on set indices first. A pruned automaton keeps
 only the locations on a path from an initial location to a cycle that
-meets every acceptance set (live_nodes, the one rule prune_unreachable
-also applies), and no edge or note is made for any other location.
+meets every acceptance set (live_nodes), leaving out the sets whose flow
+atoms no state can meet (constraints.satisfiable), which is the rule
+prune_unreachable also applies; no edge or note is made for any other
+location.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import ModelError
 from .formula.closure import ClosureSet, closure, maximally_consistent_sets
 from .formula.syntax import Formula, action_atoms
 from .hybrid.automaton import HybridAutomaton, Transition
+from .hybrid.constraints import satisfiable
 from .hybrid.discrete import live_nodes
 
 
@@ -58,24 +61,37 @@ def build_formula_automaton(
     target_bits = [m.bits for m in sets]
     target_actions = [m.positive_actions() for m in sets]
 
-    # Successor indices per set. Sets sharing a pin profile share one list;
-    # a set without a positive action is never a target.
-    succ: list[list[int]] = []
-    profile_targets: dict[tuple[int, int], list[int]] = {}
-    for b in target_bits:
-        pins = _pins(cl, b)
+    # A set whose flow atoms no state can meet lies on no run (see
+    # prune_unreachable), so when pruning it is no target and has no
+    # successors. Sets with the same flow atoms share one answer.
+    usable = [True] * n
+    if prune:
+        flow_mask = sum(1 << i for i in cl.flow_ordinals.values())
+        feasible: dict[int, bool] = {}
+        for i, m in enumerate(sets):
+            key = m.bits & flow_mask
+            ok = feasible.get(key)
+            if ok is None:
+                ok = feasible[key] = satisfiable(m.positive_flow_constraints())
+            usable[i] = ok
+    targets = [ti for ti in range(n) if target_actions[ti] and usable[ti]]
+
+    # Successor indices per set: the targets matching its pin profile. The
+    # targets are bucketed by their pinned bits once per distinct mask.
+    succ: list[Sequence[int]] = []
+    buckets_by_mask: dict[int, dict[int, list[int]]] = {}
+    for i, b in enumerate(target_bits):
+        pins = _pins(cl, b) if usable[i] else None
         if pins is None:
-            succ.append([])
+            succ.append(())
             continue
-        targets = profile_targets.get(pins)
-        if targets is None:
-            mask, vals = pins
-            targets = profile_targets[pins] = [
-                ti
-                for ti, tb in enumerate(target_bits)
-                if tb & mask == vals and target_actions[ti]
-            ]
-        succ.append(targets)
+        mask, vals = pins
+        buckets = buckets_by_mask.get(mask)
+        if buckets is None:
+            buckets = buckets_by_mask[mask] = {}
+            for ti in targets:
+                buckets.setdefault(target_bits[ti] & mask, []).append(ti)
+        succ.append(buckets.get(vals, ()))
 
     i_formula = cl.index[cl.formula]
     init = [
@@ -156,16 +172,39 @@ def _pins(cl: ClosureSet, b: int) -> tuple[int, int] | None:
 
 def prune_unreachable(h: HybridAutomaton) -> HybridAutomaton:
     """Restrict to locations on a graph path from an initial location to a
-    cycle meeting every acceptance set (see live_nodes).
+    cycle meeting every acceptance set (see live_nodes), leaving out every
+    location whose invariant the single-variable bounds of its
+    derivative-free constraints prove empty (constraints.satisfiable).
 
-    Only the location graph is inspected, never continuous feasibility, so
-    every run of the automaton survives pruning.
+    Every accepting run of the automaton survives pruning. A run samples
+    each location it visits at a state meeting the location's invariant,
+    so it never visits a location with an empty one, and every location
+    of an accepting run lies on such a path. Unless its visit budget runs
+    out first, the reach engine finds the same boxes, visits and hits at
+    every kept location as without the emptiness rule. Its invariant
+    clip reads the same rows, so it rejects every initial and pushed box
+    at an empty location. A dropped location it can still reach has no
+    path into a kept one that avoids the empty ones, so no box stored
+    there flows into a kept location. The language of `WordAutomaton`,
+    which ignores the continuous part, may shrink.
     """
     locs = h.locations
     idx = {l: i for i, l in enumerate(locs)}
     succ: list[list[int]] = [[] for _ in locs]
     for t in h.transitions:
         succ[idx[t.source]].append(idx[t.target])
+    # An empty location loses its out-edges, so it lies on no path to a
+    # cycle. Locations share their constraint objects, so each distinct
+    # dynamics is judged once.
+    feasible: dict[tuple[int, ...], bool] = {}
+    for i, l in enumerate(locs):
+        dyn = h.dyn[l]
+        key = tuple(map(id, dyn))
+        ok = feasible.get(key)
+        if ok is None:
+            ok = feasible[key] = satisfiable(dyn)
+        if not ok:
+            succ[i] = []
     live = live_nodes(
         len(locs),
         succ,

@@ -9,7 +9,8 @@ reach loop that read the dynamics of every location and the image of
 every edge up front. It also keeps frozen copies of the 2^pairs
 consistent-set enumerator (`powerset_consistent_sets`) and of the full
 cross-product `eager_compose`, which the pipeline's enumerator and
-forward compose must agree with, and of the box operations on (lo, hi)
+forward compose must agree with, of the observer pruning that saw only
+the location graph (`graph_pruned`), and of the box operations on (lo, hi)
 pairs that the reach loop used before boxes became upper-bound vectors
 (`clip_rows`, `row_range`, `reset_image`). Tests compare the two;
 nothing in the package imports this module.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hyltlmc.errors import UnsupportedDynamicsError
-from hyltlmc.formula.closure import MCS, ClosureSet, _bit_key
+from hyltlmc.formula.closure import MCS, ClosureSet
 from hyltlmc.formula.syntax import Top
 from hyltlmc.hybrid.automaton import (
     HybridAutomaton,
@@ -32,6 +33,7 @@ from hyltlmc.hybrid.automaton import (
     _dedup,
     _freeze_jumps,
 )
+from hyltlmc.hybrid.discrete import live_nodes
 from hyltlmc.product import (
     QueryTarget,
     build_negated_observer,
@@ -178,7 +180,7 @@ def powerset_consistent_sets(cl: ClosureSet) -> tuple[MCS, ...]:
         out.append(MCS(cl, bits))
 
     width = len(cl.members)
-    out.sort(key=lambda m: _bit_key(m.bits, width))
+    out.sort(key=lambda m: tuple(m.bits >> i & 1 for i in range(width)))
     return tuple(out)
 
 
@@ -330,6 +332,34 @@ def eager_reachable(
     return ReachResult(names, store, visits, cause, cause_location)
 
 
+def graph_pruned(h: HybridAutomaton) -> HybridAutomaton:
+    """h restricted to the live nodes of its location graph, blind to
+    invariants: the observer pruning from before locations with empty
+    invariants were dropped."""
+    idx = {l: i for i, l in enumerate(h.locations)}
+    succ: list[list[int]] = [[] for _ in h.locations]
+    for t in h.transitions:
+        succ[idx[t.source]].append(idx[t.target])
+    live = live_nodes(
+        len(h.locations),
+        succ,
+        [idx[l] for l in h.init],
+        [[idx[l] for l in F] for F in h.acceptance],
+    )
+    kept = {l for l in h.locations if idx[l] in live}
+    return HybridAutomaton(
+        h.variables,
+        h.actions,
+        tuple(l for l in h.locations if l in kept),
+        tuple(t for t in h.transitions if t.source in kept and t.target in kept),
+        {l: h.dyn[l] for l in kept},
+        tuple(l for l in h.init if l in kept),
+        {l: r for l, r in h.init_region.items() if l in kept},
+        tuple(F & kept for F in h.acceptance),
+        {l: s for l, s in h.location_notes.items() if l in kept},
+    )
+
+
 @dataclass
 class EagerRun:
     status: str
@@ -346,9 +376,9 @@ def eager_check(
     horizon: float = 100.0,
     eps: float = 1e-6,
 ) -> EagerRun:
-    """compose -> degeneralize -> instrument -> reach, nothing pruned
-    after the observer."""
-    observer = build_negated_observer(formula, system.actions)
+    """compose -> degeneralize -> instrument -> reach, with the observer
+    pruned on its location graph alone and nothing pruned after it."""
+    observer = graph_pruned(build_negated_observer(formula, system.actions, prune=False))
     product = normalize_acceptance(degeneralize(eager_compose(system, observer)))
     inst, targets, f_name, y_names, w_names = instrument(product)
     reach = eager_reachable(inst, horizon=horizon, step=step)

@@ -287,6 +287,30 @@ class TestAutomaton:
                 init_region={"l": (rate,)},
             )
 
+    def test_transition_is_immutable_and_compares_by_fields(self):
+        t = Transition("a", "go", "b")
+        assert t.jumps == ()
+        assert repr(t) == "Transition(source='a', action='go', target='b', jumps=())"
+        with pytest.raises(AttributeError):
+            t.target = "c"
+        assert t == ("a", "go", "b", ())
+        assert hash(t) == hash(Transition("a", "go", "b", ()))
+
+    def test_automata_with_equal_transitions_are_equal(self):
+        def build(jumps):
+            return HybridAutomaton(
+                variables=("x",),
+                actions=("go",),
+                locations=("a", "b"),
+                transitions=(Transition("a", "go", "b", jumps),),
+                dyn={},
+                init=("a",),
+            )
+
+        reset = (JumpConstraint(PrimedVar("x"), Relation.EQ, Const(0.0)),)
+        assert build(reset) == build(tuple(reset))
+        assert build(reset) != build(())
+
     def test_discrete_step_fires_when_guard_holds(self, heater):
         out = discrete_step(heater, ("idle", Valuation({"x": 18.0})), "on")
         assert out == (("heat", Valuation({"x": 18.0})),)

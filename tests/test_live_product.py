@@ -36,11 +36,11 @@ from hyltlmc.hybrid import FlowConstraint, JumpConstraint, Relation
 from hyltlmc.hybrid.automaton import HybridAutomaton, Transition, compose
 from hyltlmc.hybrid.expr import Const, DotVar, PrimedVar, Var
 from hyltlmc.hybrid.modelio import load_model
-from hyltlmc.product import build_negated_observer
+from hyltlmc.product import build_negated_observer, check
 from hyltlmc.tableau import build_formula_automaton, live_nodes, prune_unreachable
 
 from conftest import random_formula
-from reference_pipeline import eager_compose, powerset_consistent_sets
+from reference_pipeline import eager_check, eager_compose, powerset_consistent_sets
 
 ROOT = Path(__file__).resolve().parents[1]
 MODELS = {
@@ -137,6 +137,20 @@ formulas = st.recursive(
     ),
     max_leaves=10,
 )
+# Formulas whose negation holds x >= 21 and x <= 19 as flow atoms, so some
+# of its consistent sets hold both and no state can enter them.
+_wrap = st.sampled_from(
+    [lambda g: g, Next, lambda g: Until(Top(), g), lambda g: Release(Bot(), g)]
+)
+_binary = st.sampled_from([And, Or, Until, Release])
+contradictory = st.builds(
+    lambda f, op1, op2, w1, w2: op1(op2(f, w1(Not(ATOMS[4]))), w2(Not(ATOMS[5]))),
+    formulas,
+    _binary,
+    _binary,
+    _wrap,
+    _wrap,
+)
 
 
 class TestConsistentSets:
@@ -185,6 +199,31 @@ class TestLiveObserver:
         assume(closure(f, ACTIONS).n_pairs <= 12)
         full = build_formula_automaton(f, ACTIONS)
         assert_same(build_formula_automaton(f, ACTIONS, prune=True), prune_unreachable(full))
+
+    def test_rooms_safety_keeps_only_enterable_locations(self, models):
+        # The negated envelope can hold x < 15 and x > 25 at once; such
+        # observer and product locations are not built.
+        h = models["rooms"]
+        text = "G(x >= 15 & x <= 25 & y >= 15 & y <= 25)"
+        assert len(observer(h, text).locations) == 49
+        verdict = check(h, formula_of(h, text))
+        assert verdict.verified
+        assert verdict.stats["product_locations"] == 44
+        assert verdict.stats["product_transitions"] == 644
+
+    @settings(max_examples=20, deadline=None)
+    @given(contradictory)
+    def test_contradictory_atoms_lose_no_verdict(self, f):
+        assume(closure(f, ACTIONS).n_pairs <= 10)
+        h = load_model(MODELS["thermostat"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            negation = to_nnf(Not(f))
+            ref = eager_check(h, f)
+            verdict = check(h, f)
+        full = build_formula_automaton(negation, ACTIONS)
+        assert_same(build_formula_automaton(negation, ACTIONS, prune=True), prune_unreachable(full))
+        assert verdict.verified or ref.status != "Verified"
 
     def test_three_conjunct_observer_keeps_362_locations(self, models):
         assert len(observer(models["thermostat"], THREE_CONJUNCTS).locations) == 362

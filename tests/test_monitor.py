@@ -320,6 +320,39 @@ class TestRandomTraces:
             random_trace(unbounded, np.random.default_rng(0))
 
     @pytest.mark.parametrize(
+        "setting, value",
+        [
+            ("step", 0.0),
+            ("step", -0.05),
+            ("step", float("nan")),
+            ("dwell_max", float("nan")),
+            ("dwell_max", 0.0),
+            ("dwell_max", float("inf")),
+            ("recurrence_tol", float("nan")),
+            ("recurrence_tol", -0.01),
+            ("max_jumps", 0),
+            ("max_jumps", 2.5),
+            ("max_jumps", True),
+        ],
+    )
+    def test_unusable_settings_are_config_errors(self, setting, value):
+        # step 0 or below once simulated forever, a nan recurrence_tol
+        # closed the lasso at the first revisit and a nan dwell_max raised
+        # a bare OverflowError.
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match=setting):
+            random_trace(heater_model(), rng, **{setting: value})
+        assert rng.bit_generator.state == state
+
+    def test_zero_recurrence_tol_is_usable(self):
+        # Only an exact recurrence closes the lasso, and none comes.
+        with pytest.raises(TraceError, match="no cycle closed within 10 jumps"):
+            random_trace(
+                heater_model(), np.random.default_rng(3), recurrence_tol=0, max_jumps=10
+            )
+
+    @pytest.mark.parametrize(
         "heat_flow",
         [
             (FlowConstraint(DotVar("x"), Relation.EQ, Mul(Var("x"), Var("x"))),),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ import pytest
 import hyltlmc.product as product_module
 from hyltlmc.errors import ModelError
 from hyltlmc.formula.parser import Declarations, parse_formula
-from hyltlmc.hybrid.modelio import parse_model
+from hyltlmc.hybrid.modelio import load_model, parse_model
 from hyltlmc.product import check
 
 from reference_pipeline import eager_check
@@ -34,6 +35,11 @@ CASES = [
     ("thermostat", "G(x<=23)"),
     # The one case with query hits: on is allowed up to x <= 25.
     ("relaxed", "!F(x >= 21 & X on)"),
+    # Envelopes: the negation holds x < 18 and x > 22 at once in some
+    # observer and product locations, which no state can enter.
+    ("thermostat", "G(x >= 18 & x <= 22)"),
+    ("rooms", "G(x >= 16 & x <= 24) & G F on1"),
+    ("tanks", "G(a >= 0 & a <= 10)"),
 ]
 
 
@@ -50,7 +56,13 @@ def thermostat(thermostat_text):
 @pytest.fixture(scope="module")
 def models(thermostat_text, thermostat):
     relaxed = parse_model(thermostat_text.replace("x <= 19;", "x <= 25;"))
-    return {"thermostat": thermostat, "relaxed": relaxed}
+    bench = Path(__file__).resolve().parents[1] / "perfbench/models"
+    return {
+        "thermostat": thermostat,
+        "relaxed": relaxed,
+        "rooms": load_model(bench / "rooms.hyha"),
+        "tanks": load_model(bench / "tanks.hyha"),
+    }
 
 
 def formula_of(h, text: str):

@@ -6,6 +6,7 @@ import pytest
 
 from hyltlmc.errors import ModelError
 from hyltlmc.formula import Declarations, parse_formula, to_nnf
+from hyltlmc.formula.parser import parse_flow_constraint
 from hyltlmc.formula.closure import closure, maximally_consistent_sets
 from hyltlmc.formula.syntax import (
     ActionAtom,
@@ -17,6 +18,7 @@ from hyltlmc.formula.syntax import (
     neg,
 )
 from hyltlmc.hybrid import FlowConstraint, Relation
+from hyltlmc.hybrid.constraints import satisfiable
 from hyltlmc.hybrid.discrete import WordAutomaton, accepts_lasso_word
 from hyltlmc.hybrid.expr import Const, Var
 from hyltlmc.tableau import build_formula_automaton, prune_unreachable
@@ -207,6 +209,33 @@ class TestPrune:
         raw = build_formula_automaton(parse_formula("false", DECLS), AB)
         pruned = prune_unreachable(raw)
         assert pruned.locations == ()
+
+    @pytest.mark.parametrize(
+        "rows, kept",
+        [
+            (("x < 5", "x > 5"), True),  # closed, they meet at x = 5
+            (("x < 15", "x > 25"), False),
+            (("1 >= 2",), False),
+            (("1 <= 2", "0 < 0"), True),
+            (("x * x <= -1",), True),  # nonaffine, skipped
+            (("x + y <= 0", "x >= 1", "y >= 1"), True),  # several variables
+            (("der(x) = 1", "der(x) = 2"), True),  # rates are not invariants
+            (("x = 5", "x > 6"), False),
+            (("x = 5", "x <= 5", "y >= 7"), True),
+            (("2 * x <= 10", "-3 * x <= -16"), False),
+        ],
+    )
+    def test_single_variable_bounds_decide_emptiness(self, rows, kept):
+        decls = Declarations(variables=("x", "y"), actions=())
+        assert satisfiable(parse_flow_constraint(r, decls) for r in rows) is kept
+
+    def test_empty_invariants_are_dropped_with_their_edges(self):
+        phi = parse_formula("G(x >= 18 & x <= 22)", DECLS)
+        raw = build_formula_automaton(to_nnf(neg(phi)), AB)
+        pruned = prune_unreachable(raw)
+        empty = {l for l in raw.locations if not satisfiable(raw.dyn[l])}
+        assert empty and not empty & set(pruned.locations)
+        assert pruned == build_formula_automaton(to_nnf(neg(phi)), AB, prune=True)
 
     def test_one_shot_helper_agrees(self):
         h = build_formula_automaton(parse_formula("F on", DECLS), AB)
