@@ -16,10 +16,15 @@ F, G or -> nodes. Arithmetic expressions support + - * / unary minus, sin,
 cos, exp, der(x) for derivatives and x' for post-jump values (jump constraint
 contexts only). Identifier resolution (variable vs action vs named
 constraint) comes from a Declarations context.
+
+Every constant is finite: a number literal that overflows, a division by a
+constant equal to 0 and a variable-free subexpression whose value is not
+finite (1e308 * 10, exp(1000)) are parse errors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,6 +42,9 @@ from ..hybrid.expr import (
     PrimedVar,
     Sub,
     Var,
+    evaluate,
+    to_str,
+    variables,
 )
 from .syntax import (
     ActionAtom,
@@ -112,9 +120,11 @@ def tokenize(text: str) -> list[Token]:
                         j += 1
             lit = text[i:j]
             try:
-                float(lit)
+                value = float(lit)
             except ValueError:
                 raise ParseError(f"bad number literal '{lit}'", line, start_col) from None
+            if math.isinf(value):
+                raise ParseError(f"number literal '{lit}' is out of range", line, start_col)
             toks.append(Token("NUMBER", lit, line, start_col))
             col += j - i
             i = j
@@ -195,6 +205,13 @@ class _Parser:
     def error(self, msg: str) -> ParseError:
         t = self.peek()
         return ParseError(msg, t.line, t.column)
+
+    def finite(self, e: Expr, at: Token) -> Expr:
+        """e, unless it is constant and its value is not finite."""
+        value = _constant_value(e)
+        if value is not None and not math.isfinite(value):
+            raise ParseError(f"constant '{to_str(e)}' is not finite", at.line, at.column)
+        return e
 
     # -- formulas ----------------------------------------------------------
 
@@ -296,17 +313,23 @@ class _Parser:
     def arith(self, allow_dot: bool, allow_primed: bool) -> Expr:
         e = self.a_term(allow_dot, allow_primed)
         while self.at_op("+", "-"):
-            op = self.advance().value
+            op = self.advance()
             r = self.a_term(allow_dot, allow_primed)
-            e = Add(e, r) if op == "+" else Sub(e, r)
+            e = self.finite(Add(e, r) if op.value == "+" else Sub(e, r), op)
         return e
 
     def a_term(self, allow_dot: bool, allow_primed: bool) -> Expr:
         e = self.a_factor(allow_dot, allow_primed)
         while self.at_op("*", "/"):
-            op = self.advance().value
+            op = self.advance()
             r = self.a_factor(allow_dot, allow_primed)
-            e = Mul(e, r) if op == "*" else Div(e, r)
+            if op.value == "/" and _constant_value(r) == 0.0:
+                raise ParseError(
+                    f"division by zero: the divisor '{to_str(r)}' is the constant 0",
+                    op.line,
+                    op.column,
+                )
+            e = self.finite(Mul(e, r) if op.value == "*" else Div(e, r), op)
         return e
 
     def a_factor(self, allow_dot: bool, allow_primed: bool) -> Expr:
@@ -332,7 +355,7 @@ class _Parser:
                 self.expect_op("(")
                 e = self.arith(allow_dot, allow_primed)
                 self.expect_op(")")
-                return Call(v, e)
+                return self.finite(Call(v, e), t)
             if v == "der":
                 self.advance()
                 self.expect_op("(")
@@ -355,6 +378,17 @@ class _Parser:
                 return Var(v)
             raise self.error(f"unknown identifier '{v}'")
         raise self.error(f"expected an expression, found '{t.value or 'end of input'}'")
+
+
+def _constant_value(e: Expr) -> float | None:
+    """The value of a variable-free expression (nan when it overflows or
+    divides by zero); None when e has a variable."""
+    if any(variables(e)):
+        return None
+    try:
+        return float(evaluate(e))
+    except (ZeroDivisionError, OverflowError):
+        return math.nan
 
 
 def parse_formula(text: str, decls: Declarations | None = None) -> Formula:

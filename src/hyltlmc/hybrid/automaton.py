@@ -46,7 +46,6 @@ class HybridAutomaton:
         init: Sequence[Loc],
         init_region: Mapping[Loc, Sequence[FlowConstraint]] | None = None,
         acceptance: Sequence[Iterable[Loc]] = (),
-        location_notes: Mapping[Loc, str] | None = None,
     ):
         self.variables = tuple(variables)
         self.actions = tuple(actions)
@@ -58,7 +57,6 @@ class HybridAutomaton:
             l: tuple(cs) for l, cs in (init_region or {}).items()
         }
         self.acceptance = tuple(frozenset(s) for s in acceptance)
-        self.location_notes = dict(location_notes or {})
         # Edges by source and invariants, computed on first use.
         self._out: dict[Loc, list[Transition]] | None = None
         self._invariants: dict[Loc, tuple[FlowConstraint, ...]] = {}
@@ -156,7 +154,7 @@ class HybridAutomaton:
         )
 
     def __eq__(self, other) -> bool:
-        """Structural equality; location notes are presentation only."""
+        """Structural equality."""
         if not isinstance(other, HybridAutomaton):
             return NotImplemented
         return (
@@ -273,13 +271,6 @@ def compose(h1: HybridAutomaton, h2: HybridAutomaton) -> HybridAutomaton:
         frozenset(p for p in locations if p[0] in s) for s in h1.acceptance
     ] + [frozenset(p for p in locations if p[1] in s) for s in h2.acceptance]
 
-    notes = {}
-    for l1, l2 in locations:
-        parts = [h1.location_notes.get(l1), h2.location_notes.get(l2)]
-        parts = [p for p in parts if p]
-        if parts:
-            notes[(l1, l2)] = "; ".join(parts)
-
     return HybridAutomaton(
         variables,
         actions,
@@ -289,7 +280,6 @@ def compose(h1: HybridAutomaton, h2: HybridAutomaton) -> HybridAutomaton:
         init,
         init_region,
         acceptance,
-        notes,
     )
 
 

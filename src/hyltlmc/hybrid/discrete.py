@@ -14,73 +14,6 @@ from typing import Iterable, Sequence
 from .automaton import HybridAutomaton
 
 
-def strongly_connected_components(
-    n: int, succ: Sequence[Sequence[int]]
-) -> list[list[int]]:
-    """Tarjan's algorithm, iterative so deep graphs cannot overflow the
-    Python stack. Components come out in reverse topological order."""
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            for k in range(pi, len(succ[v])):
-                w = succ[v][k]
-                if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return comps
-
-
-def _reaching_set(n: int, succ: Sequence[Sequence[int]], targets: set[int]) -> set[int]:
-    """All nodes with a path into targets (targets included)."""
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        for w in succ[v]:
-            pred[w].append(v)
-    seen = set(targets)
-    frontier = list(targets)
-    while frontier:
-        v = frontier.pop()
-        for u in pred[v]:
-            if u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    return seen
-
-
 def live_nodes(
     n: int,
     succ: Sequence[Sequence[int]],
@@ -91,29 +24,76 @@ def live_nodes(
     connected component that meets every acceptance set.
 
     Such a component holds a cycle visiting every set, so these are the
-    nodes an accepting run can visit. Every node on such a path is
-    reachable from init, so only the forward-reachable subgraph is
-    searched.
+    nodes an accepting run can visit. One iterative Tarjan search, rooted
+    only at the initial nodes, visits exactly the nodes they reach.
+    Components complete in reverse topological order, so when one
+    completes, every component it has an edge into is already decided:
+    it is live when it is nontrivial and the union of its members'
+    acceptance bits is full, or when one of its edges enters a live
+    component.
     """
-    forward = set(init)
-    frontier = list(forward)
-    while frontier:
-        v = frontier.pop()
-        for w in succ[v]:
-            if w not in forward:
-                forward.add(w)
-                frontier.append(w)
-    nodes = sorted(forward)
-    local = {v: k for k, v in enumerate(nodes)}
-    sub = [[local[w] for w in succ[v]] for v in nodes]
-    sets = [{local[v] for v in F if v in local} for F in acceptance]
+    full = (1 << len(acceptance)) - 1
+    accept = [0] * n
+    for i, F in enumerate(acceptance):
+        for v in F:
+            accept[v] |= 1 << i
 
-    good: set[int] = set()
-    for comp in strongly_connected_components(len(nodes), sub):
-        nontrivial = len(comp) > 1 or comp[0] in sub[comp[0]]
-        if nontrivial and all(F.intersection(comp) for F in sets):
-            good.update(comp)
-    return {nodes[k] for k in _reaching_set(len(nodes), sub, good)}
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    # Whether an edge out of the node enters a completed live component.
+    exits_live = [False] * n
+    live: set[int] = set()
+    stack: list[int] = []
+    counter = 0
+    for root in init:
+        if index[root] != -1:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] == -1:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w]:
+                    if index[w] < low[v]:
+                        low[v] = index[w]
+                elif w in live:
+                    exits_live[v] = True
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp = [w]
+                    while w != v:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                    bits = 0
+                    for w in comp:
+                        bits |= accept[w]
+                    if (bits == full and (len(comp) > 1 or v in succ[v])) or any(
+                        exits_live[w] for w in comp
+                    ):
+                        live.update(comp)
+                if work:
+                    u = work[-1][0]
+                    if on_stack[v]:
+                        if low[v] < low[u]:
+                            low[u] = low[v]
+                    elif v in live:
+                        exits_live[u] = True
+    return live
 
 
 class WordAutomaton:

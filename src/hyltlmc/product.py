@@ -91,11 +91,6 @@ def degeneralize(h: HybridAutomaton) -> HybridAutomaton:
     init = tuple((l, 0) for l in h.init)
     init_region = {(l, 0): r for l, r in h.init_region.items()}
     acceptance = (frozenset((l, 0) for l in h.acceptance[0]),)
-    notes = {
-        (l, i): f"{note} [{i}]"
-        for l, note in h.location_notes.items()
-        for i in range(k)
-    }
     return HybridAutomaton(
         h.variables,
         h.actions,
@@ -105,7 +100,6 @@ def degeneralize(h: HybridAutomaton) -> HybridAutomaton:
         init,
         init_region,
         acceptance,
-        notes,
     )
 
 
@@ -122,7 +116,6 @@ def normalize_acceptance(h: HybridAutomaton) -> HybridAutomaton:
         h.init,
         h.init_region,
         (frozenset(h.locations),),
-        h.location_notes,
     )
 
 
@@ -244,7 +237,6 @@ def instrument(
         h.init,
         init_region,
         h.acceptance,
-        h.location_notes,
     )
     return out, targets, f_name, y_names, witness_vars
 

@@ -53,9 +53,11 @@ def bounds(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _split(M: np.ndarray) -> np.ndarray:
     """G(M) of the module docstring, for an (m, n) matrix M."""
-    pos = np.maximum(M, 0.0)
-    neg = pos - M
-    return np.block([[pos, neg], [neg, pos]])
+    m, n = M.shape
+    G = np.empty((2 * m, 2 * n))
+    G[:m, :n] = G[m:, n:] = np.maximum(M, 0.0)
+    G[:m, n:] = G[m:, :n] = G[:m, :n] - M
+    return G
 
 
 def _bound(G: np.ndarray, z: np.ndarray) -> np.ndarray:

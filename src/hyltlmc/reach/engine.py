@@ -7,6 +7,16 @@ keep unions of boxes; a box already covered by a stored one is dropped.
 Locations visited more than widen_after times widen incoming boxes to
 the invariant bounds on every growing axis, which forces termination.
 
+Edges that share a jump tuple share their work. On each visit the tube
+is clipped by each distinct guard out of the location and imaged once,
+and each image is clipped once per distinct (jump tuple, target
+invariant) pair. Every edge then pushes its pair's box, in transition
+order, so the LIFO worklist pops the same boxes as with one clip and
+image per edge; a pushed box may sit in several work items and is never
+written in place. The dynamics are read once per distinct tuple of
+derivative constraints, and a flow's invariant bounds come from the
+location's compiled invariant clip.
+
 The result is an over-approximation: every reachable state lies in some
 stored box. It is only guaranteed to cover everything when `complete`
 is true; budget exhaustion or a failed flow enclosure makes it false,
@@ -18,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +36,7 @@ from ..errors import UnsupportedDynamicsError
 from ..hybrid.automaton import HybridAutomaton, Loc
 from .boxes import Clip, _box, _split, bounds, clip, compile_rows, contains, full_box
 from .boxes import image, is_empty, linear_rows
-from .dynamics import LocationDynamics, location_dynamics, transition_image
+from .dynamics import location_dynamics, transition_image
 from .kernels import FLOW_BUDGET, FLOW_DONE, Discretization, flow_tube
 
 
@@ -57,6 +68,21 @@ class ReachResult:
         return {x: (float(lo[i]), float(hi[i])) for i, x in enumerate(self.names)}
 
 
+class _Plan(NamedTuple):
+    """What the engine reads of a location once: its flow, its invariant,
+    and its out-edges grouped by jump tuple (module docstring)."""
+
+    A: np.ndarray
+    b: np.ndarray
+    disc: Discretization
+    inv: Clip
+    inv_lo: np.ndarray
+    inv_hi: np.ndarray
+    jumps: list[tuple[Clip, np.ndarray, np.ndarray]]
+    pairs: list[tuple[int, Clip]]
+    pushes: list[tuple[int, Loc]]
+
+
 def reachable(
     h: HybridAutomaton,
     horizon: float = 100.0,
@@ -75,30 +101,27 @@ def reachable(
     n = len(names)
     n_steps = max(1, math.ceil(horizon / step))
     # Every box is an upper-bound vector z = (-lo, hi) (see reach.boxes)
-    # until the result is returned. Dynamics are read when a box is
-    # popped at a location, and a location's edges when a box is first
-    # flowed there. Initial and pushed boxes only need an invariant clip,
-    # so locations and edges no box is flowed at are never read. The
-    # product repeats a few invariant and jump tuples at many locations
-    # and edges, so their clips and reset images are built once per tuple.
-    dyn: dict[Loc, LocationDynamics] = {}
-    inv_clips: dict[tuple[int, ...], Clip] = {}
+    # until the result is returned. A location's flow and edges are read
+    # when a box is first flowed there; initial and pushed boxes only
+    # need an invariant clip, so locations and edges no box is flowed at
+    # are never read. The product repeats a few fields, invariants and
+    # jump tuples at many locations and edges, so each is read once per
+    # distinct tuple of constraints; a field's discretization is made
+    # with its dynamics.
+    inv_clips: dict[tuple[int, ...], tuple[Clip, np.ndarray, np.ndarray]] = {}
+    flows: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, Discretization]] = {}
     jumps: dict[int, tuple[Clip, np.ndarray, np.ndarray]] = {}
-    out_edges: dict[Loc, list[tuple[Clip, np.ndarray, np.ndarray, Clip, Loc]]] = {}
+    plans: dict[Loc, _Plan] = {}
 
-    def dynamics(l: Loc) -> LocationDynamics:
-        d = dyn.get(l)
-        if d is None:
-            d = dyn[l] = location_dynamics(h, l)
-        return d
-
-    def invariant(l: Loc) -> Clip:
+    def invariant(l: Loc) -> tuple[Clip, np.ndarray, np.ndarray]:
+        """The invariant's clip and its bounds (lo, hi) as a box."""
         inv = h.invariant(l)
         key = tuple(map(id, inv))
         c = inv_clips.get(key)
         if c is None:
-            # The same rows location_dynamics reads, so the bounds agree.
-            c = inv_clips[key] = compile_rows(*linear_rows(inv, names))
+            # The rows and bounds location_dynamics reads, bit for bit.
+            rows = compile_rows(*linear_rows(inv, names))
+            c = inv_clips[key] = (rows, *bounds(clip(full_box(n), rows)))
         return c
 
     def jump(t) -> tuple[Clip, np.ndarray, np.ndarray]:
@@ -113,9 +136,28 @@ def reachable(
             )
         return j
 
-    # One discretization per distinct field, made on its first flow; the
-    # product repeats each system location's field at many locations.
-    discs: dict[tuple[bytes, bytes], Discretization] = {}
+    def plan(l: Loc) -> _Plan:
+        """The location's flow, invariant and out-edges grouped by jump tuple."""
+        key = tuple(id(c) for c in h.dyn[l] if c.mentions_dot)
+        f = flows.get(key)
+        if f is None:
+            d = location_dynamics(h, l)
+            f = flows[key] = (d.A, d.b, Discretization(d.A, d.b, step))
+        groups: dict[int, int] = {}
+        pairs: dict[tuple[int, int], int] = {}
+        jump_list, pair_list, pushes = [], [], []
+        for t in h.transitions_from(l):
+            g = groups.get(id(t.jumps))
+            if g is None:
+                g = groups[id(t.jumps)] = len(jump_list)
+                jump_list.append(jump(t))
+            target_inv = invariant(t.target)[0]
+            k = pairs.get((g, id(target_inv)))
+            if k is None:
+                k = pairs[g, id(target_inv)] = len(pair_list)
+                pair_list.append((g, target_inv))
+            pushes.append((k, t.target))
+        return _Plan(*f, *invariant(l), jump_list, pair_list, pushes)
 
     store: dict[Loc, list[np.ndarray]] = {l: [] for l in h.locations}
     visits = {l: 0 for l in h.locations}
@@ -123,7 +165,7 @@ def reachable(
 
     for l in h.init:
         init = compile_rows(*linear_rows(h.init_region.get(l, ()), names))
-        z = clip(clip(full_box(n), init), invariant(l))
+        z = clip(clip(full_box(n), init), invariant(l)[0])
         if is_empty(z):
             continue
         bad = [x for i, x in enumerate(names) if not np.isfinite(z[[i, n + i]]).all()]
@@ -146,51 +188,52 @@ def reachable(
                 cause, cause_location = f"visit budget of {max_visits} spent", l
             break
         visits[l] += 1
-        d_l = dynamics(l)
-        inv = invariant(l)
+        p = plans.get(l)
+        if p is None:
+            p = plans[l] = plan(l)
         if visits[l] > widen_after and store[l]:
-            z = np.where(z > np.max(store[l], axis=0), inv.u, z)
+            z = np.where(z > np.max(store[l], axis=0), p.inv.u, z)
 
-        key = (d_l.A.tobytes(), d_l.b.tobytes())
-        disc = discs.get(key)
-        if disc is None:
-            disc = discs[key] = Discretization(d_l.A, d_l.b, step)
         tube_lo, tube_hi, _end_lo, _end_hi, status = flow_tube(
-            *bounds(z), d_l.A, d_l.b, step, n_steps, d_l.inv_lo, d_l.inv_hi, disc=disc
+            *bounds(z), p.A, p.b, step, n_steps, p.inv_lo, p.inv_hi, disc=p.disc
         )
         if status != FLOW_DONE and cause is None:
             cause_location = l
             if status == FLOW_BUDGET:
                 cause = f"flow step budget of {n_steps} steps spent"
-            elif disc.stalled:
-                stalled = [names[i] for i in disc.stalled]
+            elif p.disc.stalled:
+                stalled = [names[i] for i in p.disc.stalled]
                 cause = (
                     f"no validated flow enclosure: step {step:g} rounds the "
                     f"one-step flow map of {stalled} to the identity"
                 )
             else:
                 cause = "no validated flow enclosure"
-        tube = clip(_box(tube_lo, tube_hi), inv)
+        tube = clip(_box(tube_lo, tube_hi), p.inv)
         if is_empty(tube):
             tube = z
         # The stored tube is flow closed whenever the flow completed, so
         # any later box inside it has nothing new to contribute.
         store[l].append(tube)
 
-        out = out_edges.get(l)
-        if out is None:
-            out = out_edges[l] = [
-                (*jump(t), invariant(t.target), t.target)
-                for t in h.transitions_from(l)
-            ]
-        for guard, G, offset, target_inv, target in out:
+        # One guard clip and image per jump tuple, one clip per (jump
+        # tuple, target invariant) pair, one push per edge in transition
+        # order (module docstring).
+        images = []
+        for guard, G, offset in p.jumps:
             g = clip(tube, guard)
-            if is_empty(g):
-                continue
-            p = clip(image(G, offset, g), target_inv)
-            if is_empty(p):
-                continue
-            work.append((target, p))
+            images.append(None if is_empty(g) else image(G, offset, g))
+        pushed = []
+        for g, target_inv in p.pairs:
+            img = images[g]
+            if img is not None:
+                img = clip(img, target_inv)
+                if is_empty(img):
+                    img = None
+            pushed.append(img)
+        for k, target in p.pushes:
+            if pushed[k] is not None:
+                work.append((target, pushed[k]))
 
     boxes = {l: [bounds(z) for z in zs] for l, zs in store.items()}
     return ReachResult(names, boxes, visits, cause, cause_location)

@@ -14,8 +14,7 @@ Successors are computed on set indices first. A pruned automaton keeps
 only the locations on a path from an initial location to a cycle that
 meets every acceptance set (live_nodes), leaving out the sets whose flow
 atoms no state can meet (constraints.satisfiable), which is the rule
-prune_unreachable also applies; no edge or note is made for any other
-location.
+prune_unreachable also applies; no edge is made for any other location.
 """
 
 from __future__ import annotations
@@ -124,7 +123,6 @@ def build_formula_automaton(
         acceptance=tuple(
             frozenset(names[i] for i in F if i in live) for F in acceptance
         ),
-        location_notes={names[i]: repr(sets[i]) for i in kept},
     )
 
 
@@ -228,7 +226,4 @@ def prune_unreachable(h: HybridAutomaton) -> HybridAutomaton:
             l: cs for l, cs in h.init_region.items() if l in kept_set
         },
         acceptance=tuple(F & kept_set for F in h.acceptance),
-        location_notes={
-            l: s for l, s in h.location_notes.items() if l in kept_set
-        },
     )

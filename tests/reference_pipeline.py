@@ -10,8 +10,9 @@ every edge up front. It also keeps frozen copies of the 2^pairs
 consistent-set enumerator (`powerset_consistent_sets`) and of the full
 cross-product `eager_compose`, which the pipeline's enumerator and
 forward compose must agree with, of the observer pruning that saw only
-the location graph (`graph_pruned`), and of the box operations on (lo, hi)
-pairs that the reach loop used before boxes became upper-bound vectors
+the location graph (`graph_pruned`), of the two-pass liveness search it
+used (`two_pass_live_nodes`), and of the box operations on (lo, hi) pairs
+that the reach loop used before boxes became upper-bound vectors
 (`clip_rows`, `row_range`, `reset_image`). Tests compare the two;
 nothing in the package imports this module.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,7 +35,6 @@ from hyltlmc.hybrid.automaton import (
     _dedup,
     _freeze_jumps,
 )
-from hyltlmc.hybrid.discrete import live_nodes
 from hyltlmc.product import (
     QueryTarget,
     build_negated_observer,
@@ -144,6 +145,106 @@ def reset_image(
     return out_lo, out_hi
 
 
+# -- liveness in two passes ------------------------------------------------
+
+
+def strongly_connected_components(
+    n: int, succ: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    """Tarjan's algorithm, iterative so deep graphs cannot overflow the
+    Python stack. Components come out in reverse topological order."""
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work: list[tuple[int, int]] = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            descended = False
+            for k in range(pi, len(succ[v])):
+                w = succ[v][k]
+                if index[w] == -1:
+                    work[-1] = (v, k + 1)
+                    work.append((w, 0))
+                    descended = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if descended:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(comp)
+            if work:
+                u, _ = work[-1]
+                low[u] = min(low[u], low[v])
+    return comps
+
+
+def _reaching_set(n: int, succ: Sequence[Sequence[int]], targets: set[int]) -> set[int]:
+    """All nodes with a path into targets (targets included)."""
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for v in range(n):
+        for w in succ[v]:
+            pred[w].append(v)
+    seen = set(targets)
+    frontier = list(targets)
+    while frontier:
+        v = frontier.pop()
+        for u in pred[v]:
+            if u not in seen:
+                seen.add(u)
+                frontier.append(u)
+    return seen
+
+
+def two_pass_live_nodes(
+    n: int,
+    succ: Sequence[Sequence[int]],
+    init: Iterable[int],
+    acceptance: Sequence[Iterable[int]],
+) -> set[int]:
+    """The live nodes (hybrid.discrete.live_nodes) in two passes: Tarjan
+    over the renumbered forward-reachable subgraph, then a backward
+    search from the components that meet every acceptance set."""
+    forward = set(init)
+    frontier = list(forward)
+    while frontier:
+        v = frontier.pop()
+        for w in succ[v]:
+            if w not in forward:
+                forward.add(w)
+                frontier.append(w)
+    nodes = sorted(forward)
+    local = {v: k for k, v in enumerate(nodes)}
+    sub = [[local[w] for w in succ[v]] for v in nodes]
+    sets = [{local[v] for v in F if v in local} for F in acceptance]
+
+    good: set[int] = set()
+    for comp in strongly_connected_components(len(nodes), sub):
+        nontrivial = len(comp) > 1 or comp[0] in sub[comp[0]]
+        if nontrivial and all(F.intersection(comp) for F in sets):
+            good.update(comp)
+    return {nodes[k] for k in _reaching_set(len(nodes), sub, good)}
+
+
 # -- the eager pipeline -----------------------------------------------------
 
 
@@ -229,13 +330,6 @@ def eager_compose(h1: HybridAutomaton, h2: HybridAutomaton) -> HybridAutomaton:
         frozenset((l1, l2) for l1, l2 in locations if l2 in s) for s in h2.acceptance
     ]
 
-    notes = {}
-    for l1, l2 in locations:
-        parts = [h1.location_notes.get(l1), h2.location_notes.get(l2)]
-        parts = [p for p in parts if p]
-        if parts:
-            notes[(l1, l2)] = "; ".join(parts)
-
     return HybridAutomaton(
         variables,
         actions,
@@ -245,7 +339,6 @@ def eager_compose(h1: HybridAutomaton, h2: HybridAutomaton) -> HybridAutomaton:
         init,
         init_region,
         acceptance,
-        notes,
     )
 
 
@@ -340,7 +433,7 @@ def graph_pruned(h: HybridAutomaton) -> HybridAutomaton:
     succ: list[list[int]] = [[] for _ in h.locations]
     for t in h.transitions:
         succ[idx[t.source]].append(idx[t.target])
-    live = live_nodes(
+    live = two_pass_live_nodes(
         len(h.locations),
         succ,
         [idx[l] for l in h.init],
@@ -356,7 +449,6 @@ def graph_pruned(h: HybridAutomaton) -> HybridAutomaton:
         tuple(l for l in h.init if l in kept),
         {l: r for l, r in h.init_region.items() if l in kept},
         tuple(F & kept for F in h.acceptance),
-        {l: s for l, s in h.location_notes.items() if l in kept},
     )
 
 

@@ -11,6 +11,8 @@ import pytest
 
 from hyltlmc.cli import _setting, main
 from hyltlmc.errors import HyltlError
+from hyltlmc.formula.parser import Declarations, parse_formula
+from hyltlmc.formula.syntax import to_str
 from hyltlmc.hybrid.modelio import model_to_str, parse_model
 from hyltlmc.phaver import embedded_model
 
@@ -377,3 +379,57 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert all(line.startswith("ok") for line in out.strip().splitlines())
+
+
+# Constants whose value is not finite: divisions by a constant 0, also
+# of a variable, a literal that overflows and a constant subexpression
+# that overflows.
+NON_FINITE = ["1/0", "0/0", "x/(1 - 1)", "1e400", "1e308*10"]
+
+
+def _thermostat_with_heat_bound(thermostat_path, bound: str) -> str:
+    text = open(thermostat_path).read()
+    assert text.count("x <= 23;") == 1
+    return text.replace("x <= 23;", f"x <= {bound};")
+
+
+class TestNonFiniteConstants:
+    """A constant that is not finite is a parse error (E_PARSE, exit 1):
+    1/0 once ended monitor in a ZeroDivisionError traceback, a heat
+    invariant x <= 23 + 1/0 was silently dropped by check, and 1e400 was
+    read as inf."""
+
+    @pytest.mark.parametrize("const", NON_FINITE)
+    def test_check_formula(self, heater_path, capsys, const):
+        code = main(["--machine", "check", "--model", heater_path,
+                     "--formula", f"G(x <= {const})"])
+        assert code == 1
+        assert machine_fields(capsys.readouterr().out)["error"] == "E_PARSE"
+
+    @pytest.mark.parametrize("const", NON_FINITE)
+    def test_monitor_formula(self, lasso_path, thermostat_path, capsys, const):
+        code = main(["--machine", "monitor", "--trace", lasso_path,
+                     "--actions", "on,off", "--model", thermostat_path,
+                     "--formula", f"G(x <= {const})"])
+        assert code == 1
+        assert machine_fields(capsys.readouterr().out)["error"] == "E_PARSE"
+
+    @pytest.mark.parametrize("const", NON_FINITE)
+    def test_model_invariant(self, thermostat_path, tmp_path, capsys, const):
+        text = _thermostat_with_heat_bound(thermostat_path, f"23 + {const}")
+        with pytest.raises(HyltlError) as info:
+            parse_model(text)
+        assert info.value.code == "E_PARSE"
+        path = tmp_path / "bad.hyha"
+        path.write_text(text)
+        code = main(["--machine", "check", "--model", str(path),
+                     "--formula", "!F(x >= 21 & X on)"])
+        assert code == 1
+        assert machine_fields(capsys.readouterr().out)["error"] == "E_PARSE"
+
+    def test_divisor_with_a_variable_still_parses(self, thermostat_path):
+        text = _thermostat_with_heat_bound(thermostat_path, "23 + 1/(x - x)")
+        h = parse_model(text)
+        assert "1 / (x - x)" in model_to_str(h)
+        decls = Declarations(variables=h.variables, actions=h.actions)
+        assert "x <= 1 / (x - x)" in to_str(parse_formula("G(x <= 1/(x - x))", decls))

@@ -29,6 +29,7 @@ from hyltlmc.product import check, instrument
 from hyltlmc.reach.engine import reachable
 
 from conftest import heater_model
+from reference_pipeline import eager_reachable
 
 ROOT = Path(__file__).resolve().parents[1]
 THREE_CONJUNCTS = "!F(x >= 21 & X on) & G(x<=23) & G(off -> X(x <= 21 U on))"
@@ -361,3 +362,132 @@ class TestFirstValidationError:
         with pytest.raises(ParseError) as err:
             parse_model(MODEL_HEAD + body + "\ninitial l0;\n")
         assert str(err.value) == "6:24: unknown identifier 'z'"
+
+
+def shared_jump_product() -> HybridAutomaton:
+    """Edges out of `a` that share one jump tuple and enter targets with
+    different invariants: b keeps the whole image, c cuts it, d empties
+    it. A second tuple also enters b, so two edges reach b, and b's edge
+    back to a makes a cycle whose boxes the stores absorb."""
+    x, y = Var("x"), Var("y")
+
+    def flow(rate):
+        return (
+            FlowConstraint(DotVar("x"), Relation.EQ, Const(rate)),
+            FlowConstraint(DotVar("y"), Relation.EQ, Const(0.0)),
+        )
+
+    def row(v, rel, k):
+        return FlowConstraint(v, rel, Const(k))
+
+    shift = (
+        JumpConstraint(x, Relation.GE, Const(2.0)),
+        JumpConstraint(PrimedVar("x"), Relation.EQ, Add(x, Const(1.0))),
+    )
+    reset = (
+        JumpConstraint(x, Relation.GE, Const(5.0)),
+        JumpConstraint(PrimedVar("x"), Relation.EQ, Const(0.0)),
+        JumpConstraint(PrimedVar("y"), Relation.EQ, Const(1.0)),
+    )
+    back = (JumpConstraint(x, Relation.LE, Const(1.0)),)
+    return HybridAutomaton(
+        ["x", "y"],
+        ["go", "hop", "back"],
+        ["a", "b", "c", "d"],
+        [
+            Transition("a", "go", "b", shift),
+            Transition("a", "go", "c", shift),
+            Transition("a", "hop", "b", reset),
+            Transition("a", "go", "d", shift),
+            Transition("a", "hop", "c", shift),
+            Transition("b", "back", "a", back),
+        ],
+        {
+            "a": flow(1.0) + (row(x, Relation.LE, 10.0),),
+            "b": flow(-1.0) + (row(x, Relation.GE, 0.0),),
+            "c": flow(0.0) + (row(x, Relation.LE, 5.0),),
+            "d": flow(0.0) + (row(x, Relation.LE, 1.0),),
+        },
+        ["a"],
+        {"a": (row(x, Relation.GE, 0.0), row(x, Relation.LE, 1.0), row(y, Relation.EQ, 0.0))},
+    )
+
+
+def guard_clip_counter(monkeypatch) -> list[int]:
+    """Count the engine's clips by a guard: the rows compiled from a
+    transition image's guard rows."""
+    images, guards, count = [], [], [0]
+    image_of, compile_of, clip_of = (
+        engine_module.transition_image,
+        engine_module.compile_rows,
+        engine_module.clip,
+    )
+
+    def transition_image(h, t):
+        images.append(image_of(h, t))
+        return images[-1]
+
+    def compile_rows(C, d):
+        rows = compile_of(C, d)
+        if any(C is img.guard_C for img in images):
+            guards.append(rows)
+        return rows
+
+    def clip(z, rows):
+        count[0] += any(rows is g for g in guards)
+        return clip_of(z, rows)
+
+    monkeypatch.setattr(engine_module, "transition_image", transition_image)
+    monkeypatch.setattr(engine_module, "compile_rows", compile_rows)
+    monkeypatch.setattr(engine_module, "clip", clip)
+    return count
+
+
+def per_visit(h: HybridAutomaton, visits, edges_of) -> int:
+    return sum(k * len(edges_of(list(h.transitions_from(l)))) for l, k in visits.items())
+
+
+class TestEdgeWorkPerJumpTuple:
+    """The engine clips and images the tube once per distinct jump tuple
+    and pushes one item per edge in transition order, so it stores the
+    same boxes as the frozen per-edge loop."""
+
+    def test_hand_product_matches_the_per_edge_loop(self):
+        h = shared_jump_product()
+        got = reachable(h)
+        ref = eager_reachable(h)
+        assert got.complete and (got.cause, got.cause_location) == (ref.cause, ref.cause_location)
+        assert got.visits == ref.visits
+        assert got.visits["d"] == 0 and got.visits["b"] >= 1 and got.visits["c"] >= 1
+        for l in h.locations:
+            assert [(lo.tobytes(), hi.tobytes()) for lo, hi in got.boxes[l]] == [
+                (lo.tobytes(), hi.tobytes()) for lo, hi in ref.boxes[l]
+            ]
+        # Both tuples reached b: shift keeps y = 0 from the start, reset sets y = 1.
+        assert {hi[1] for _, hi in got.boxes["b"]} == {0.0, 1.0}
+
+    @pytest.mark.parametrize(
+        "build", [shared_jump_product, lambda: product_of(thermostat(), THREE_CONJUNCTS)]
+    )
+    def test_one_guard_clip_per_jump_tuple_per_visit(self, monkeypatch, build):
+        h = build()
+        count = guard_clip_counter(monkeypatch)
+        result = reachable(h)
+        assert result.complete
+        tuples = per_visit(h, result.visits, lambda ts: {id(t.jumps) for t in ts})
+        assert count[0] == tuples < per_visit(h, result.visits, lambda ts: ts)
+
+    def test_one_dynamics_read_per_distinct_field(self, monkeypatch):
+        inst = product_of(thermostat(), THREE_CONJUNCTS)
+        read: list = []
+        original = engine_module.location_dynamics
+
+        def counted(h, loc):
+            read.append(loc)
+            return original(h, loc)
+
+        monkeypatch.setattr(engine_module, "location_dynamics", counted)
+        result = reachable(inst)
+        flowed = [l for l in inst.locations if result.visits[l]]
+        fields = {tuple(id(c) for c in inst.dyn[l] if c.mentions_dot) for l in flowed}
+        assert len(read) == len(set(map(repr, read))) == len(fields) < len(flowed)

@@ -40,7 +40,12 @@ from hyltlmc.product import build_negated_observer, check
 from hyltlmc.tableau import build_formula_automaton, live_nodes, prune_unreachable
 
 from conftest import random_formula
-from reference_pipeline import eager_check, eager_compose, powerset_consistent_sets
+from reference_pipeline import (
+    eager_check,
+    eager_compose,
+    powerset_consistent_sets,
+    two_pass_live_nodes,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 MODELS = {
@@ -86,10 +91,9 @@ def observer(h, text: str, prune: bool = True):
 
 
 def assert_same(a: HybridAutomaton, b: HybridAutomaton) -> None:
-    """Structurally equal, including notes and the order of every part."""
+    """Structurally equal, including the order of every part."""
     assert a == b
     assert list(a.init_region) == list(b.init_region)
-    assert list(a.location_notes.items()) == list(b.location_notes.items())
 
 
 def reachable_part(h: HybridAutomaton) -> HybridAutomaton:
@@ -113,7 +117,6 @@ def reachable_part(h: HybridAutomaton) -> HybridAutomaton:
         h.init,
         {l: r for l, r in h.init_region.items() if l in seen},
         tuple(F & seen for F in h.acceptance),
-        {l: s for l, s in h.location_notes.items() if l in seen},
     )
 
 
@@ -243,6 +246,29 @@ class TestLiveNodes:
         assert live_nodes(2, [[1], [1]], [0], [[1]]) == {0, 1}
         assert live_nodes(2, [[1], []], [0], [[1]]) == set()
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_one_pass_equals_the_two_pass_search(self, data):
+        n = data.draw(st.integers(1, 60), label="n")
+        node = st.integers(0, n - 1)
+        # Sparse lists with self-loops and repeated targets; the initial
+        # list may repeat nodes and miss most of the graph, and the
+        # acceptance sets may hold nodes it never reaches.
+        succ = data.draw(st.lists(st.lists(node, max_size=4), min_size=n, max_size=n), label="succ")
+        init = data.draw(st.lists(node, max_size=6), label="init")
+        acceptance = data.draw(
+            st.lists(st.lists(node, max_size=8), max_size=3), label="acceptance"
+        )
+        assert live_nodes(n, succ, init, acceptance) == two_pass_live_nodes(
+            n, succ, init, acceptance
+        )
+
+    def test_a_long_chain_does_not_recurse(self):
+        n = 200_000
+        succ = [[v + 1] for v in range(n - 1)] + [[n - 1]]
+        assert live_nodes(n, succ, [0], [[n - 1]]) == set(range(n))
+        assert live_nodes(n, succ, [0], [[0]]) == set()
+
 
 # -- forward compose -----------------------------------------------------
 
@@ -270,7 +296,6 @@ def _hand_pair() -> tuple[HybridAutomaton, HybridAutomaton]:
         ("p",),
         {"p": (FlowConstraint(x, Relation.EQ, Const(0.0)),)},
         ({"q"},),
-        {"p": "start", "c": "cut off"},
     )
     b = HybridAutomaton(
         ("x", "y"),
@@ -285,7 +310,6 @@ def _hand_pair() -> tuple[HybridAutomaton, HybridAutomaton]:
         ("s",),
         {"s": (FlowConstraint(y, Relation.GE, Const(0.0)),)},
         ({"t"}, {"u"}),
-        {"t": "middle"},
     )
     return a, b
 
