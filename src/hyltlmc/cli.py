@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import HyltlError, TraceError
+from .errors import ConfigError, HyltlError, TraceError
 from .formula.nnf import to_nnf
 from .formula.parser import Declarations, parse_formula
 from .formula.syntax import to_str
@@ -58,11 +58,13 @@ def _load_config(path: str | None) -> dict:
     try:
         data = json.loads(Path(path).read_text())
     except OSError as e:
-        raise HyltlError(f"cannot read config file: {e}") from e
-    except json.JSONDecodeError as e:
-        raise HyltlError(f"config file is not valid JSON: {e}") from e
+        raise ConfigError(f"cannot read config file: {e}") from e
+    except ValueError as e:
+        raise ConfigError(f"config file is not valid JSON: {e}") from e
     if not isinstance(data, dict):
-        raise HyltlError("config file must hold a JSON object")
+        raise ConfigError("config file must hold a JSON object")
+    if not isinstance(data.get("witness", ""), str):
+        raise ConfigError(f"config key 'witness' must be a string, got {data['witness']!r}")
     return data
 
 
@@ -75,12 +77,16 @@ def _setting(args, config: dict, key: str) -> float:
         try:
             return float(os.environ[env])
         except ValueError:
-            raise HyltlError(f"{env} must be a number, got {os.environ[env]!r}")
+            raise ConfigError(f"{env} must be a number, got {os.environ[env]!r}")
     if key in config:
+        value = config[key]
         try:
-            return float(config[key])
+            # float(True) is 1.0, but a JSON boolean is no number.
+            if not isinstance(value, bool):
+                return float(value)
         except (TypeError, ValueError):
-            raise HyltlError(f"config key {key!r} must be a number")
+            pass
+        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
     return DEFAULTS[key]
 
 

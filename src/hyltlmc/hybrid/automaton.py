@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ..errors import ModelError
 from .constraints import FlowConstraint, JumpConstraint, Relation, satisfies_jump
-from .expr import PrimedVar, Var, evaluate, variables as expr_variables
+from .expr import PrimedVar, Var, evaluate
 from .lasso import HybridLassoTrace
 from .trajectory import DEFAULT_FLOW_TOL, check_tol, satisfies_all_flows
 from .valuation import Valuation
@@ -288,25 +288,19 @@ def _solve_jump(
 ) -> Valuation | None:
     """Construct the canonical successor valuation of a jump.
 
-    Equations of the shape x' = e(state) define the new value of x; variables
-    without a defining equation keep their value. Remaining constraints
-    (guards, interval memberships) are checked afterwards by the caller, so
-    an unsolvable system simply fails those checks. Returns None when a
-    defining equation is itself unevaluable.
+    A defining row x' = e(state) (JumpConstraint.defines) sets the new
+    value of x; every other variable keeps its value. The caller checks
+    every row on the result, so it is one successor of the jump relation
+    or none: the trace oracles build and check only real runs, though not
+    every one (x' >= x allows more). Returns None when a defining
+    equation is itself unevaluable.
     """
     new = {x: v[x] for x in names}
     for jc in jumps:
-        if jc.rel is not Relation.EQ:
-            continue
-        target = None
-        expr = None
-        if isinstance(jc.lhs, PrimedVar) and not expr_variables(jc.rhs)[2]:
-            target, expr = jc.lhs.name, jc.rhs
-        elif isinstance(jc.rhs, PrimedVar) and not expr_variables(jc.lhs)[2]:
-            target, expr = jc.rhs.name, jc.lhs
-        if target is not None:
+        if jc.defines is not None:
+            x, e = jc.defines
             try:
-                new[target] = float(evaluate(expr, state=v))
+                new[x] = float(evaluate(e, state=v))
             except (ModelError, ZeroDivisionError):
                 return None
     return Valuation(new)
@@ -399,8 +393,11 @@ def find_accepting_witness(
     """Search every location assignment for one that accepts the trace.
 
     Returns a witness (prefix locations, cycle locations) with
-    accepts(trace, h, witness) true, or None when no assignment works, in
-    which case the automaton rejects the trace outright. `is_generated`
+    accepts(trace, h, witness) true, or None when no assignment works.
+    Only location sequences that repeat with the trace's own cycle from
+    its entry are tried, so None is no rejection: a formula automaton's
+    runs on a lasso with an empty prefix, or whose last prefix and cycle
+    actions differ, are found only on `trace.rotate()`. `is_generated`
     and `accepts` run the same search with one location per segment.
 
     Runs a layered search: candidate locations per segment are those whose

@@ -9,15 +9,14 @@ before a discrete action to the values right after it.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
-from ..errors import ComplementError, ModelError
-from .expr import Expr, Sub, affine_form, evaluate, fields_only, to_str, variables
+from ..errors import ComplementError, ModelError, TraceError
+from .expr import Expr, PrimedVar, Sub, affine_form, evaluate, fields_only, to_str
+from .expr import variables
 from .valuation import Valuation
 
 
@@ -32,6 +31,7 @@ class Relation(enum.Enum):
         return self.value
 
 
+_UPPER = (Relation.LT, Relation.LE)
 _FLIP = {
     Relation.LT: Relation.GE,
     Relation.LE: Relation.GT,
@@ -57,6 +57,34 @@ def holds(lhs: float, rel: Relation, rhs: float, tol: float = 0.0):
     return lhs > rhs - tol
 
 
+# A row sum(a * x) + k <= 0: its (variable, coefficient) pairs and k.
+Row = tuple[tuple[tuple[str, float], ...], float]
+
+
+def _rows(lhs: Expr, rel: Relation, rhs: Expr) -> tuple[Row, ...]:
+    """lhs rel rhs as rows over plain variables: a strict inequality is
+    closed and an equality gives two rows, which only enlarges the region.
+    A comparison that is not affine in plain variables gives no row."""
+    form = affine_form(Sub(lhs, rhs))
+    if form is None or any(kind != "v" for kind, _ in form[0]):
+        return ()
+    coeffs, k = form
+    signs = (1.0, -1.0) if rel is Relation.EQ else (1.0 if rel in _UPPER else -1.0,)
+    return tuple(
+        (tuple((name, sign * a) for (_, name), a in coeffs.items()), sign * k)
+        for sign in signs
+    )
+
+
+def undefined(c, *states) -> TraceError:
+    """The error for a constraint with a side that is nan at a state, or
+    at the states before and after a jump: undefined, not false."""
+    at = " -> ".join(
+        ", ".join(f"{x}={float(v):g}" for x, v in sorted(s.items())) for s in states
+    )
+    return TraceError(f"constraint '{c}' is undefined (nan) at {at}")
+
+
 @dataclass(frozen=True)
 class FlowConstraint:
     """Comparison over state and dotted variables, e.g. der(x) = -0.2 * x.
@@ -64,7 +92,9 @@ class FlowConstraint:
     The optional complement is a constraint equivalent to the pointwise
     negation; it is consulted when negation normal form needs to rewrite a
     negated atom. It does not participate in equality or hashing. The
-    variable sets are cached, outside equality, hashing, repr and pickles.
+    variable sets and the rows are cached, outside equality, hashing, repr
+    and pickles. rows holds the comparison as rows sum(a * x) + k <= 0
+    over plain variables (_rows); one that mentions der(x) gives none.
     """
 
     lhs: Expr
@@ -93,37 +123,15 @@ class FlowConstraint:
         return variables(self.lhs)[1] | variables(self.rhs)[1]
 
     @cached_property
-    def bound(self) -> tuple[str | None, float, float] | None:
-        """(x, lo, hi) when the constraint confines the one variable x to
-        [lo, hi], read as reach.boxes.compile_rows reads its row: strict
-        inequalities closed, an equality giving both ends. A constant
-        false row gives (None, inf, -inf). None when it confines no single
-        variable: it mentions a derivative, is not affine, has several
-        variables or always holds.
-        """
-        if self.mentions_dot:
-            return None
-        form = affine_form(Sub(self.lhs, self.rhs))
-        if form is None:
-            return None
-        coeffs, k = form
-        terms = [(name, a) for (kind, name), a in coeffs.items() if a != 0.0]
-        upper = self.rel in (Relation.LE, Relation.LT)
-        if not terms:
-            # The row k <= 0, -k <= 0 for >= and >, and both for =.
-            rows = (k, -k) if self.rel is Relation.EQ else (k if upper else -k,)
-            return (None, math.inf, -math.inf) if any(r > 0.0 for r in rows) else None
-        if len(terms) > 1:
-            return None
-        [(name, a)] = terms
-        v = -k / a
-        if self.rel is Relation.EQ:
-            return name, v, v
-        return (name, -math.inf, v) if upper == (a > 0.0) else (name, v, math.inf)
+    def rows(self) -> tuple[Row, ...]:
+        return _rows(self.lhs, self.rel, self.rhs)
 
     def holds_at(self, state, dot=None, tol: float = 0.0):
+        """Raises TraceError when a side is nan at the state."""
         a = evaluate(self.lhs, state=state, dot=dot)
         b = evaluate(self.rhs, state=state, dot=dot)
+        if np.isnan(a).any() or np.isnan(b).any():
+            raise undefined(self, state)
         return holds(a, self.rel, b, tol)
 
     def __str__(self) -> str:
@@ -133,7 +141,7 @@ class FlowConstraint:
 @dataclass(frozen=True)
 class JumpConstraint:
     """Comparison over state and primed variables, e.g. x' = x; variable
-    sets cached as on FlowConstraint."""
+    sets, rows and the defined variable cached as on FlowConstraint."""
 
     lhs: Expr
     rel: Relation
@@ -155,32 +163,26 @@ class JumpConstraint:
     def primed_vars(self) -> frozenset[str]:
         return variables(self.lhs)[2] | variables(self.rhs)[2]
 
+    @cached_property
+    def rows(self) -> tuple[Row, ...]:
+        """As on FlowConstraint: only a row free of primed variables, a
+        guard, gives rows, so a whole jump tuple can be read for its
+        guards."""
+        return _rows(self.lhs, self.rel, self.rhs)
+
+    @cached_property
+    def defines(self) -> tuple[str, Expr] | None:
+        """(x, e) when the row is x' = e or e = x' with e free of primed
+        variables: the row that sets the successor value of x."""
+        if self.rel is not Relation.EQ:
+            return None
+        for side, e in ((self.lhs, self.rhs), (self.rhs, self.lhs)):
+            if isinstance(side, PrimedVar) and not variables(e)[2]:
+                return side.name, e
+        return None
+
     def __str__(self) -> str:
         return f"{to_str(self.lhs)} {self.rel} {to_str(self.rhs)}"
-
-
-def satisfiable(constraints: Iterable[FlowConstraint]) -> bool:
-    """False when the constraints' single-variable bounds (see
-    FlowConstraint.bound) prove that no state meets them all.
-
-    Every other row is skipped, so True only means not proved empty. The
-    engine's invariant clip reads the same rows and floats, so it rejects
-    every box at a location whose invariant this rejects.
-    """
-    box: dict[str | None, tuple[float, float]] = {}
-    for c in constraints:
-        b = c.bound
-        if b is None:
-            continue
-        name, lo, hi = b
-        old_lo, old_hi = box.get(name, (-math.inf, math.inf))
-        # A nan end leaves the old one, as compile_rows does.
-        lo = lo if lo > old_lo else old_lo
-        hi = hi if hi < old_hi else old_hi
-        if hi < lo:
-            return False
-        box[name] = lo, hi
-    return True
 
 
 def complement_of(c: FlowConstraint, strict: bool = False) -> FlowConstraint:
@@ -204,9 +206,12 @@ def complement_of(c: FlowConstraint, strict: bool = False) -> FlowConstraint:
 def satisfies_jump(v: Valuation, v_next: Valuation, jc: JumpConstraint) -> bool:
     """Check one jump constraint with substitution semantics, exactly.
 
-    v supplies the unprimed variables, v_next the primed ones.
+    v supplies the unprimed variables, v_next the primed ones. Raises
+    TraceError when a side is nan.
     """
     a = evaluate(jc.lhs, state=v, primed=v_next)
     b = evaluate(jc.rhs, state=v, primed=v_next)
+    if np.isnan(a) or np.isnan(b):
+        raise undefined(jc, v, v_next)
     return bool(holds(a, jc.rel, b, 0.0))
 

@@ -7,7 +7,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ..errors import ModelError, TraceError, check_settings
-from .constraints import FlowConstraint, holds
+from .constraints import FlowConstraint, holds, undefined
 from .expr import evaluate
 from .valuation import Valuation
 
@@ -126,17 +126,22 @@ def satisfies_flow(
 
     Constraints mentioning dotted variables are checked at interior samples
     only; the derivative is not well defined at the endpoints of a segment.
-    Equalities hold within tol; inequalities get tol of slack.
+    Equalities hold within tol; inequalities get tol of slack. Raises
+    TraceError when a side is nan at a checked sample.
     """
     state = {n: traj.values[:, i] for i, n in enumerate(traj.names)}
     dot = {n: traj.derivs[:, i] for i, n in enumerate(traj.names)}
     a = evaluate(c.lhs, state=state, dot=dot)
     b = evaluate(c.rhs, state=state, dot=dot)
-    ok = holds(a, c.rel, b, tol)
-    ok = np.broadcast_to(ok, (traj.n_samples,))
-    if c.mentions_dot:
-        return bool(np.all(ok[1:-1]))
-    return bool(np.all(ok))
+    shape = (traj.n_samples,)
+    ok = np.broadcast_to(holds(a, c.rel, b, tol), shape)
+    nan = np.broadcast_to(np.isnan(a) | np.isnan(b), shape)
+    first = int(c.mentions_dot)
+    checked = slice(first, traj.n_samples - first)
+    if nan[checked].any():
+        i = first + int(np.argmax(nan[checked]))
+        raise undefined(c, traj.value_at(i))
+    return bool(np.all(ok[checked]))
 
 
 def satisfies_all_flows(

@@ -40,7 +40,7 @@ from .hybrid.lasso import HybridLassoTrace
 from .hybrid.trajectory import DEFAULT_FLOW_TOL, SampledTrajectory, check_tol
 from .hybrid.trajectory import satisfies_flow
 from .hybrid.valuation import Valuation
-from .reach.boxes import bounds, clip, compile_rows, full_box, linear_rows
+from .reach.boxes import bounds, clip, compile_rows, full_box
 from .reach.dynamics import location_dynamics
 
 
@@ -201,7 +201,7 @@ def random_trace(
     if not h.init:
         raise TraceError("automaton has no initial location")
     loc = h.init[int(rng.integers(len(h.init)))]
-    init = compile_rows(*linear_rows(h.init_region.get(loc, ()), names))
+    init = compile_rows(h.init_region.get(loc, ()), names)
     lo, hi = bounds(clip(full_box(len(names)), init))
     vec = np.empty(len(names))
     for k, x in enumerate(names):

@@ -11,8 +11,8 @@ The question is reduced to a reachability query in four steps:
    accepting product runs are system traces that violate the property.
    Such a run only visits locations that an initial location reaches,
    that reach a cycle meeting every acceptance set and whose invariant
-   some state meets, so the product is pruned to those
-   (tableau.prune_unreachable).
+   the reach engine's own clip does not prove empty, so the product is
+   pruned to those (tableau.prune_unreachable).
 3. Generalized acceptance is reduced to a single final set (counter
    product), and an empty family becomes the trivial one, since an
    automaton with no acceptance sets accepts every run. The counter
@@ -57,8 +57,8 @@ def build_negated_observer(
     """Observer automaton accepting exactly the traces violating formula.
 
     With prune, only the locations prune_unreachable would keep are
-    built: those with a satisfiable invariant on a path from an initial
-    location to an accepting cycle.
+    built: those on a path from an initial location to an accepting
+    cycle whose invariant the engine's clip does not prove empty.
     """
     missing = set(action_atoms(formula)) - set(actions)
     if missing:

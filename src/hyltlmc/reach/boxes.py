@@ -12,10 +12,15 @@ Infinite endpoints. Boxes widened to the invariant bounds may have
 infinite sides, +inf in z. Products take 0 * inf = 0, so an infinite
 side spreads only along nonzero coefficients.
 
-Constraint rows. Constraint sets are normalized to rows a . x + k <= 0.
-Strict inequalities are closed and equalities become two rows; every
-relaxation only enlarges the described region. All operations stay
-sound under over-approximation: anything not provably excluded is kept.
+Constraint rows. Each flow and jump constraint reads itself once as
+rows a . x + k <= 0 over plain variables, its cached `rows`: strict
+inequalities are closed, equalities become two rows, and a comparison
+that is not affine in plain variables, or mentions der(x) or x', gives
+none. Every relaxation only enlarges the described region. compile_rows
+is the one place that turns constraints into a Clip: the engine's
+invariant, initial and guard clips, the simulator's initial box and the
+pruning test `satisfiable` all go through it. All operations stay sound
+under over-approximation: anything not provably excluded is kept.
 
 One clip pass. A row set compiles once into a Clip: the upper-bound
 vector of its single-variable rows, and the split rows of its
@@ -33,9 +38,6 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-
-from ..hybrid.constraints import FlowConstraint, Relation
-from ..hybrid.expr import Sub, affine_form
 
 
 def _box(lo, hi) -> np.ndarray:
@@ -98,48 +100,8 @@ def image(G: np.ndarray, offset: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def linear_rows(
-    constraints: Iterable[FlowConstraint], names: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize derivative-free constraints to rows C . x + d <= 0.
-
-    Rows that are not affine in the plain variables are skipped, which
-    over-approximates. Returns (C, d) with C of shape (m, n) and d of
-    shape (m,).
-    """
-    idx = {x: i for i, x in enumerate(names)}
-    rows: list[np.ndarray] = []
-    consts: list[float] = []
-
-    def push(sign: float, coeffs, k: float) -> None:
-        row = np.zeros(len(names))
-        for (kind, name), a in coeffs.items():
-            row[idx[name]] = sign * a
-        rows.append(row)
-        consts.append(sign * k)
-
-    for c in constraints:
-        form = affine_form(Sub(c.lhs, c.rhs))
-        if form is None:
-            continue
-        coeffs, k = form
-        if any(kind != "v" for kind, _ in coeffs):
-            continue
-        match c.rel:
-            case Relation.LE | Relation.LT:
-                push(1.0, coeffs, k)
-            case Relation.GE | Relation.GT:
-                push(-1.0, coeffs, k)
-            case Relation.EQ:
-                push(1.0, coeffs, k)
-                push(-1.0, coeffs, k)
-    if not rows:
-        return np.zeros((0, len(names))), np.zeros(0)
-    return np.stack(rows), np.array(consts)
-
-
 class Clip(NamedTuple):
-    """Rows C . x + d <= 0 compiled for clipping boxes (module docstring).
+    """Constraint rows compiled for clipping boxes (module docstring).
 
     u is the upper-bound vector of the single-variable rows, all -inf
     when a constant row is false. The multi-variable rows prove a box z
@@ -151,26 +113,35 @@ class Clip(NamedTuple):
     k: np.ndarray
 
 
-def compile_rows(C: np.ndarray, d: np.ndarray) -> Clip:
-    n = C.shape[1]
-    u = np.full(2 * n, np.inf)
-    multi = []
-    for r, (row, k) in enumerate(zip(C, d)):
-        nz = np.flatnonzero(row)
-        if len(nz) > 1:
-            multi.append(r)
-        elif len(nz) == 0:
-            if k > 0.0:
-                u[:] = -np.inf
-        else:
-            # a x_i + k <= 0 bounds x_i above by -k / a when a > 0, and
-            # -x_i above by k / a when a < 0. A tie keeps the earlier row.
-            i = nz[0]
-            a = row[i]
-            j, v = (n + i, -k / a) if a > 0.0 else (i, k / a)
-            if v < u[j]:
-                u[j] = v
-    return Clip(u, _split(C[multi])[: len(multi)], d[multi])
+def compile_rows(constraints: Iterable, names: Sequence[str]) -> Clip:
+    """The Clip of the constraints' rows (their cached `rows`) over the
+    named variables; constraints without rows add nothing."""
+    n = len(names)
+    idx = {x: i for i, x in enumerate(names)}
+    u = [np.inf] * (2 * n)
+    multi: list[np.ndarray] = []
+    ks: list[float] = []
+    for c in constraints:
+        for coeffs, k in c.rows:
+            terms = [(idx[x], a) for x, a in coeffs if a != 0.0]
+            if len(terms) > 1:
+                row = np.zeros(n)
+                for i, a in terms:
+                    row[i] = a
+                multi.append(row)
+                ks.append(k)
+            elif not terms:
+                if k > 0.0:
+                    u = [-np.inf] * (2 * n)
+            else:
+                # a x_i + k <= 0 bounds x_i above by -k / a when a > 0, and
+                # -x_i above by k / a when a < 0. A tie keeps the earlier row.
+                [(i, a)] = terms
+                j, v = (n + i, -k / a) if a > 0.0 else (i, k / a)
+                if v < u[j]:
+                    u[j] = v
+    G = _split(np.array(multi))[: len(multi)] if multi else np.empty((0, 2 * n))
+    return Clip(np.array(u, dtype=np.float64), G, np.array(ks, dtype=np.float64))
 
 
 def clip(z: np.ndarray, rows: Clip) -> np.ndarray:
@@ -181,3 +152,16 @@ def clip(z: np.ndarray, rows: Clip) -> np.ndarray:
     if len(rows.k) and (_bound(rows.G, z) < rows.k).any():
         return np.full_like(z, -np.inf)
     return z
+
+
+def satisfiable(constraints: Iterable) -> bool:
+    """False when the clip of the full box by the constraints' rows is
+    empty; True only means not proved empty. A clip is monotone, so the
+    engine's clip by these rows empties every box too. One axis that no
+    row names lets a constant false row show when no row names a variable.
+    """
+    constraints = tuple(constraints)
+    names = ("",) + tuple(
+        dict.fromkeys(x for c in constraints for coeffs, _ in c.rows for x, _ in coeffs)
+    )
+    return not is_empty(clip(full_box(len(names)), compile_rows(constraints, names)))

@@ -16,30 +16,30 @@ import numpy as np
 from ..errors import UnsupportedDynamicsError
 from ..hybrid.automaton import HybridAutomaton, Loc
 from ..hybrid.constraints import Relation
-from ..hybrid.expr import DotVar, PrimedVar, affine_form, variables
-from .boxes import bounds, clip, compile_rows, full_box, linear_rows
+from ..hybrid.expr import DotVar, affine_form, variables
+from .boxes import Clip, compile_rows
 
 
 @dataclass(frozen=True)
 class LocationDynamics:
-    """der(x) = A x + b inside the row region C x + d <= 0."""
+    """der(x) = A x + b."""
 
     A: np.ndarray
     b: np.ndarray
-    inv_C: np.ndarray
-    inv_d: np.ndarray
-    inv_lo: np.ndarray
-    inv_hi: np.ndarray
 
 
 @dataclass(frozen=True)
 class TransitionImage:
-    """A jump tuple's guard rows and affine reset x' = R x + r."""
+    """A jump tuple's guard clip and its reset x' = R x + r.
 
-    guard_C: np.ndarray
-    guard_d: np.ndarray
+    offset is (-r, r), the form boxes.image takes. A variable that the
+    tuple constrains primed but does not define has a zero row of R and
+    +inf in both halves of offset, so its image is unbounded.
+    """
+
+    guard: Clip
     R: np.ndarray
-    r: np.ndarray
+    offset: np.ndarray
 
 
 def _affine_state_row(e, idx) -> tuple[np.ndarray, float] | None:
@@ -97,49 +97,43 @@ def location_dynamics(h: HybridAutomaton, loc: Loc) -> LocationDynamics:
         raise UnsupportedDynamicsError(
             f"{loc!r}: no derivative equation for {sorted(missing)}"
         )
-    C, d = linear_rows(h.invariant(loc), names)
-    lo, hi = bounds(clip(full_box(n), compile_rows(C, d)))
-    return LocationDynamics(A, b, C, d, lo, hi)
+    return LocationDynamics(A, b)
 
 
 def transition_image(h: HybridAutomaton, t) -> TransitionImage:
-    """Affine jump view: guard rows on the source state, reset matrix.
+    """Affine jump view: guard clip on the source state, reset image.
 
     It depends on the edge's jump tuple only, so edges that share a tuple
-    can share its image; the edge itself is only named in errors.
-    Defining rows x' = e(state) fill the reset; variables without one
-    keep their value. Constraint rows that mention primed variables
-    without defining one are dropped, over-approximating the jump
-    relation.
+    can share its image; the edge itself is only named in errors. The
+    guard clip counts only the tuple's rows free of primed variables. A
+    defining row x' = e(state) (JumpConstraint.defines) fills the reset.
+    A variable that some row mentions primed but none defines, as in
+    x' >= x, is free: its image is unbounded, and the target invariant
+    clip bounds it as it bounds every push. A variable that no row
+    mentions primed keeps its value.
     """
     names = h.variables
     idx = {x: i for i, x in enumerate(names)}
     n = len(names)
     R = np.eye(n)
     r = np.zeros(n)
-    guards = []
+    primed: set[str] = set()
+    defined: set[str] = set()
     for jc in t.jumps:
-        lhs_p = variables(jc.lhs)[2]
-        rhs_p = variables(jc.rhs)[2]
-        if not lhs_p and not rhs_p:
-            # linear_rows only reads lhs, rel and rhs, which jump rows share.
-            guards.append(jc)
+        primed |= jc.primed_vars
+        if jc.defines is None:
             continue
-        if jc.rel is not Relation.EQ:
-            continue
-        for p_side, e_side, p_vars, e_vars in (
-            (jc.lhs, jc.rhs, lhs_p, rhs_p),
-            (jc.rhs, jc.lhs, rhs_p, lhs_p),
-        ):
-            if not isinstance(p_side, PrimedVar) or e_vars:
-                continue
-            got = _affine_state_row(e_side, idx)
-            if got is None:
-                raise UnsupportedDynamicsError(
-                    f"{t.source!r} -{t.action}-> {t.target!r}: "
-                    f"reset '{jc}' is not affine in the state"
-                )
-            R[idx[p_side.name]], r[idx[p_side.name]] = got
-            break
-    C, d = linear_rows(guards, names)
-    return TransitionImage(C, d, R, r)
+        x, e = jc.defines
+        got = _affine_state_row(e, idx)
+        if got is None:
+            raise UnsupportedDynamicsError(
+                f"{t.source!r} -{t.action}-> {t.target!r}: "
+                f"reset '{jc}' is not affine in the state"
+            )
+        R[idx[x]], r[idx[x]] = got
+        defined.add(x)
+    offset = np.concatenate([-r, r])
+    for x in primed - defined:
+        R[idx[x]] = 0.0
+        offset[[idx[x], n + idx[x]]] = np.inf
+    return TransitionImage(compile_rows(t.jumps, names), R, offset)

@@ -35,7 +35,7 @@ import numpy as np
 from ..errors import UnsupportedDynamicsError
 from ..hybrid.automaton import HybridAutomaton, Loc
 from .boxes import Clip, _box, _split, bounds, clip, compile_rows, contains, full_box
-from .boxes import image, is_empty, linear_rows
+from .boxes import image, is_empty
 from .dynamics import location_dynamics, transition_image
 from .kernels import FLOW_BUDGET, FLOW_DONE, Discretization, flow_tube
 
@@ -119,21 +119,16 @@ def reachable(
         key = tuple(map(id, inv))
         c = inv_clips.get(key)
         if c is None:
-            # The rows and bounds location_dynamics reads, bit for bit.
-            rows = compile_rows(*linear_rows(inv, names))
+            rows = compile_rows(inv, names)
             c = inv_clips[key] = (rows, *bounds(clip(full_box(n), rows)))
         return c
 
     def jump(t) -> tuple[Clip, np.ndarray, np.ndarray]:
-        """The guard clip and the reset's G(R) and offset (-r, r)."""
+        """The guard clip and the reset's G(R) and offset."""
         j = jumps.get(id(t.jumps))
         if j is None:
             img = transition_image(h, t)
-            j = jumps[id(t.jumps)] = (
-                compile_rows(img.guard_C, img.guard_d),
-                _split(img.R),
-                np.concatenate([-img.r, img.r]),
-            )
+            j = jumps[id(t.jumps)] = (img.guard, _split(img.R), img.offset)
         return j
 
     def plan(l: Loc) -> _Plan:
@@ -164,7 +159,7 @@ def reachable(
     work: list[tuple[Loc, np.ndarray]] = []
 
     for l in h.init:
-        init = compile_rows(*linear_rows(h.init_region.get(l, ()), names))
+        init = compile_rows(h.init_region.get(l, ()), names)
         z = clip(clip(full_box(n), init), invariant(l)[0])
         if is_empty(z):
             continue

@@ -13,8 +13,9 @@ or dropped, keeps runs from postponing an until forever.
 Successors are computed on set indices first. A pruned automaton keeps
 only the locations on a path from an initial location to a cycle that
 meets every acceptance set (live_nodes), leaving out the sets whose flow
-atoms no state can meet (constraints.satisfiable), which is the rule
-prune_unreachable also applies; no edge is made for any other location.
+atoms no state can meet, which the reach engine's clip of the full box
+decides (reach.boxes.satisfiable); prune_unreachable applies the same
+rule, and no edge is made for any other location.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .errors import ModelError
 from .formula.closure import ClosureSet, closure, maximally_consistent_sets
 from .formula.syntax import Formula, action_atoms
 from .hybrid.automaton import HybridAutomaton, Transition
-from .hybrid.constraints import satisfiable
 from .hybrid.discrete import live_nodes
+from .reach.boxes import satisfiable
 
 
 def build_formula_automaton(
@@ -171,17 +172,19 @@ def _pins(cl: ClosureSet, b: int) -> tuple[int, int] | None:
 def prune_unreachable(h: HybridAutomaton) -> HybridAutomaton:
     """Restrict to locations on a graph path from an initial location to a
     cycle meeting every acceptance set (see live_nodes), leaving out every
-    location whose invariant the single-variable bounds of its
-    derivative-free constraints prove empty (constraints.satisfiable).
+    location whose invariant the reach engine's clip proves empty
+    (reach.boxes.satisfiable): the clip, compiled from the same rows as
+    the engine's, of the full box is empty.
 
     Every accepting run of the automaton survives pruning. A run samples
     each location it visits at a state meeting the location's invariant,
     so it never visits a location with an empty one, and every location
     of an accepting run lies on such a path. Unless its visit budget runs
     out first, the reach engine finds the same boxes, visits and hits at
-    every kept location as without the emptiness rule. Its invariant
-    clip reads the same rows, so it rejects every initial and pushed box
-    at an empty location. A dropped location it can still reach has no
+    every kept location as without the emptiness rule. A clip is
+    monotone, and the engine's invariant clip is the one that emptied
+    the full box, so it rejects every initial and pushed box at an empty
+    location. A dropped location it can still reach has no
     path into a kept one that avoids the empty ones, so no box stored
     there flows into a kept location. The language of `WordAutomaton`,
     which ignores the continuous part, may shrink.

@@ -11,9 +11,11 @@ consistent-set enumerator (`powerset_consistent_sets`) and of the full
 cross-product `eager_compose`, which the pipeline's enumerator and
 forward compose must agree with, of the observer pruning that saw only
 the location graph (`graph_pruned`), of the two-pass liveness search it
-used (`two_pass_live_nodes`), and of the box operations on (lo, hi) pairs
+used (`two_pass_live_nodes`), of the box operations on (lo, hi) pairs
 that the reach loop used before boxes became upper-bound vectors
-(`clip_rows`, `row_range`, `reset_image`). Tests compare the two;
+(`clip_rows`, `row_range`, `reset_image`), and of the constraint reader
+that built a matrix of rows for each use before constraints cached their
+own rows (`linear_rows`, `compile_matrix`). Tests compare the two;
 nothing in the package imports this module.
 """
 
@@ -43,7 +45,9 @@ from hyltlmc.product import (
     normalize_acceptance,
     recurrence_hits,
 )
-from hyltlmc.reach.boxes import linear_rows
+from hyltlmc.hybrid.constraints import FlowConstraint, Relation
+from hyltlmc.hybrid.expr import Sub, affine_form
+from hyltlmc.reach.boxes import Clip, _split, bounds, clip
 from hyltlmc.reach.dynamics import TransitionImage, location_dynamics, transition_image
 from hyltlmc.reach.engine import ReachResult
 from hyltlmc.reach.kernels import FLOW_BUDGET, FLOW_DONE, flow_tube
@@ -137,12 +141,81 @@ def clip_rows(
 def reset_image(
     img: TransitionImage, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
+    """The box of R x + r over [lo, hi], with r read from the image's
+    offset (-r, r); a free variable's +inf halves give (-inf, inf)."""
     n = len(lo)
     out_lo = np.empty(n)
     out_hi = np.empty(n)
     for i in range(n):
-        out_lo[i], out_hi[i] = row_range(img.R[i], img.r[i], lo, hi)
+        out_lo[i] = row_range(img.R[i], -img.offset[i], lo, hi)[0]
+        out_hi[i] = row_range(img.R[i], img.offset[n + i], lo, hi)[1]
     return out_lo, out_hi
+
+
+# -- constraints as a matrix of rows ---------------------------------------
+
+
+def linear_rows(
+    constraints: Iterable[FlowConstraint], names: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize derivative-free constraints to rows C . x + d <= 0.
+
+    Rows that are not affine in the plain variables are skipped, which
+    over-approximates. Returns (C, d) with C of shape (m, n) and d of
+    shape (m,).
+    """
+    idx = {x: i for i, x in enumerate(names)}
+    rows: list[np.ndarray] = []
+    consts: list[float] = []
+
+    def push(sign: float, coeffs, k: float) -> None:
+        row = np.zeros(len(names))
+        for (kind, name), a in coeffs.items():
+            row[idx[name]] = sign * a
+        rows.append(row)
+        consts.append(sign * k)
+
+    for c in constraints:
+        form = affine_form(Sub(c.lhs, c.rhs))
+        if form is None:
+            continue
+        coeffs, k = form
+        if any(kind != "v" for kind, _ in coeffs):
+            continue
+        match c.rel:
+            case Relation.LE | Relation.LT:
+                push(1.0, coeffs, k)
+            case Relation.GE | Relation.GT:
+                push(-1.0, coeffs, k)
+            case Relation.EQ:
+                push(1.0, coeffs, k)
+                push(-1.0, coeffs, k)
+    if not rows:
+        return np.zeros((0, len(names))), np.zeros(0)
+    return np.stack(rows), np.array(consts)
+
+
+def compile_matrix(C: np.ndarray, d: np.ndarray) -> Clip:
+    """The Clip of the rows C . x + d <= 0."""
+    n = C.shape[1]
+    u = np.full(2 * n, np.inf)
+    multi = []
+    for r, (row, k) in enumerate(zip(C, d)):
+        nz = np.flatnonzero(row)
+        if len(nz) > 1:
+            multi.append(r)
+        elif len(nz) == 0:
+            if k > 0.0:
+                u[:] = -np.inf
+        else:
+            # a x_i + k <= 0 bounds x_i above by -k / a when a > 0, and
+            # -x_i above by k / a when a < 0. A tie keeps the earlier row.
+            i = nz[0]
+            a = row[i]
+            j, v = (n + i, -k / a) if a > 0.0 else (i, k / a)
+            if v < u[j]:
+                u[j] = v
+    return Clip(u, _split(C[multi])[: len(multi)], d[multi])
 
 
 # -- liveness in two passes ------------------------------------------------
@@ -342,6 +415,26 @@ def eager_compose(h1: HybridAutomaton, h2: HybridAutomaton) -> HybridAutomaton:
     )
 
 
+@dataclass(frozen=True)
+class EagerDynamics:
+    """A location's field, and its invariant as a matrix of rows and as
+    bounds, as the eager reach loop read them."""
+
+    A: np.ndarray
+    b: np.ndarray
+    inv_C: np.ndarray
+    inv_d: np.ndarray
+    inv_lo: np.ndarray
+    inv_hi: np.ndarray
+
+
+def eager_dynamics(h: HybridAutomaton, l) -> EagerDynamics:
+    d = location_dynamics(h, l)
+    C, k = linear_rows(h.invariant(l), h.variables)
+    lo, hi = bounds(clip(np.full(2 * len(h.variables), np.inf), compile_matrix(C, k)))
+    return EagerDynamics(d.A, d.b, C, k, lo, hi)
+
+
 def eager_reachable(
     h: HybridAutomaton,
     horizon: float = 100.0,
@@ -353,10 +446,11 @@ def eager_reachable(
     names = h.variables
     n = len(names)
     n_steps = max(1, math.ceil(horizon / step))
-    dyn = {l: location_dynamics(h, l) for l in h.locations}
+    dyn = {l: eager_dynamics(h, l) for l in h.locations}
     images = {l: [] for l in h.locations}
     for t in h.transitions:
-        images[t.source].append((transition_image(h, t), t.target))
+        # Only guards give rows: a row with a primed variable gives none.
+        images[t.source].append((transition_image(h, t), linear_rows(t.jumps, names), t.target))
 
     store = {l: [] for l in h.locations}
     visits = {l: 0 for l in h.locations}
@@ -411,8 +505,8 @@ def eager_reachable(
             tube_lo, tube_hi = lo, hi
         store[l].append((tube_lo, tube_hi))
 
-        for img, target in images[l]:
-            g_lo, g_hi = clip_rows(tube_lo, tube_hi, img.guard_C, img.guard_d)
+        for img, (guard_C, guard_d), target in images[l]:
+            g_lo, g_hi = clip_rows(tube_lo, tube_hi, guard_C, guard_d)
             if is_empty(g_lo, g_hi):
                 continue
             p_lo, p_hi = reset_image(img, g_lo, g_hi)

@@ -317,6 +317,42 @@ class TestMonitorCommand:
         assert code == 2
 
 
+class TestUndefinedComparisons:
+    """A constraint side that is nan on a sample is an error (E_TRACE, exit
+    1): on this one-segment trace at x = 22 the atom once gave Fails and
+    its negation Holds."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("negate", [False, True])
+    def test_monitor_exits_one(self, tmp_path, capsys, negate):
+        trace = tmp_path / "one.csv"
+        trace.write_text("t,x\n0.0,22.0\n0.1,22.0\n0.2,22.0\n")
+        formula = "G(x <= 30 + 0 * (1/(x - x)))"
+        code = main(["--machine", "monitor", "--trace", str(trace), "--actions", "on",
+                     "--formula", f"!{formula}" if negate else formula])
+        fields = machine_fields(capsys.readouterr().out.strip())
+        assert code == 1
+        assert fields["error"] == "E_TRACE"
+        assert "x <= 30 + 0 * (1 / (x - x))" in fields["message"]
+        assert "x=22" in fields["message"]
+
+
+class TestUndefinedReset:
+    def test_check_exits_two(self, tmp_path, capsys):
+        """x' >= x lets x jump anywhere above, so the property is not
+        Verified; it once was."""
+        model = tmp_path / "jump.hyha"
+        model.write_text(
+            "vars x; actions go, stay;\n"
+            "location a { der(x) = 0; }\nlocation b { der(x) = 0; }\n"
+            "edge a -go-> b { x' >= x; }\nedge b -stay-> b { x' = x; }\n"
+            "initial a; init { x >= 0; x <= 1; }\n"
+        )
+        code = main(["--machine", "check", "--model", str(model), "--formula", "!F(x >= 5)"])
+        assert code == 2
+        assert machine_fields(capsys.readouterr().out)["status"] == "Inconclusive"
+
+
 class TestSettingsResolution:
     """Flag beats environment beats config file beats default."""
 
@@ -347,6 +383,41 @@ class TestSettingsResolution:
         code = main(["--config", str(cfg), "check", "--model", heater_path,
                      "--formula", "!F(x >= 21 & X on)"])
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "config", [{"step": True}, {"horizon": True}, {"eps": "soon"}, {"witness": 1}]
+    )
+    def test_unusable_config_values_exit_one_with_e_config(
+        self, thermostat_path, tmp_path, capsys, config
+    ):
+        """A JSON boolean once read as 1.0, so step and horizon true gave
+        an Inconclusive check that spent a one-step flow budget."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["--machine", "--config", str(cfg), "check", "--model", thermostat_path,
+                     "--formula", "!F(x >= 21 & X on)"])
+        assert code == 1
+        assert machine_fields(capsys.readouterr().out)["error"] == "E_CONFIG"
+
+    @pytest.mark.parametrize("text", [None, "[1, 2]", "{"])
+    def test_unusable_config_files_exit_one_with_e_config(
+        self, heater_path, tmp_path, capsys, text
+    ):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        code = main(["--machine", "--config", str(cfg), "check", "--model", heater_path,
+                     "--formula", "true"])
+        assert code == 1
+        assert machine_fields(capsys.readouterr().out)["error"] == "E_CONFIG"
+
+    def test_non_numeric_environment_value_exits_one_with_e_config(
+        self, heater_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("HYLTL_MC_EPS", "abc")
+        code = main(["--machine", "check", "--model", heater_path, "--formula", "true"])
+        assert code == 1
+        assert machine_fields(capsys.readouterr().out)["error"] == "E_CONFIG"
 
     def test_bad_config_file_exits_one(self, heater_path, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -33,7 +33,8 @@ from reference_pipeline import eager_reachable
 
 ROOT = Path(__file__).resolve().parents[1]
 THREE_CONJUNCTS = "!F(x >= 21 & X on) & G(x<=23) & G(off -> X(x <= 21 U on))"
-CACHED = ("_variables", "mentions_dot", "state_vars", "dot_vars", "primed_vars")
+CACHED = ("_variables", "mentions_dot", "state_vars", "dot_vars", "primed_vars", "rows", "defines")
+DERIVED = CACHED[1:]
 
 
 def thermostat() -> HybridAutomaton:
@@ -70,7 +71,7 @@ def jump_pair():
 
 def fill(c) -> None:
     """Compute every cached value of a constraint and its expressions."""
-    for name in ("mentions_dot", "state_vars", "dot_vars", "primed_vars"):
+    for name in DERIVED:
         getattr(c, name, None)
     variables(c.lhs)
     variables(c.rhs)
@@ -123,7 +124,7 @@ class TestCachedValuesStayOutOfIdentity:
             assert not cached_keys(back)
         assert not cached_keys(back.lhs) or back.lhs is filled.lhs
         fill(back)
-        for name in ("mentions_dot", "state_vars", "dot_vars", "primed_vars"):
+        for name in DERIVED:
             assert getattr(back, name, None) == getattr(fresh, name, None)
 
     def test_declared_complement_survives_a_pickle(self):
@@ -414,31 +415,19 @@ def shared_jump_product() -> HybridAutomaton:
 
 
 def guard_clip_counter(monkeypatch) -> list[int]:
-    """Count the engine's clips by a guard: the rows compiled from a
-    transition image's guard rows."""
-    images, guards, count = [], [], [0]
-    image_of, compile_of, clip_of = (
-        engine_module.transition_image,
-        engine_module.compile_rows,
-        engine_module.clip,
-    )
+    """Count the engine's clips by a guard: a transition image's guard clip."""
+    images, count = [], [0]
+    image_of, clip_of = engine_module.transition_image, engine_module.clip
 
     def transition_image(h, t):
         images.append(image_of(h, t))
         return images[-1]
 
-    def compile_rows(C, d):
-        rows = compile_of(C, d)
-        if any(C is img.guard_C for img in images):
-            guards.append(rows)
-        return rows
-
     def clip(z, rows):
-        count[0] += any(rows is g for g in guards)
+        count[0] += any(rows is img.guard for img in images)
         return clip_of(z, rows)
 
     monkeypatch.setattr(engine_module, "transition_image", transition_image)
-    monkeypatch.setattr(engine_module, "compile_rows", compile_rows)
     monkeypatch.setattr(engine_module, "clip", clip)
     return count
 

@@ -14,14 +14,16 @@ from hypothesis import given, strategies as st
 
 from hyltlmc.errors import ConfigError, TraceError, UnsupportedDynamicsError
 from hyltlmc.formula.parser import Declarations, parse_flow_constraint, parse_formula
-from hyltlmc.hybrid import FlowConstraint, HybridAutomaton, Relation
+from hyltlmc.hybrid import FlowConstraint, HybridAutomaton, JumpConstraint, Relation
+from hyltlmc.hybrid.constraints import satisfies_jump
 from hyltlmc.hybrid.automaton import accepts, find_accepting_witness, is_generated
 from hyltlmc.hybrid.discrete import accepts_lasso_word
 from hyltlmc.hybrid.lasso import HybridLassoTrace
-from hyltlmc.hybrid.expr import Const, DotVar, Mul, Var
+from hyltlmc.hybrid.expr import Const, Div, DotVar, Mul, PrimedVar, Sub, Var
 from hyltlmc.hybrid.trajectory import SampledTrajectory
+from hyltlmc.hybrid.valuation import Valuation
 from hyltlmc.monitor import _succ_values, evaluate_trace, evaluate_word, random_trace
-from hyltlmc.reach.boxes import bounds, clip, compile_rows, full_box, linear_rows
+from hyltlmc.reach.boxes import bounds, clip, compile_rows, full_box
 from hyltlmc.tableau import build_formula_automaton
 
 from conftest import BOOL_ATOMS, heater_model, random_formula
@@ -374,8 +376,8 @@ class TestBoundingBox:
 
     def probe(self, *texts, names=("x",)):
         decls = Declarations(variables=("x", "y"), actions=("on",))
-        rows = linear_rows(tuple(parse_flow_constraint(t, decls) for t in texts), names)
-        lo, hi = bounds(clip(full_box(len(names)), compile_rows(*rows)))
+        rows = compile_rows(tuple(parse_flow_constraint(t, decls) for t in texts), names)
+        lo, hi = bounds(clip(full_box(len(names)), rows))
         return {x: (lo[i], hi[i]) for i, x in enumerate(names)}
 
     def test_two_sided_interval(self):
@@ -401,3 +403,59 @@ class TestBoundingBox:
 
     def test_nonlinear_rows_are_skipped(self):
         assert self.probe("x * x <= 4") == {"x": (-np.inf, np.inf)}
+
+
+def constant_segment(x: float, action: str):
+    return SampledTrajectory(("x",), [[x], [x], [x]], 0.1, np.zeros((3, 1))), action
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestUndefinedComparisons:
+    """A side that is nan at a sample makes the comparison undefined, not
+    false: 0 * (1 / (x - x)) is nan at every x, while 1 / (x - x) is a
+    defined +inf."""
+
+    NAN_BOUND = "x <= 30 + 0 * (1/(x - x))"
+
+    def test_monitor_raises_on_the_atom_and_its_negation(self):
+        trace = HybridLassoTrace([], [constant_segment(22.0, "on")])
+        for text in (f"G({self.NAN_BOUND})", f"!G({self.NAN_BOUND})"):
+            with pytest.raises(TraceError, match=r"x <= 30 \+ 0 \* \(1 / \(x - x\)\).* x=22"):
+                evaluate_trace(trace, phi(text))
+
+    def test_an_infinite_side_stays_a_comparison(self):
+        trace = HybridLassoTrace([], [constant_segment(22.0, "on")])
+        assert evaluate_trace(trace, phi("G(x <= 1/(x - x))"))
+        assert not evaluate_trace(trace, phi("F(x >= 1/(x - x))"))
+
+    def test_jump_row_raises(self):
+        nan = Mul(Const(0.0), Div(Const(1.0), Sub(Var("x"), Var("x"))))
+        row = JumpConstraint(PrimedVar("x"), Relation.GE, nan)
+        v = Valuation({"x": np.float64(22.0)})
+        with pytest.raises(TraceError, match=r"x' >= 0 \* \(1 / \(x - x\)\).* x=22 -> x=22"):
+            satisfies_jump(v, v, row)
+
+    def test_random_trace_names_the_invariant(self):
+        h = heater_model()
+        bound = phi_constraint(self.NAN_BOUND)
+        h = rebuilt(h, dyn={**h.dyn, "idle": h.dyn["idle"] + (bound,)})
+        with pytest.raises(TraceError, match=r"x <= 30 \+ 0 \* \(1 / \(x - x\)\)"):
+            random_trace(h, np.random.default_rng(0))
+
+
+class TestWitnessSearchPresentation:
+    """find_accepting_witness tries only location sequences that repeat
+    with the trace's own cycle from its entry. A formula automaton's
+    locations carry the action just taken, so on these lassos the search
+    finds its run only on the rotated presentation of the same trace."""
+
+    @pytest.mark.parametrize(
+        "prefix, cycle", [(("on",), ("off",)), ((), ("on",))], ids=["shifted", "no-prefix"]
+    )
+    def test_rotation_finds_the_run(self, prefix, cycle):
+        auto = build_formula_automaton(phi("true"), ("on", "off"))
+        trace = HybridLassoTrace(
+            [constant_segment(0.0, a) for a in prefix], [constant_segment(0.0, a) for a in cycle]
+        )
+        assert find_accepting_witness(trace, auto) is None
+        assert find_accepting_witness(trace.rotate(), auto) is not None

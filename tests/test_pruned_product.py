@@ -193,3 +193,35 @@ class TestGraphOnlyVerdict:
         assert verdict.status == "Inconclusive"
         assert len(verdict.hits) == 4
         assert any(hit["box"]["x"][1] >= 21.0 for hit in verdict.hits)
+
+
+# b's invariant meets no state, but only rows over several variables
+# show it: x + y <= 1 with x >= 1 and y >= 1.
+MULTI_VARIABLE_EMPTY = """
+vars x, y; actions go, back;
+location a { der(x) = 0; der(y) = 0; }
+location b { der(x) = 0; der(y) = 0; x + y <= 1; x >= 1; y >= 1; }
+edge a -go-> b { x' = x; y' = y; }
+edge b -back-> a { x' = x; y' = y; }
+edge a -back-> a { x' = x; y' = y; }
+initial a; init { x >= 0; x <= 1; y >= 0; y <= 1; }
+"""
+
+
+class TestMultiVariablePruning:
+    """The pruning test asks the engine's own clip, so a location whose
+    invariant only rows over several variables prove empty leaves the
+    product, and the verdict stays the eager pipeline's."""
+
+    @pytest.mark.parametrize("text", ["G(x <= 1)", "F G back"])
+    def test_location_is_pruned_and_the_verdict_kept(self, text):
+        h = parse_model(MULTI_VARIABLE_EMPTY)
+        formula = formula_of(h, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            verdict = check(h, formula)
+            ref = eager_check(h, formula)
+        assert any(l[0] == "b" for l in ref.product.locations)
+        assert not any(l[0] == "b" for l in verdict.product.locations)
+        assert verdict.status == ref.status
+        assert len(verdict.hits) == len(ref.hits)

@@ -1,6 +1,7 @@
 """Box reachability: rows, affine views, flow kernels, worklist engine."""
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -8,8 +9,16 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from hyltlmc.errors import UnsupportedDynamicsError
-from hyltlmc.formula.parser import Declarations, parse_flow_constraint
+from hyltlmc.formula.parser import Declarations, parse_flow_constraint, parse_formula
+from hyltlmc.hybrid import JumpConstraint, Relation
+from hyltlmc.hybrid.automaton import _solve_jump, find_accepting_witness
+from hyltlmc.hybrid.expr import PrimedVar, Var
+from hyltlmc.hybrid.lasso import HybridLassoTrace
 from hyltlmc.hybrid.modelio import parse_model
+from hyltlmc.hybrid.trajectory import SampledTrajectory
+from hyltlmc.hybrid.valuation import Valuation
+from hyltlmc.monitor import evaluate_trace
+from hyltlmc.product import check
 from hyltlmc.reach.boxes import (
     _box,
     _split,
@@ -20,7 +29,7 @@ from hyltlmc.reach.boxes import (
     full_box,
     image,
     is_empty,
-    linear_rows,
+    satisfiable,
 )
 from hyltlmc.reach.dynamics import TransitionImage, location_dynamics, transition_image
 from hyltlmc.reach.engine import reachable
@@ -33,55 +42,60 @@ from hyltlmc.reach.kernels import (
 )
 
 from conftest import heater_model
-from reference_pipeline import clip_rows, reset_image
+from reference_pipeline import clip_rows, compile_matrix, linear_rows, reset_image
 
 XY = Declarations(variables=("x", "y"), actions=("a",))
+XYZ = Declarations(variables=("x", "y", "z"), actions=("a",))
+
+
+def constraints(*texts):
+    return tuple(parse_flow_constraint(t, XY) for t in texts)
 
 
 def rows_of(*texts, names=("x", "y")):
-    return linear_rows(tuple(parse_flow_constraint(t, XY) for t in texts), names)
-
-
-def clipped(z, C, d):
-    return clip(z, compile_rows(C, d))
+    return compile_rows(constraints(*texts), names)
 
 
 class TestRows:
     """Constraint normalization to a . x + k <= 0 and box clipping."""
 
     def test_single_variable_rows_tighten(self):
-        lo, hi = bounds(clipped(full_box(2), *rows_of("x >= 19", "x <= 21")))
+        lo, hi = bounds(clip(full_box(2), rows_of("x >= 19", "x <= 21")))
         assert lo[0] == 19.0 and hi[0] == 21.0
         assert lo[1] == -np.inf and hi[1] == np.inf
 
     def test_equality_becomes_two_rows(self):
-        C, d = rows_of("x = 5")
-        assert C.shape == (2, 2)
-        lo, hi = bounds(clipped(full_box(2), C, d))
+        [c] = constraints("x = 5")
+        assert len(c.rows) == 2
+        lo, hi = bounds(clip(full_box(2), rows_of("x = 5")))
         assert lo[0] == hi[0] == 5.0
 
     def test_multi_variable_row_prunes_but_never_tightens(self):
-        C, d = rows_of("x + y <= -5")
         box = _box(np.zeros(2), np.ones(2))
-        assert is_empty(clipped(box, C, d))
-        C2, d2 = rows_of("x + y <= 5")
-        lo, hi = bounds(clipped(box, C2, d2))
+        assert is_empty(clip(box, rows_of("x + y <= -5")))
+        lo, hi = bounds(clip(box, rows_of("x + y <= 5")))
         assert (lo == 0).all() and (hi == 1).all()
 
     def test_constant_false_row_empties(self):
-        C, d = rows_of("1 >= 2")
-        assert is_empty(clipped(full_box(2), C, d))
+        assert is_empty(clip(full_box(2), rows_of("1 >= 2")))
 
     def test_contradictory_bounds_empty(self):
-        C, d = rows_of("x <= 3", "x >= 4")
-        assert is_empty(clipped(full_box(2), C, d))
+        assert is_empty(clip(full_box(2), rows_of("x <= 3", "x >= 4")))
 
     def test_row_range_is_exact_and_infinity_safe(self):
-        C, d = rows_of("x + 2 * y <= 0")
+        [c] = constraints("x + 2 * y <= 0")
+        [(coeffs, k)] = c.rows
+        row = np.array([[a for _, a in coeffs]])
         lo = np.array([-1.0, -np.inf])
         hi = np.array([2.0, 0.0])
-        r_lo, r_hi = bounds(image(_split(C[:1]), np.array([-d[0], d[0]]), _box(lo, hi)))
+        r_lo, r_hi = bounds(image(_split(row), np.array([-k, k]), _box(lo, hi)))
         assert r_lo == -np.inf and r_hi == 2.0
+
+    def test_rows_with_primed_or_dotted_variables_give_none(self):
+        assert constraints("der(x) = 1")[0].rows == ()
+        assert JumpConstraint(PrimedVar("x"), Relation.GE, Var("x")).rows == ()
+        guard = JumpConstraint(Var("x"), Relation.LE, Var("y"))
+        assert guard.rows == (((("x", 1.0), ("y", -1.0)), 0.0),)
 
     def test_box_algebra(self):
         a = _box([0.0], [2.0])
@@ -129,17 +143,61 @@ def row_sets(draw, n):
     return np.array([r for r, _ in rows]), np.array([k for _, k in rows])
 
 
+class MatrixRows(NamedTuple):
+    """A constraint stand-in that carries one matrix row as its rows."""
+
+    rows: tuple
+
+
+def as_constraints(C, d, names):
+    return [
+        MatrixRows(((tuple(zip(names, map(float, row))), float(k)),)) for row, k in zip(C, d)
+    ]
+
+
+@st.composite
+def drawn_constraints(draw, n):
+    """Up to six constraints over the first n of x, y, z, of every kind
+    that reads as rows or as none: single-variable, multi-variable with
+    zero terms, constant, nonaffine, der() and primed, under every
+    relation."""
+    names = ("x", "y", "z")[:n]
+    coeff = st.sampled_from(["0", "1", "-1", "2", "-3", "0.5", "-0.25", "1e-3"])
+    const = st.sampled_from(["0", "1", "-2", "5", "0.1", "-7.5"])
+    rel = st.sampled_from(["<", "<=", "=", ">=", ">"])
+    var = st.sampled_from(names)
+    out = []
+    kinds = ["single", "multi", "constant", "nonaffine", "der", "primed"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=6)):
+        r, k, x = draw(rel), draw(const), draw(var)
+        if kind == "primed":
+            out.append(JumpConstraint(PrimedVar(x), Relation(r), Var(draw(var))))
+            continue
+        lhs = {
+            "single": f"{draw(coeff)} * {x}",
+            "multi": " + ".join(f"{draw(coeff)} * {v}" for v in names),
+            "constant": draw(const),
+            "nonaffine": f"{x} * {draw(var)}",
+            "der": f"der({x})",
+        }[kind]
+        out.append(parse_flow_constraint(f"{lhs} {r} {k}", XYZ))
+    return names, out
+
+
 class TestAgainstFrozenAlgebra:
     """The compiled clip and the reset image agree exactly with the
     (lo, hi) operations frozen in reference_pipeline. Small integer data
-    keep every sum exact, so any difference is a fault, not rounding."""
+    keep every sum exact, so any difference is a fault, not rounding.
+    compile_rows does the arithmetic of the matrix reader frozen there,
+    so its clips agree with it bit for bit on any data."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda n: st.tuples(start_boxes(n), row_sets(n))))
     def test_clip(self, case):
         (lo, hi), (C, d) = case
         r_lo, r_hi = clip_rows(lo, hi, C, d)
-        z = clip(_box(lo, hi), compile_rows(C, d))
+        names = [f"x{i}" for i in range(len(lo))]
+        z = clip(_box(lo, hi), compile_rows(as_constraints(C, d, names), names))
         assert is_empty(z) == bool((r_lo > r_hi).any())
         if not is_empty(z):
             n_lo, n_hi = bounds(z)
@@ -160,12 +218,29 @@ class TestAgainstFrozenAlgebra:
         n = len(lo)
         R = np.array(R, dtype=np.float64).reshape(n, n)
         r = np.array(r, dtype=np.float64)
-        img = TransitionImage(np.zeros((0, n)), np.zeros(0), R, r)
+        img = TransitionImage(compile_rows((), ()), R, np.concatenate([-r, r]))
         r_lo, r_hi = reset_image(img, lo, hi)
         n_lo, n_hi = bounds(image(_split(R), np.concatenate([-r, r]), _box(lo, hi)))
         # Equal as floats: a zero endpoint summed in z = (-lo, hi) may come
         # out as 0.0 where the (lo, hi) sum gives -0.0, or the reverse.
         assert np.array_equal(n_lo, r_lo) and np.array_equal(n_hi, r_hi)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(drawn_constraints))
+    def test_compile_rows_matches_the_matrix_reader(self, case):
+        names, cs = case
+        got = compile_rows(cs, names)
+        want = compile_matrix(*linear_rows(cs, names))
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(drawn_constraints(n), start_boxes(n))))
+    def test_pruning_agrees_with_the_engine_clip(self, case):
+        (names, cs), (lo, hi) = case
+        if not satisfiable(cs):
+            assert is_empty(clip(_box(lo, hi), compile_rows(cs, names)))
 
 
 class TestDynamics:
@@ -173,22 +248,28 @@ class TestDynamics:
 
     def test_heater_fields(self):
         h = heater_model()
+
+        def inv_bounds(l):
+            return bounds(clip(full_box(1), compile_rows(h.invariant(l), h.variables)))
+
         idle = location_dynamics(h, "idle")
         assert idle.A == pytest.approx(np.array([[-0.2]]))
         assert idle.b == pytest.approx([0.0])
-        assert idle.inv_lo[0] == 17.0 and idle.inv_hi[0] == np.inf
+        inv_lo, inv_hi = inv_bounds("idle")
+        assert inv_lo[0] == 17.0 and inv_hi[0] == np.inf
         heat = location_dynamics(h, "heat")
         assert heat.A == pytest.approx(np.array([[-0.2]]))
         assert heat.b == pytest.approx([30.0])
-        assert heat.inv_lo[0] == -np.inf and heat.inv_hi[0] == 23.0
+        inv_lo, inv_hi = inv_bounds("heat")
+        assert inv_lo[0] == -np.inf and inv_hi[0] == 23.0
 
     def test_heater_jump_views(self):
         h = heater_model()
         on = next(t for t in h.transitions if t.action == "on")
         img = transition_image(h, on)
         assert img.R == pytest.approx(np.eye(1))
-        assert img.r == pytest.approx([0.0])
-        lo, hi = bounds(clipped(full_box(1), img.guard_C, img.guard_d))
+        assert img.offset == pytest.approx([0.0, 0.0])
+        lo, hi = bounds(clip(full_box(1), img.guard))
         assert hi[0] == 19.0
 
     def model(self, text):
@@ -225,17 +306,95 @@ class TestDynamics:
         with pytest.raises(UnsupportedDynamicsError, match="not affine"):
             transition_image(h, t)
 
-    def test_nondefining_primed_row_is_dropped(self):
-        # x' >= x constrains the successor but defines nothing; the image
-        # keeps the identity reset, over-approximating the jump.
+    def test_nondefining_primed_row_frees_the_variable(self):
+        # x' >= x constrains the successor but defines nothing, so the
+        # image of x is unbounded; y, which no row mentions, keeps its
+        # value, and the primed row adds nothing to the guard.
         h = self.model(
-            "vars x; actions a;\n"
-            "location p { der(x) = 0; }\n"
+            "vars x, y; actions a;\n"
+            "location p { der(x) = 0; der(y) = 0; }\n"
             "edge p -a-> p { x' >= x; }\ninitial p;"
         )
         img = transition_image(h, h.transitions[0])
-        assert img.R == pytest.approx(np.eye(1))
-        assert img.guard_C.shape == (0, 1)
+        assert img.R.tolist() == [[0.0, 0.0], [0.0, 1.0]]
+        assert img.offset.tolist() == [np.inf, 0.0, np.inf, 0.0]
+        assert (img.guard.u == np.inf).all() and len(img.guard.k) == 0
+        lo, hi = bounds(image(_split(img.R), img.offset, _box([1.0, 2.0], [1.0, 2.0])))
+        assert lo.tolist() == [-np.inf, 2.0] and hi.tolist() == [np.inf, 2.0]
+
+    @pytest.mark.parametrize(
+        "row, defined",
+        [
+            ("x' = y + 1", {"x"}),
+            ("y + 1 = x'", {"x"}),
+            ("x' = y'", set()),
+            ("2 * x' = x", set()),
+            ("x' >= x", set()),
+        ],
+    )
+    def test_one_reset_rule(self, row, defined):
+        """transition_image and the simulator's _solve_jump read the same
+        defining rows: a defined variable gets one value in both, a
+        constrained but undefined one is free in the image and kept by
+        the canonical successor, and any other variable is kept by both."""
+        h = self.model(
+            "vars x, y, z; actions a;\n"
+            "location p { der(x) = 0; der(y) = 0; der(z) = 0; }\n"
+            f"edge p -a-> p {{ {row}; }}\ninitial p;"
+        )
+        t = h.transitions[0]
+        assert {jc.defines[0] for jc in t.jumps if jc.defines} == defined
+        start = {"x": 3.0, "y": 5.0, "z": 7.0}
+        img = transition_image(h, t)
+        point = [start[x] for x in h.variables]
+        lo, hi = bounds(image(_split(img.R), img.offset, _box(point, point)))
+        successor = _solve_jump(Valuation(start), t.jumps, h.variables)
+        primed = set().union(*(jc.primed_vars for jc in t.jumps))
+        for i, x in enumerate(h.variables):
+            if x in defined:
+                assert lo[i] == hi[i] == successor[x] == start["y"] + 1
+            elif x in primed:
+                assert (lo[i], hi[i]) == (-np.inf, np.inf)
+                assert successor[x] == start[x]
+            else:
+                assert lo[i] == hi[i] == successor[x] == start[x]
+
+
+# A jump row that constrains x' without defining it: x' >= x lets x jump
+# from 0.5 to 50, which violates !F(x >= 5).
+UNDEFINED_RESET = """
+vars x; actions go, stay;
+location a { der(x) = 0; }
+location b { der(x) = 0; }
+edge a -go-> b { x' >= x; }
+edge b -stay-> b { x' = x; }
+initial a; init { x >= 0; x <= 1; }
+"""
+
+
+class TestUndefinedReset:
+    """A variable that a jump constrains but does not define is free in
+    reachability, so the violated property is never Verified."""
+
+    def test_a_run_violates_the_property(self):
+        h = parse_model(UNDEFINED_RESET)
+        formula = parse_formula("!F(x >= 5)", Declarations(h.variables, h.actions))
+
+        def segment(x, action):
+            return SampledTrajectory(("x",), [[x], [x], [x]], 0.1, np.zeros((3, 1))), action
+
+        trace = HybridLassoTrace([segment(0.5, "go")], [segment(50.0, "stay")])
+        assert find_accepting_witness(trace, h) == (("a",), ("b",))
+        assert not evaluate_trace(trace, formula)
+
+    def test_check_is_inconclusive(self):
+        h = parse_model(UNDEFINED_RESET)
+        formula = parse_formula("!F(x >= 5)", Declarations(h.variables, h.actions))
+        verdict = check(h, formula)
+        # The jump leaves x unbounded in b, so the recurrence query
+        # cannot close there.
+        assert verdict.status == "Inconclusive"
+        assert verdict.reason == "witness variable unbounded at a latched final location"
 
 
 class TestFlowKernel:

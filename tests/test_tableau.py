@@ -18,9 +18,9 @@ from hyltlmc.formula.syntax import (
     neg,
 )
 from hyltlmc.hybrid import FlowConstraint, Relation
-from hyltlmc.hybrid.constraints import satisfiable
 from hyltlmc.hybrid.discrete import WordAutomaton, accepts_lasso_word
 from hyltlmc.hybrid.expr import Const, Var
+from hyltlmc.reach.boxes import satisfiable
 from hyltlmc.tableau import build_formula_automaton, prune_unreachable
 
 from conftest import BOOL_ATOMS, random_formula
@@ -218,11 +218,14 @@ class TestPrune:
             (("1 >= 2",), False),
             (("1 <= 2", "0 < 0"), True),
             (("x * x <= -1",), True),  # nonaffine, skipped
-            (("x + y <= 0", "x >= 1", "y >= 1"), True),  # several variables
+            # Several variables: the clip proves it empty once x and y
+            # are bounded, and keeps it while y is not.
+            (("x + y <= 0", "x >= 1", "y >= 1"), False),
             (("der(x) = 1", "der(x) = 2"), True),  # rates are not invariants
             (("x = 5", "x > 6"), False),
             (("x = 5", "x <= 5", "y >= 7"), True),
             (("2 * x <= 10", "-3 * x <= -16"), False),
+            (("x + y <= 0", "x >= 1"), True),
         ],
     )
     def test_single_variable_bounds_decide_emptiness(self, rows, kept):
