@@ -12,6 +12,7 @@ tuples for products.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ..errors import ModelError
@@ -289,13 +290,20 @@ def _solve_jump(
     """Construct the canonical successor valuation of a jump.
 
     A defining row x' = e(state) (JumpConstraint.defines) sets the new
-    value of x; every other variable keeps its value. The caller checks
-    every row on the result, so it is one successor of the jump relation
-    or none: the trace oracles build and check only real runs, though not
-    every one (x' >= x allows more). Returns None when a defining
+    value of x. A variable that other rows bound without defining it
+    takes its old value clamped into the bounds that its rows with a
+    single primed variable (JumpConstraint.jump_rows) give once the
+    pre-state is substituted; every other variable keeps its value. The
+    caller checks every row on the result, so it is one successor of the
+    jump relation or none: the trace oracles build and check only real
+    runs, though not every one (x' >= x allows more), and a strict bound,
+    read closed, rejects the value on it. Returns None when a defining
     equation is itself unevaluable.
     """
     new = {x: v[x] for x in names}
+    defined: set[str] = set()
+    lo: dict[str, float] = {}
+    hi: dict[str, float] = {}
     for jc in jumps:
         if jc.defines is not None:
             x, e = jc.defines
@@ -303,16 +311,31 @@ def _solve_jump(
                 new[x] = float(evaluate(e, state=v))
             except (ModelError, ZeroDivisionError):
                 return None
+            defined.add(x)
+            continue
+        for coeffs, k in jc.jump_rows:
+            post = [(y[:-1], a) for y, a in coeffs if y.endswith("'")]
+            if len(post) != 1 or post[0][1] == 0.0:
+                continue
+            (x, a), = post
+            # a x' + rest <= 0 bounds x' from above when a > 0.
+            rest = k + sum(c * v[y] for y, c in coeffs if not y.endswith("'"))
+            if a > 0:
+                hi[x] = min(hi.get(x, math.inf), -rest / a)
+            else:
+                lo[x] = max(lo.get(x, -math.inf), -rest / a)
+    for x in (lo.keys() | hi.keys()) - defined:
+        new[x] = min(max(new[x], lo.get(x, -math.inf)), hi.get(x, math.inf))
     return Valuation(new)
 
 
 def _successors(h: HybridAutomaton, loc: Loc, v: Valuation, action=None, tol=0.0):
     """(transition, successor valuation) pairs of the concrete jumps from v.
 
-    Successors are built by solving the defining reset equations and
-    holding unconstrained variables, then filtered by the full jump
-    constraint set and admissibility in the target location, in
-    transition order.
+    Successors are built as _solve_jump builds them: defining reset
+    equations solved, bounded variables clamped and the others held.
+    They are then filtered by the full jump constraint set and
+    admissibility in the target location, in transition order.
     """
     for t in h.transitions_from(loc, action):
         v2 = _solve_jump(v, t.jumps, h.variables)

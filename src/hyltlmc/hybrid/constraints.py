@@ -61,17 +61,27 @@ def holds(lhs: float, rel: Relation, rhs: float, tol: float = 0.0):
 Row = tuple[tuple[tuple[str, float], ...], float]
 
 
-def _rows(lhs: Expr, rel: Relation, rhs: Expr) -> tuple[Row, ...]:
+def _rows(
+    lhs: Expr, rel: Relation, rhs: Expr, primed: bool = False
+) -> tuple[Row, ...]:
     """lhs rel rhs as rows over plain variables: a strict inequality is
     closed and an equality gives two rows, which only enlarges the region.
-    A comparison that is not affine in plain variables gives no row."""
+    A comparison that is not affine in plain variables gives no row. With
+    primed, primed variables may occur too, named x'."""
     form = affine_form(Sub(lhs, rhs))
-    if form is None or any(kind != "v" for kind, _ in form[0]):
+    kinds = ("v", "p") if primed else ("v",)
+    if form is None or any(kind not in kinds for kind, _ in form[0]):
         return ()
     coeffs, k = form
     signs = (1.0, -1.0) if rel is Relation.EQ else (1.0 if rel in _UPPER else -1.0,)
     return tuple(
-        (tuple((name, sign * a) for (_, name), a in coeffs.items()), sign * k)
+        (
+            tuple(
+                (name + "'" if kind == "p" else name, sign * a)
+                for (kind, name), a in coeffs.items()
+            ),
+            sign * k,
+        )
         for sign in signs
     )
 
@@ -169,6 +179,12 @@ class JumpConstraint:
         guard, gives rows, so a whole jump tuple can be read for its
         guards."""
         return _rows(self.lhs, self.rel, self.rhs)
+
+    @cached_property
+    def jump_rows(self) -> tuple[Row, ...]:
+        """The comparison as rows over state and primed variables, a
+        primed one named x' (_rows); none when it is not affine."""
+        return _rows(self.lhs, self.rel, self.rhs, primed=True)
 
     @cached_property
     def defines(self) -> tuple[str, Expr] | None:

@@ -11,11 +11,17 @@ per until operator, listing the locations where that until is fulfilled
 or dropped, keeps runs from postponing an until forever.
 
 Successors are computed on set indices first. A pruned automaton keeps
-only the locations on a path from an initial location to a cycle that
-meets every acceptance set (live_nodes), leaving out the sets whose flow
-atoms no state can meet, which the reach engine's clip of the full box
-decides (reach.boxes.satisfiable); prune_unreachable applies the same
-rule, and no edge is made for any other location.
+only the sets that lie in a live pair (system location, set): one on a
+path from an initial pair to a cycle meeting every acceptance set of the
+composition (live_nodes). The pairs form the composition's location
+graph, and only those reached from an initial pair get successors. Sets
+whose flow atoms no state can meet, which the reach engine's clip of the
+full box decides (reach.boxes.satisfiable), are left out first. Without
+a system, the one-location system looping on every action stands in,
+and the rule is prune_unreachable's on the tableau alone. With one,
+composing the kept sets with the system and pruning gives the product
+that composing every set and pruning gives. No edge is made for any
+other set.
 """
 
 from __future__ import annotations
@@ -31,21 +37,35 @@ from .reach.boxes import satisfiable
 
 
 def build_formula_automaton(
-    formula: Formula, actions: Sequence[str], prune: bool = False
+    formula: Formula,
+    actions: Sequence[str],
+    prune: bool = False,
+    system: HybridAutomaton | None = None,
 ) -> HybridAutomaton:
     """Translate a formula over the given action alphabet.
 
     The alphabet must cover every action atom of the formula. Location
     names follow the maximally consistent set enumeration, so q17 is the
     eighteenth set in the order maximally_consistent_sets returns. With
-    prune, only the locations prune_unreachable would keep are built;
-    the result equals prune_unreachable of the full automaton.
+    prune, only the sets that lie in a live pair of system and tableau
+    are built (see _live_sets), with every edge between them. Without a
+    system that is the one-location system looping on every action, and
+    the result equals prune_unreachable of the full automaton. With a
+    system over the same alphabet, the result is an induced
+    sub-automaton of that one, and prune_unreachable of its composition
+    with the system equals prune_unreachable of the system composed
+    with the full automaton.
     """
     actions = tuple(actions)
     missing = action_atoms(formula) - set(actions)
     if missing:
         raise ModelError(
             f"formula uses actions outside the alphabet: {sorted(missing)}"
+        )
+    if system is not None and set(system.actions) != set(actions):
+        raise ModelError(
+            f"system alphabet {sorted(system.actions)} is not the "
+            f"observer's {sorted(actions)}"
         )
 
     cl = closure(formula, actions)
@@ -104,7 +124,12 @@ def build_formula_automaton(
         for i_u, i_1, i_2 in cl.until_nodes
     ]
 
-    live = live_nodes(n, succ, init, acceptance) if prune else range(n)
+    if prune:
+        live = _live_sets(
+            system or _free_system(actions), succ, target_actions, init, acceptance
+        )
+    else:
+        live = range(n)
     kept = sorted(live)
 
     transitions = [
@@ -125,6 +150,81 @@ def build_formula_automaton(
             frozenset(names[i] for i in F if i in live) for F in acceptance
         ),
     )
+
+
+def _free_system(actions: tuple[str, ...]) -> HybridAutomaton:
+    """The one-location system looping on every action; its pairs with
+    the sets form the tableau's own location graph."""
+    return HybridAutomaton(
+        (), actions, ("s",), [Transition("s", a, "s") for a in actions], {}, ("s",)
+    )
+
+
+def _live_sets(
+    system: HybridAutomaton,
+    succ: Sequence[Sequence[int]],
+    target_actions: Sequence[tuple[str, ...]],
+    init: Sequence[int],
+    acceptance: Sequence[Sequence[int]],
+) -> set[int]:
+    """Sets that lie in a live pair (system location, set).
+
+    The pairs form compose's location graph: (s, i) steps to (s', j)
+    when j is a successor of i whose action labels a system edge s -> s'.
+    A pair is live (live_nodes) under the acceptance family compose
+    lifts, the system's sets first. Projecting a live pair's path and
+    cycle onto the sets gives a live path of the tableau, so every kept
+    set is one prune_unreachable keeps on the tableau alone; and every
+    path of the composition through live pairs stays among the kept sets.
+    """
+    n = len(succ)
+    sidx = {l: k for k, l in enumerate(system.locations)}
+    # Pair (s, i) is the node s * n + i.
+    moves: list[dict[str, list[int]]] = [{} for _ in system.locations]
+    for t in system.transitions:
+        moves[sidx[t.source]].setdefault(t.action, []).append(sidx[t.target] * n)
+    lifted = [[sidx[l] * n + i for l in F for i in range(n)] for F in system.acceptance]
+    lifted += [[s * n + i for s in range(len(sidx)) for i in F] for F in acceptance]
+    roots = [sidx[l] * n + i for l in system.init for i in init]
+    live = live_nodes(
+        len(sidx) * n, _PairSuccessors(n, moves, succ, target_actions), roots, lifted
+    )
+    return {v % n for v in live}
+
+
+class _PairSuccessors(dict):
+    """Successor lists of pair nodes, each computed when the search first
+    asks for it, so only pairs reached from the roots get one.
+
+    Sets share their successor lists per pin profile, so the pairs of a
+    system location with sets of one profile share one list too.
+    """
+
+    def __init__(self, n, moves, succ, target_actions):
+        super().__init__()
+        self.n = n
+        self.moves = moves
+        self.succ = succ
+        self.target_actions = target_actions
+        self.shared: dict[tuple[int, int], list[int]] = {}
+
+    def __missing__(self, v: int) -> list[int]:
+        s, i = divmod(v, self.n)
+        js = self.succ[i]
+        out = self.shared.get((s, id(js)))
+        if out is None:
+            split: dict[str, list[int]] = {}
+            for j in js:
+                split.setdefault(self.target_actions[j][0], []).append(j)
+            out = self.shared[s, id(js)] = [
+                base + j
+                for a, bases in self.moves[s].items()
+                if a in split
+                for base in bases
+                for j in split[a]
+            ]
+        self[v] = out
+        return out
 
 
 def _pins(cl: ClosureSet, b: int) -> tuple[int, int] | None:

@@ -15,8 +15,11 @@ used (`two_pass_live_nodes`), of the box operations on (lo, hi) pairs
 that the reach loop used before boxes became upper-bound vectors
 (`clip_rows`, `row_range`, `reset_image`), and of the constraint reader
 that built a matrix of rows for each use before constraints cached their
-own rows (`linear_rows`, `compile_matrix`). Tests compare the two;
-nothing in the package imports this module.
+own rows (`linear_rows`, `compile_matrix`), of the whole counter
+product (`full_degeneralize`), and of the product pipeline from before
+the observer was pruned against the system and the counter product was
+built forward (`unpaired_product`). Tests compare the two; nothing in
+the package imports this module.
 """
 
 from __future__ import annotations
@@ -36,15 +39,16 @@ from hyltlmc.hybrid.automaton import (
     Transition,
     _dedup,
     _freeze_jumps,
+    compose,
 )
 from hyltlmc.product import (
     QueryTarget,
     build_negated_observer,
-    degeneralize,
     instrument,
     normalize_acceptance,
     recurrence_hits,
 )
+from hyltlmc.tableau import prune_unreachable
 from hyltlmc.hybrid.constraints import FlowConstraint, Relation
 from hyltlmc.hybrid.expr import Sub, affine_form
 from hyltlmc.reach.boxes import Clip, _split, bounds, clip
@@ -546,6 +550,43 @@ def graph_pruned(h: HybridAutomaton) -> HybridAutomaton:
     )
 
 
+def full_degeneralize(h: HybridAutomaton) -> HybridAutomaton:
+    """The whole counter product: every (location, index), reachable or
+    not, and every edge at every index."""
+    k = len(h.acceptance)
+    if k <= 1:
+        return h
+    locations = tuple((l, i) for i in range(k) for l in h.locations)
+    transitions = []
+    for t in h.transitions:
+        for i in range(k):
+            j = (i + 1) % k if t.source in h.acceptance[i] else i
+            transitions.append(
+                Transition((t.source, i), t.action, (t.target, j), t.jumps)
+            )
+    return HybridAutomaton(
+        h.variables,
+        h.actions,
+        locations,
+        transitions,
+        {(l, i): h.dyn[l] for l, i in locations},
+        tuple((l, 0) for l in h.init),
+        {(l, 0): r for l, r in h.init_region.items()},
+        (frozenset((l, 0) for l in h.acceptance[0]),),
+    )
+
+
+def unpaired_product(
+    system: HybridAutomaton, formula, strict: bool = False, witness=None
+) -> HybridAutomaton:
+    """The instrumented product as check() built it with an observer blind
+    to the system: compose, prune, whole counter product, prune."""
+    observer = build_negated_observer(formula, system.actions, strict=strict)
+    product = prune_unreachable(compose(system, observer))
+    product = prune_unreachable(normalize_acceptance(full_degeneralize(product)))
+    return instrument(product, witness)[0]
+
+
 @dataclass
 class EagerRun:
     status: str
@@ -565,7 +606,7 @@ def eager_check(
     """compose -> degeneralize -> instrument -> reach, with the observer
     pruned on its location graph alone and nothing pruned after it."""
     observer = graph_pruned(build_negated_observer(formula, system.actions, prune=False))
-    product = normalize_acceptance(degeneralize(eager_compose(system, observer)))
+    product = normalize_acceptance(full_degeneralize(eager_compose(system, observer)))
     inst, targets, f_name, y_names, w_names = instrument(product)
     reach = eager_reachable(inst, horizon=horizon, step=step)
     hits, unbounded = recurrence_hits(reach, targets, f_name, y_names, w_names, eps)

@@ -28,6 +28,21 @@ LASSO_CSV = """t,x
 """
 
 
+# Locations that record the last action taken.
+LAST_ACTION = """
+vars x;
+actions on, off;
+location start { der(x) = 0; }
+location was_on { der(x) = 0; }
+location was_off { der(x) = 0; }
+edge start -on-> was_on { x' = x; }
+edge start -off-> was_off { x' = x; }
+edge was_on -off-> was_off { x' = x; }
+edge was_off -on-> was_on { x' = x; }
+initial start;
+"""
+
+
 @pytest.fixture
 def heater_path(tmp_path, heater):
     p = tmp_path / "heater.hyha"
@@ -61,6 +76,27 @@ class TestCheckCommand:
         assert code == 0
         assert out.startswith("Verified:")
         assert "explored: " in out and "(complete)" in out
+
+    def test_observer_and_stage_times_are_printed(self, heater_path, capsys):
+        code = main(["check", "--model", heater_path,
+                     "--formula", "!F(x >= 21 & X on)"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        observer = [l for l in lines if l.startswith("observer: ")]
+        assert len(observer) == 1 and observer[0].endswith(" transitions")
+        (time_line,) = [l for l in lines if l.startswith("time: ")]
+        stages = [part.rsplit(" ", 2)[0] for part in time_line[6:].split(", ")]
+        assert stages == ["observer", "compose+prune", "degeneralize+prune",
+                          "instrument", "reach", "query"]
+        assert all(part.endswith(" ms") for part in time_line[6:].split(", "))
+
+    def test_machine_line_keeps_its_fields(self, heater_path, capsys):
+        code = main(["--machine", "check", "--model", heater_path,
+                     "--formula", "!F(x >= 21 & X on)"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0 and len(out) == 1
+        assert list(machine_fields(out[0])) == [
+            "status", "reason", "formula", "hits", "complete", "boxes"]
 
     def test_explored_line_names_the_incomplete_cause(self, tmp_path, capsys):
         # der(x) = 800 x in idle: e^(800 h) overflows at step 1.
@@ -310,6 +346,23 @@ class TestMonitorCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "is not a run" in out
+
+    def test_generated_search_tries_the_rotated_trace(self, lasso_path, tmp_path,
+                                                      capsys):
+        """Each location records the last action, so a run of this lasso
+        with an empty prefix shows only once the cycle is advanced one
+        step: the witness search on the trace as given finds none."""
+        model = tmp_path / "last_action.hyha"
+        model.write_text(LAST_ACTION)
+        code = main(["monitor", "--trace", lasso_path, "--actions", "on,off",
+                     "--formula", "G(x >= 21)", "--model", str(model),
+                     "--generated"])
+        assert code == 0
+        assert "trace is a run of the model" in capsys.readouterr().out
+        assert main(["--machine", "monitor", "--trace", lasso_path,
+                     "--actions", "on,off", "--formula", "G(x >= 21)",
+                     "--model", str(model), "--generated"]) == 0
+        assert machine_fields(capsys.readouterr().out)["generated"] == "true"
 
     def test_alphabet_extends_the_declarations(self, lasso_path):
         code = main(["monitor", "--trace", lasso_path, "--actions", "on,on",

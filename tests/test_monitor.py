@@ -16,7 +16,13 @@ from hyltlmc.errors import ConfigError, TraceError, UnsupportedDynamicsError
 from hyltlmc.formula.parser import Declarations, parse_flow_constraint, parse_formula
 from hyltlmc.hybrid import FlowConstraint, HybridAutomaton, JumpConstraint, Relation
 from hyltlmc.hybrid.constraints import satisfies_jump
-from hyltlmc.hybrid.automaton import accepts, find_accepting_witness, is_generated
+from hyltlmc.hybrid.automaton import (
+    _successors,
+    accepts,
+    find_accepting_witness,
+    is_generated,
+)
+from hyltlmc.hybrid.modelio import parse_model
 from hyltlmc.hybrid.discrete import accepts_lasso_word
 from hyltlmc.hybrid.lasso import HybridLassoTrace
 from hyltlmc.hybrid.expr import Const, Div, DotVar, Mul, PrimedVar, Sub, Var
@@ -368,6 +374,54 @@ class TestRandomTraces:
         h = rebuilt(h, dyn={**h.dyn, "heat": heat_flow + inv})
         with pytest.raises(UnsupportedDynamicsError):
             random_trace(h, np.random.default_rng(0))
+
+
+# Every go jump must raise x by at least 1, so the successor that keeps
+# x is never one; the canonical successor takes x + 1.
+RAISING_JUMP = """
+vars x;
+actions go, back;
+location a { der(x) = 1; x <= 5; }
+location b { der(x) = -1; x >= 0; }
+edge a -go-> b { x' >= x + 1; }
+edge b -back-> a { x <= 2; x' = x; }
+initial a;
+init { x >= 0; x <= 1; }
+"""
+
+
+class TestJumpsThatMoveAVariable:
+    """A jump whose rows bound x' without defining it, and exclude x' = x,
+    once left the simulator stuck at the invariant of its source."""
+
+    def model(self):
+        return parse_model(RAISING_JUMP)
+
+    def test_one_jump_takes_the_nearest_bound(self):
+        h = self.model()
+        (t, v2), = list(_successors(h, "a", Valuation({"x": 0.5})))
+        assert t.action == "go" and v2["x"] == 1.5
+        # 5.5 is above a's bound x <= 5, but b only asks x >= 0.
+        (t, v2), = list(_successors(h, "a", Valuation({"x": 4.5})))
+        assert v2["x"] == 5.5
+
+    def test_random_traces_are_runs_of_the_model(self):
+        h = self.model()
+        decls = Declarations(variables=h.variables, actions=h.actions)
+        bounded = parse_formula("G(x >= 0 & x <= 6)", decls)
+        recurrent = parse_formula("G F go & G F back", decls)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            trace, w = random_trace(h, rng)
+            assert is_generated(trace, h, w)
+            assert evaluate_trace(trace, bounded)
+            assert evaluate_trace(trace, recurrent)
+            # Each go jump lands exactly one above its pre-jump value.
+            segments = [trace.trajectory(i) for i in range(1, trace.p + trace.c + 1)]
+            for i, seg in enumerate(segments):
+                if trace.action_after(i + 1) == "go":
+                    after = segments[(i + 1) if i + 1 < len(segments) else trace.p]
+                    assert after.fstate["x"] == seg.lstate["x"] + 1.0
 
 
 class TestBoundingBox:

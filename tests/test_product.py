@@ -28,9 +28,10 @@ from hyltlmc.product import (
     instrument,
     normalize_acceptance,
 )
-from hyltlmc.tableau import build_formula_automaton
+from hyltlmc.tableau import build_formula_automaton, prune_unreachable
 
 from conftest import BOOL_ATOMS, heater_model, random_formula
+from reference_pipeline import full_degeneralize
 
 DECLS = Declarations(variables=("x",), actions=("on", "off"))
 
@@ -78,12 +79,15 @@ class TestDegeneralize:
         assert degeneralize(h) is h
 
     def test_counter_product_shape(self):
-        h = build_formula_automaton(phi("F on & F off"), ("on", "off"))
+        """Only the reachable counter locations are built; on a live input
+        that is the pruned full counter product."""
+        h = build_formula_automaton(phi("F on & F off"), ("on", "off"), prune=True)
         k = len(h.acceptance)
         assert k == 2
         g = degeneralize(h)
         assert len(g.acceptance) == 1
-        assert len(g.locations) == k * len(h.locations)
+        assert g == prune_unreachable(full_degeneralize(h))
+        assert len(g.locations) < k * len(h.locations)
         assert all(l[1] == 0 for l in g.init)
 
     def test_language_is_preserved(self):
@@ -287,6 +291,16 @@ class TestTimings:
         v = check(heater_model(), phi("G(on -> X(!on U off))"))
         assert v.stats["boxes"] == 0
         assert tuple(v.stats["timings"]) == self.STAGES
+
+    def test_observer_sizes_are_reported(self):
+        h = heater_model()
+        f = phi("!F(x >= 21 & X on)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            v = check(h, f)
+            observer = build_negated_observer(f, h.actions, system=h)
+        assert v.stats["observer_locations"] == len(observer.locations) > 0
+        assert v.stats["observer_transitions"] == len(observer.transitions) > 0
 
 
 TANKS = Path(__file__).resolve().parents[1] / "perfbench" / "models" / "tanks.hyha"

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from hyltlmc.errors import UnsupportedDynamicsError
 from hyltlmc.formula.parser import Declarations, parse_flow_constraint, parse_formula
-from hyltlmc.hybrid import JumpConstraint, Relation
+from hyltlmc.hybrid import JumpConstraint, Relation, satisfies_jump
 from hyltlmc.hybrid.automaton import _solve_jump, find_accepting_witness
 from hyltlmc.hybrid.expr import PrimedVar, Var
 from hyltlmc.hybrid.lasso import HybridLassoTrace
@@ -323,20 +323,24 @@ class TestDynamics:
         assert lo.tolist() == [-np.inf, 2.0] and hi.tolist() == [np.inf, 2.0]
 
     @pytest.mark.parametrize(
-        "row, defined",
+        "row, defined, clamped",
         [
-            ("x' = y + 1", {"x"}),
-            ("y + 1 = x'", {"x"}),
-            ("x' = y'", set()),
-            ("2 * x' = x", set()),
-            ("x' >= x", set()),
+            ("x' = y + 1", {"x"}, {}),
+            ("y + 1 = x'", {"x"}, {}),
+            ("x' = y'", set(), {}),
+            ("2 * x' = x", set(), {"x": 1.5}),
+            ("x' >= x", set(), {"x": 3.0}),
+            ("x' >= y + 1", set(), {"x": 6.0}),
+            ("x' <= x - 2", set(), {"x": 1.0}),
         ],
     )
-    def test_one_reset_rule(self, row, defined):
+    def test_one_reset_rule(self, row, defined, clamped):
         """transition_image and the simulator's _solve_jump read the same
         defining rows: a defined variable gets one value in both, a
-        constrained but undefined one is free in the image and kept by
-        the canonical successor, and any other variable is kept by both."""
+        constrained but undefined one is free in the image, and any other
+        variable is kept by both. The canonical successor clamps a
+        constrained variable's old value into the bounds its rows with a
+        single primed variable give (clamped), and keeps it otherwise."""
         h = self.model(
             "vars x, y, z; actions a;\n"
             "location p { der(x) = 0; der(y) = 0; der(z) = 0; }\n"
@@ -355,9 +359,13 @@ class TestDynamics:
                 assert lo[i] == hi[i] == successor[x] == start["y"] + 1
             elif x in primed:
                 assert (lo[i], hi[i]) == (-np.inf, np.inf)
-                assert successor[x] == start[x]
+                assert successor[x] == clamped.get(x, start[x])
             else:
                 assert lo[i] == hi[i] == successor[x] == start[x]
+        # Every row holds on the successor, except x' = y', which bounds
+        # no single primed variable.
+        holds = all(satisfies_jump(Valuation(start), successor, jc) for jc in t.jumps)
+        assert holds == (row != "x' = y'")
 
 
 # A jump row that constrains x' without defining it: x' >= x lets x jump
