@@ -179,7 +179,7 @@ def _cmd_check(args, config: dict) -> int:
             f"{s['query_targets']} query targets"
         )
         print(
-            f"explored: {s['boxes']} boxes "
+            f"explored: {s['boxes']} boxes, {s['flows']} flows "
             f"({s['reach_incomplete'] or 'complete'})"
         )
         for hit in verdict.hits:

@@ -296,9 +296,9 @@ def _solve_jump(
     pre-state is substituted; every other variable keeps its value. The
     caller checks every row on the result, so it is one successor of the
     jump relation or none: the trace oracles build and check only real
-    runs, though not every one (x' >= x allows more), and a strict bound,
-    read closed, rejects the value on it. Returns None when a defining
-    equation is itself unevaluable.
+    runs, though not every one (x' >= x allows more). A strict bound
+    (x' > e) is stepped one ulp inside, so the value on it is not taken.
+    Returns None when a defining equation is itself unevaluable.
     """
     new = {x: v[x] for x in names}
     defined: set[str] = set()
@@ -313,6 +313,7 @@ def _solve_jump(
                 return None
             defined.add(x)
             continue
+        strict = jc.rel in (Relation.LT, Relation.GT)
         for coeffs, k in jc.jump_rows:
             post = [(y[:-1], a) for y, a in coeffs if y.endswith("'")]
             if len(post) != 1 or post[0][1] == 0.0:
@@ -320,10 +321,14 @@ def _solve_jump(
             (x, a), = post
             # a x' + rest <= 0 bounds x' from above when a > 0.
             rest = k + sum(c * v[y] for y, c in coeffs if not y.endswith("'"))
+            bound = -rest / a
+            if strict:
+                # One ulp inside: down for an upper bound (a > 0).
+                bound = math.nextafter(bound, -a * math.inf)
             if a > 0:
-                hi[x] = min(hi.get(x, math.inf), -rest / a)
+                hi[x] = min(hi.get(x, math.inf), bound)
             else:
-                lo[x] = max(lo.get(x, -math.inf), -rest / a)
+                lo[x] = max(lo.get(x, -math.inf), bound)
     for x in (lo.keys() | hi.keys()) - defined:
         new[x] = min(max(new[x], lo.get(x, -math.inf)), hi.get(x, math.inf))
     return Valuation(new)

@@ -181,7 +181,9 @@ def random_trace(
     Derivative samples come from the field itself, so derivative
     equations hold at every sample. The lasso closes once a post-jump
     state nearly recurs; the final pre-jump sample is then snapped so the
-    closing jump reproduces the recurrence target exactly. Returns
+    closing jump reproduces the recurrence target exactly: onto the
+    target itself, or else shifted by the target's offset from the
+    post-jump state, as a jump that moves a variable needs. Returns
     (trace, (prefix locations, cycle locations)).
 
     Raises ConfigError, before any random draw, unless step and
@@ -247,16 +249,17 @@ def random_trace(
             if np.max(np.abs(hvec - v2)) > recurrence_tol:
                 continue
             # Snap the pre-jump sample so the closing jump lands exactly
-            # on the recurrence target.
-            snapped = hvec.copy()
-            val_end = Valuation(dict(zip(names, snapped)))
+            # on the recurrence target (docstring).
             val_tgt = Valuation(dict(zip(names, hvec)))
-            if not all(satisfies_jump(val_end, val_tgt, jc) for jc in t.jumps):
-                continue
-            if not admissible(loc, snapped):
-                continue
-            closed = (hseg, snapped)
-            break
+            for snapped in (hvec.copy(), values[-1] + (hvec - v2)):
+                val_end = Valuation(dict(zip(names, snapped)))
+                if all(
+                    satisfies_jump(val_end, val_tgt, jc) for jc in t.jumps
+                ) and admissible(loc, snapped):
+                    closed = (hseg, snapped)
+                    break
+            if closed is not None:
+                break
 
         if closed is not None:
             hseg, snapped = closed

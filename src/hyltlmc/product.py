@@ -462,6 +462,7 @@ def check(
         "query_targets": len(targets),
         "boxes": sum(len(v) for v in reach.boxes.values()),
         "visits": dict(reach.visits),
+        "flows": reach.flows,
         "reach_complete": reach.complete,
         "reach_incomplete": reach.incompleteness(),
         "aux": {"f": f_name, "y": y_names, "witness": w_names},

@@ -17,6 +17,13 @@ written in place. The dynamics are read once per distinct tuple of
 derivative constraints, and a flow's invariant bounds come from the
 location's compiled invariant clip.
 
+Each distinct field gets one kernel Discretization per run, shared by
+every location with that field. It flows only the field's moving axes
+and remembers each flow by the moving axes' start box and invariant
+bounds, so product copies of one system location that receive the same
+box share one flow; flow_tube is still called once per visit, and
+`flows` counts the flows actually run.
+
 The result is an over-approximation: every reachable state lies in some
 stored box. It is only guaranteed to cover everything when `complete`
 is true; budget exhaustion or a failed flow enclosure makes it false,
@@ -47,6 +54,9 @@ class ReachResult:
     visits: dict[Loc, int] = field(default_factory=dict)
     cause: str | None = None
     cause_location: Loc | None = None
+    # Flows the kernel ran; a flow_tube call whose flow its field's
+    # Discretization already made reuses it and adds none.
+    flows: int = 0
 
     @property
     def complete(self) -> bool:
@@ -231,4 +241,5 @@ def reachable(
                 work.append((target, pushed[k]))
 
     boxes = {l: [bounds(z) for z in zs] for l, zs in store.items()}
-    return ReachResult(names, boxes, visits, cause, cause_location)
+    ran = sum(disc.flows for _, _, disc in flows.values())
+    return ReachResult(names, boxes, visits, cause, cause_location, ran)

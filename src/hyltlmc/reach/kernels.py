@@ -21,9 +21,33 @@ X0. Hence E0 = [lo + h min(0, f_lo) - W F, hi + h max(0, f_hi) + W F],
 where [f_lo, f_hi] is the range of f over X0. An axis whose derivative
 keeps one sign over E0 is monotone along every trajectory on [0, h], so
 each of its states lies between its start value and its value at h:
-the axis is also cut to the hull of X0 and X1 = box(Phi X0 + g). A
-constant axis (zero row of A, zero b) thus keeps its start interval
-exactly, in every segment.
+the axis is also cut to the hull of X0 and X1 = box(Phi X0 + g).
+
+Flowed axes. An axis with a zero row and a zero column of A and zero b
+(the latch f and the snapshots y of a product, for instance) moves
+nothing and nothing moves it. Discretization finds these decoupled
+constant axes once per field, and only the other axes are flowed; a
+constant axis that feeds a moving one, such as a parameter p in
+der(x) = p - x, stays in the flowed block. In every segment a decoupled
+axis holds its start interval cut by the invariant: min(x, inv) + 0.0,
+then cut again, in the upper-bound vector. That is the value the
+segment sums of the whole block give it, with an endpoint -0.0 read as
++0.0. When that interval is empty no state is inside the invariant, and
+the flow is FLOW_DONE with the tube and end box equal to the start box.
+The flowed block runs the same arithmetic as the whole field would,
+without the zero terms of the dropped axes. Where a sum has at most one
+nonzero term, as in a diagonal field, the results are the whole field's
+bit for bit; a sum of several may round otherwise in its last bits,
+since the matrix-vector product groups its terms by position.
+
+Memo. The flow of the moving block is a pure function of its start box,
+its invariant bounds, n_steps and of whether the whole start box is
+finite (which picks the product rule of the segment maps, see _flow).
+Discretization keeps every flow it has made under that key, so a hit
+gives the same bits as a new run would. The engine makes one
+Discretization per field per run and shares it between every location
+with that field, so the memo lives as long as the run. flow_tube copies
+a hit into new arrays, so no caller can write into the memo.
 
 Direct mapping. A trajectory that is inside the invariant at time
 kh + t stayed inside it from time 0, so it was in S_0 = E0 & inv at
@@ -67,7 +91,7 @@ import math
 
 import numpy as np
 
-from .boxes import _bound, _box, _split, bounds
+from .boxes import _bound, _box, _split, bounds, is_empty
 
 FLOW_DONE = 0
 FLOW_BUDGET = 1
@@ -92,7 +116,7 @@ def _expm(M: np.ndarray) -> np.ndarray:
     for k in range(1, _TAYLOR_TERMS + 1):
         T = (T @ X) / k
         E = E + T
-        if not np.abs(T).max() >= 1e-18:
+        if not np.abs(T).max(initial=0.0) >= 1e-18:
             break
     for _ in range(s):
         E = E @ E
@@ -110,15 +134,27 @@ class Discretization:
     """The one-step map of der(x) = A x + b at step h, with cached powers.
 
     phi = e^{Ah} and g are read off e^{[[A, b], [0, 0]] h}; W bounds the
-    Taylor remainder of one step (see the module docstring). Build one
-    per distinct (A, b, h) and pass it to every flow_tube call on that
-    field, so its powers are computed once.
+    Taylor remainder of one step (see the module docstring). All of them
+    are of the flowed block only, the axes at `moving`; `fixed` holds the
+    decoupled constant axes. Build one per distinct (A, b, h) and pass it
+    to every flow_tube call on that field, so its powers are computed
+    once and each distinct flow runs once; `flows` counts those runs.
     """
 
     def __init__(self, A, b, h: float):
         A = np.asarray(A, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
         self.h = h = float(h)
+        nz = A != 0.0
+        flowed = nz.any(axis=1) | nz.any(axis=0) | (b != 0.0)
+        axes, fixed = np.flatnonzero(flowed), np.flatnonzero(~flowed)
+        # Positions of the flowed and of the decoupled constant axes in a
+        # box vector (-lo, hi) of the whole field.
+        self.moving = np.concatenate([axes, axes + len(b)])
+        self.fixed = np.concatenate([fixed, fixed + len(b)])
+        self.flows = 0
+        self._tubes: dict = {}
+        A, b = A[np.ix_(axes, axes)], b[axes]
         self.n = n = len(b)
         # g is linear in b: scaling b down by a power of two c to the size
         # of A h and g back up is exact, and keeps a large b from scaling
@@ -143,8 +179,9 @@ class Discretization:
         self.finite = bool(np.isfinite(psi).all() and np.isfinite(self.g).all())
         moving = (A != 0.0).any(axis=1) | (b != 0.0)
         unit = (self.phi == np.eye(n)).all(axis=1) & (self.g == 0.0)
-        # Indices of moving axes whose one-step map rounds to the identity.
-        self.stalled = tuple(int(i) for i in np.flatnonzero(moving & unit))
+        # Indices (of the whole field) of moving axes whose one-step map
+        # rounds to the identity.
+        self.stalled = tuple(int(axes[i]) for i in np.flatnonzero(moving & unit))
         self.GA = _split(A)
         self.b2 = np.concatenate([-b, b])
         self.g2 = np.concatenate([-self.g, self.g])
@@ -182,7 +219,7 @@ def flow_tube(lo, hi, A, b, h, n_steps, inv_lo, inv_hi, *, disc=None):
     Returns (tube_lo, tube_hi, end_lo, end_hi, status) with float64
     arrays; see the module docstring for the status codes. disc, when
     given, must be Discretization(A, b, h); callers that flow the same
-    field many times pass it to share its powers.
+    field many times pass it to share its powers and its memo.
     """
     x = _box(lo, hi)
     n_steps = int(n_steps)
@@ -191,22 +228,43 @@ def flow_tube(lo, hi, A, b, h, n_steps, inv_lo, inv_hi, *, disc=None):
     if n_steps <= 0 or not disc.finite or disc.stalled:
         status = FLOW_BUDGET if n_steps <= 0 else FLOW_NO_ENCLOSURE
         return *bounds(x), *bounds(x), status
-    # Overflow is detected from the results and reported as a status.
-    with np.errstate(over="ignore", invalid="ignore"):
-        tube, end, status = _flow(disc, x, n_steps, _box(inv_lo, inv_hi))
-    return *bounds(tube), *bounds(end), status
+    inv = _box(inv_lo, inv_hi)
+    fixed, moving = disc.fixed, disc.moving
+    # The decoupled constant axes (module docstring).
+    s = np.minimum(np.minimum(x[fixed], inv[fixed]) + 0.0, inv[fixed])
+    if is_empty(s):
+        return *bounds(x), *bounds(x), FLOW_DONE
+    xm, finite = x[moving], bool(np.isfinite(x).all())
+    key = (xm.tobytes(), inv[moving].tobytes(), n_steps, finite)
+    flow = disc._tubes.get(key)
+    if flow is None:
+        disc.flows += 1
+        # Overflow is detected from the results and reported as a status.
+        with np.errstate(over="ignore", invalid="ignore"):
+            flow = disc._tubes[key] = _flow(disc, xm, n_steps, inv[moving], finite)
+    tube_m, end_m, status = flow
+    if end_m is None:
+        return *bounds(x), *bounds(x), status
+    out = np.empty((2, len(x)))
+    out[:, moving] = tube_m, end_m
+    out[:, fixed] = np.maximum(x[fixed], s), s
+    return *bounds(out[0]), *bounds(out[1]), status
 
 
-def _flow(disc: Discretization, x, n_steps: int, inv):
+def _flow(disc: Discretization, x, n_steps: int, inv, finite: bool):
+    """Tube, end box and status of the flowed block from its box x; the
+    end box is None when the flow stops before its first segment."""
     n = disc.n
+    if not n:
+        return x, x, FLOW_DONE
     # A finite start box keeps every box finite, and an overflow then
     # shows as nan; only infinite sides need 0 * inf = 0.
-    bound = np.matmul if np.isfinite(x).all() else _bound
+    bound = np.matmul if finite else _bound
     s0 = np.minimum(_first_segment(disc, x, bound), inv)
     # Columns (z_lo, z_hi): the positive and negative parts of Phi^k,
     # stacked, times them give every product that G(Phi^k) s0 sums.
     halves = np.stack([s0[:n], s0[n:]], axis=1)
-    tube = end = x
+    tube, end = x, None
     start, count = 0, min(_CHUNK, n_steps)
     P, V = disc.powers(count)
     while True:
@@ -228,7 +286,8 @@ def _flow(disc: Discretization, x, n_steps: int, inv):
         last = k + 1 if k < count and not (bad[k] or empty[k]) else k
         if last:
             tube = np.maximum(tube, seg[:last].max(axis=0))
-            end = seg[last - 1]
+            # A copy, so a remembered flow does not keep its chunk alive.
+            end = seg[last - 1].copy()
         if k < count:
             return tube, end, FLOW_NO_ENCLOSURE if bad[k] else FLOW_DONE
         start += count

@@ -18,8 +18,10 @@ that built a matrix of rows for each use before constraints cached their
 own rows (`linear_rows`, `compile_matrix`), of the whole counter
 product (`full_degeneralize`), and of the product pipeline from before
 the observer was pruned against the system and the counter product was
-built forward (`unpaired_product`). Tests compare the two; nothing in
-the package imports this module.
+built forward (`unpaired_product`), and of the flow kernel that flowed
+every axis of a field and remembered no flow (`FrozenDiscretization`,
+`frozen_flow_tube`). Tests compare the two; nothing in the package
+imports this module.
 """
 
 from __future__ import annotations
@@ -51,10 +53,17 @@ from hyltlmc.product import (
 from hyltlmc.tableau import prune_unreachable
 from hyltlmc.hybrid.constraints import FlowConstraint, Relation
 from hyltlmc.hybrid.expr import Sub, affine_form
-from hyltlmc.reach.boxes import Clip, _split, bounds, clip
+from hyltlmc.reach.boxes import Clip, _bound, _box, _split, bounds, clip
 from hyltlmc.reach.dynamics import TransitionImage, location_dynamics, transition_image
 from hyltlmc.reach.engine import ReachResult
-from hyltlmc.reach.kernels import FLOW_BUDGET, FLOW_DONE, flow_tube
+from hyltlmc.reach.kernels import (
+    FLOW_BUDGET,
+    FLOW_DONE,
+    FLOW_NO_ENCLOSURE,
+    _expm,
+    _shift,
+    flow_tube,
+)
 
 
 # -- boxes as (lo, hi) pairs ------------------------------------------------
@@ -417,6 +426,118 @@ def eager_compose(h1: HybridAutomaton, h2: HybridAutomaton) -> HybridAutomaton:
         init_region,
         acceptance,
     )
+
+
+# -- the flow kernel that flowed every axis ----------------------------------
+
+_FROZEN_CHUNK = 256
+
+
+class FrozenDiscretization:
+    """The one-step map of der(x) = A x + b at step h over every axis,
+    with cached powers."""
+
+    def __init__(self, A, b, h: float):
+        A = np.asarray(A, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        self.h = h = float(h)
+        self.n = n = len(b)
+        a_norm = float(np.abs(A).sum(axis=1).max(initial=0.0)) * h
+        b_norm = float(np.abs(b).max(initial=0.0)) * h
+        c = 2.0 ** max(0, math.frexp(b_norm)[1] - math.frexp(max(a_norm, 1.0))[1])
+        M = np.zeros((n + 1, n + 1))
+        M[:n, :n] = A * h
+        M[:n, n] = b * (h / c)
+        K = np.zeros((2 * n, 2 * n))
+        K[:n, :n] = np.abs(A) * h
+        K[:n, n:] = np.eye(n) * h
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi = _expm(M)
+            self.W = np.maximum(_expm(K)[:n, n:] - np.eye(n) * h, 0.0)
+            self.phi = np.ascontiguousarray(psi[:n, :n])
+            self.Gphi = _split(self.phi)
+        self.g = psi[:n, n] * c
+        self.finite = bool(np.isfinite(psi).all() and np.isfinite(self.g).all())
+        moving = (A != 0.0).any(axis=1) | (b != 0.0)
+        unit = (self.phi == np.eye(n)).all(axis=1) & (self.g == 0.0)
+        self.stalled = tuple(int(i) for i in np.flatnonzero(moving & unit))
+        self.GA = _split(A)
+        self.b2 = np.concatenate([-b, b])
+        self.g2 = np.concatenate([-self.g, self.g])
+        self._P = np.eye(n)[None]
+        self._V = np.zeros((1, n))
+
+    def powers(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        P, V = self._P, self._V
+        while len(P) < count:
+            P2, V2 = _shift(P, V, P[-1] @ self.phi, P[-1] @ self.g + V[-1])
+            P, V = np.concatenate([P, P2]), np.concatenate([V, V2])
+        self._P, self._V = P, V
+        return P[:count], V[:count]
+
+
+def _frozen_first_segment(disc: FrozenDiscretization, x: np.ndarray, bound) -> np.ndarray:
+    n = disc.n
+    f = bound(disc.GA, x) + disc.b2
+    rem = bound(disc.W, np.maximum(np.abs(f[:n]), np.abs(f[n:])))
+    e = x + disc.h * np.maximum(f, 0.0) + np.concatenate([rem, rem])
+    d = bound(disc.GA, e) + disc.b2
+    mono = (d[:n] <= 0.0) | (d[n:] <= 0.0)
+    if mono.any():
+        x1 = bound(disc.Gphi, x) + disc.g2
+        e = np.where(np.concatenate([mono, mono]), np.minimum(e, np.maximum(x, x1)), e)
+    return e
+
+
+def frozen_flow_tube(lo, hi, A, b, h, n_steps, inv_lo, inv_hi, *, disc=None):
+    """flow_tube as it was when every axis was flowed and nothing kept."""
+    x = _box(lo, hi)
+    n_steps = int(n_steps)
+    if disc is None and n_steps > 0:
+        disc = FrozenDiscretization(A, b, h)
+    if n_steps <= 0 or not disc.finite or disc.stalled:
+        status = FLOW_BUDGET if n_steps <= 0 else FLOW_NO_ENCLOSURE
+        return *bounds(x), *bounds(x), status
+    with np.errstate(over="ignore", invalid="ignore"):
+        tube, end, status = _frozen_flow(disc, x, n_steps, _box(inv_lo, inv_hi))
+    return *bounds(tube), *bounds(end), status
+
+
+def _frozen_flow(disc: FrozenDiscretization, x, n_steps: int, inv):
+    n = disc.n
+    bound = np.matmul if np.isfinite(x).all() else _bound
+    s0 = np.minimum(_frozen_first_segment(disc, x, bound), inv)
+    halves = np.stack([s0[:n], s0[n:]], axis=1)
+    tube = end = x
+    start, count = 0, min(_FROZEN_CHUNK, n_steps)
+    P, V = disc.powers(count)
+    while True:
+        flat = P.reshape(-1, n)
+        pos = np.maximum(flat, 0.0)
+        R = bound(np.concatenate([pos, pos - flat]), halves).reshape(2, count, n, 2)
+        seg = np.concatenate(
+            [R[0, ..., 0] + R[1, ..., 1] - V, R[1, ..., 0] + R[0, ..., 1] + V], axis=1
+        )
+        seg = np.minimum(seg, inv)
+        img = np.minimum(bound(disc.Gphi, seg.T).T + disc.g2, inv)
+        bad = np.isnan(seg).any(axis=1)
+        if not (np.isfinite(P[-1]).all() and np.isfinite(V[-1]).all()):
+            bad |= ~(np.isfinite(P).all(axis=(1, 2)) & np.isfinite(V).all(axis=1))
+        empty = (seg[:, :n] + seg[:, n:] < 0.0).any(axis=1)
+        stop = bad | empty | (img <= seg).all(axis=1)
+        k = int(stop.argmax()) if stop.any() else count
+        last = k + 1 if k < count and not (bad[k] or empty[k]) else k
+        if last:
+            tube = np.maximum(tube, seg[:last].max(axis=0))
+            end = seg[last - 1]
+        if k < count:
+            return tube, end, FLOW_NO_ENCLOSURE if bad[k] else FLOW_DONE
+        start += count
+        if start >= n_steps:
+            return tube, end, FLOW_BUDGET
+        phi_s, v_s = P[-1] @ disc.phi, P[-1] @ disc.g + V[-1]
+        count = min(_FROZEN_CHUNK, n_steps - start)
+        P, V = _shift(*disc.powers(count), phi_s, v_s)
 
 
 @dataclass(frozen=True)

@@ -424,6 +424,48 @@ class TestJumpsThatMoveAVariable:
                     assert after.fstate["x"] == seg.lstate["x"] + 1.0
 
 
+    def test_strict_bound_is_stepped_one_ulp_inside(self):
+        h = parse_model(RAISING_JUMP.replace("x' >= x + 1", "x' > x + 1"))
+        (t, v2), = list(_successors(h, "a", Valuation({"x": 0.5})))
+        assert v2["x"] == np.nextafter(1.5, np.inf)
+        decls = Declarations(variables=h.variables, actions=h.actions)
+        recurrent = parse_formula("G F go & G F back", decls)
+        for seed in range(6):
+            trace, w = random_trace(h, np.random.default_rng(seed))
+            assert is_generated(trace, h, w)
+            assert evaluate_trace(trace, recurrent)
+
+
+# Every jump lowers x by at least 2, so no jump lands where it started.
+LOWERING_LOOP = """
+vars x;
+actions go;
+location a { der(x) = 1; x <= 5; x >= -5; }
+edge a -go-> a { x' <= x - 2; }
+initial a;
+init { x >= 0; x <= 1; }
+"""
+
+
+class TestLassoThroughAMovingJump:
+    """The closing sample is shifted so that a jump which moves x lands
+    on the recurrence target; snapped onto the target itself, the jump
+    would have to keep x, and no lasso closed."""
+
+    def test_traces_close_and_satisfy_the_model_bounds(self):
+        h = parse_model(LOWERING_LOOP)
+        decls = Declarations(variables=h.variables, actions=h.actions)
+        holds = parse_formula("G(x >= -5 & x <= 5) & G F go", decls)
+        for seed in range(6):
+            trace, w = random_trace(h, np.random.default_rng(seed))
+            assert is_generated(trace, h, w)
+            assert evaluate_trace(trace, holds)
+            # The closing jump lands exactly on the cycle's first state.
+            last = trace.trajectory(trace.p + trace.c)
+            first = trace.trajectory(trace.p + 1)
+            assert first.fstate["x"] <= last.lstate["x"] - 2.0
+
+
 class TestBoundingBox:
     """Interval extraction from conjunctions of state constraints, as
     random_trace reads its initial box: the full box clipped by the rows."""
