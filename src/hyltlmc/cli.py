@@ -271,18 +271,6 @@ def _read_trace_csv(path: str) -> tuple[tuple[str, ...], list[SampledTrajectory]
     return names, segments
 
 
-def _is_run(trace: HybridLassoTrace, model, tol: float = DEFAULT_FLOW_TOL) -> bool:
-    """Whether the trace, or its presentation with the cycle advanced one
-    step, has an accepting witness. find_accepting_witness only tries
-    location sequences that repeat with the presented cycle, and a model
-    whose locations record the last action runs on an empty prefix, or
-    on one whose last action differs from the cycle's, only that way."""
-    return any(
-        find_accepting_witness(t, model, tol=tol) is not None
-        for t in (trace, trace.rotate())
-    )
-
-
 def _cmd_monitor(args, config: dict) -> int:
     names, segments = _read_trace_csv(args.trace)
     actions = tuple(a.strip() for a in args.actions.split(",") if a.strip())
@@ -314,7 +302,7 @@ def _cmd_monitor(args, config: dict) -> int:
     holds = evaluate_trace(trace, formula, tol=tol)
     generated = None
     if model is not None and args.generated:
-        generated = _is_run(trace, model, tol=tol)
+        generated = find_accepting_witness(trace, model, tol=tol) is not None
 
     human = f"{'holds' if holds else 'does not hold'}: {to_str(formula)}"
     fields = {"status": "Holds" if holds else "Fails", "formula": to_str(formula)}
@@ -360,7 +348,7 @@ def _cmd_selftest(args, config: dict) -> int:
     agree = True
     for _ in range(3):
         trace, _ = random_trace(model, rng)
-        agree &= _is_run(trace, model)
+        agree &= find_accepting_witness(trace, model) is not None
         agree &= not evaluate_trace(trace, parse_formula("F(x >= 21 & X on)", decls))
     report("random traces are runs and respect the guard", agree)
 

@@ -13,13 +13,15 @@ tuples for products.
 from __future__ import annotations
 
 import math
+from collections import deque
+from functools import cache, partial
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ..errors import ModelError
 from .constraints import FlowConstraint, JumpConstraint, Relation, satisfies_jump
 from .expr import PrimedVar, Var, evaluate
 from .lasso import HybridLassoTrace
-from .trajectory import DEFAULT_FLOW_TOL, check_tol, satisfies_all_flows
+from .trajectory import DEFAULT_FLOW_TOL, check_tol, satisfies_flow
 from .valuation import Valuation
 
 Loc = object  # str for source models, tuples for products
@@ -374,14 +376,220 @@ def discrete_step(
     return tuple(out)
 
 
-def _on_witness(trace, h, witness, tol, acceptance) -> bool:
-    """The layered search of find_accepting_witness, one location per segment."""
+def live_nodes(
+    n: int,
+    succ: Sequence[Sequence[int]],
+    init: Iterable[int],
+    acceptance: Sequence[Iterable[int]],
+) -> set[int]:
+    """Nodes on a path from an initial node to a nontrivial strongly
+    connected component that meets every acceptance set.
+
+    Such a component holds a cycle visiting every set, so these are the
+    nodes an accepting run can visit. One iterative Tarjan search, rooted
+    only at the initial nodes, visits exactly the nodes they reach.
+    Components complete in reverse topological order, so when one
+    completes, every component it has an edge into is already decided:
+    it is live when it is nontrivial and the union of its members'
+    acceptance bits is full, or when one of its edges enters a live
+    component.
+    """
+    full = (1 << len(acceptance)) - 1
+    accept = [0] * n
+    for i, F in enumerate(acceptance):
+        for v in F:
+            accept[v] |= 1 << i
+
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    # Whether an edge out of the node enters a completed live component.
+    exits_live = [False] * n
+    live: set[int] = set()
+    stack: list[int] = []
+    counter = 0
+    for root in init:
+        if index[root] != -1:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] == -1:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w]:
+                    if index[w] < low[v]:
+                        low[v] = index[w]
+                elif w in live:
+                    exits_live[v] = True
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp = [w]
+                    while w != v:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                    bits = 0
+                    for w in comp:
+                        bits |= accept[w]
+                    if (bits == full and (len(comp) > 1 or v in succ[v])) or any(
+                        exits_live[w] for w in comp
+                    ):
+                        live.update(comp)
+                if work:
+                    u = work[-1][0]
+                    if on_stack[v]:
+                        if low[v] < low[u]:
+                            low[u] = low[v]
+                    elif v in live:
+                        exits_live[u] = True
+    return live
+
+
+def _run_graph(trace: HybridLassoTrace, h: HybridAutomaton, tol: float):
+    """The runs of h on a lasso trace, as a graph (index, succ, roots).
+
+    A node (i, l) pairs a position i in 1..p + c of the trace's quotient,
+    where p + c is followed by p + 1, with a location l whose dynamics
+    trajectory i satisfies; index numbers the nodes position by position,
+    in location order. (i, s) steps to (j, t), j following i, along a
+    transition s -> t that carries the action after i and whose jumps
+    hold from the last state of trajectory i to the first of trajectory
+    j. The roots are the nodes at position 1 of initial locations whose
+    init region holds at the first sample. Raises ConfigError unless tol
+    is a finite number >= 0.
+    """
     check_tol(tol)
+    p, n = trace.p, trace.p + trace.c
+    index: dict[tuple[int, Loc], int] = {}
+    # Per position: the action after it and its first and last states.
+    ends = {}
+    for i in range(1, n + 1):
+        traj, action = trace.segment(i)
+        ends[i] = (action, traj.fstate, traj.lstate)
+        # Locations share constraints; check each once per position.
+        fits = cache(partial(satisfies_flow, traj, tol=tol))
+        for l in h.locations:
+            if all(map(fits, h.dyn[l])):
+                index[i, l] = len(index)
+    succ = []
+    for i, s in index:
+        j = i + 1 if i < n else p + 1
+        action, _, before = ends[i]
+        after = ends[j][1]
+        succ.append([
+            index[j, t.target]
+            for t in h.transitions_from(s, action)
+            if (j, t.target) in index
+            and all(satisfies_jump(before, after, jc) for jc in t.jumps)
+        ])
+    roots = [
+        index[1, l]
+        for l in h.init
+        if (1, l) in index
+        and all(bool(c.holds_at(ends[1][1], tol=tol)) for c in h.init_region.get(l, ()))
+    ]
+    return index, succ, roots
+
+
+def _bfs(succ, sources, inside) -> dict[int, int | None]:
+    """The nodes that sources reach through nodes of inside, in
+    breadth-first order, each mapped to its parent (None for a source)."""
+    parent = dict.fromkeys(sources)
+    queue = deque(parent)
+    while queue:
+        u = queue.popleft()
+        for w in succ[u]:
+            if w in inside and w not in parent:
+                parent[w] = u
+                queue.append(w)
+    return parent
+
+
+def _path(succ, sources, goal, inside) -> list[int]:
+    """A shortest path from a node of sources to a node of goal through
+    nodes of inside, which must exist."""
+    parent = _bfs(succ, sources, inside)
+    path = [next(u for u in parent if u in goal)]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+def find_accepting_witness(
+    trace: HybridLassoTrace,
+    h: HybridAutomaton,
+    tol: float = DEFAULT_FLOW_TOL,
+) -> tuple[tuple[Loc, ...], tuple[Loc, ...]] | None:
+    """An accepting run of h on the trace, as a lasso of locations.
+
+    Returns a witness (prefix locations, cycle locations) with
+    accepts(trace, h, witness) true, or None when h has no accepting run
+    on the trace, whichever presentation of it is given. Location k of
+    prefix + cycle is taken at position k of the unfolded trace; the
+    prefix has at least p locations and the cycle's length is a positive
+    multiple of c, so a (p, c) witness is the special case.
+
+    live_nodes runs on the run graph (_run_graph), each acceptance set
+    lifted to its nodes. Every nontrivial component that meets every set
+    has a node at the cycle entry p + 1. The first such node starts the
+    cycle, which visits the sets in order along shortest paths inside
+    the component; the prefix is a shortest path to it from a root.
+    Raises ConfigError unless tol is a finite number >= 0.
+    """
+    index, succ, roots = _run_graph(trace, h, tol)
+    nodes = list(index)
+    sets = [{k for k, (_, l) in enumerate(nodes) if l in F} for F in h.acceptance]
+    live = live_nodes(len(nodes), succ, roots, sets)
+    pred: list[list[int]] = [[] for _ in nodes]
+    for u in live:
+        for w in succ[u]:
+            pred[w].append(u)
+    for v in sorted(k for k in live if nodes[k][0] == trace.p + 1):
+        # v's component: the live nodes v reaches that also reach v.
+        comp = _bfs(pred, [v], _bfs(succ, [v], live)).keys()
+        if not comp & set(succ[v]) or not all(comp & F for F in sets):
+            continue
+        walk = [v]
+        for goal in (*sets, {v}):
+            walk += _path(succ, walk[-1:], goal, comp)[1:]
+        if len(walk) == 1:  # v meets every set: close a cycle through it
+            walk += _path(succ, [w for w in succ[v] if w in comp], {v}, comp)
+        prefix = _path(succ, roots, {v}, live)[:-1]
+        return tuple(nodes[k][1] for k in prefix), tuple(nodes[k][1] for k in walk[:-1])
+    return None
+
+
+def _on_witness(trace, h, witness, tol, acceptance) -> bool:
+    """Whether the witness is a path of the run graph from a root whose
+    cycle closes and meets every set of the acceptance family."""
+    index, succ, roots = _run_graph(trace, h, tol)
     wp, wc = tuple(witness[0]), tuple(witness[1])
-    locs = wp + wc
-    if (len(wp), len(wc)) != (trace.p, trace.c) or not all(l in h.dyn for l in locs):
+    p, c = trace.p, trace.c
+    path = [
+        index.get((k if k <= p else p + 1 + (k - p - 1) % c, l))
+        for k, l in enumerate(wp + wc, 1)
+    ]
+    if not wc or None in path or path[0] not in roots:
         return False
-    return _witness_search(trace, h, tol, acceptance, locs) is not None
+    # The wrap is an edge only when the prefix covers the trace's prefix
+    # and the cycle's length is a multiple of c: the witness's shape.
+    path.append(path[len(wp)])
+    return all(w in succ[u] for u, w in zip(path, path[1:])) and all(
+        not F.isdisjoint(wc) for F in acceptance
+    )
 
 
 def is_generated(
@@ -392,13 +600,13 @@ def is_generated(
 ) -> bool:
     """Check that a lasso trace is a run of the automaton along a witness.
 
-    The witness assigns one location per segment, prefix and cycle
-    separately. The first location must be initial (and meet the init region
-    when one is declared), every trajectory must satisfy its location's
-    dynamics, and every consecutive pair, including the cycle wrap, must be
-    linked by a transition whose jump constraints the endpoint valuations
-    satisfy. A witness of the wrong length or with an unknown location is
-    simply not generated.
+    The witness (prefix locations, cycle locations) takes location k of
+    prefix + cycle at position k of the unfolded trace, with at least p
+    prefix locations and a positive multiple of c cycle locations. It
+    must be a path of the run graph (_run_graph) from a root whose last
+    cycle location steps to its first; a witness of another shape or
+    with an unknown location is simply not generated. Raises ConfigError
+    unless tol is a finite number >= 0.
     """
     return _on_witness(trace, h, witness, tol, ())
 
@@ -409,146 +617,6 @@ def accepts(
     witness: tuple[Sequence[Loc], Sequence[Loc]],
     tol: float = DEFAULT_FLOW_TOL,
 ) -> bool:
-    """Generated along the witness, and the cycle meets every acceptance set."""
+    """Generated along the witness (of is_generated's shape), and the
+    cycle meets every acceptance set."""
     return _on_witness(trace, h, witness, tol, h.acceptance)
-
-
-def find_accepting_witness(
-    trace: HybridLassoTrace,
-    h: HybridAutomaton,
-    tol: float = DEFAULT_FLOW_TOL,
-) -> tuple[tuple[Loc, ...], tuple[Loc, ...]] | None:
-    """Search every location assignment for one that accepts the trace.
-
-    Returns a witness (prefix locations, cycle locations) with
-    accepts(trace, h, witness) true, or None when no assignment works.
-    Only location sequences that repeat with the trace's own cycle from
-    its entry are tried, so None is no rejection: a formula automaton's
-    runs on a lasso with an empty prefix, or whose last prefix and cycle
-    actions differ, are found only on `trace.rotate()`. `is_generated`
-    and `accepts` run the same search with one location per segment.
-
-    Runs a layered search: candidate locations per segment are those whose
-    dynamics the trajectory satisfies, consecutive candidates must be
-    linked by a transition whose jumps the endpoint valuations meet, and
-    the cycle part additionally tracks which acceptance sets the candidate
-    cycle has touched so far, closing only on a wrap link back to its
-    entry location with every set covered. Raises ConfigError unless tol
-    is a finite number >= 0.
-    """
-    check_tol(tol)
-    return _witness_search(trace, h, tol, h.acceptance)
-
-
-def _witness_search(trace, h, tol, acceptance, fixed=None):
-    """Witness over the given acceptance family; fixed pins segment i to
-    fixed[i - 1] instead of trying every location."""
-    p, c = trace.p, trace.c
-    n = p + c
-    cands: list[list[Loc]] = []
-    for i in range(1, n + 1):
-        traj = trace.trajectory(i)
-        pool = h.locations if fixed is None else (fixed[i - 1],)
-        cands.append([l for l in pool if satisfies_all_flows(traj, h.dyn[l], tol)])
-        if not cands[-1]:
-            return None
-
-    first_ok = []
-    fstate = trace.trajectory(1).fstate
-    for l in cands[0]:
-        if l not in h.init:
-            continue
-        region = h.init_region.get(l)
-        if region is not None and not all(
-            bool(cst.holds_at(fstate, tol=tol)) for cst in region
-        ):
-            continue
-        first_ok.append(l)
-    if not first_ok:
-        return None
-
-    def links(i: int, sources, targets) -> dict:
-        """Allowed (source, target) location pairs around the i-th action."""
-        a = trace.action_after(i)
-        v_end = trace.trajectory(i).lstate
-        v_next = trace.trajectory(i + 1).fstate if i < n else trace.trajectory(p + 1).fstate
-        out: dict[Loc, list[Loc]] = {}
-        src_set, tgt_set = set(sources), set(targets)
-        for t in h.transitions:
-            if t.action != a or t.source not in src_set or t.target not in tgt_set:
-                continue
-            if all(satisfies_jump(v_end, v_next, jc) for jc in t.jumps):
-                out.setdefault(t.source, []).append(t.target)
-        return out
-
-    # Prefix: layered reachability with parents.
-    layer: dict[Loc, Loc | None] = {l: None for l in first_ok}
-    prefix_parents: list[dict] = [dict(layer)]
-    for i in range(1, p + 1):
-        lk = links(i, layer.keys(), cands[i])
-        nxt: dict[Loc, Loc] = {}
-        for src, tgts in lk.items():
-            for tgt in tgts:
-                nxt.setdefault(tgt, src)
-        if not nxt:
-            return None
-        layer = nxt
-        prefix_parents.append(dict(layer))
-
-    full_mask = (1 << len(acceptance)) - 1
-    loc_mask = {
-        l: sum(1 << j for j, F in enumerate(acceptance) if l in F)
-        for cs in cands[p:]
-        for l in cs
-    }
-
-    cycle_links = [
-        links(p + 1 + j, cands[p + j], cands[(p + (j + 1) % c)])
-        for j in range(c)
-    ]
-
-    for entry in layer.keys():
-        # States (layer j, loc, mask); parents for reconstruction.
-        states: dict[tuple[Loc, int], tuple[Loc, int] | None] = {
-            (entry, loc_mask[entry]): None
-        }
-        trail: list[dict] = [dict(states)]
-        for j in range(c - 1):
-            lk = cycle_links[j]
-            nxt: dict[tuple[Loc, int], tuple[Loc, int]] = {}
-            for (loc, mask) in states:
-                for tgt in lk.get(loc, ()):
-                    key = (tgt, mask | loc_mask[tgt])
-                    if key not in nxt:
-                        nxt[key] = (loc, mask)
-            states = nxt
-            trail.append(dict(states))
-            if not states:
-                break
-        if not states:
-            continue
-        closing = cycle_links[c - 1]
-        done = None
-        for (loc, mask) in states:
-            if mask == full_mask and entry in closing.get(loc, ()):
-                done = (loc, mask)
-                break
-        if done is None:
-            continue
-
-        wc_rev = []
-        key = done
-        for j in range(c - 1, -1, -1):
-            wc_rev.append(key[0])
-            key = trail[j][key]
-        wc = tuple(reversed(wc_rev))
-
-        wp_rev = []
-        cur = entry
-        for i in range(p, 0, -1):
-            cur = prefix_parents[i][cur]
-            wp_rev.append(cur)
-        # the walk above starts from the entry's parent in layer p
-        wp = tuple(reversed(wp_rev))
-        return (wp, wc)
-    return None

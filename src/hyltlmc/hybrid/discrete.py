@@ -11,89 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .automaton import HybridAutomaton
-
-
-def live_nodes(
-    n: int,
-    succ: Sequence[Sequence[int]],
-    init: Iterable[int],
-    acceptance: Sequence[Iterable[int]],
-) -> set[int]:
-    """Nodes on a path from an initial node to a nontrivial strongly
-    connected component that meets every acceptance set.
-
-    Such a component holds a cycle visiting every set, so these are the
-    nodes an accepting run can visit. One iterative Tarjan search, rooted
-    only at the initial nodes, visits exactly the nodes they reach.
-    Components complete in reverse topological order, so when one
-    completes, every component it has an edge into is already decided:
-    it is live when it is nontrivial and the union of its members'
-    acceptance bits is full, or when one of its edges enters a live
-    component.
-    """
-    full = (1 << len(acceptance)) - 1
-    accept = [0] * n
-    for i, F in enumerate(acceptance):
-        for v in F:
-            accept[v] |= 1 << i
-
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    # Whether an edge out of the node enters a completed live component.
-    exits_live = [False] * n
-    live: set[int] = set()
-    stack: list[int] = []
-    counter = 0
-    for root in init:
-        if index[root] != -1:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, edges = work[-1]
-            for w in edges:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ[w])))
-                    break
-                if on_stack[w]:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-                elif w in live:
-                    exits_live[v] = True
-            else:
-                work.pop()
-                if low[v] == index[v]:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp = [w]
-                    while w != v:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                    bits = 0
-                    for w in comp:
-                        bits |= accept[w]
-                    if (bits == full and (len(comp) > 1 or v in succ[v])) or any(
-                        exits_live[w] for w in comp
-                    ):
-                        live.update(comp)
-                if work:
-                    u = work[-1][0]
-                    if on_stack[v]:
-                        if low[v] < low[u]:
-                            low[u] = low[v]
-                    elif v in live:
-                        exits_live[u] = True
-    return live
+from .automaton import HybridAutomaton, live_nodes
 
 
 class WordAutomaton:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -142,9 +142,3 @@ def satisfies_flow(
         i = first + int(np.argmax(nan[checked]))
         raise undefined(c, traj.value_at(i))
     return bool(np.all(ok[checked]))
-
-
-def satisfies_all_flows(
-    traj: SampledTrajectory, cs: Iterable[FlowConstraint], tol: float = DEFAULT_FLOW_TOL
-) -> bool:
-    return all(satisfies_flow(traj, c, tol) for c in cs)

@@ -412,7 +412,7 @@ def check(
     pruned to those locations, and the counter product is built forward
     from them, which keeps it live. When none is left, no run violates
     the formula and the verdict is Verified from the location graph
-    alone, without reachability. Raises ConfigError on a
+    alone: reachability has no location to visit. Raises ConfigError on a
     step or horizon that is not finite and positive, an eps that is not
     finite and nonnegative, or a widen_after or max_visits that is not an
     integer of at least 1. stats holds the observer and product sizes,
@@ -439,18 +439,14 @@ def check(
     with _timed(timings, "instrument"):
         inst, targets, f_name, y_names, w_names = instrument(product, witness)
 
-    graph_only = not inst.locations
     with _timed(timings, "reach"):
-        if graph_only:
-            reach = ReachResult(inst.variables, {})
-        else:
-            reach = reachable(
-                inst,
-                horizon=horizon,
-                step=step,
-                widen_after=widen_after,
-                max_visits=max_visits,
-            )
+        reach = reachable(
+            inst,
+            horizon=horizon,
+            step=step,
+            widen_after=widen_after,
+            max_visits=max_visits,
+        )
     with _timed(timings, "query"):
         hits, unbounded = recurrence_hits(reach, targets, f_name, y_names, w_names, eps)
 
@@ -477,7 +473,7 @@ def check(
     elif unbounded:
         status = "Inconclusive"
         reason = "witness variable unbounded at a latched final location"
-    elif graph_only:
+    elif not inst.locations:
         status = "Verified"
         reason = "no path from an initial location reaches an accepting cycle of the product"
     else:

@@ -31,8 +31,7 @@ from typing import Sequence
 from .errors import ModelError
 from .formula.closure import ClosureSet, closure, maximally_consistent_sets
 from .formula.syntax import Formula, action_atoms
-from .hybrid.automaton import HybridAutomaton, Transition
-from .hybrid.discrete import live_nodes
+from .hybrid.automaton import HybridAutomaton, Transition, live_nodes
 from .reach.boxes import satisfiable
 
 

@@ -347,11 +347,12 @@ class TestMonitorCommand:
         assert code == 0
         assert "is not a run" in out
 
-    def test_generated_search_tries_the_rotated_trace(self, lasso_path, tmp_path,
-                                                      capsys):
+    def test_generated_search_finds_the_run_as_given(self, lasso_path, tmp_path,
+                                                     capsys):
         """Each location records the last action, so a run of this lasso
-        with an empty prefix shows only once the cycle is advanced one
-        step: the witness search on the trace as given finds none."""
+        with an empty prefix enters the cycle in a location that recurs
+        only one cycle later; the witness search finds it on the trace as
+        given."""
         model = tmp_path / "last_action.hyha"
         model.write_text(LAST_ACTION)
         code = main(["monitor", "--trace", lasso_path, "--actions", "on,off",

@@ -13,6 +13,8 @@ field.
 
 from __future__ import annotations
 
+import copy
+import operator
 import warnings
 from importlib.resources import files
 from pathlib import Path
@@ -37,6 +39,15 @@ from reference_pipeline import FrozenDiscretization, frozen_flow_tube
 ROOT = Path(__file__).resolve().parents[1]
 THREE_CONJUNCTS = "!F(x >= 21 & X on) & G(x<=23) & G(off -> X(x <= 21 U on))"
 NO_ON_WHEN_WARM = "!F(x >= 21 & X on)"
+SPELLED_OUT = """
+vars x, y; actions go;
+location a { der(x) = -0.2 * x; der(y) = 0; x >= 1; }
+location b { der(x) = -0.2 * x; der(y) = 0; x >= 1; }
+location c { der(x) = -0.2 * x; der(y) = 0; x >= 2; }
+edge a -go-> c { x <= 5; }
+initial a, b, c;
+init { x >= 4; x <= 5; y >= 0; y <= 1; }
+"""
 
 # Endpoints with both zeros: the flowed arithmetic turns -0.0 into +0.0.
 _END = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-10.0, 10.0))
@@ -243,6 +254,24 @@ class TestWorkDoneOnce:
         assert len(runs) == result.flows == 2
         assert result.boxes["a"][0][0].tolist() == result.boxes["c"][0][0].tolist() == [17.0, 1.0]
         assert result.boxes["b"][0][0].tolist() == [18.0, 1.0]
+
+    def test_parsed_locations_spelling_out_one_field_share_it(self, monkeypatch):
+        # The model parser hands out one object per distinct constraint, so
+        # a and b, which spell out the same field and invariant, flow once.
+        h = parse_model(SPELLED_OUT)
+        assert h.dyn["a"] == h.dyn["b"] and all(map(operator.is_, h.dyn["a"], h.dyn["b"]))
+        runs = counted(monkeypatch, kernels, "_flow")
+        result = reachable(h)
+        assert len(runs) == result.flows == 2
+        # Copies that share no object flow each location apart, to the same boxes.
+        apart = reachable(HybridAutomaton(
+            h.variables, h.actions, h.locations, h.transitions,
+            {l: copy.deepcopy(cs) for l, cs in h.dyn.items()}, h.init, h.init_region,
+        ))
+        assert apart.flows == 3
+        assert {l: [b.tobytes() for bx in bs for b in bx] for l, bs in result.boxes.items()} == {
+            l: [b.tobytes() for bx in bs for b in bx] for l, bs in apart.boxes.items()
+        }
 
     def test_flows_are_reported(self, capsys):
         verdict = product_of(thermostat(), THREE_CONJUNCTS)

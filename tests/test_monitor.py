@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hyltlmc.errors import ConfigError, TraceError, UnsupportedDynamicsError
+from hyltlmc.formula.nnf import to_nnf
 from hyltlmc.formula.parser import Declarations, parse_flow_constraint, parse_formula
-from hyltlmc.hybrid import FlowConstraint, HybridAutomaton, JumpConstraint, Relation
+from hyltlmc.hybrid import FlowConstraint, HybridAutomaton, JumpConstraint, Relation, Transition
 from hyltlmc.hybrid.constraints import satisfies_jump
 from hyltlmc.hybrid.automaton import (
     _successors,
@@ -30,7 +31,7 @@ from hyltlmc.hybrid.trajectory import SampledTrajectory
 from hyltlmc.hybrid.valuation import Valuation
 from hyltlmc.monitor import _succ_values, evaluate_trace, evaluate_word, random_trace
 from hyltlmc.reach.boxes import bounds, clip, compile_rows, full_box
-from hyltlmc.tableau import build_formula_automaton
+from hyltlmc.tableau import build_formula_automaton, prune_unreachable
 
 from conftest import BOOL_ATOMS, heater_model, random_formula
 
@@ -540,18 +541,112 @@ class TestUndefinedComparisons:
 
 
 class TestWitnessSearchPresentation:
-    """find_accepting_witness tries only location sequences that repeat
-    with the trace's own cycle from its entry. A formula automaton's
-    locations carry the action just taken, so on these lassos the search
-    finds its run only on the rotated presentation of the same trace."""
+    """A formula automaton's locations carry the action just taken, so its
+    runs on these lassos repeat with the trace's cycle only from one cycle
+    after its entry. The witness search finds them on the trace as given
+    as well as on the rotated presentation of the same trace."""
 
     @pytest.mark.parametrize(
         "prefix, cycle", [(("on",), ("off",)), ((), ("on",))], ids=["shifted", "no-prefix"]
     )
-    def test_rotation_finds_the_run(self, prefix, cycle):
+    def test_both_presentations_find_the_run(self, prefix, cycle):
         auto = build_formula_automaton(phi("true"), ("on", "off"))
         trace = HybridLassoTrace(
             [constant_segment(0.0, a) for a in prefix], [constant_segment(0.0, a) for a in cycle]
         )
-        assert find_accepting_witness(trace, auto) is None
-        assert find_accepting_witness(trace.rotate(), auto) is not None
+        for t in (trace, trace.rotate()):
+            w = find_accepting_witness(t, auto)
+            assert w is not None and accepts(t, auto, w)
+            assert len(w[0]) >= t.p and len(w[1]) % t.c == 0
+
+
+POSITIVE_LITERALS = ("x >= 21", "x <= 19", "x >= 18", "on", "off", "!on", "!off", "true")
+THRESHOLDS = (21.0, 19.0, 18.0)
+GRAZE_BAND = 1e-6
+
+
+def positive_formula(rng: random.Random, size: int) -> str:
+    """A formula in negation normal form whose flow atoms occur only
+    positively, with at most size operators and literals."""
+    if size <= 1:
+        return rng.choice(POSITIVE_LITERALS)
+    if size == 2 or rng.randrange(5) == 0:
+        return f"X ({positive_formula(rng, size - 1)})"
+    left = rng.randint(1, size - 2)
+    op = rng.choice(("&", "|", "U", "R"))
+    return f"({positive_formula(rng, left)}) {op} ({positive_formula(rng, size - 1 - left)})"
+
+
+class TestObserverAgreesWithMonitor:
+    """The formula automaton of psi accepts a trace exactly when the
+    monitor says that psi holds on it. With flow atoms only positive,
+    an observer label and the monitor read every atom the same way, so
+    the agreement is exact on every presentation of the trace: as given,
+    rotated, and with the prefix folded into the cycle."""
+
+    def test_every_presentation(self):
+        h = heater_model()
+        traces, grazing = [], 0
+        for seed in range(8):
+            trace, _ = random_trace(h, np.random.default_rng(700 + seed))
+            xs = np.concatenate([traj.values[:, 0] for traj, _ in (*trace.prefix, *trace.cycle)])
+            if any(np.any(np.abs(xs - t) <= GRAZE_BAND) for t in THRESHOLDS):
+                grazing += 1
+                continue
+            traces += [trace, trace.rotate(), HybridLassoTrace((), trace.cycle)]
+        assert grazing <= 1 and len(traces) >= 21
+        rng = random.Random(41)
+        disagree = []
+        for _ in range(40):
+            psi = phi(positive_formula(rng, rng.randint(1, 9)))
+            obs = prune_unreachable(build_formula_automaton(to_nnf(psi), h.actions))
+            for trace in traces:
+                w = find_accepting_witness(trace, obs)
+                if (w is not None) != evaluate_trace(trace, psi):
+                    disagree.append((psi, trace))
+                assert w is None or accepts(trace, obs, w)
+        assert disagree == []
+
+
+class TestRunGraphWitness:
+    """A witness is a lasso over the trace's positions: a prefix at least
+    as long as the trace's and a cycle whose length is a multiple of its
+    cycle length, each step and the wrap an edge of the run graph."""
+
+    def test_longer_lassos_are_runs_too(self):
+        trace, h = cooling_lasso(), heater_model()
+        w = (("idle", "heat"), ("idle", "heat", "idle", "heat"))
+        assert is_generated(trace, h, w) and accepts(trace, h, w)
+
+    @pytest.mark.parametrize(
+        "witness",
+        [(("idle",), ("heat", "idle", "heat")), (("idle", "heat", "idle"), ()), ((), ("idle", "heat"))],
+        ids=["cycle-not-a-multiple", "no-cycle", "prefix-too-short"],
+    )
+    def test_other_shapes_are_not_runs(self, witness):
+        assert not is_generated(cooling_lasso(), heater_model(), witness)
+
+    def test_a_jump_must_hold_at_its_samples(self):
+        # The on jump leaves idle at x = 18.02, above a guard x <= 18.
+        h = heater_model(on_guard_max=18.0)
+        assert not is_generated(cooling_lasso(), h, (("idle",), ("heat", "idle")))
+        assert find_accepting_witness(cooling_lasso(), h) is None
+
+    def test_the_wrap_must_be_an_edge(self):
+        # After on and then off the automaton of true is in q2 for good;
+        # a cycle of q1 would need q1 -off-> q1.
+        auto = build_formula_automaton(phi("true"), ("on", "off"))
+        trace = HybridLassoTrace([constant_segment(0.0, "on")], [constant_segment(0.0, "off")])
+        assert is_generated(trace, auto, (("q0", "q1"), ("q2",)))
+        assert not is_generated(trace, auto, (("q0",), ("q1",)))
+
+    def test_the_cycle_stays_in_its_component(self):
+        # From A, D is as near as B and lies in the first set, but the run
+        # cannot come back from D to A, so the cycle through A goes by B.
+        h = HybridAutomaton(
+            ("x",), ("a",), ("A", "B", "D"),
+            [Transition(*t) for t in (("A", "a", "D"), ("A", "a", "B"), ("B", "a", "A"), ("D", "a", "D"))],
+            {}, ("A",), acceptance=({"B", "D"}, {"A", "D"}),
+        )
+        trace = HybridLassoTrace([], [constant_segment(0.0, "a")])
+        assert find_accepting_witness(trace, h) == ((), ("A", "B"))

@@ -155,12 +155,18 @@ class TestMatchesEagerPipeline:
 
 class TestGraphOnlyVerdict:
     @pytest.mark.parametrize("text", ["G(on -> X(!on U off))", "G F(x>=21) -> G F on"])
-    def test_verified_without_reachability(self, monkeypatch, thermostat, text):
-        def refuse(*args, **kwargs):
-            raise AssertionError("reachable must not run on an empty product")
+    def test_verified_from_the_location_graph(self, monkeypatch, thermostat, text):
+        # Reachability runs, on a product with no location to visit.
+        inner = product_module.reachable
+        explored = []
 
-        monkeypatch.setattr(product_module, "reachable", refuse)
+        def record(h, *args, **kwargs):
+            explored.append(h.locations)
+            return inner(h, *args, **kwargs)
+
+        monkeypatch.setattr(product_module, "reachable", record)
         verdict = check(thermostat, formula_of(thermostat, text))
+        assert explored == [()]
         assert verdict.verified
         assert verdict.reason == GRAPH_ONLY
         s = verdict.stats
