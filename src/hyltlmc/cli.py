@@ -15,6 +15,9 @@ E_* code.
 
 Numeric settings resolve in order: command line flag, environment
 (HYLTL_MC_EPS, HYLTL_MC_TOL), JSON --config file, built-in default.
+The config file is read whole before any subcommand runs: it holds only
+horizon, step, eps and tol, each a number, and anything else is an
+E_CONFIG error.
 """
 
 from __future__ import annotations
@@ -63,9 +66,22 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config file is not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    if not isinstance(data.get("witness", ""), str):
-        raise ConfigError(f"config key 'witness' must be a string, got {data['witness']!r}")
-    return data
+    config = {}
+    for key, value in data.items():
+        if key not in DEFAULTS:
+            raise ConfigError(
+                f"unknown config key {key!r}; known keys are {', '.join(DEFAULTS)}"
+            )
+        # float(True) is 1.0, but a JSON boolean is no number, and neither
+        # is an integer beyond the float range.
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                config[key] = float(value)
+                continue
+            except OverflowError:
+                pass
+        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+    return config
 
 
 def _setting(args, config: dict, key: str) -> float:
@@ -78,16 +94,7 @@ def _setting(args, config: dict, key: str) -> float:
             return float(os.environ[env])
         except ValueError:
             raise ConfigError(f"{env} must be a number, got {os.environ[env]!r}")
-    if key in config:
-        value = config[key]
-        try:
-            # float(True) is 1.0, but a JSON boolean is no number.
-            if not isinstance(value, bool):
-                return float(value)
-        except (TypeError, ValueError):
-            pass
-        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-    return DEFAULTS[key]
+    return config.get(key, DEFAULTS[key])
 
 
 def _machine_line(**fields) -> str:
@@ -145,7 +152,6 @@ def _cmd_check(args, config: dict) -> int:
             step=_setting(args, config, "step"),
             eps=_setting(args, config, "eps"),
             strict=args.strict_negation,
-            witness=args.witness or config.get("witness"),
         )
         if args.export_phaver:
             try:
@@ -392,12 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, help="flow time budget per location")
     p.add_argument("--step", type=float, help="integration step for flow tubes")
     p.add_argument("--eps", type=float, help="recurrence closeness threshold")
-    p.add_argument(
-        "--witness",
-        metavar="VAR|all",
-        help="variable the recurrence query tracks (default: lexicographically "
-        "first; 'all' tracks every variable)",
-    )
     p.add_argument(
         "--strict-negation",
         action="store_true",

@@ -7,11 +7,11 @@ Negations are pushed down to the atoms through the usual dualities:
 
 A negated action atom stays as a literal (positions carry at most one action,
 so the automaton construction handles it through mutual exclusion). A negated
-flow atom is rewritten to a complement constraint: the declared one when the
-model provides it, otherwise the relation-flipped comparison. The rewrite
-strengthens trajectory-level negation ("some sample violates c") to "every
-sample satisfies the complement", so a ComplementStrengtheningWarning is
-emitted; strict mode refuses undeclared complements instead.
+flow atom is rewritten to the relation-flipped comparison (a negated equality
+has none and is a ComplementError). The rewrite strengthens trajectory-level
+negation ("some sample violates c") to "every sample satisfies the
+complement", so a ComplementStrengtheningWarning is emitted; strict mode
+refuses every negated flow atom instead.
 """
 
 from __future__ import annotations

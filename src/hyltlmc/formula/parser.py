@@ -7,15 +7,14 @@ Grammar, loosest to tightest binding:
     and      := ur ('&' ur)*
     ur       := unary (('U' | 'R') ur)?     right associative
     unary    := ('!' | 'X' | 'F' | 'G') unary | primary
-    primary  := 'true' | 'false' | action | named-constraint
-              | comparison | '(' formula ')'
+    primary  := 'true' | 'false' | action | comparison | '(' formula ')'
     comparison := arith relop arith         relop in < <= = >= >
 
 F p expands to true U p and G p to !(true U !p) at parse time; the AST has no
 F, G or -> nodes. Arithmetic expressions support + - * / unary minus, sin,
 cos, exp, der(x) for derivatives and x' for post-jump values (jump constraint
-contexts only). Identifier resolution (variable vs action vs named
-constraint) comes from a Declarations context.
+contexts only). Identifier resolution (variable vs action) comes from a
+Declarations context.
 
 Every constant is finite: a number literal that overflows, a division by a
 constant equal to 0 and a variable-free subexpression whose value is not
@@ -146,32 +145,19 @@ def tokenize(text: str) -> list[Token]:
 
 @dataclass(frozen=True)
 class Declarations:
-    """Name context for parsing: state variables, actions, named constraints."""
+    """Name context for parsing: state variables and actions."""
 
     variables: tuple[str, ...] = ()
     actions: tuple[str, ...] = ()
-    constraints: tuple[tuple[str, FlowConstraint], ...] = ()
 
     def __post_init__(self):
         seen: set[str] = set()
-        for name in (*self.variables, *self.actions, *(n for n, _ in self.constraints)):
+        for name in (*self.variables, *self.actions):
             if name in RESERVED:
                 raise ParseError(f"name '{name}' is reserved")
             if name in seen:
                 raise ParseError(f"name '{name}' declared in more than one namespace")
             seen.add(name)
-
-    @property
-    def constraint_map(self) -> dict[str, FlowConstraint]:
-        return dict(self.constraints)
-
-    def intern(self, c: FlowConstraint) -> FlowConstraint:
-        """Swap an inline comparison for its declared twin when one exists,
-        so declared complements travel with structurally equal constraints."""
-        for _, declared in self.constraints:
-            if declared == c:
-                return declared
-        return c
 
 
 class _Parser:
@@ -274,10 +260,6 @@ class _Parser:
             if v in self.decls.actions:
                 self.advance()
                 return ActionAtom(v)
-            cmap = self.decls.constraint_map
-            if v in cmap:
-                self.advance()
-                return FlowAtom(cmap[v])
             if v in self.decls.variables or v in ("der", "sin", "cos", "exp"):
                 return FlowAtom(self.comparison())
             raise self.error(f"unknown identifier '{v}'")
@@ -308,7 +290,7 @@ class _Parser:
         rhs = self.arith(allow_dot, allow_primed)
         if allow_primed:
             return JumpConstraint(lhs, _RELOPS[t.value], rhs)
-        return self.decls.intern(FlowConstraint(lhs, _RELOPS[t.value], rhs))
+        return FlowConstraint(lhs, _RELOPS[t.value], rhs)
 
     def arith(self, allow_dot: bool, allow_primed: bool) -> Expr:
         e = self.a_term(allow_dot, allow_primed)

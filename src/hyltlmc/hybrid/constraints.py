@@ -9,7 +9,7 @@ before a discrete action to the values right after it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -99,18 +99,14 @@ def undefined(c, *states) -> TraceError:
 class FlowConstraint:
     """Comparison over state and dotted variables, e.g. der(x) = -0.2 * x.
 
-    The optional complement is a constraint equivalent to the pointwise
-    negation; it is consulted when negation normal form needs to rewrite a
-    negated atom. It does not participate in equality or hashing. The
-    variable sets and the rows are cached, outside equality, hashing, repr
-    and pickles. rows holds the comparison as rows sum(a * x) + k <= 0
+    The variable sets and the rows are cached, outside equality, hashing,
+    repr and pickles. rows holds the comparison as rows sum(a * x) + k <= 0
     over plain variables (_rows); one that mentions der(x) gives none.
     """
 
     lhs: Expr
     rel: Relation
     rhs: Expr
-    complement: "FlowConstraint | None" = field(default=None, compare=False)
 
     def __post_init__(self):
         for e in (self.lhs, self.rhs):
@@ -202,20 +198,16 @@ class JumpConstraint:
 
 
 def complement_of(c: FlowConstraint, strict: bool = False) -> FlowConstraint:
-    """Pointwise complement of a flow constraint.
+    """Pointwise complement of a flow constraint: the relation flipped.
 
-    A declared complement wins. Otherwise the relation is flipped, which is
-    only possible for inequalities; equalities have no single-comparison
-    complement. In strict mode an undeclared complement is always an error.
+    Only an inequality flips; an equality has no single-comparison
+    complement. Strict mode refuses every complement, since the flip
+    strengthens the negation (see formula.nnf).
     """
-    if c.complement is not None:
-        return c.complement
     if strict:
-        raise ComplementError(f"missing complement declaration for negated flow constraint '{c}'")
+        raise ComplementError(f"strict negation refuses the negated flow constraint '{c}'")
     if c.rel is Relation.EQ:
-        raise ComplementError(
-            f"negated equality '{c}' has no derivable complement; declare one in the model"
-        )
+        raise ComplementError(f"negated equality '{c}' has no complement comparison")
     return FlowConstraint(c.lhs, _FLIP[c.rel], c.rhs)
 
 

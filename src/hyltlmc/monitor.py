@@ -191,8 +191,9 @@ def random_trace(
     and max_jumps an integer >= 1. Raises UnsupportedDynamicsError when
     some location's dynamics lie outside the affine fragment check()
     accepts (a nonaffine field or a variable without der()), and
-    TraceError when the initial region gives no bounded box or no cycle
-    closes within max_jumps.
+    TraceError when the initial region gives no bounded box, no edge is
+    enabled within 10 * dwell_max time units after a dwell, or no
+    cycle closes within max_jumps.
     """
     check_settings(
         positive=[("step", step), ("dwell_max", dwell_max)],
@@ -225,6 +226,10 @@ def random_trace(
             for t, v2 in _successors(h, l, Valuation(dict(zip(names, v))))
         ]
 
+    # After its dwell, a segment waits at most ten longest dwells for an
+    # enabled edge: a flow that settles inside its invariant with no edge
+    # enabled would otherwise wait forever.
+    patience = 10 * dwell_max
     for _ in range(max_jumps):
         field = fields[loc]
         dwell = rng.uniform(3 * step, dwell_max)
@@ -240,6 +245,11 @@ def random_trace(
             if options:
                 t, v2 = options[int(rng.integers(len(options)))]
                 break
+            if elapsed - dwell > patience:
+                raise TraceError(
+                    f"simulation stuck in {loc!r}: no edge enabled within "
+                    f"{patience:g} time units after the dwell"
+                )
             values.append(nxt)
 
         closed = None

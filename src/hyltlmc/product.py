@@ -24,13 +24,12 @@ The question is reduced to a reachability query in four steps:
    from a live product is live (see degeneralize), so it needs no
    second prune. When nothing is left, no run violates the property,
    and it is Verified from the location graph alone.
-4. The product is instrumented with a latch f and snapshots: every exit
+4. The product is instrumented with a latch f and a snapshot: every exit
    edge of a final location gets a twin that, once, records a code in f
-   and each witness variable in its snapshot. An accepting run must
+   and the first variable in its snapshot y. An accepting run must
    revisit a final location with a state close to an earlier visit, so
-   if no state with f set and every witness back within eps of its
-   snapshot is reachable, no accepting run exists and the property is
-   Verified.
+   if no state with f set and that variable back within eps of y is
+   reachable, no accepting run exists and the property is Verified.
 
 Interval box reachability over-approximates, so a query hit only means
 the property could not be confirmed: verdicts are Verified or
@@ -48,7 +47,7 @@ import numpy as np
 
 from .errors import ModelError, VariableRenamedWarning, check_settings
 from .formula.nnf import to_nnf
-from .formula.syntax import Formula, Not, action_atoms, to_str
+from .formula.syntax import Formula, Not, to_str
 from .hybrid.automaton import HybridAutomaton, Loc, Transition, compose
 from .hybrid.constraints import FlowConstraint, JumpConstraint, Relation
 from .hybrid.expr import Const, DotVar, PrimedVar, Var
@@ -72,11 +71,6 @@ def build_negated_observer(
     initial location to an accepting cycle whose invariant the engine's
     clip does not prove empty.
     """
-    missing = set(action_atoms(formula)) - set(actions)
-    if missing:
-        raise ModelError(
-            f"formula uses actions outside the system alphabet: {sorted(missing)}"
-        )
     negated = to_nnf(Not(formula), strict=strict)
     return build_formula_automaton(negated, actions, prune=prune, system=system)
 
@@ -199,48 +193,27 @@ def _fresh_name(want: str, taken) -> str:
     return name
 
 
-def instrument(
-    h: HybridAutomaton, witness: str | None = None
-) -> tuple[
+def instrument(h: HybridAutomaton) -> tuple[
     HybridAutomaton, tuple[QueryTarget, ...], str, tuple[str, ...], tuple[str, ...]
 ]:
-    """Add the latch f and snapshot variables for the recurrence query.
+    """Add the latch f and snapshot variable y for the recurrence query.
 
     Every exit edge of a final location gains a twin, enabled only while
-    f = 0, that sets f to the location's code and copies each witness
-    variable into its snapshot. All auxiliaries start at 0 and never
-    flow. witness picks the tracked variable; None takes the
-    lexicographically first one, and "all" (when no variable carries
-    that name) tracks the full continuous state with one snapshot per
-    variable. Returns the instrumented automaton, the query targets, the
-    latch name, the snapshot names and the witness names, the last two
-    aligned index by index.
+    f = 0, that sets f to the location's code and copies the tracked
+    variable, the lexicographically first one, into y. An automaton with
+    no variables gets no snapshot, and the latch alone answers. All
+    auxiliaries start at 0 and never flow. Returns the instrumented
+    automaton, the query targets, the latch name, the snapshot names and
+    the tracked variable names, the last two aligned index by index.
 
     Needs at most one acceptance set; an empty family means no final
     locations, hence no targets and no accepting runs at all.
     """
     if len(h.acceptance) > 1:
         raise ModelError("instrument needs a degeneralized automaton")
-    if not h.variables:
-        raise ModelError("cannot pick a witness variable: automaton has none")
-    if witness is None:
-        witness_vars = (min(h.variables),)
-    elif witness == "all" and "all" not in h.variables:
-        witness_vars = tuple(h.variables)
-    elif witness not in h.variables:
-        raise ModelError(f"witness variable {witness!r} is not declared")
-    else:
-        witness_vars = (witness,)
-
-    taken = set(h.variables)
-    f_name = _fresh_name("f", taken)
-    taken.add(f_name)
-    snapshots = []
-    for w in witness_vars:
-        name = _fresh_name("y" if len(witness_vars) == 1 else f"y_{w}", taken)
-        taken.add(name)
-        snapshots.append(name)
-    y_names = tuple(snapshots)
+    witness_vars = (min(h.variables),) if h.variables else ()
+    f_name = _fresh_name("f", h.variables)
+    y_names = (_fresh_name("y", (*h.variables, f_name)),) if witness_vars else ()
     variables = h.variables + (f_name,) + y_names
 
     zero = Const(0.0)
@@ -401,7 +374,6 @@ def check(
     widen_after: int = 16,
     max_visits: int = 4000,
     strict: bool = False,
-    witness: str | None = None,
 ) -> Verdict:
     """Decide system |= formula via the instrumented reachability query.
 
@@ -437,7 +409,7 @@ def check(
     with _timed(timings, "degeneralize+prune"):
         product = normalize_acceptance(degeneralize(product))
     with _timed(timings, "instrument"):
-        inst, targets, f_name, y_names, w_names = instrument(product, witness)
+        inst, targets, f_name, y_names, w_names = instrument(product)
 
     with _timed(timings, "reach"):
         reach = reachable(

@@ -122,10 +122,14 @@ BOOL_ATOMS = (Top(), Bot(), ActionAtom("on"), ActionAtom("off"))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """Replay the acceptance criterion lines after the run, uncaptured."""
-    mod = sys.modules.get("test_acceptance")
-    lines = getattr(mod, "CRITERION_LINES", None)
-    if lines:
-        terminalreporter.section("acceptance criteria")
-        for line in lines:
-            terminalreporter.write_line(line)
+    """Replay the acceptance criterion and oracle lines after the run,
+    uncaptured."""
+    for module, attr, title in (
+        ("test_acceptance", "CRITERION_LINES", "acceptance criteria"),
+        ("test_soundness_oracle", "REPORT_LINES", "soundness oracle"),
+    ):
+        lines = getattr(sys.modules.get(module), attr, None)
+        if lines:
+            terminalreporter.section(title)
+            for line in lines:
+                terminalreporter.write_line(line)

@@ -698,14 +698,14 @@ def full_degeneralize(h: HybridAutomaton) -> HybridAutomaton:
 
 
 def unpaired_product(
-    system: HybridAutomaton, formula, strict: bool = False, witness=None
+    system: HybridAutomaton, formula, strict: bool = False
 ) -> HybridAutomaton:
     """The instrumented product as check() built it with an observer blind
     to the system: compose, prune, whole counter product, prune."""
     observer = build_negated_observer(formula, system.actions, strict=strict)
     product = prune_unreachable(compose(system, observer))
     product = prune_unreachable(normalize_acceptance(full_degeneralize(product)))
-    return instrument(product, witness)[0]
+    return instrument(product)[0]
 
 
 @dataclass

@@ -127,11 +127,33 @@ class TestCheckCommand:
         fields = machine_fields(capsys.readouterr().out)
         assert fields["error"] == "E_CONFIG"
 
-    def test_witness_all_tracks_the_full_state(self, heater_path, capsys):
-        code = main(["check", "--model", heater_path,
-                     "--formula", "!F(x >= 21 & X on)", "--witness", "all"])
-        assert code == 0
-        assert capsys.readouterr().out.startswith("Verified:")
+    @pytest.mark.parametrize("formula, status, code", [
+        ("G F a", "Verified", 0), ("G !a", "Inconclusive", 2)])
+    def test_variable_free_model_is_checked(self, tmp_path, capsys, formula,
+                                            status, code):
+        """A model without vars once failed: no witness variable to pick."""
+        model = tmp_path / "novars.hyha"
+        model.write_text("actions a, b;\nlocation p { }\nlocation q { }\n"
+                         "edge p -a-> q { }\nedge q -b-> p { }\ninitial p;\n")
+        assert main(["--machine", "check", "--model", str(model),
+                     "--formula", formula]) == code
+        fields = machine_fields(capsys.readouterr().out)
+        assert fields["status"] == status
+        assert fields["hits"] == ("1" if code == 2 else "0")
+
+    def test_witness_is_no_option(self, heater_path, capsys):
+        assert main(["check", "--model", heater_path, "--formula", "true",
+                     "--witness", "x"]) == 1
+        assert "--witness" in capsys.readouterr().err
+
+    def test_negated_equality_names_the_equality(self, thermostat_path, capsys):
+        code = main(["--machine", "check", "--model", thermostat_path,
+                     "--formula", "G(x = 20)"])
+        fields = machine_fields(capsys.readouterr().out)
+        assert code == 1
+        assert fields["error"] == "E_COMPLEMENT"
+        assert "'x = 20'" in fields["message"]
+        assert "declare" not in fields["message"]
 
     def test_machine_line_is_parsable(self, heater_path, capsys):
         code = main(["--machine", "check", "--model", heater_path,
@@ -452,6 +474,26 @@ class TestSettingsResolution:
                      "--formula", "!F(x >= 21 & X on)"])
         assert code == 1
         assert machine_fields(capsys.readouterr().out)["error"] == "E_CONFIG"
+
+    @pytest.mark.parametrize("config", [{"stpe": 0.5}, {"step": "abc"}])
+    @pytest.mark.parametrize("command", ["check", "translate", "monitor"])
+    def test_config_is_read_whole_by_every_command(
+        self, heater_path, lasso_path, tmp_path, capsys, config, command
+    ):
+        """A misspelt key was once ignored, and a bad value passed every
+        command that did not read its key."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = {
+            "check": ["check", "--model", heater_path, "--formula", "true"],
+            "translate": ["translate", "--model", heater_path, "--formula", "F on"],
+            "monitor": ["monitor", "--trace", lasso_path, "--actions", "on,off",
+                        "--formula", "x >= 1"],
+        }[command]
+        assert main(["--machine", "--config", str(cfg)] + args) == 1
+        fields = machine_fields(capsys.readouterr().out)
+        assert fields["error"] == "E_CONFIG"
+        assert repr(next(iter(config))) in fields["message"]
 
     @pytest.mark.parametrize("text", [None, "[1, 2]", "{"])
     def test_unusable_config_files_exit_one_with_e_config(

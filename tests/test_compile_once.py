@@ -127,14 +127,6 @@ class TestCachedValuesStayOutOfIdentity:
         for name in DERIVED:
             assert getattr(back, name, None) == getattr(fresh, name, None)
 
-    def test_declared_complement_survives_a_pickle(self):
-        c = FlowConstraint(Var("x"), Relation.EQ, Const(1.0))
-        declared = FlowConstraint(Var("x"), Relation.LT, Const(1.0), complement=c)
-        fill(declared)
-        back = pickle.loads(pickle.dumps(declared))
-        assert back.complement == c
-        assert back.state_vars == {"x"}
-
     def test_frozen_fields_still_refuse_assignment(self):
         c, _ = flow_pair()
         fill(c)

@@ -85,11 +85,6 @@ class TestParsing:
             FlowConstraint(DotVar("x"), Relation.EQ, Mul(Const(-0.2), Var("x")))
         )
 
-    def test_named_constraint_reference(self):
-        c = FlowConstraint(Var("x"), Relation.GE, Const(21.0))
-        d = Declarations(variables=("x",), actions=("on",), constraints=(("hot", c),))
-        assert parse_formula("G hot", d) == parse_formula("G(x >= 21)", d)
-
     def test_unknown_identifier_has_position(self):
         with pytest.raises(ParseError) as exc:
             parse_formula("true & blorp", DECLS)
@@ -195,13 +190,6 @@ class TestNnf:
         with pytest.warns(ComplementStrengtheningWarning):
             g = to_nnf(f)
         assert g == atom("x < 21")
-
-    def test_declared_complement_wins(self):
-        comp = FlowConstraint(Var("x"), Relation.LE, Const(20.5))
-        c = FlowConstraint(Var("x"), Relation.GE, Const(21.0), complement=comp)
-        with pytest.warns(ComplementStrengtheningWarning):
-            g = to_nnf(Not(FlowAtom(c)))
-        assert g == FlowAtom(comp)
 
     def test_negated_equality_needs_declaration(self):
         c = FlowConstraint(DotVar("x"), Relation.EQ, Const(0.0))

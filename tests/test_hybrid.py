@@ -219,13 +219,6 @@ class TestComplement:
         with pytest.raises(ComplementError):
             complement_of(c)
 
-    def test_declared_wins(self):
-        comp = FlowConstraint(Var("x"), Relation.LE, Const(20.0))
-        c = FlowConstraint(Var("x"), Relation.GE, Const(21.0), complement=comp)
-        assert complement_of(c) is comp
-        with pytest.raises(ComplementError):
-            complement_of(FlowConstraint(Var("x"), Relation.GE, Const(21.0)), strict=True)
-
 
 class TestAutomaton:
     def test_validation_rejects_undeclared(self):

@@ -7,6 +7,7 @@ with the independently built formula automaton for word-only formulas.
 
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -275,6 +276,20 @@ class TestRandomTraces:
             assert accepts(trace, h, w), k
             found = find_accepting_witness(trace, h)
             assert found is not None and accepts(trace, h, found), k
+
+    def test_settled_flow_without_an_enabled_edge_raises(self):
+        """x settles at 5 and the only edge needs x >= 8: the simulation
+        once waited for it forever."""
+        h = parse_model(
+            "vars x; actions a;\n"
+            "location l0 { der(x) = -0.5 * x + 2.5; x >= 0; x <= 10; }\n"
+            "edge l0 -a-> l0 { x >= 8; x' = x; }\n"
+            "initial l0; init { x >= 4; x <= 5; }\n"
+        )
+        start = time.perf_counter()
+        with pytest.raises(TraceError, match="stuck in 'l0'"):
+            random_trace(h, np.random.default_rng(0))
+        assert time.perf_counter() - start < 1.0
 
     def test_rotation_leaves_verdicts_unchanged(self):
         h = heater_model()

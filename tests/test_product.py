@@ -40,6 +40,21 @@ def phi(s: str):
     return parse_formula(s, DECLS)
 
 
+# Two locations and no variables: the runs alternate a and b.
+VARIABLE_FREE = """
+actions a, b;
+location p { }
+location q { }
+edge p -a-> q { }
+edge q -b-> p { }
+initial p;
+"""
+
+
+def variable_free():
+    return parse_model(VARIABLE_FREE)
+
+
 ALL_WORDS = [
     (u, v)
     for p in range(3)
@@ -168,44 +183,16 @@ class TestInstrument:
         for t in twins:
             assert "y' = a" in [str(j) for j in t.jumps]
 
-    def test_witness_all_snapshots_every_variable(self):
-        inst, _, f, y, w = instrument(self.two_variable(), witness="all")
-        assert w == ("x", "a")
-        assert y == ("y_x", "y_a")
-        assert inst.variables == ("x", "a", "f", "y_x", "y_a")
-        for l in inst.locations:
-            texts = [str(c) for c in inst.dyn[l]]
-            assert "der(y_x) = 0" in texts and "der(y_a) = 0" in texts
-        twins = [t for t in inst.transitions if any("f'" in str(j) for j in t.jumps)]
-        assert twins
-        for t in twins:
-            texts = [str(j) for j in t.jumps]
-            assert "y_x' = x" in texts and "y_a' = a" in texts
-
-    def test_witness_all_names_a_variable_when_one_is_declared(self):
-        h = self.two_variable()
-        shadowed = type(h)(
-            variables=("x", "all"),
-            actions=h.actions,
-            locations=h.locations,
-            transitions=h.transitions,
-            dyn={l: h.dyn[l] for l in h.locations},
-            init=h.init,
-            init_region=h.init_region,
-            acceptance=(frozenset(h.locations),),
-        )
-        inst, _, f, y, w = instrument(shadowed, witness="all")
-        assert w == ("all",)
-        assert y == ("y",)
+    def test_no_variables_means_no_snapshot(self):
+        inst, targets, f, y, w = instrument(normalize_acceptance(variable_free()))
+        assert (f, y, w) == ("f", (), ())
+        assert inst.variables == ("f",)
+        assert len(targets) == 2
 
     def test_generalized_family_is_rejected(self):
         h = build_formula_automaton(phi("F on & F off"), ("on", "off"))
         with pytest.raises(ModelError, match="degeneralized"):
             instrument(h)
-
-    def test_unknown_witness_is_rejected(self):
-        with pytest.raises(ModelError, match="witness"):
-            instrument(self.automaton(), witness="z")
 
     def test_aux_name_collision_is_renamed(self):
         h = heater_model()
@@ -261,6 +248,17 @@ class TestCheck:
     def test_strict_mode_refuses_undeclared_complements(self):
         with pytest.raises(ComplementError):
             check(heater_model(), phi("F(x >= 24)"), strict=True)
+
+    def test_variable_free_model_is_checked(self):
+        """With no variable to snapshot, the latch alone answers."""
+        h = variable_free()
+        decls = Declarations(variables=h.variables, actions=h.actions)
+        v = check(h, parse_formula("G F a", decls))
+        assert v.verified
+        v = check(h, parse_formula("G !a", decls))
+        assert v.status == "Inconclusive"
+        assert [list(hit["box"]) for hit in v.hits] == [["f"]]
+        assert v.stats["aux"] == {"f": "f", "y": (), "witness": ()}
 
     def test_verdict_renders_as_one_line(self):
         v = check(heater_model(), phi("true"))

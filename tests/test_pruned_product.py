@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 import hyltlmc.product as product_module
-from hyltlmc.errors import ModelError
 from hyltlmc.formula.parser import Declarations, parse_formula
 from hyltlmc.hybrid.modelio import load_model, parse_model
 from hyltlmc.product import check
@@ -179,14 +178,6 @@ class TestGraphOnlyVerdict:
         assert s["aux"] == {"f": "f", "y": ("y",), "witness": ("x",)}
         assert "product" not in s
         assert verdict.product is not None and not verdict.product.locations
-
-    def test_witness_is_still_validated(self, thermostat):
-        with pytest.raises(ModelError, match="witness"):
-            check(
-                thermostat,
-                formula_of(thermostat, "G(on -> X(!on U off))"),
-                witness="nope",
-            )
 
     def test_relaxed_guard_still_runs_reachability(self, monkeypatch, models):
         relaxed = models["relaxed"]
