@@ -37,14 +37,15 @@ import numpy as np
 from .errors import ConfigError, HyltlError, TraceError
 from .formula.nnf import to_nnf
 from .formula.parser import Declarations, parse_formula
-from .formula.syntax import to_str
+from .formula.syntax import Not, to_str
 from .hybrid.automaton import compose, find_accepting_witness
 from .hybrid.lasso import HybridLassoTrace
 from .hybrid.modelio import load_model, model_to_str, parse_model
 from .hybrid.trajectory import DEFAULT_FLOW_TOL, SampledTrajectory
 from .monitor import evaluate_trace
 from .phaver import export_phaver
-from .product import build_negated_observer, check
+from .product import check
+from .tableau import build_formula_automaton
 
 DEFAULTS = {
     "horizon": 100.0,
@@ -204,19 +205,11 @@ def _cmd_translate(args, config: dict) -> int:
     model = _load(args.model) if args.model else None
     decls = _declarations(args, model)
     formula = parse_formula(args.formula, decls)
-    actions = decls.actions
-    if args.negate:
-        observer = build_negated_observer(
-            formula, actions, prune=not args.no_prune, strict=args.strict_negation
-        )
-    else:
-        from .tableau import build_formula_automaton
-
-        observer = build_formula_automaton(
-            to_nnf(formula, strict=args.strict_negation),
-            actions,
-            prune=not args.no_prune,
-        )
+    observer = build_formula_automaton(
+        to_nnf(Not(formula) if args.negate else formula, strict=args.strict_negation),
+        decls.actions,
+        prune=not args.no_prune,
+    )
     _write_out(args, model_to_str(observer))
     return 0
 
@@ -326,7 +319,6 @@ def _cmd_selftest(args, config: dict) -> int:
     from .monitor import evaluate_word, random_trace
     from .phaver import embedded_model
     from .reach import reachable
-    from .tableau import build_formula_automaton
 
     failures = 0
 

@@ -4,24 +4,35 @@ The closure of a formula f over an action alphabet is the smallest set that
 contains f, every action atom of the alphabet and the constant true, and is
 closed under subformulas and single negation (double negations collapse, and
 the negation of true is false). Every member therefore has a complementary
-partner, and the closure splits into pairs (g, neg(g)).
+partner, and the closure splits into pairs (g, neg(g)): the pair with index
+k owns ordinals 2k (positive form) and 2k + 1 (negated form).
 
 A maximally consistent set picks exactly one member of every pair such that
 true is in, conjunctions and disjunctions agree with their arguments, and at
-most one action atom is positive. Sets are represented as bit vectors over
-closure ordinals: the pair with index k owns bits 2k (positive form) and
-2k + 1 (negated form). Members are ordered by size, so the arguments of a
-conjunction or disjunction come before it; the sets are enumerated from
-the free choices (flow atoms, next, until, release) and the action atom,
-with every conjunction and disjunction then read off its arguments.
+most one action atom is positive. Only flow atoms, next, until and release
+pairs are free choices. Members are ordered by size, so a conjunction or
+disjunction follows from arguments that precede it. Columns holds all
+N = 2^free * (A + 1) sets at once, A the number of action atoms. Set r is
+r = c * (A + 1) + a, bit t of c the sign of the t-th free pair and a its
+action (0 for none), and column i is an integer whose bit r is set when
+set r holds ordinal i: a tiled bit pattern for a free or action pair, the
+and or or of two earlier columns for a conjunction or disjunction.
+
+The sets are ordered lexicographically on their bit vectors, bit 0 first.
+Two sets first differ at a free or action pair, whose negative half sorts
+first. So the rank of set r sums, over its positive free and action pairs
+p, the sets that agree before p and are negative at p: 2^(free pairs after
+p) times the action choices left, which is 1 when an action before p is
+positive and otherwise 1 + (action pairs after p).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator
 
+from ..errors import ModelError
 from ..hybrid.constraints import FlowConstraint
 from .syntax import (
     ActionAtom,
@@ -93,8 +104,6 @@ class ClosureSet:
             ordered.append(p)
             ordered.append(neg(p))
         self.members: tuple[Formula, ...] = tuple(ordered)
-        # Rendered once here, so formatting a set is a join of cached text.
-        self.texts: tuple[str, ...] = tuple(to_str(g) for g in ordered)
         self.index: dict[Formula, int] = {g: i for i, g in enumerate(ordered)}
         self.n_pairs = len(positives)
 
@@ -105,19 +114,19 @@ class ClosureSet:
             g.constraint: i for g, i in self.index.items() if isinstance(g, FlowAtom)
         }
         # Positive temporal/boolean nodes with the ordinals of their parts,
-        # the raw material of consistency filtering and edge generation.
-        self.and_nodes: list[tuple[int, int, int]] = []
-        self.or_nodes: list[tuple[int, int, int]] = []
+        # the raw material of consistency filtering and edge generation;
+        # derived holds each conjunction (True) and disjunction (False) in
+        # ordinal order.
+        self.derived: list[tuple[int, int, int, bool]] = []
         self.next_nodes: list[tuple[int, int]] = []
         self.until_nodes: list[tuple[int, int, int]] = []
         self.release_nodes: list[tuple[int, int, int]] = []
         for g in positives:
             i = self.index[g]
             match g:
-                case And(a, b):
-                    self.and_nodes.append((i, self.index[a], self.index[b]))
-                case Or(a, b):
-                    self.or_nodes.append((i, self.index[a], self.index[b]))
+                case And(a, b) | Or(a, b):
+                    conj = isinstance(g, And)
+                    self.derived.append((i, self.index[a], self.index[b], conj))
                 case Next(a):
                     self.next_nodes.append((i, self.index[a]))
                 case Until(a, b):
@@ -160,72 +169,88 @@ class MCS:
             a for a, i in self.closure.action_ordinals.items() if self.bits >> i & 1
         )
 
-    def positive_flow_constraints(self) -> tuple[FlowConstraint, ...]:
-        return tuple(
-            c for c, i in self.closure.flow_ordinals.items() if self.bits >> i & 1
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.closure), self.bits))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MCS)
-            and self.closure is other.closure
-            and self.bits == other.bits
-        )
-
     def __repr__(self) -> str:
-        texts = self.closure.texts
-        return "{" + ", ".join(
-            texts[i] for i in range(len(texts)) if self.bits >> i & 1
-        ) + "}"
+        return "{" + ", ".join(map(to_str, self.formulas())) + "}"
 
 
 def closure(formula: Formula, actions: Iterable[str]) -> ClosureSet:
     return ClosureSet(formula, actions)
 
 
+# Closures with more consistent sets are refused before any column is built:
+# 25 nested X before an action would ask for 3 * 2^25 and exhaust memory.
+MAX_SETS = 1 << 20
+
+
+def _tile(pattern: int, width: int, total: int) -> int:
+    """pattern, width bits wide, repeated to total bits (a power-of-two
+    multiple of width)."""
+    while width < total:
+        pattern |= pattern << width
+        width *= 2
+    return pattern
+
+
+class Columns:
+    """The maximally consistent sets of a closure, one bitset per ordinal
+    (see the module docstring); more than MAX_SETS raise ModelError."""
+
+    def __init__(self, cl: ClosureSet):
+        top = cl.index[Top()]
+        fixed = {top} | set(cl.action_ordinals.values()) | {i for i, *_ in cl.derived}
+        self.free = [2 * k for k in range(cl.n_pairs) if 2 * k not in fixed]
+        self.actions = sorted(cl.action_ordinals.values())
+        self.radix = radix = len(self.actions) + 1
+        self.n = n = radix << len(self.free)
+        if n > MAX_SETS:
+            raise ModelError(
+                f"the formula's tableau has {n} consistent sets, more than {MAX_SETS}"
+            )
+        self.full = full = (1 << n) - 1
+        cols = self.cols = [0] * len(cl.members)
+
+        def put(i: int, col: int) -> None:
+            cols[i], cols[i ^ 1] = col, full ^ col
+
+        put(top, full)
+        for k, i in enumerate(self.actions, 1):
+            put(i, _tile(1 << k, radix, n))
+        for t, i in enumerate(self.free):
+            run = radix << t
+            put(i, _tile(((1 << run) - 1) << run, 2 * run, n))
+        for i, l, r, conj in cl.derived:
+            put(i, cols[l] & cols[r] if conj else cols[l] | cols[r])
+
+        # The sets a positive pair at ordinal i puts first (see the
+        # module docstring), with or without a positive action before i.
+        def first(i: int, no_action: bool = True) -> int:
+            n_free = sum(p > i for p in self.free)
+            return (sum(p > i for p in self.actions) + 1 if no_action else 1) << n_free
+
+        self._base = [0] + [first(a) for a in self.actions]
+        self._weights = [
+            [first(i, a is None or a > i) for i in self.free]
+            for a in [None] + self.actions
+        ]
+
+    def rank(self, r: int) -> int:
+        """The place of set r in the order on bit vectors."""
+        c, a = divmod(r, self.radix)
+        weights = enumerate(self._weights[a])
+        return self._base[a] + sum(w for t, w in weights if c >> t & 1)
+
+
+def members(x: int) -> list[int]:
+    """The indices of the set bits of x, ascending."""
+    return [m.start() for m in re.finditer("1", format(x, "b")[::-1])]
+
+
 def maximally_consistent_sets(cl: ClosureSet) -> tuple[MCS, ...]:
-    """Enumerate all maximally consistent sets, lexicographic on bit vectors.
-
-    Only flow atoms, next, until and release pairs are free choices. True
-    is always in, the action atoms are none or exactly one positive, and
-    every conjunction or disjunction follows from its arguments, which
-    precede it in closure order. The candidates built that way are
-    exactly the consistent sets, so the cost is O(2^free * (|actions| + 1)
-    * |cl|) with free the number of free pairs, and nothing is rejected.
-    """
-    top = cl.index[Top()]
-    derived = sorted(
-        [(i, l, r, True) for i, l, r in cl.and_nodes]
-        + [(i, l, r, False) for i, l, r in cl.or_nodes]
-    )
-    fixed = {top} | set(cl.action_ordinals.values()) | {i for i, *_ in derived}
-    free = [2 * k for k in range(cl.n_pairs) if 2 * k not in fixed]
-    actions = [0] + [1 << i for i in sorted(cl.action_ordinals.values())]
-    # Every action pair starts negative; a chosen action flips its pair.
-    base = 1 << top
-    for i in cl.action_ordinals.values():
-        base |= 1 << (i + 1)
-
-    out: list[MCS] = []
-    for choice in product((0, 1), repeat=len(free)):
-        bits = base
-        for i, c in zip(free, choice):
-            bits |= 1 << (i + c)
-        for a in actions:
-            b = bits ^ (a | a << 1)
-            for i, l, r, conj in derived:
-                if conj:
-                    v = b >> l & b >> r & 1
-                else:
-                    v = (b >> l | b >> r) & 1
-                b |= 1 << (i + 1 - v)
-            out.append(MCS(cl, b))
-
-    # Lexicographic on the bit vectors, bit 0 first: the binary digits
-    # read from the lowest bit.
-    spec = f"0{len(cl.members)}b"
-    out.sort(key=lambda m: format(m.bits, spec)[::-1])
+    """Every maximally consistent set, in rank order, read off the columns."""
+    cs = Columns(cl)
+    # Row i holds ordinal i of every set, set r at character r.
+    rows = [format(col, f"0{cs.n}b")[::-1] for col in cs.cols]
+    out: list = [None] * cs.n
+    for r, chars in enumerate(zip(*rows)):
+        out[cs.rank(r)] = MCS(cl, int("".join(chars)[::-1], 2))
     return tuple(out)

@@ -62,6 +62,7 @@ def build_negated_observer(
     prune: bool = True,
     strict: bool = False,
     system: HybridAutomaton | None = None,
+    counts: dict[str, int] | None = None,
 ) -> HybridAutomaton:
     """Observer automaton accepting exactly the traces violating formula.
 
@@ -69,10 +70,13 @@ def build_negated_observer(
     system are built (tableau.build_formula_automaton); without a system,
     the locations prune_unreachable would keep: those on a path from an
     initial location to an accepting cycle whose invariant the engine's
-    clip does not prove empty.
+    clip does not prove empty. counts receives the tableau's work
+    counts (see build_formula_automaton).
     """
     negated = to_nnf(Not(formula), strict=strict)
-    return build_formula_automaton(negated, actions, prune=prune, system=system)
+    return build_formula_automaton(
+        negated, actions, prune=prune, system=system, counts=counts
+    )
 
 
 def degeneralize(h: HybridAutomaton) -> HybridAutomaton:
@@ -388,8 +392,8 @@ def check(
     step or horizon that is not finite and positive, an eps that is not
     finite and nonnegative, or a widen_after or max_visits that is not an
     integer of at least 1. stats holds the observer and product sizes,
-    and stats["timings"] the wall seconds of each stage, observer to
-    query.
+    the observer's consistent sets and searched class nodes, and
+    stats["timings"] the wall seconds of each stage, observer to query.
     """
     check_settings(
         positive=[("horizon", horizon), ("step", step)],
@@ -397,9 +401,10 @@ def check(
         counts=[("widen_after", widen_after), ("max_visits", max_visits)],
     )
     timings: dict[str, float] = {}
+    counts: dict[str, int] = {}
     with _timed(timings, "observer"):
         observer = build_negated_observer(
-            formula, system.actions, strict=strict, system=system
+            formula, system.actions, strict=strict, system=system, counts=counts
         )
     with _timed(timings, "compose+prune"):
         product = prune_unreachable(compose(system, observer))
@@ -425,6 +430,7 @@ def check(
     stats = {
         "observer_locations": len(observer.locations),
         "observer_transitions": len(observer.transitions),
+        **counts,
         "product_locations": len(inst.locations),
         "product_transitions": len(inst.transitions),
         "query_targets": len(targets),

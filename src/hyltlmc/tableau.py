@@ -1,27 +1,28 @@
 """Compiling a formula into an automaton whose runs are exactly its models.
 
 Locations are the maximally consistent subsets of the formula's closure
-over the given action alphabet, named q0, q1, ... in their enumeration
-order. An edge (M, a, M') exists when M' holds the action atom a, every
-next obligation of M is discharged in M', and every until and release
-obligation unfolds by one step. A location's dynamics collects its
-positively held flow constraints; discrete jumps are unconstrained.
-Initial locations hold the formula and no action atom. One acceptance set
-per until operator, listing the locations where that until is fulfilled
-or dropped, keeps runs from postponing an until forever.
+over the given action alphabet, named q0, q1, ... in the order
+maximally_consistent_sets returns them. An edge (M, a, M') exists when
+M' holds the action atom a, every next obligation of M is discharged in
+M', and every until and release obligation unfolds by one step. A
+location's dynamics collects its positively held flow constraints;
+discrete jumps are unconstrained. Initial locations hold the formula and
+no action atom. One acceptance set per until operator, listing the
+locations where that until is fulfilled or dropped, keeps runs from
+postponing an until forever.
 
-Successors are computed on set indices first. A pruned automaton keeps
-only the sets that lie in a live pair (system location, set): one on a
-path from an initial pair to a cycle meeting every acceptance set of the
-composition (live_nodes). The pairs form the composition's location
-graph, and only those reached from an initial pair get successors. Sets
-whose flow atoms no state can meet, which the reach engine's clip of the
-full box decides (reach.boxes.satisfiable), are left out first. Without
-a system, the one-location system looping on every action stands in,
-and the rule is prune_unreachable's on the tableau alone. With one,
+Every property of the sets is a column (closure.Columns), made with a
+few and/or operations per closure node, and only a kept set gets a name,
+from its rank. A set pins the ordinals its successors must match. The
+valid sets split into classes of one pin profile and one acceptance
+vector, whose members have the same successors and acceptance bits. A
+pruned automaton keeps only the sets in a live pair (system location,
+set), searched per class (see _live_sets), after leaving out the sets
+whose flow atoms no state can meet (reach.boxes.satisfiable). Without a
+system, the one-location system looping on every action stands in, and
+the rule is prune_unreachable's on the tableau alone. With one,
 composing the kept sets with the system and pruning gives the product
-that composing every set and pruning gives. No edge is made for any
-other set.
+that composing every set and pruning gives.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import ModelError
-from .formula.closure import ClosureSet, closure, maximally_consistent_sets
+from .formula.closure import Columns, closure, members
+from .formula.closure import maximally_consistent_sets  # noqa: F401 (traced by name)
 from .formula.syntax import Formula, action_atoms
 from .hybrid.automaton import HybridAutomaton, Transition, live_nodes
 from .reach.boxes import satisfiable
@@ -40,20 +42,20 @@ def build_formula_automaton(
     actions: Sequence[str],
     prune: bool = False,
     system: HybridAutomaton | None = None,
+    counts: dict[str, int] | None = None,
 ) -> HybridAutomaton:
-    """Translate a formula over the given action alphabet.
+    """Translate a formula over the given action alphabet, which must
+    cover every action atom of the formula.
 
-    The alphabet must cover every action atom of the formula. Location
-    names follow the maximally consistent set enumeration, so q17 is the
-    eighteenth set in the order maximally_consistent_sets returns. With
-    prune, only the sets that lie in a live pair of system and tableau
+    With prune, only the sets that lie in a live pair of system and tableau
     are built (see _live_sets), with every edge between them. Without a
     system that is the one-location system looping on every action, and
     the result equals prune_unreachable of the full automaton. With a
     system over the same alphabet, the result is an induced
     sub-automaton of that one, and prune_unreachable of its composition
     with the system equals prune_unreachable of the system composed
-    with the full automaton.
+    with the full automaton. counts receives observer_sets, the number of
+    consistent sets, and observer_classes, the pair search's nodes.
     """
     actions = tuple(actions)
     missing = action_atoms(formula) - set(actions)
@@ -68,85 +70,113 @@ def build_formula_automaton(
         )
 
     cl = closure(formula, actions)
-    sets = maximally_consistent_sets(cl)
-    n = len(sets)
-    names = [f"q{i}" for i in range(n)]
+    sets = Columns(cl)
+    col, full = sets.cols, sets.full
+    flows = cl.flow_ordinals
+    variables = tuple(sorted(set().union(*(c.state_vars | c.dot_vars for c in flows))))
 
-    vnames: set[str] = set()
-    for c in cl.flow_ordinals:
-        vnames |= c.state_vars | c.dot_vars
-    variables = tuple(sorted(vnames))
+    # A next obligation pins its operand in every successor to its own
+    # sign; an until or release its unfolding leaves open pins itself.
+    # pinned[i] holds the sets pinning ordinal i to 1 and to 0. bad holds
+    # the sets that break an until or release or pin an ordinal both
+    # ways; they have no successors.
+    pins = [(i_op, full, col[i_x]) for i_x, i_op in cl.next_nodes]
+    pins += [(i, col[i2 ^ 1] & col[i1], col[i]) for i, i1, i2 in cl.until_nodes]
+    pins += [(i, col[i2] & col[i1 ^ 1], col[i]) for i, i1, i2 in cl.release_nodes]
+    pinned: dict[int, tuple[int, int]] = {}
+    for i, where, value in pins:
+        ones, zeros = pinned.get(i, (0, 0))
+        pinned[i] = ones | where & value, zeros | where & ~value
+    bad = 0
+    for i, i1, i2 in cl.until_nodes:
+        bad |= col[i2] & col[i ^ 1] | col[i2 ^ 1] & col[i1 ^ 1] & col[i]
+    for i, i1, i2 in cl.release_nodes:
+        bad |= col[i2 ^ 1] & col[i] | col[i2] & col[i1] & col[i ^ 1]
+    for ones, zeros in pinned.values():
+        bad |= ones & zeros
 
-    target_bits = [m.bits for m in sets]
-    target_actions = [m.positive_actions() for m in sets]
-
-    # A set whose flow atoms no state can meet lies on no run (see
-    # prune_unreachable), so when pruning it is no target and has no
-    # successors. Sets with the same flow atoms share one answer.
-    usable = [True] * n
+    # When pruning, a set whose flow atoms no state can meet lies on no
+    # run (see prune_unreachable): it is no target and has no successors.
+    # Every combination of flow atoms is a free choice, judged once.
+    usable = full
     if prune:
-        flow_mask = sum(1 << i for i in cl.flow_ordinals.values())
-        feasible: dict[int, bool] = {}
-        for i, m in enumerate(sets):
-            key = m.bits & flow_mask
-            ok = feasible.get(key)
-            if ok is None:
-                ok = feasible[key] = satisfiable(m.positive_flow_constraints())
-            usable[i] = ok
-    targets = [ti for ti in range(n) if target_actions[ti] and usable[ti]]
+        combos = [(full, ())]
+        for c, i in flows.items():
+            combos = [
+                p
+                for x, cs in combos
+                for p in ((x & col[i ^ 1], cs), (x & col[i], cs + (c,)))
+            ]
+        for x, cs in combos:
+            if not satisfiable(cs):
+                usable ^= x
 
-    # Successor indices per set: the targets matching its pin profile. The
-    # targets are bucketed by their pinned bits once per distinct mask.
-    succ: list[Sequence[int]] = []
-    buckets_by_mask: dict[int, dict[int, list[int]]] = {}
-    for i, b in enumerate(target_bits):
-        pins = _pins(cl, b) if usable[i] else None
-        if pins is None:
-            succ.append(())
-            continue
-        mask, vals = pins
-        buckets = buckets_by_mask.get(mask)
-        if buckets is None:
-            buckets = buckets_by_mask[mask] = {}
-            for ti in targets:
-                buckets.setdefault(target_bits[ti] & mask, []).append(ti)
-        succ.append(buckets.get(vals, ()))
+    # At most one action atom is positive, so the columns are disjoint.
+    has_action = sum(col[i] for i in sets.actions)
+    targets = has_action & usable
+    valid = usable & ~bad
+    init = col[cl.index[cl.formula]] & ~has_action
+    acceptance = [col[i2] | col[i ^ 1] for i, _, i2 in cl.until_nodes]
 
-    i_formula = cl.index[cl.formula]
-    init = [
-        i
-        for i, m in enumerate(sets)
-        if m.bits >> i_formula & 1 and not target_actions[i]
-    ]
-    acceptance = [
-        [i for i, b in enumerate(target_bits) if (b >> i_2 & 1) or not (b >> i_u & 1)]
-        for i_u, i_1, i_2 in cl.until_nodes
-    ]
+    # The valid sets split by pin profile, each part with the targets
+    # matching its pins, then by acceptance into classes (sets, part).
+    parts = [(valid, targets)]
+    for i, (ones, zeros) in pinned.items():
+        rest = ~(ones | zeros)
+        parts = [
+            (y, t)
+            for x, ts in parts
+            for y, t in (
+                (x & ones, ts & col[i]), (x & zeros, ts & col[i ^ 1]), (x & rest, ts)
+            )
+            if y
+        ]
+    successors = [ts for _, ts in parts]
+    classes = [(x, j) for j, (x, _) in enumerate(parts)]
+    for F in acceptance:
+        classes = [(y, j) for x, j in classes for y in (x & F, x & ~F) if y]
 
+    live, searched = full, 0
     if prune:
-        live = _live_sets(
-            system or _free_system(actions), succ, target_actions, init, acceptance
+        act = {a: col[cl.action_ordinals[a]] & valid for a in actions}
+        system = system or _free_system(actions)
+        live, searched = _live_sets(
+            system, classes, successors, act, init & valid, acceptance
         )
-    else:
-        live = range(n)
-    kept = sorted(live)
+    if counts is not None:
+        counts.update(observer_sets=sets.n, observer_classes=searched)
 
-    transitions = [
-        Transition(names[i], a, names[ti])
-        for i in kept
-        for ti in succ[i]
-        if ti in live
-        for a in target_actions[ti]
-    ]
+    rank = {r: sets.rank(r) for r in members(live)}
+    kept = sorted(rank, key=rank.__getitem__)
+    names = {r: f"q{rank[r]}" for r in kept}
+    labels = [None] + sorted(cl.action_ordinals, key=cl.action_ordinals.__getitem__)
+    part = {r: j for x, j in classes for r in members(x & live)}
+    edges = {
+        j: [
+            (labels[t % sets.radix], names[t])
+            for t in sorted(members(successors[j] & live), key=rank.__getitem__)
+        ]
+        for j in set(part.values())
+    }
+    free = [(c, sets.free.index(i)) for c, i in flows.items()]
+    dyn = {
+        names[r]: tuple(c for c, t in free if r // sets.radix >> t & 1) for r in kept
+    }
+    initial = set(members(init & live))
     return HybridAutomaton(
         variables=variables,
         actions=actions,
-        locations=tuple(names[i] for i in kept),
-        transitions=tuple(transitions),
-        dyn={names[i]: sets[i].positive_flow_constraints() for i in kept},
-        init=tuple(names[i] for i in init if i in live),
+        locations=tuple(names[r] for r in kept),
+        transitions=tuple(
+            Transition(names[r], a, target)
+            for r in kept
+            if r in part
+            for a, target in edges[part[r]]
+        ),
+        dyn=dyn,
+        init=tuple(names[r] for r in kept if r in initial),
         acceptance=tuple(
-            frozenset(names[i] for i in F if i in live) for F in acceptance
+            frozenset(names[r] for r in members(F & live)) for F in acceptance
         ),
     )
 
@@ -161,111 +191,87 @@ def _free_system(actions: tuple[str, ...]) -> HybridAutomaton:
 
 def _live_sets(
     system: HybridAutomaton,
-    succ: Sequence[Sequence[int]],
-    target_actions: Sequence[tuple[str, ...]],
-    init: Sequence[int],
-    acceptance: Sequence[Sequence[int]],
-) -> set[int]:
-    """Sets that lie in a live pair (system location, set).
+    classes: Sequence[tuple[int, int]],
+    successors: Sequence[int],
+    act: dict[str, int],
+    init: int,
+    acceptance: Sequence[int],
+) -> tuple[int, int]:
+    """The sets in a live pair (system location, set), and the number of
+    (system location, class) nodes searched.
 
-    The pairs form compose's location graph: (s, i) steps to (s', j)
-    when j is a successor of i whose action labels a system edge s -> s'.
-    A pair is live (live_nodes) under the acceptance family compose
-    lifts, the system's sets first. Projecting a live pair's path and
-    cycle onto the sets gives a live path of the tableau, so every kept
-    set is one prune_unreachable keeps on the tableau alone; and every
-    path of the composition through live pairs stays among the kept sets.
+    (s, i) steps to (s', j) when j is a successor of i whose action
+    labels a system edge s -> s', as in compose; a pair is live
+    (live_nodes) under the acceptance family compose lifts. reach[s]
+    collects the sets paired with s on a path from an initial pair: a
+    class met at s adds its successors by each action to the system
+    locations that action leads to. The quotient steps from (s, K) to
+    (s', K') when a successor of K by an edge s -> s' lies in K'. Every
+    member of K has those successors, so each quotient edge leaves every
+    member, and the quotient is a forward bisimulation: following a
+    closed walk through every node of a quotient component from one
+    member, a pair repeats after whole rounds, and the cycle between
+    meets every acceptance set the component meets. So a reached pair is
+    live exactly when its quotient node is.
     """
-    n = len(succ)
-    sidx = {l: k for k, l in enumerate(system.locations)}
-    # Pair (s, i) is the node s * n + i.
-    moves: list[dict[str, list[int]]] = [{} for _ in system.locations]
+    locs = system.locations
+    ns, nk = len(locs), len(classes)
+    sidx = {l: s for s, l in enumerate(locs)}
+    moves: list[dict[str, list[int]]] = [{} for _ in range(ns)]
     for t in system.transitions:
-        moves[sidx[t.source]].setdefault(t.action, []).append(sidx[t.target] * n)
-    lifted = [[sidx[l] * n + i for l in F for i in range(n)] for F in system.acceptance]
-    lifted += [[s * n + i for s in range(len(sidx)) for i in F] for F in acceptance]
-    roots = [sidx[l] * n + i for l in system.init for i in init]
-    live = live_nodes(
-        len(sidx) * n, _PairSuccessors(n, moves, succ, target_actions), roots, lifted
-    )
-    return {v % n for v in live}
+        moves[sidx[t.source]].setdefault(t.action, []).append(sidx[t.target])
 
+    # The classes a bitset meets, by descent of a binary tree whose node
+    # i holds the union of the leaves below it, class k at nk + k.
+    tree = [0] * nk + [x for x, _ in classes]
+    for i in range(nk - 1, 0, -1):
+        tree[i] = tree[2 * i] | tree[2 * i + 1]
 
-class _PairSuccessors(dict):
-    """Successor lists of pair nodes, each computed when the search first
-    asks for it, so only pairs reached from the roots get one.
+    def meets(x: int) -> list[int]:
+        ks, stack = [], [1] if x else []
+        while stack:
+            i = stack.pop()
+            if x & tree[i]:
+                if i < nk:
+                    stack += (2 * i, 2 * i + 1)
+                else:
+                    ks.append(i - nk)
+        return ks
 
-    Sets share their successor lists per pin profile, so the pairs of a
-    system location with sets of one profile share one list too.
-    """
+    # Per part and action: the successors and the classes they meet.
+    steps: dict[tuple[int, str], tuple[int, list[int]]] = {}
+    reach, scanned = [0] * ns, [0] * ns
+    todo = [sidx[l] for l in system.init]
+    for s in todo:
+        reach[s] = init
+    # Quotient node s * nk + k -> its successor nodes.
+    quotient: dict[int, list[int]] = {}
+    while todo:
+        s = todo.pop()
+        fresh, scanned[s] = reach[s] & ~scanned[s], reach[s]
+        for k in meets(fresh):
+            if s * nk + k in quotient:
+                continue
+            quotient[s * nk + k] = out = []
+            j = classes[k][1]
+            for a, dests in moves[s].items():
+                if (j, a) not in steps:
+                    ts = successors[j] & act[a]
+                    steps[j, a] = ts, meets(ts)
+                ts, ks = steps[j, a]
+                for s2 in dests:
+                    out += [s2 * nk + k2 for k2 in ks]
+                    if ts & ~reach[s2]:
+                        reach[s2] |= ts
+                        todo.append(s2)
 
-    def __init__(self, n, moves, succ, target_actions):
-        super().__init__()
-        self.n = n
-        self.moves = moves
-        self.succ = succ
-        self.target_actions = target_actions
-        self.shared: dict[tuple[int, int], list[int]] = {}
-
-    def __missing__(self, v: int) -> list[int]:
-        s, i = divmod(v, self.n)
-        js = self.succ[i]
-        out = self.shared.get((s, id(js)))
-        if out is None:
-            split: dict[str, list[int]] = {}
-            for j in js:
-                split.setdefault(self.target_actions[j][0], []).append(j)
-            out = self.shared[s, id(js)] = [
-                base + j
-                for a, bases in self.moves[s].items()
-                if a in split
-                for base in bases
-                for j in split[a]
-            ]
-        self[v] = out
-        return out
-
-
-def _pins(cl: ClosureSet, b: int) -> tuple[int, int] | None:
-    """(mask, values) every successor of the set with bits b must match.
-
-    A next obligation and an until/release unfolding can pin the same
-    ordinal; a disagreement means the set has no successors at all, and
-    gives None.
-    """
-    pins: dict[int, int] = {}
-
-    def pin(i: int, v: int) -> bool:
-        return pins.setdefault(i, v) == v
-
-    for i_x, i_op in cl.next_nodes:
-        if not pin(i_op, b >> i_x & 1):
-            return None
-    for i_u, i_1, i_2 in cl.until_nodes:
-        u = b >> i_u & 1
-        if b >> i_2 & 1:
-            if not u:
-                return None
-        elif b >> i_1 & 1:
-            if not pin(i_u, u):
-                return None
-        elif u:
-            return None
-    for i_r, i_1, i_2 in cl.release_nodes:
-        r = b >> i_r & 1
-        if not (b >> i_2 & 1):
-            if r:
-                return None
-        elif b >> i_1 & 1:
-            if not r:
-                return None
-        elif not pin(i_r, r):
-            return None
-    mask = vals = 0
-    for i, v in pins.items():
-        mask |= 1 << i
-        vals |= v << i
-    return mask, vals
+    lifted = [[v for v in quotient if locs[v // nk] in F] for F in system.acceptance]
+    lifted += [[v for v in quotient if classes[v % nk][0] & F] for F in acceptance]
+    live = 0
+    for v in live_nodes(ns * nk, quotient, quotient, lifted):
+        s, k = divmod(v, nk)
+        live |= reach[s] & classes[k][0]
+    return live, len(quotient)
 
 
 def prune_unreachable(h: HybridAutomaton) -> HybridAutomaton:

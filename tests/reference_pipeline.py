@@ -7,7 +7,11 @@ use. This module keeps the pipeline that came before: the whole counter
 product is instrumented, and `eager_reachable` is a frozen copy of the
 reach loop that read the dynamics of every location and the image of
 every edge up front. It also keeps frozen copies of the 2^pairs
-consistent-set enumerator (`powerset_consistent_sets`) and of the full
+consistent-set enumerator (`powerset_consistent_sets`), of the
+enumerator that built the sets one at a time and sorted them
+(`sorted_consistent_sets`), of the tableau that computed pins, targets
+and acceptance per set and searched live (system location, set) pairs
+one pair at a time (`per_set_formula_automaton`), and of the full
 cross-product `eager_compose`, which the pipeline's enumerator and
 forward compose must agree with, of the observer pruning that saw only
 the location graph (`graph_pruned`), of the two-pass liveness search it
@@ -34,14 +38,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from hyltlmc.errors import UnsupportedDynamicsError
-from hyltlmc.formula.closure import MCS, ClosureSet
-from hyltlmc.formula.syntax import Top
+from hyltlmc.formula.closure import MCS, ClosureSet, closure
+from hyltlmc.formula.syntax import Formula, Top
 from hyltlmc.hybrid.automaton import (
     HybridAutomaton,
     Transition,
     _dedup,
     _freeze_jumps,
     compose,
+    live_nodes,
 )
 from hyltlmc.product import (
     QueryTarget,
@@ -50,10 +55,10 @@ from hyltlmc.product import (
     normalize_acceptance,
     recurrence_hits,
 )
-from hyltlmc.tableau import prune_unreachable
+from hyltlmc.tableau import _free_system, prune_unreachable
 from hyltlmc.hybrid.constraints import FlowConstraint, Relation
 from hyltlmc.hybrid.expr import Sub, affine_form
-from hyltlmc.reach.boxes import Clip, _bound, _box, _split, bounds, clip
+from hyltlmc.reach.boxes import Clip, _bound, _box, _split, bounds, clip, satisfiable
 from hyltlmc.reach.dynamics import TransitionImage, location_dynamics, transition_image
 from hyltlmc.reach.engine import ReachResult
 from hyltlmc.reach.kernels import (
@@ -348,18 +353,11 @@ def powerset_consistent_sets(cl: ClosureSet) -> tuple[MCS, ...]:
             bits |= 1 << (2 * k + c)
         if not bits >> top_ord & 1:
             continue
-        ok = True
-        for i, l, r in cl.and_nodes:
-            if (bits >> i & 1) != ((bits >> l & 1) and (bits >> r & 1)):
-                ok = False
-                break
-        if not ok:
-            continue
-        for i, l, r in cl.or_nodes:
-            if (bits >> i & 1) != ((bits >> l & 1) or (bits >> r & 1)):
-                ok = False
-                break
-        if not ok:
+        if any(
+            (bits >> i & 1)
+            != (bits >> l & bits >> r & 1 if conj else (bits >> l | bits >> r) & 1)
+            for i, l, r, conj in cl.derived
+        ):
             continue
         pos_actions = bits & action_mask
         if pos_actions and pos_actions & (pos_actions - 1):
@@ -369,6 +367,227 @@ def powerset_consistent_sets(cl: ClosureSet) -> tuple[MCS, ...]:
     width = len(cl.members)
     out.sort(key=lambda m: tuple(m.bits >> i & 1 for i in range(width)))
     return tuple(out)
+
+
+def sorted_consistent_sets(cl: ClosureSet) -> tuple[MCS, ...]:
+    """The sets from their free choices and action, one set at a time, then
+    sorted lexicographic on bit vectors, bit 0 first."""
+    top = cl.index[Top()]
+    derived = cl.derived
+    fixed = {top} | set(cl.action_ordinals.values()) | {i for i, *_ in derived}
+    free = [2 * k for k in range(cl.n_pairs) if 2 * k not in fixed]
+    actions = [0] + [1 << i for i in sorted(cl.action_ordinals.values())]
+    # Every action pair starts negative; a chosen action flips its pair.
+    base = 1 << top
+    for i in cl.action_ordinals.values():
+        base |= 1 << (i + 1)
+
+    out: list[MCS] = []
+    for choice in itertools.product((0, 1), repeat=len(free)):
+        bits = base
+        for i, c in zip(free, choice):
+            bits |= 1 << (i + c)
+        for a in actions:
+            b = bits ^ (a | a << 1)
+            for i, l, r, conj in derived:
+                if conj:
+                    v = b >> l & b >> r & 1
+                else:
+                    v = (b >> l | b >> r) & 1
+                b |= 1 << (i + 1 - v)
+            out.append(MCS(cl, b))
+
+    spec = f"0{len(cl.members)}b"
+    out.sort(key=lambda m: format(m.bits, spec)[::-1])
+    return tuple(out)
+
+
+# -- the observer built one set at a time -----------------------------------
+
+
+def per_set_formula_automaton(
+    formula: Formula,
+    actions: Sequence[str],
+    prune: bool = False,
+    system: HybridAutomaton | None = None,
+) -> HybridAutomaton:
+    """The tableau with pins, targets and acceptance computed per set and
+    the live pairs searched one (system location, set) pair at a time."""
+    actions = tuple(actions)
+    cl = closure(formula, actions)
+    sets = sorted_consistent_sets(cl)
+    n = len(sets)
+    names = [f"q{i}" for i in range(n)]
+
+    vnames: set[str] = set()
+    for c in cl.flow_ordinals:
+        vnames |= c.state_vars | c.dot_vars
+    variables = tuple(sorted(vnames))
+
+    target_bits = [m.bits for m in sets]
+    target_actions = [m.positive_actions() for m in sets]
+
+    def flow_constraints(m: MCS) -> tuple[FlowConstraint, ...]:
+        return tuple(c for c, i in cl.flow_ordinals.items() if m.bits >> i & 1)
+
+    usable = [True] * n
+    if prune:
+        flow_mask = sum(1 << i for i in cl.flow_ordinals.values())
+        feasible: dict[int, bool] = {}
+        for i, m in enumerate(sets):
+            key = m.bits & flow_mask
+            ok = feasible.get(key)
+            if ok is None:
+                ok = feasible[key] = satisfiable(flow_constraints(m))
+            usable[i] = ok
+    targets = [ti for ti in range(n) if target_actions[ti] and usable[ti]]
+
+    succ: list[Sequence[int]] = []
+    buckets_by_mask: dict[int, dict[int, list[int]]] = {}
+    for i, b in enumerate(target_bits):
+        pins = _pins(cl, b) if usable[i] else None
+        if pins is None:
+            succ.append(())
+            continue
+        mask, vals = pins
+        buckets = buckets_by_mask.get(mask)
+        if buckets is None:
+            buckets = buckets_by_mask[mask] = {}
+            for ti in targets:
+                buckets.setdefault(target_bits[ti] & mask, []).append(ti)
+        succ.append(buckets.get(vals, ()))
+
+    i_formula = cl.index[cl.formula]
+    init = [
+        i
+        for i, m in enumerate(sets)
+        if m.bits >> i_formula & 1 and not target_actions[i]
+    ]
+    acceptance = [
+        [i for i, b in enumerate(target_bits) if (b >> i_2 & 1) or not (b >> i_u & 1)]
+        for i_u, i_1, i_2 in cl.until_nodes
+    ]
+
+    if prune:
+        live = _per_pair_live_sets(
+            system or _free_system(actions), succ, target_actions, init, acceptance
+        )
+    else:
+        live = range(n)
+    kept = sorted(live)
+
+    transitions = [
+        Transition(names[i], a, names[ti])
+        for i in kept
+        for ti in succ[i]
+        if ti in live
+        for a in target_actions[ti]
+    ]
+    return HybridAutomaton(
+        variables=variables,
+        actions=actions,
+        locations=tuple(names[i] for i in kept),
+        transitions=tuple(transitions),
+        dyn={names[i]: flow_constraints(sets[i]) for i in kept},
+        init=tuple(names[i] for i in init if i in live),
+        acceptance=tuple(
+            frozenset(names[i] for i in F if i in live) for F in acceptance
+        ),
+    )
+
+
+def _per_pair_live_sets(
+    system: HybridAutomaton,
+    succ: Sequence[Sequence[int]],
+    target_actions: Sequence[tuple[str, ...]],
+    init: Sequence[int],
+    acceptance: Sequence[Sequence[int]],
+) -> set[int]:
+    """Sets that lie in a live pair (system location, set), searched on
+    compose's location graph with the system's acceptance sets first."""
+    n = len(succ)
+    sidx = {l: k for k, l in enumerate(system.locations)}
+    # Pair (s, i) is the node s * n + i.
+    moves: list[dict[str, list[int]]] = [{} for _ in system.locations]
+    for t in system.transitions:
+        moves[sidx[t.source]].setdefault(t.action, []).append(sidx[t.target] * n)
+    lifted = [[sidx[l] * n + i for l in F for i in range(n)] for F in system.acceptance]
+    lifted += [[s * n + i for s in range(len(sidx)) for i in F] for F in acceptance]
+    roots = [sidx[l] * n + i for l in system.init for i in init]
+    live = live_nodes(
+        len(sidx) * n, _PairSuccessors(n, moves, succ, target_actions), roots, lifted
+    )
+    return {v % n for v in live}
+
+
+class _PairSuccessors(dict):
+    """Successor lists of pair nodes, each computed when the search first
+    asks for it; pairs of one system location with sets of one pin
+    profile share one list."""
+
+    def __init__(self, n, moves, succ, target_actions):
+        super().__init__()
+        self.n = n
+        self.moves = moves
+        self.succ = succ
+        self.target_actions = target_actions
+        self.shared: dict[tuple[int, int], list[int]] = {}
+
+    def __missing__(self, v: int) -> list[int]:
+        s, i = divmod(v, self.n)
+        js = self.succ[i]
+        out = self.shared.get((s, id(js)))
+        if out is None:
+            split: dict[str, list[int]] = {}
+            for j in js:
+                split.setdefault(self.target_actions[j][0], []).append(j)
+            out = self.shared[s, id(js)] = [
+                base + j
+                for a, bases in self.moves[s].items()
+                if a in split
+                for base in bases
+                for j in split[a]
+            ]
+        self[v] = out
+        return out
+
+
+def _pins(cl: ClosureSet, b: int) -> tuple[int, int] | None:
+    """(mask, values) every successor of the set with bits b must match,
+    or None when two pins disagree or an obligation cannot hold."""
+    pins: dict[int, int] = {}
+
+    def pin(i: int, v: int) -> bool:
+        return pins.setdefault(i, v) == v
+
+    for i_x, i_op in cl.next_nodes:
+        if not pin(i_op, b >> i_x & 1):
+            return None
+    for i_u, i_1, i_2 in cl.until_nodes:
+        u = b >> i_u & 1
+        if b >> i_2 & 1:
+            if not u:
+                return None
+        elif b >> i_1 & 1:
+            if not pin(i_u, u):
+                return None
+        elif u:
+            return None
+    for i_r, i_1, i_2 in cl.release_nodes:
+        r = b >> i_r & 1
+        if not (b >> i_2 & 1):
+            if r:
+                return None
+        elif b >> i_1 & 1:
+            if not r:
+                return None
+        elif not pin(i_r, r):
+            return None
+    mask = vals = 0
+    for i, v in pins.items():
+        mask |= 1 << i
+        vals |= v << i
+    return mask, vals
 
 
 def eager_compose(h1: HybridAutomaton, h2: HybridAutomaton) -> HybridAutomaton:
