@@ -230,9 +230,9 @@ def _cmd_export(args, config: dict) -> int:
 def _read_trace_csv(path: str) -> tuple[tuple[str, ...], list[SampledTrajectory]]:
     """Blank-line separated sample blocks, header t,var[,var...] once."""
     try:
-        raw = Path(path).read_text()
-    except OSError as e:
-        raise TraceError(f"cannot read trace file: {e}") from e
+        raw = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise TraceError(f"cannot read trace file as UTF-8 text: {e}") from e
     rows = list(csv.reader(raw.splitlines()))
     if not rows or not rows[0]:
         raise TraceError("trace file is empty")

@@ -243,7 +243,10 @@ def model_to_str(h: HybridAutomaton) -> str:
 
 
 def load_model(path) -> HybridAutomaton:
-    return parse_model(Path(path).read_text())
+    try:
+        return parse_model(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise ParseError(f"model file is not UTF-8 text: {e}") from e
 
 
 def save_model(h: HybridAutomaton, path) -> None:

@@ -40,8 +40,9 @@ from .hybrid.lasso import HybridLassoTrace
 from .hybrid.trajectory import DEFAULT_FLOW_TOL, SampledTrajectory, check_tol
 from .hybrid.trajectory import satisfies_flow
 from .hybrid.valuation import Valuation
-from .reach.boxes import bounds, clip, compile_rows, full_box
+from .reach.boxes import bounds, is_empty
 from .reach.dynamics import location_dynamics
+from .reach.engine import initial_box
 
 
 def _succ_values(val: int, n: int, wrap_bit: int) -> int:
@@ -175,9 +176,10 @@ def random_trace(
 
     Simulates each location's affine field der(x) = A x + b, read by
     `reach.dynamics.location_dynamics` as for check(), with fourth order
-    Runge-Kutta from a random initial state in the bounding box of the
-    initial region, dwelling a random time before taking a random enabled
-    transition (or jumping early when the invariant is about to break).
+    Runge-Kutta from a random state of a nonempty box where reachability
+    starts (reach.engine.initial_box), dwelling a random time before
+    taking a random enabled transition (or jumping early when the
+    invariant is about to break).
     Derivative samples come from the field itself, so derivative
     equations hold at every sample. The lasso closes once a post-jump
     state nearly recurs; the final pre-jump sample is then snapped so the
@@ -191,9 +193,9 @@ def random_trace(
     and max_jumps an integer >= 1. Raises UnsupportedDynamicsError when
     some location's dynamics lie outside the affine fragment check()
     accepts (a nonaffine field or a variable without der()), and
-    TraceError when the initial region gives no bounded box, no edge is
-    enabled within 10 * dwell_max time units after a dwell, or no
-    cycle closes within max_jumps.
+    TraceError when every initial box is empty, the drawn one unbounded,
+    no edge is enabled within 10 * dwell_max time units after a dwell,
+    or no cycle closes within max_jumps.
     """
     check_settings(
         positive=[("step", step), ("dwell_max", dwell_max)],
@@ -201,16 +203,15 @@ def random_trace(
         counts=[("max_jumps", max_jumps)],
     )
     names = h.variables
-    if not h.init:
-        raise TraceError("automaton has no initial location")
-    loc = h.init[int(rng.integers(len(h.init)))]
-    init = compile_rows(h.init_region.get(loc, ()), names)
-    lo, hi = bounds(clip(full_box(len(names)), init))
-    vec = np.empty(len(names))
+    starts = [(l, z) for l in h.init if not is_empty(z := initial_box(h, l))]
+    if not starts:
+        raise TraceError("automaton has no initial location with a nonempty box")
+    loc, z = starts[int(rng.integers(len(starts)))]
+    lo, hi = bounds(z)
     for k, x in enumerate(names):
-        if not (np.isfinite(lo[k]) and np.isfinite(hi[k]) and lo[k] <= hi[k]):
+        if not (np.isfinite(lo[k]) and np.isfinite(hi[k])):
             raise TraceError(f"initial region gives no bounded interval for {x}")
-        vec[k] = rng.uniform(lo[k], hi[k])
+    vec = rng.uniform(lo, hi)
 
     fields = {l: location_dynamics(h, l) for l in h.locations}
     segments: list[tuple[Loc, np.ndarray, str]] = []

@@ -1,6 +1,6 @@
 """The decision pipeline: does a system satisfy a formula?
 
-The question is reduced to a reachability query in four steps:
+The question is reduced to a reachability query in three steps:
 
 1. The negated formula is compiled into an observer automaton whose
    accepting runs are exactly the traces violating the property. Only
@@ -16,20 +16,20 @@ The question is reduced to a reachability query in four steps:
    the reach engine's own clip does not prove empty, so the product is
    pruned to those (tableau.prune_unreachable). Every live pair of the
    composition with the full observer is a pair of kept locations, so
-   this is the product the full observer would give.
-3. Generalized acceptance is reduced to a single final set (counter
-   product) built forward from the initial locations, and an empty
-   family becomes the trivial one, since an automaton with no
-   acceptance sets accepts every run. Every counter location reachable
-   from a live product is live (see degeneralize), so it needs no
-   second prune. When nothing is left, no run violates the property,
-   and it is Verified from the location graph alone.
-4. The product is instrumented with a latch f and a snapshot: every exit
-   edge of a final location gets a twin that, once, records a code in f
-   and the first variable in its snapshot y. An accepting run must
-   revisit a final location with a state close to an earlier visit, so
-   if no state with f set and that variable back within eps of y is
-   reachable, no accepting run exists and the property is Verified.
+   this is the product the full observer would give. When nothing is
+   left, no run violates the property, and it is Verified from the
+   location graph alone.
+3. The product is instrumented (instrument). Generalized acceptance is
+   first reduced to a single final set (counter product) built forward
+   from the initial locations; every counter location reachable from a
+   live product is live (see degeneralize), so it needs no second
+   prune. An empty family accepts every run, so every location is then
+   final. Every exit edge of a final location gets a twin that, once,
+   records a code in a latch f and the first variable in its snapshot
+   y. An accepting run must revisit a final location with a state close
+   to an earlier visit, so if no state with f set and that variable
+   back within eps of y is reachable, no accepting run exists and the
+   property is Verified.
 
 Interval box reachability over-approximates, so a query hit only means
 the property could not be confirmed: verdicts are Verified or
@@ -45,14 +45,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ModelError, VariableRenamedWarning, check_settings
+from .errors import VariableRenamedWarning, check_settings
 from .formula.nnf import to_nnf
 from .formula.syntax import Formula, Not, to_str
 from .hybrid.automaton import HybridAutomaton, Loc, Transition, compose
 from .hybrid.constraints import FlowConstraint, JumpConstraint, Relation
 from .hybrid.expr import Const, DotVar, PrimedVar, Var
 from .reach.boxes import _box, bounds, is_empty
-from .reach.engine import ReachResult, reachable
+from .reach.engine import ReachResult, check_reach_settings, reachable
 from .tableau import build_formula_automaton, prune_unreachable
 
 
@@ -159,22 +159,6 @@ def degeneralize(h: HybridAutomaton) -> HybridAutomaton:
     )
 
 
-def normalize_acceptance(h: HybridAutomaton) -> HybridAutomaton:
-    """An empty acceptance family accepts everything; make that explicit."""
-    if h.acceptance:
-        return h
-    return HybridAutomaton(
-        h.variables,
-        h.actions,
-        h.locations,
-        h.transitions,
-        h.dyn,
-        h.init,
-        h.init_region,
-        (frozenset(h.locations),),
-    )
-
-
 @dataclass(frozen=True)
 class QueryTarget:
     """One final location's recurrence query: f = code, witness near y."""
@@ -200,44 +184,40 @@ def _fresh_name(want: str, taken) -> str:
 def instrument(h: HybridAutomaton) -> tuple[
     HybridAutomaton, tuple[QueryTarget, ...], str, tuple[str, ...], tuple[str, ...]
 ]:
-    """Add the latch f and snapshot variable y for the recurrence query.
+    """The recurrence query automaton: h degeneralized, with the latch f
+    and snapshot variable y added.
 
-    Every exit edge of a final location gains a twin, enabled only while
-    f = 0, that sets f to the location's code and copies the tracked
-    variable, the lexicographically first one, into y. An automaton with
-    no variables gets no snapshot, and the latch alone answers. All
-    auxiliaries start at 0 and never flow. Returns the instrumented
-    automaton, the query targets, the latch name, the snapshot names and
+    A family of several acceptance sets is first reduced to one
+    (degeneralize); an empty family accepts every run, so every location
+    is final. Every exit edge of a final location gains a twin, enabled
+    only while f = 0, that sets f to the location's code and copies the
+    tracked variable, the lexicographically first one, into y. An
+    automaton with no variables gets no snapshot, and the latch alone
+    answers. All auxiliaries start at 0 and never flow. Returns the
+    instrumented automaton, whose one acceptance set is the final
+    locations, the query targets, the latch name, the snapshot names and
     the tracked variable names, the last two aligned index by index.
-
-    Needs at most one acceptance set; an empty family means no final
-    locations, hence no targets and no accepting runs at all.
     """
-    if len(h.acceptance) > 1:
-        raise ModelError("instrument needs a degeneralized automaton")
+    h = degeneralize(h)
+    finals = h.acceptance[0] if h.acceptance else frozenset(h.locations)
     witness_vars = (min(h.variables),) if h.variables else ()
     f_name = _fresh_name("f", h.variables)
     y_names = (_fresh_name("y", (*h.variables, f_name)),) if witness_vars else ()
-    variables = h.variables + (f_name,) + y_names
+    aux = (f_name, *y_names)
+    variables = h.variables + aux
 
     zero = Const(0.0)
-    aux_dyn = tuple(
-        FlowConstraint(DotVar(n), Relation.EQ, zero) for n in (f_name, *y_names)
-    )
+    aux_dyn = tuple(FlowConstraint(DotVar(n), Relation.EQ, zero) for n in aux)
     dyn = {l: h.dyn[l] + aux_dyn for l in h.locations}
 
-    aux_init = tuple(
-        FlowConstraint(Var(n), Relation.EQ, zero) for n in (f_name, *y_names)
-    )
+    aux_init = tuple(FlowConstraint(Var(n), Relation.EQ, zero) for n in aux)
     init_region = {l: h.init_region.get(l, ()) + aux_init for l in h.init}
     for l, r in h.init_region.items():
         if l not in init_region:
             init_region[l] = r
 
-    finals = h.acceptance[0] if h.acceptance else frozenset()
     order = [l for l in h.locations if l in finals]
-    codes = {l: i + 1 for i, l in enumerate(order)}
-    targets = tuple(QueryTarget(l, codes[l]) for l in order)
+    targets = tuple(QueryTarget(l, i + 1) for i, l in enumerate(order))
 
     # One set of latch rows per final location, shared by its exit twins.
     unlatched = JumpConstraint(Var(f_name), Relation.EQ, zero)
@@ -246,12 +226,12 @@ def instrument(h: HybridAutomaton) -> tuple[
         for y, w in zip(y_names, witness_vars)
     )
     latch = {
-        l: (
+        t.location: (
             unlatched,
-            JumpConstraint(PrimedVar(f_name), Relation.EQ, Const(float(code))),
+            JumpConstraint(PrimedVar(f_name), Relation.EQ, Const(float(t.code))),
             *copies,
         )
-        for l, code in codes.items()
+        for t in targets
     }
     # Edges share their jump tuples, and so do their twins: one twin tuple
     # per (jumps, latch rows) pair.
@@ -271,7 +251,7 @@ def instrument(h: HybridAutomaton) -> tuple[
         dyn,
         h.init,
         init_region,
-        h.acceptance,
+        (finals,),
     )
     return out, targets, f_name, y_names, witness_vars
 
@@ -385,21 +365,18 @@ def check(
     reaches, that reach a cycle meeting every acceptance set and whose
     invariant some state meets. The observer is built only where it
     pairs with the system on such a location, the composed product is
-    pruned to those locations, and the counter product is built forward
-    from them, which keeps it live. When none is left, no run violates
-    the formula and the verdict is Verified from the location graph
-    alone: reachability has no location to visit. Raises ConfigError on a
-    step or horizon that is not finite and positive, an eps that is not
-    finite and nonnegative, or a widen_after or max_visits that is not an
-    integer of at least 1. stats holds the observer and product sizes,
+    pruned to those locations, and instrument builds the counter product
+    forward from them, which keeps it live. When none is left, no run
+    violates the formula and the verdict is Verified from the location
+    graph alone: reachability has no location to visit. Raises
+    ConfigError, before any stage runs, on settings that
+    reach.engine.check_reach_settings rejects or an eps that is not
+    finite and nonnegative. stats holds the observer and product sizes,
     the observer's consistent sets and searched class nodes, and
     stats["timings"] the wall seconds of each stage, observer to query.
     """
-    check_settings(
-        positive=[("horizon", horizon), ("step", step)],
-        nonnegative=[("eps", eps)],
-        counts=[("widen_after", widen_after), ("max_visits", max_visits)],
-    )
+    check_reach_settings(horizon, step, widen_after, max_visits)
+    check_settings(nonnegative=[("eps", eps)])
     timings: dict[str, float] = {}
     counts: dict[str, int] = {}
     with _timed(timings, "observer"):
@@ -408,11 +385,6 @@ def check(
         )
     with _timed(timings, "compose+prune"):
         product = prune_unreachable(compose(system, observer))
-    # A live input leaves every counter location degeneralize builds live
-    # (see its docstring), so the counter product needs no second prune;
-    # the stage keeps its timing key, which scripts read.
-    with _timed(timings, "degeneralize+prune"):
-        product = normalize_acceptance(degeneralize(product))
     with _timed(timings, "instrument"):
         inst, targets, f_name, y_names, w_names = instrument(product)
 

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import UnsupportedDynamicsError
+from ..errors import UnsupportedDynamicsError, check_settings
 from ..hybrid.automaton import HybridAutomaton, Loc
 from .boxes import Clip, _box, _split, bounds, clip, compile_rows, contains, full_box
 from .boxes import image, is_empty
@@ -93,6 +93,25 @@ class _Plan(NamedTuple):
     pushes: list[tuple[int, Loc]]
 
 
+def check_reach_settings(horizon, step, widen_after, max_visits) -> None:
+    """Raise ConfigError unless horizon and step are finite numbers > 0
+    with a finite ratio, the flow step budget, and widen_after and
+    max_visits are integers >= 1."""
+    check_settings(
+        positive=[("horizon", horizon), ("step", step)],
+        counts=[("widen_after", widen_after), ("max_visits", max_visits)],
+    )
+    check_settings(nonnegative=[("horizon / step", horizon / step)])
+
+
+def initial_box(h: HybridAutomaton, l: Loc) -> np.ndarray:
+    """The box of l's initial region clipped by its invariant, where both
+    reachability and random_trace start; all -inf when proved empty."""
+    names = h.variables
+    z = clip(full_box(len(names)), compile_rows(h.init_region.get(l, ()), names))
+    return clip(z, compile_rows(h.invariant(l), names))
+
+
 def reachable(
     h: HybridAutomaton,
     horizon: float = 100.0,
@@ -105,8 +124,10 @@ def reachable(
     horizon bounds the continuous time of any single flow segment; a
     location whose flow neither stabilizes nor leaves its invariant
     within it clears the complete flag. Initial regions must give every
-    variable a finite interval.
+    variable a finite interval. Raises ConfigError on settings that
+    check_reach_settings rejects.
     """
+    check_reach_settings(horizon, step, widen_after, max_visits)
     names = h.variables
     n = len(names)
     n_steps = max(1, math.ceil(horizon / step))
@@ -169,8 +190,7 @@ def reachable(
     work: list[tuple[Loc, np.ndarray]] = []
 
     for l in h.init:
-        init = compile_rows(h.init_region.get(l, ()), names)
-        z = clip(clip(full_box(n), init), invariant(l)[0])
+        z = initial_box(h, l)
         if is_empty(z):
             continue
         bad = [x for i, x in enumerate(names) if not np.isfinite(z[[i, n + i]]).all()]

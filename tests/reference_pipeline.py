@@ -24,8 +24,10 @@ product (`full_degeneralize`), and of the product pipeline from before
 the observer was pruned against the system and the counter product was
 built forward (`unpaired_product`), and of the flow kernel that flowed
 every axis of a field and remembered no flow (`FrozenDiscretization`,
-`frozen_flow_tube`). Tests compare the two; nothing in the package
-imports this module.
+`frozen_flow_tube`), and of the query construction that took a
+degeneralized product whose empty family had been made explicit
+(`normalize_acceptance`, `frozen_instrument`). Tests compare the two;
+nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from hyltlmc.errors import UnsupportedDynamicsError
+from hyltlmc.errors import ModelError, UnsupportedDynamicsError
 from hyltlmc.formula.closure import MCS, ClosureSet, closure
 from hyltlmc.formula.syntax import Formula, Top
 from hyltlmc.hybrid.automaton import (
@@ -50,14 +52,13 @@ from hyltlmc.hybrid.automaton import (
 )
 from hyltlmc.product import (
     QueryTarget,
+    _fresh_name,
     build_negated_observer,
-    instrument,
-    normalize_acceptance,
     recurrence_hits,
 )
 from hyltlmc.tableau import _free_system, prune_unreachable
-from hyltlmc.hybrid.constraints import FlowConstraint, Relation
-from hyltlmc.hybrid.expr import Sub, affine_form
+from hyltlmc.hybrid.constraints import FlowConstraint, JumpConstraint, Relation
+from hyltlmc.hybrid.expr import Const, DotVar, PrimedVar, Sub, Var, affine_form
 from hyltlmc.reach.boxes import Clip, _bound, _box, _split, bounds, clip, satisfiable
 from hyltlmc.reach.dynamics import TransitionImage, location_dynamics, transition_image
 from hyltlmc.reach.engine import ReachResult
@@ -916,6 +917,87 @@ def full_degeneralize(h: HybridAutomaton) -> HybridAutomaton:
     )
 
 
+def normalize_acceptance(h: HybridAutomaton) -> HybridAutomaton:
+    """An empty acceptance family accepts everything; make that explicit."""
+    if h.acceptance:
+        return h
+    return HybridAutomaton(
+        h.variables,
+        h.actions,
+        h.locations,
+        h.transitions,
+        h.dyn,
+        h.init,
+        h.init_region,
+        (frozenset(h.locations),),
+    )
+
+
+def frozen_instrument(h: HybridAutomaton) -> tuple[
+    HybridAutomaton, tuple[QueryTarget, ...], str, tuple[str, ...], tuple[str, ...]
+]:
+    """The latch and snapshot instrumentation of a degeneralized automaton,
+    whose empty family means no final locations."""
+    if len(h.acceptance) > 1:
+        raise ModelError("instrument needs a degeneralized automaton")
+    witness_vars = (min(h.variables),) if h.variables else ()
+    f_name = _fresh_name("f", h.variables)
+    y_names = (_fresh_name("y", (*h.variables, f_name)),) if witness_vars else ()
+    variables = h.variables + (f_name,) + y_names
+
+    zero = Const(0.0)
+    aux_dyn = tuple(
+        FlowConstraint(DotVar(n), Relation.EQ, zero) for n in (f_name, *y_names)
+    )
+    dyn = {l: h.dyn[l] + aux_dyn for l in h.locations}
+
+    aux_init = tuple(
+        FlowConstraint(Var(n), Relation.EQ, zero) for n in (f_name, *y_names)
+    )
+    init_region = {l: h.init_region.get(l, ()) + aux_init for l in h.init}
+    for l, r in h.init_region.items():
+        if l not in init_region:
+            init_region[l] = r
+
+    finals = h.acceptance[0] if h.acceptance else frozenset()
+    order = [l for l in h.locations if l in finals]
+    codes = {l: i + 1 for i, l in enumerate(order)}
+    targets = tuple(QueryTarget(l, codes[l]) for l in order)
+
+    unlatched = JumpConstraint(Var(f_name), Relation.EQ, zero)
+    copies = tuple(
+        JumpConstraint(PrimedVar(y), Relation.EQ, Var(w))
+        for y, w in zip(y_names, witness_vars)
+    )
+    latch = {
+        l: (
+            unlatched,
+            JumpConstraint(PrimedVar(f_name), Relation.EQ, Const(float(code))),
+            *copies,
+        )
+        for l, code in codes.items()
+    }
+    twins: dict[tuple[int, int], tuple[JumpConstraint, ...]] = {}
+    transitions = list(h.transitions)
+    for t in h.transitions:
+        rows = latch.get(t.source)
+        if rows is not None:
+            jumps = twins.setdefault((id(t.jumps), id(rows)), t.jumps + rows)
+            transitions.append(Transition(t.source, t.action, t.target, jumps))
+
+    out = HybridAutomaton(
+        variables,
+        h.actions,
+        h.locations,
+        transitions,
+        dyn,
+        h.init,
+        init_region,
+        h.acceptance,
+    )
+    return out, targets, f_name, y_names, witness_vars
+
+
 def unpaired_product(
     system: HybridAutomaton, formula, strict: bool = False
 ) -> HybridAutomaton:
@@ -924,7 +1006,7 @@ def unpaired_product(
     observer = build_negated_observer(formula, system.actions, strict=strict)
     product = prune_unreachable(compose(system, observer))
     product = prune_unreachable(normalize_acceptance(full_degeneralize(product)))
-    return instrument(product)[0]
+    return frozen_instrument(product)[0]
 
 
 @dataclass
@@ -947,7 +1029,7 @@ def eager_check(
     pruned on its location graph alone and nothing pruned after it."""
     observer = graph_pruned(build_negated_observer(formula, system.actions, prune=False))
     product = normalize_acceptance(full_degeneralize(eager_compose(system, observer)))
-    inst, targets, f_name, y_names, w_names = instrument(product)
+    inst, targets, f_name, y_names, w_names = frozen_instrument(product)
     reach = eager_reachable(inst, horizon=horizon, step=step)
     hits, unbounded = recurrence_hits(reach, targets, f_name, y_names, w_names, eps)
     if hits or not reach.complete or unbounded:

@@ -86,8 +86,7 @@ class TestCheckCommand:
         assert len(observer) == 1 and observer[0].endswith(" transitions")
         (time_line,) = [l for l in lines if l.startswith("time: ")]
         stages = [part.rsplit(" ", 2)[0] for part in time_line[6:].split(", ")]
-        assert stages == ["observer", "compose+prune", "degeneralize+prune",
-                          "instrument", "reach", "query"]
+        assert stages == ["observer", "compose+prune", "instrument", "reach", "query"]
         assert all(part.endswith(" ms") for part in time_line[6:].split(", "))
 
     def test_machine_line_keeps_its_fields(self, heater_path, capsys):
@@ -126,6 +125,14 @@ class TestCheckCommand:
         assert main(["--machine"] + args) == 1
         fields = machine_fields(capsys.readouterr().out)
         assert fields["error"] == "E_CONFIG"
+
+    def test_infinite_step_count_exits_one_with_e_config(self, thermostat_path, capsys):
+        args = ["--machine", "check", "--model", thermostat_path,
+                "--formula", "!F(x >= 21 & X on)", "--horizon", "1e308", "--step", "1e-308"]
+        assert main(args) == 1
+        fields = machine_fields(capsys.readouterr().out)
+        assert fields["error"] == "E_CONFIG"
+        assert fields["message"].startswith("horizon / step must be a finite number")
 
     @pytest.mark.parametrize("formula, status, code", [
         ("G F a", "Verified", 0), ("G !a", "Inconclusive", 2)])
@@ -275,6 +282,33 @@ class TestExportCommand:
         assert main(["export", "--model", heater_path,
                      "-o", str(target)]) == 0
         assert target.read_text().startswith("automaton model")
+
+
+class TestUndecodableInput:
+    """A file that is not UTF-8 text is an error with its code, not a crash."""
+
+    @pytest.mark.parametrize("command", [
+        ["check", "--model", "MODEL", "--formula", "true"],
+        ["export", "--model", "MODEL"],
+        ["compose", "MODEL", "MODEL"],
+    ])
+    def test_model_file_exits_one_with_e_parse(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.hyha"
+        bad.write_bytes(b"vars x;\xff\n")
+        args = [str(bad) if a == "MODEL" else a for a in command]
+        assert main(["--machine", *args]) == 1
+        fields = machine_fields(capsys.readouterr().out)
+        assert fields["error"] == "E_PARSE"
+        assert "not UTF-8" in fields["message"]
+
+    def test_trace_file_exits_one_with_e_trace(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"t,x\n0.0,1.0\xff\n0.1,1.0\n")
+        assert main(["--machine", "monitor", "--trace", str(bad), "--actions", "on",
+                     "--formula", "true"]) == 1
+        fields = machine_fields(capsys.readouterr().out)
+        assert fields["error"] == "E_TRACE"
+        assert "UTF-8" in fields["message"]
 
 
 class TestMonitorCommand:

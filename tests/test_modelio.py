@@ -71,6 +71,14 @@ class TestParse:
         assert h.locations == ("l",)
 
 
+    def test_undecodable_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "bad.hyha"
+        path.write_bytes(b"vars x;\xff\n")
+        with pytest.raises(ParseError, match="not UTF-8") as e:
+            load_model(path)
+        assert e.value.code == "E_PARSE"
+
+
 class TestRoundTrip:
     def test_heater_round_trip(self, heater):
         again = parse_model(model_to_str(heater))

@@ -291,6 +291,38 @@ class TestRandomTraces:
             random_trace(h, np.random.default_rng(0))
         assert time.perf_counter() - start < 1.0
 
+    # The init region reaches below the invariant x >= 5.
+    CLIPPED_START = (
+        "vars x; actions go;\n"
+        "location a { der(x) = 1; x >= 5; x <= 20; }\n"
+        "edge a -go-> a { x >= 15; x' = 6; }\n"
+        "initial a; init { x >= 0; x <= 10; }\n"
+    )
+
+    def test_start_is_drawn_inside_the_invariant(self):
+        """A start drawn below the invariant once left the simulation
+        stuck in 'a' on about half the seeds."""
+        h = parse_model(self.CLIPPED_START)
+        for seed in range(20):
+            trace, w = random_trace(h, np.random.default_rng(seed))
+            assert trace.trajectory(1).fstate["x"] >= 5.0, seed
+            assert find_accepting_witness(trace, h) is not None, seed
+
+    def test_initial_locations_with_empty_boxes_are_skipped(self):
+        h = parse_model(
+            "vars x; actions go;\n"
+            "location a { der(x) = 1; x >= 5; x <= 20; }\n"
+            "location b { der(x) = 0; x <= 1; }\n"
+            "edge a -go-> a { x >= 15; x' = 6; }\n"
+            "initial a, b; init a { x >= 0; x <= 10; } init b { x >= 2; x <= 3; }\n"
+        )
+        for seed in range(5):
+            _, w = random_trace(h, np.random.default_rng(seed))
+            assert (w[0] + w[1])[0] == "a"
+        only_b = rebuilt(h, init=("b",), init_region={"b": h.init_region["b"]})
+        with pytest.raises(TraceError, match="no initial location"):
+            random_trace(only_b, np.random.default_rng(0))
+
     def test_rotation_leaves_verdicts_unchanged(self):
         h = heater_model()
         rng = np.random.default_rng(11)

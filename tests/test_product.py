@@ -21,13 +21,7 @@ from hyltlmc.hybrid.automaton import compose
 from hyltlmc.hybrid.discrete import accepts_lasso_word
 from hyltlmc.hybrid.modelio import load_model, parse_model
 from hyltlmc.monitor import evaluate_trace, evaluate_word, random_trace
-from hyltlmc.product import (
-    build_negated_observer,
-    check,
-    degeneralize,
-    instrument,
-    normalize_acceptance,
-)
+from hyltlmc.product import build_negated_observer, check, degeneralize, instrument
 from hyltlmc.tableau import build_formula_automaton, prune_unreachable
 
 from conftest import BOOL_ATOMS, heater_model, random_formula
@@ -120,21 +114,23 @@ class TestDegeneralize:
 
 
 class TestNormalize:
+    """instrument reads an empty family as every location final."""
+
     def test_empty_family_becomes_all_locations(self):
         h = heater_model()
         assert h.acceptance == ()
-        n = normalize_acceptance(h)
-        assert n.acceptance == (frozenset(h.locations),)
+        assert instrument(h)[0].acceptance == (frozenset(h.locations),)
 
     def test_nonempty_family_is_untouched(self):
         h = build_formula_automaton(phi("F on"), ("on", "off"))
-        assert normalize_acceptance(h) is h
+        inst, targets, *_ = instrument(h)
+        assert inst.acceptance == h.acceptance
+        assert {t.location for t in targets} == set(h.acceptance[0])
 
 
 class TestInstrument:
     def automaton(self):
-        h = heater_model()
-        return normalize_acceptance(h)
+        return heater_model()
 
     def two_variable(self):
         h = heater_model()
@@ -148,6 +144,12 @@ class TestInstrument:
             init_region=h.init_region,
             acceptance=(frozenset(h.locations),),
         )
+
+    def test_plain_automaton_targets_every_location(self):
+        h = self.automaton()
+        _, targets, *_ = instrument(h)
+        assert [t.location for t in targets] == list(h.locations)
+        assert [t.code for t in targets] == list(range(1, len(h.locations) + 1))
 
     def test_aux_variables_and_rows(self):
         inst, targets, f, y, w = instrument(self.automaton())
@@ -184,15 +186,17 @@ class TestInstrument:
             assert "y' = a" in [str(j) for j in t.jumps]
 
     def test_no_variables_means_no_snapshot(self):
-        inst, targets, f, y, w = instrument(normalize_acceptance(variable_free()))
+        inst, targets, f, y, w = instrument(variable_free())
         assert (f, y, w) == ("f", (), ())
         assert inst.variables == ("f",)
         assert len(targets) == 2
 
-    def test_generalized_family_is_rejected(self):
-        h = build_formula_automaton(phi("F on & F off"), ("on", "off"))
-        with pytest.raises(ModelError, match="degeneralized"):
-            instrument(h)
+    def test_generalized_family_is_degeneralized_first(self):
+        h = build_formula_automaton(phi("F on & F off"), ("on", "off"), prune=True)
+        assert len(h.acceptance) == 2
+        got, want = instrument(h), instrument(degeneralize(h))
+        assert got[0] == want[0]
+        assert got[1:] == want[1:]
 
     def test_aux_name_collision_is_renamed(self):
         h = heater_model()
@@ -269,7 +273,7 @@ class TestCheck:
 class TestTimings:
     """stats["timings"] splits a check's wall time into its stages."""
 
-    STAGES = ("observer", "compose+prune", "degeneralize+prune", "instrument", "reach", "query")
+    STAGES = ("observer", "compose+prune", "instrument", "reach", "query")
 
     def test_stages_cover_the_check(self):
         f = phi("!F(x >= 21 & X on) & G(x<=23) & G(off -> X(x <= 21 U on))")
@@ -363,6 +367,11 @@ class TestSettings:
     def test_a_graph_only_verdict_checks_settings_too(self):
         with pytest.raises(ConfigError):
             check(heater_model(), phi("true"), step=0.0)
+
+    @pytest.mark.parametrize("text", ["!F(x >= 21 & X on)", "true"])
+    def test_step_count_must_be_finite(self, text):
+        with pytest.raises(ConfigError, match="horizon / step"):
+            check(heater_model(), phi(text), horizon=1e308, step=1e-308)
 
     def test_boundary_values_run(self):
         v = check(heater_model(), phi("!F(x >= 21 & X on)"), eps=0.0, max_visits=1,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from hyltlmc.errors import UnsupportedDynamicsError
+from hyltlmc.errors import ConfigError, UnsupportedDynamicsError
 from hyltlmc.formula.parser import Declarations, parse_flow_constraint, parse_formula
 from hyltlmc.hybrid import JumpConstraint, Relation, satisfies_jump
 from hyltlmc.hybrid.automaton import _solve_jump, find_accepting_witness
@@ -553,15 +553,22 @@ def exact_states(A, b, starts, dt, count):
 
     Steps by scipy's exponential of the augmented matrix [[A, b], [0, 0]],
     which is exact up to rounding and independent of the kernel's own.
+    An entry of the exponential is zero unless a path of nonzero entries
+    of M leads to it; rounding leaves such an entry near 1e-16, which a
+    state that grows to 1e18 would turn into a drift of 100 on an axis it
+    does not drive, so those entries are set to zero.
     """
     n = len(b)
     M = np.zeros((n + 1, n + 1))
     M[:n, :n] = A
     M[:n, n] = b
+    paths = (M != 0.0) | np.eye(n + 1, dtype=bool)
+    for _ in range(n):
+        paths = paths | ((paths.astype(int) @ paths.astype(int)) > 0)
     X = np.hstack([starts, np.ones((len(starts), 1))])
     out = np.empty((count, len(starts), n))
     with np.errstate(over="ignore", invalid="ignore"):
-        step = expm(M * dt).T
+        step = np.where(paths, expm(M * dt), 0.0).T
         for j in range(count):
             out[j] = X[:, :n]
             X = X @ step
@@ -725,6 +732,19 @@ class TestEngine:
         )
         with pytest.raises(UnsupportedDynamicsError, match="unbounded"):
             reachable(h)
+
+    @pytest.mark.parametrize("settings, name", [
+        ({"step": 0.0}, "step"),
+        ({"step": float("nan")}, "step"),
+        ({"horizon": float("inf")}, "horizon"),
+        ({"horizon": 1e308, "step": 1e-308}, "horizon / step"),
+        ({"widen_after": 0}, "widen_after"),
+        ({"max_visits": 2.5}, "max_visits"),
+        ({"max_visits": True}, "max_visits"),
+    ])
+    def test_unusable_settings_are_config_errors(self, settings, name):
+        with pytest.raises(ConfigError, match=name):
+            reachable(heater_model(), **settings)
 
     def test_complete_run_records_no_cause(self):
         r = reachable(heater_model())
