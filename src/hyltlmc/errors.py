@@ -60,10 +60,14 @@ class ConfigError(HyltlError):
 def check_settings(positive=(), nonnegative=(), counts=()) -> None:
     """Raise ConfigError unless every (name, value) pair of positive holds
     a finite number > 0, of nonnegative a finite number >= 0 and of counts
-    an integer >= 1. A bool is none of these."""
+    an integer >= 1. A bool is none of these, and an integer beyond the
+    float range is not finite."""
 
     def finite(v) -> bool:
-        return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
+        try:
+            return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
+        except OverflowError:
+            return False
 
     for name, v in positive:
         if not (finite(v) and v > 0):

@@ -35,7 +35,7 @@ from pathlib import Path
 from ..errors import ParseError
 from ..formula.parser import Declarations, Token, _Parser, tokenize
 from .automaton import HybridAutomaton, Transition
-from .constraints import FlowConstraint, JumpConstraint
+from .constraints import FlowConstraint
 
 _ITEM_KEYWORDS = ("vars", "actions", "location", "edge", "initial", "init", "final")
 
@@ -96,14 +96,14 @@ class _ModelParser(_Parser):
             elif kw == "location":
                 name = self.ident("a location name")
                 self.locations.append(name)
-                self.dyn[name] = tuple(self.block_of_flow_constraints())
+                self.dyn[name] = tuple(self.block(allow_dot=True))
             elif kw == "edge":
                 src = self.ident("a location name")
                 self.expect_op("-")
                 act = self.ident("an action name")
                 self.expect_op("->")
                 dst = self.ident("a location name")
-                jumps = self.block_of_jump_constraints()
+                jumps = self.block(allow_primed=True)
                 self.transitions.append(Transition(src, act, dst, tuple(jumps)))
             elif kw == "initial":
                 self.init = self.init + tuple(self.ident_list())
@@ -112,9 +112,9 @@ class _ModelParser(_Parser):
                 if self.peek().kind == "IDENT":
                     loc = self.ident("a location name")
                     cs = self.init_region.setdefault(loc, [])
-                    cs.extend(self.block_of_state_constraints())
+                    cs.extend(self.block())
                 else:
-                    self.global_region.extend(self.block_of_state_constraints())
+                    self.global_region.extend(self.block())
             elif kw == "final":
                 self.expect_op("{")
                 names: list[str] = []
@@ -146,29 +146,14 @@ class _ModelParser(_Parser):
         c = super().comparison(allow_dot, allow_primed)
         return self.interned.setdefault(c, c)
 
-    def block_of_flow_constraints(self) -> list[FlowConstraint]:
+    def block(self, allow_dot: bool = False, allow_primed: bool = False) -> list:
+        """A braced block of comparisons, each ended by ';': flow
+        constraints with allow_dot, jump constraints with allow_primed,
+        state constraints with neither."""
         self.expect_op("{")
-        out: list[FlowConstraint] = []
+        out = []
         while not self.at_op("}"):
-            out.append(self.comparison(allow_dot=True, allow_primed=False))
-            self.expect_op(";")
-        self.expect_op("}")
-        return out
-
-    def block_of_state_constraints(self) -> list[FlowConstraint]:
-        self.expect_op("{")
-        out: list[FlowConstraint] = []
-        while not self.at_op("}"):
-            out.append(self.comparison(allow_dot=False, allow_primed=False))
-            self.expect_op(";")
-        self.expect_op("}")
-        return out
-
-    def block_of_jump_constraints(self) -> list[JumpConstraint]:
-        self.expect_op("{")
-        out: list[JumpConstraint] = []
-        while not self.at_op("}"):
-            out.append(self.comparison(allow_dot=False, allow_primed=True))
+            out.append(self.comparison(allow_dot, allow_primed))
             self.expect_op(";")
         self.expect_op("}")
         return out

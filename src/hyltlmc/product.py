@@ -29,7 +29,9 @@ The question is reduced to a reachability query in three steps:
    y. An accepting run must revisit a final location with a state close
    to an earlier visit, so if no state with f set and that variable
    back within eps of y is reachable, no accepting run exists and the
-   property is Verified.
+   property is Verified. The query is compiled like every other region
+   (reach.boxes.compile_rows), and a stored box is a hit unless its clip
+   proves the box empty, an unbounded one included.
 
 Interval box reachability over-approximates, so a query hit only means
 the property could not be confirmed: verdicts are Verified or
@@ -43,15 +45,13 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import VariableRenamedWarning, check_settings
 from .formula.nnf import to_nnf
 from .formula.syntax import Formula, Not, to_str
 from .hybrid.automaton import HybridAutomaton, Loc, Transition, compose
 from .hybrid.constraints import FlowConstraint, JumpConstraint, Relation
-from .hybrid.expr import Const, DotVar, PrimedVar, Var
-from .reach.boxes import _box, bounds, is_empty
+from .hybrid.expr import Const, DotVar, PrimedVar, Sub, Var
+from .reach.boxes import _box, bounds, clip, compile_rows, is_empty
 from .reach.engine import ReachResult, check_reach_settings, reachable
 from .tableau import build_formula_automaton, prune_unreachable
 
@@ -287,58 +287,46 @@ def recurrence_hits(
     y_names: tuple[str, ...],
     w_names: tuple[str, ...],
     eps: float,
-) -> tuple[list[dict], bool]:
+) -> list[dict]:
     """Stored boxes where a target's recurrence query may hold.
 
-    Returns the hits and whether some latched box left a witness pair
-    unbounded, which makes a missing hit inconclusive.
+    The query compiles like every other region (reach.boxes.compile_rows):
+    f equal to the target's code, and every snapshot y within eps of its
+    tracked variable w, y - w <= eps and w - y <= eps. A stored box is a
+    hit unless clip proves it empty, so a box leaving a snapshot or its
+    variable unbounded is a hit too, with that infinite range. The eps
+    rows are compiled only once some box meets its latch.
     """
     names = reach.names
-    fi = names.index(f_name)
-    pairs = [(names.index(y), names.index(w)) for y, w in zip(y_names, w_names)]
-
-    hits: list[dict] = []
-    unbounded = False
+    latched = []
     for target in targets:
-        # f = code as an upper-bound vector (see reach.boxes).
-        u = np.full(2 * len(names), np.inf)
-        u[fi], u[len(names) + fi] = -float(target.code), float(target.code)
-        for lo, hi in reach.boxes.get(target.location, ()):
-            z = np.minimum(u, _box(lo, hi))
-            if is_empty(z):
-                continue
-            c_lo, c_hi = bounds(z)
-            # A hit needs every snapshot within eps of its variable. A
-            # pair that definitely misses rules the box out even when
-            # another pair is unbounded.
-            missed = False
-            unknown = False
-            for yi, wi in pairs:
-                corners = (c_lo[wi], c_hi[wi], c_lo[yi], c_hi[yi])
-                if not all(np.isfinite(v) for v in corners):
-                    unknown = True
-                    continue
-                gap_lo = c_lo[yi] - c_hi[wi]
-                gap_hi = c_hi[yi] - c_lo[wi]
-                if not (gap_lo <= eps and gap_hi >= -eps):
-                    missed = True
-                    break
-            if missed:
-                continue
-            if unknown:
-                unbounded = True
-                continue
-            hits.append(
-                {
-                    "location": target.location,
-                    "code": target.code,
-                    "box": {
-                        x: (float(c_lo[i]), float(c_hi[i]))
-                        for i, x in enumerate(names)
-                    },
-                }
+        stored = reach.boxes.get(target.location)
+        if stored:
+            latch = compile_rows(
+                [FlowConstraint(Var(f_name), Relation.EQ, Const(float(target.code)))],
+                names,
             )
-    return hits, unbounded
+            for box in stored:
+                z = clip(_box(*box), latch)
+                if not is_empty(z):
+                    latched.append((target, z))
+    if not latched:
+        return []
+    near = compile_rows(
+        [
+            FlowConstraint(Sub(a, b), Relation.LE, Const(eps))
+            for y, w in zip(y_names, w_names)
+            for a, b in ((Var(y), Var(w)), (Var(w), Var(y)))
+        ],
+        names,
+    )
+    hits = []
+    for target, z in latched:
+        if not is_empty(clip(z, near)):
+            lo, hi = bounds(z)
+            box = dict(zip(names, zip(lo.tolist(), hi.tolist())))
+            hits.append({"location": target.location, "code": target.code, "box": box})
+    return hits
 
 
 @contextmanager
@@ -397,7 +385,7 @@ def check(
             max_visits=max_visits,
         )
     with _timed(timings, "query"):
-        hits, unbounded = recurrence_hits(reach, targets, f_name, y_names, w_names, eps)
+        hits = recurrence_hits(reach, targets, f_name, y_names, w_names, eps)
 
     stats = {
         "observer_locations": len(observer.locations),
@@ -420,9 +408,6 @@ def check(
     elif not reach.complete:
         status = "Inconclusive"
         reason = f"reachability exploration {reach.incompleteness()}"
-    elif unbounded:
-        status = "Inconclusive"
-        reason = "witness variable unbounded at a latched final location"
     elif not inst.locations:
         status = "Verified"
         reason = "no path from an initial location reaches an accepting cycle of the product"

@@ -18,8 +18,8 @@ inequalities are closed, equalities become two rows, and a comparison
 that is not affine in plain variables, or mentions der(x) or x', gives
 none. Every relaxation only enlarges the described region. compile_rows
 is the one place that turns constraints into a Clip: the engine's
-invariant, initial and guard clips, the simulator's initial box and the
-pruning test `satisfiable` all go through it. All operations stay sound
+invariant, initial and guard clips, the simulator's initial box, the
+pruning test `satisfiable` and the recurrence query all go through it. All operations stay sound
 under over-approximation: anything not provably excluded is kept.
 
 One clip pass. A row set compiles once into a Clip: the upper-bound

@@ -3,7 +3,10 @@
 From each pending box the engine flows a tube through the location's
 dynamics, then fires every edge whose guard the tube can meet, pushing
 the reset image clipped to the target invariant. Per-location stores
-keep unions of boxes; a box already covered by a stored one is dropped.
+keep unions of tubes, and a box inside a start box already flowed at its
+location is dropped: the tube and pushes of that start box cover every
+state it holds. A tube is no such bound, since a flow that leaves the
+invariant only covers the states its own start box reaches.
 Locations visited more than widen_after times widen incoming boxes to
 the invariant bounds on every growing axis, which forces termination.
 
@@ -186,6 +189,7 @@ def reachable(
         return _Plan(*f, *invariant(l), jump_list, pair_list, pushes)
 
     store: dict[Loc, list[np.ndarray]] = {l: [] for l in h.locations}
+    starts: dict[Loc, list[np.ndarray]] = {l: [] for l in h.locations}
     visits = {l: 0 for l in h.locations}
     work: list[tuple[Loc, np.ndarray]] = []
 
@@ -205,7 +209,7 @@ def reachable(
     total = 0
     while work:
         l, z = work.pop()
-        if any(contains(s, z) for s in store[l]):
+        if any(contains(s, z) for s in starts[l]):
             continue
         total += 1
         if total > max_visits:
@@ -218,6 +222,7 @@ def reachable(
             p = plans[l] = plan(l)
         if visits[l] > widen_after and store[l]:
             z = np.where(z > np.max(store[l], axis=0), p.inv.u, z)
+        starts[l].append(z)
 
         tube_lo, tube_hi, _end_lo, _end_hi, status = flow_tube(
             *bounds(z), p.A, p.b, step, n_steps, p.inv_lo, p.inv_hi, disc=p.disc
@@ -237,8 +242,6 @@ def reachable(
         tube = clip(_box(tube_lo, tube_hi), p.inv)
         if is_empty(tube):
             tube = z
-        # The stored tube is flow closed whenever the flow completed, so
-        # any later box inside it has nothing new to contribute.
         store[l].append(tube)
 
         # One guard clip and image per jump tuple, one clip per (jump

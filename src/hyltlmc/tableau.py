@@ -221,22 +221,9 @@ def _live_sets(
     for t in system.transitions:
         moves[sidx[t.source]].setdefault(t.action, []).append(sidx[t.target])
 
-    # The classes a bitset meets, by descent of a binary tree whose node
-    # i holds the union of the leaves below it, class k at nk + k.
-    tree = [0] * nk + [x for x, _ in classes]
-    for i in range(nk - 1, 0, -1):
-        tree[i] = tree[2 * i] | tree[2 * i + 1]
-
     def meets(x: int) -> list[int]:
-        ks, stack = [], [1] if x else []
-        while stack:
-            i = stack.pop()
-            if x & tree[i]:
-                if i < nk:
-                    stack += (2 * i, 2 * i + 1)
-                else:
-                    ks.append(i - nk)
-        return ks
+        """The classes the bitset x meets."""
+        return [k for k, (y, _) in enumerate(classes) if x & y]
 
     # Per part and action: the successors and the classes they meet.
     steps: dict[tuple[int, str], tuple[int, list[int]]] = {}

@@ -26,7 +26,9 @@ built forward (`unpaired_product`), and of the flow kernel that flowed
 every axis of a field and remembered no flow (`FrozenDiscretization`,
 `frozen_flow_tube`), and of the query construction that took a
 degeneralized product whose empty family had been made explicit
-(`normalize_acceptance`, `frozen_instrument`). Tests compare the two;
+(`normalize_acceptance`, `frozen_instrument`), and of the recurrence
+query read with a hand-built latch vector and gap tests
+(`frozen_recurrence_hits`). Tests compare the two;
 nothing in the package imports this module.
 """
 
@@ -50,16 +52,12 @@ from hyltlmc.hybrid.automaton import (
     compose,
     live_nodes,
 )
-from hyltlmc.product import (
-    QueryTarget,
-    _fresh_name,
-    build_negated_observer,
-    recurrence_hits,
-)
+from hyltlmc.product import QueryTarget, _fresh_name, build_negated_observer
 from hyltlmc.tableau import _free_system, prune_unreachable
 from hyltlmc.hybrid.constraints import FlowConstraint, JumpConstraint, Relation
 from hyltlmc.hybrid.expr import Const, DotVar, PrimedVar, Sub, Var, affine_form
 from hyltlmc.reach.boxes import Clip, _bound, _box, _split, bounds, clip, satisfiable
+from hyltlmc.reach.boxes import is_empty as box_is_empty
 from hyltlmc.reach.dynamics import TransitionImage, location_dynamics, transition_image
 from hyltlmc.reach.engine import ReachResult
 from hyltlmc.reach.kernels import (
@@ -787,7 +785,8 @@ def eager_reachable(
     widen_after: int = 16,
     max_visits: int = 4000,
 ) -> ReachResult:
-    """The reach loop with every location's dynamics built up front."""
+    """The reach loop with every location's dynamics built up front; a
+    popped box is skipped inside a start box already flowed there."""
     names = h.variables
     n = len(names)
     n_steps = max(1, math.ceil(horizon / step))
@@ -798,6 +797,7 @@ def eager_reachable(
         images[t.source].append((transition_image(h, t), linear_rows(t.jumps, names), t.target))
 
     store = {l: [] for l in h.locations}
+    starts = {l: [] for l in h.locations}
     visits = {l: 0 for l in h.locations}
     work = []
 
@@ -819,7 +819,7 @@ def eager_reachable(
     total = 0
     while work:
         l, lo, hi = work.pop()
-        if any(contains(s_lo, s_hi, lo, hi) for s_lo, s_hi in store[l]):
+        if any(contains(s_lo, s_hi, lo, hi) for s_lo, s_hi in starts[l]):
             continue
         total += 1
         if total > max_visits:
@@ -835,6 +835,7 @@ def eager_reachable(
                 w_lo, w_hi = hull(w_lo, w_hi, s_lo, s_hi)
             lo = np.where(lo < w_lo, d_l.inv_lo, lo)
             hi = np.where(hi > w_hi, d_l.inv_hi, hi)
+        starts[l].append((lo, hi))
 
         tube_lo, tube_hi, _end_lo, _end_hi, status = flow_tube(
             lo, hi, d_l.A, d_l.b, step, n_steps, d_l.inv_lo, d_l.inv_hi
@@ -1009,6 +1010,69 @@ def unpaired_product(
     return frozen_instrument(product)[0]
 
 
+def frozen_recurrence_hits(
+    reach: ReachResult,
+    targets: tuple[QueryTarget, ...],
+    f_name: str,
+    y_names: tuple[str, ...],
+    w_names: tuple[str, ...],
+    eps: float,
+) -> tuple[list[dict], bool]:
+    """Stored boxes where a target's recurrence query may hold, read with
+    a hand-built latch vector and gap tests, before the query compiled
+    its rows like every other region.
+
+    Returns the hits and whether some latched box left a witness pair
+    unbounded, which makes a missing hit inconclusive.
+    """
+    names = reach.names
+    fi = names.index(f_name)
+    pairs = [(names.index(y), names.index(w)) for y, w in zip(y_names, w_names)]
+
+    hits: list[dict] = []
+    unbounded = False
+    for target in targets:
+        # f = code as an upper-bound vector (see reach.boxes).
+        u = np.full(2 * len(names), np.inf)
+        u[fi], u[len(names) + fi] = -float(target.code), float(target.code)
+        for lo, hi in reach.boxes.get(target.location, ()):
+            z = np.minimum(u, _box(lo, hi))
+            if box_is_empty(z):
+                continue
+            c_lo, c_hi = bounds(z)
+            # A hit needs every snapshot within eps of its variable. A
+            # pair that definitely misses rules the box out even when
+            # another pair is unbounded.
+            missed = False
+            unknown = False
+            for yi, wi in pairs:
+                corners = (c_lo[wi], c_hi[wi], c_lo[yi], c_hi[yi])
+                if not all(np.isfinite(v) for v in corners):
+                    unknown = True
+                    continue
+                gap_lo = c_lo[yi] - c_hi[wi]
+                gap_hi = c_hi[yi] - c_lo[wi]
+                if not (gap_lo <= eps and gap_hi >= -eps):
+                    missed = True
+                    break
+            if missed:
+                continue
+            if unknown:
+                unbounded = True
+                continue
+            hits.append(
+                {
+                    "location": target.location,
+                    "code": target.code,
+                    "box": {
+                        x: (float(c_lo[i]), float(c_hi[i]))
+                        for i, x in enumerate(names)
+                    },
+                }
+            )
+    return hits, unbounded
+
+
 @dataclass
 class EagerRun:
     status: str
@@ -1031,7 +1095,9 @@ def eager_check(
     product = normalize_acceptance(full_degeneralize(eager_compose(system, observer)))
     inst, targets, f_name, y_names, w_names = frozen_instrument(product)
     reach = eager_reachable(inst, horizon=horizon, step=step)
-    hits, unbounded = recurrence_hits(reach, targets, f_name, y_names, w_names, eps)
+    hits, unbounded = frozen_recurrence_hits(
+        reach, targets, f_name, y_names, w_names, eps
+    )
     if hits or not reach.complete or unbounded:
         status = "Inconclusive"
     else:

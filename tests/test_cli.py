@@ -17,6 +17,7 @@ from hyltlmc.hybrid.modelio import model_to_str, parse_model
 from hyltlmc.phaver import embedded_model
 
 from conftest import heater_model
+from test_reach import UNDEFINED_RESET
 
 LASSO_CSV = """t,x
 0.0,22.0
@@ -178,6 +179,17 @@ class TestCheckCommand:
                      "--formula", "!F(x >= 21 & X on)"])
         assert code == 2
         assert "Inconclusive" in capsys.readouterr().out
+
+    def test_unbounded_hit_shows_its_infinite_range(self, tmp_path, capsys):
+        # The jump leaves x free in b, so the query is not ruled out there.
+        model = tmp_path / "undefined_reset.hyha"
+        model.write_text(UNDEFINED_RESET)
+        code = main(["check", "--model", str(model), "--formula", "!F(x >= 5)"])
+        hits = [l for l in capsys.readouterr().out.splitlines() if l.startswith("hit: ")]
+        assert code == 2
+        assert any(
+            l.startswith("hit: location ('b', ") and "x in [5, inf]" in l for l in hits
+        )
 
     def test_parse_error_exits_one_with_code(self, heater_path, capsys):
         code = main(["--machine", "check", "--model", heater_path,

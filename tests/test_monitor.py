@@ -381,11 +381,13 @@ class TestRandomTraces:
             ("step", 0.0),
             ("step", -0.05),
             ("step", float("nan")),
+            ("step", 10**400),
             ("dwell_max", float("nan")),
             ("dwell_max", 0.0),
             ("dwell_max", float("inf")),
             ("recurrence_tol", float("nan")),
             ("recurrence_tol", -0.01),
+            ("recurrence_tol", 10**400),
             ("max_jumps", 0),
             ("max_jumps", 2.5),
             ("max_jumps", True),
@@ -394,7 +396,7 @@ class TestRandomTraces:
     def test_unusable_settings_are_config_errors(self, setting, value):
         # step 0 or below once simulated forever, a nan recurrence_tol
         # closed the lasso at the first revisit and a nan dwell_max raised
-        # a bare OverflowError.
+        # a bare OverflowError, as did an integer beyond the float range.
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ConfigError, match=setting):

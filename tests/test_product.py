@@ -358,6 +358,13 @@ class TestSettings:
         with pytest.raises(ConfigError, match="eps"):
             check(heater_model(), phi("!F(x >= 21 & X on)"), eps=value)
 
+    @pytest.mark.parametrize("name", ["horizon", "step", "eps"])
+    def test_integers_beyond_the_float_range_are_config_errors(self, name):
+        # math.isfinite raises a bare OverflowError on them.
+        with pytest.raises(ConfigError, match=name) as err:
+            check(heater_model(), phi("!F(x >= 21 & X on)"), **{name: 10**400})
+        assert err.value.code == "E_CONFIG"
+
     @pytest.mark.parametrize("name", ["max_visits", "widen_after"])
     @pytest.mark.parametrize("value", [0, -3, 2.5, True])
     def test_budgets_must_be_positive_integers(self, name, value):
