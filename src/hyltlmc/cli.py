@@ -38,7 +38,8 @@ from .errors import ConfigError, HyltlError, TraceError
 from .formula.nnf import to_nnf
 from .formula.parser import Declarations, parse_formula
 from .formula.syntax import Not, to_str
-from .hybrid.automaton import compose, find_accepting_witness
+from .hybrid.automaton import HybridAutomaton, Transition, compose
+from .hybrid.automaton import find_accepting_witness
 from .hybrid.lasso import HybridLassoTrace
 from .hybrid.modelio import load_model, model_to_str, parse_model
 from .hybrid.trajectory import DEFAULT_FLOW_TOL, SampledTrajectory
@@ -205,10 +206,15 @@ def _cmd_translate(args, config: dict) -> int:
     model = _load(args.model) if args.model else None
     decls = _declarations(args, model)
     formula = parse_formula(args.formula, decls)
+    actions = decls.actions
+    # Pruned by the one-location loop over every action, as by prune_unreachable.
+    loop = HybridAutomaton(
+        (), actions, ("s",), [Transition("s", a, "s") for a in actions], {}, ("s",)
+    )
     observer = build_formula_automaton(
         to_nnf(Not(formula) if args.negate else formula, strict=args.strict_negation),
-        decls.actions,
-        prune=not args.no_prune,
+        actions,
+        system=None if args.no_prune else loop,
     )
     _write_out(args, model_to_str(observer))
     return 0

@@ -87,7 +87,3 @@ class ComplementStrengtheningWarning(UserWarning):
     complement atom ("every sample satisfies the complement"); verdicts on
     trajectories straddling the constraint boundary may differ.
     """
-
-
-class VariableRenamedWarning(UserWarning):
-    """An auxiliary variable collided with a model variable and was renamed."""

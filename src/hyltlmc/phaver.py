@@ -30,6 +30,7 @@ from .hybrid.expr import (
     PrimedVar,
     Sub,
     Var,
+    _fmt_number,
     affine_form,
 )
 from .hybrid.modelio import location_renaming, model_to_str, parse_model
@@ -37,17 +38,11 @@ from .hybrid.modelio import location_renaming, model_to_str, parse_model
 _TAG = "// @hyha "
 
 
-def _fmt(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    return repr(v)
-
-
 def _pv_expr(e, parent: int = 0) -> str:
     """Render an expression PhaVer-style: primes for rates and resets."""
     match e:
         case Const(v):
-            s = _fmt(v) if v >= 0 else f"-{_fmt(-v)}"
+            s = _fmt_number(v) if v >= 0 else f"-{_fmt_number(-v)}"
             return f"({s})" if v < 0 and parent >= 3 else s
         case Var(n):
             return n

@@ -3,12 +3,13 @@
 The question is reduced to a reachability query in three steps:
 
 1. The negated formula is compiled into an observer automaton whose
-   accepting runs are exactly the traces violating the property. Only
-   its locations that lie in a live pair with a system location are
-   built: a pair on a path from an initial pair to a cycle meeting
-   every acceptance set of the composition, searched on the
-   composition's location graph from the initial pairs, with the sets
-   whose flow atoms no state can meet left out.
+   accepting runs are exactly the traces violating the property. Given
+   the system, the tableau builds only the observer locations that lie
+   in a live pair with a system location: a pair on a path from an
+   initial pair to a cycle meeting every acceptance set of the
+   composition, searched on the composition's location graph from the
+   initial pairs, with the sets whose flow atoms no state can meet left
+   out.
 2. Observer and system are composed, from the initial pairs forward;
    accepting product runs are system traces that violate the property.
    Such a run only visits locations that an initial location reaches,
@@ -41,11 +42,10 @@ Inconclusive, never Falsified.
 from __future__ import annotations
 
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .errors import VariableRenamedWarning, check_settings
+from .errors import check_settings
 from .formula.nnf import to_nnf
 from .formula.syntax import Formula, Not, to_str
 from .hybrid.automaton import HybridAutomaton, Loc, Transition, compose
@@ -54,29 +54,6 @@ from .hybrid.expr import Const, DotVar, PrimedVar, Sub, Var
 from .reach.boxes import _box, bounds, clip, compile_rows, is_empty
 from .reach.engine import ReachResult, check_reach_settings, reachable
 from .tableau import build_formula_automaton, prune_unreachable
-
-
-def build_negated_observer(
-    formula: Formula,
-    actions,
-    prune: bool = True,
-    strict: bool = False,
-    system: HybridAutomaton | None = None,
-    counts: dict[str, int] | None = None,
-) -> HybridAutomaton:
-    """Observer automaton accepting exactly the traces violating formula.
-
-    With prune, only the sets that lie in a live pair with a location of
-    system are built (tableau.build_formula_automaton); without a system,
-    the locations prune_unreachable would keep: those on a path from an
-    initial location to an accepting cycle whose invariant the engine's
-    clip does not prove empty. counts receives the tableau's work
-    counts (see build_formula_automaton).
-    """
-    negated = to_nnf(Not(formula), strict=strict)
-    return build_formula_automaton(
-        negated, actions, prune=prune, system=system, counts=counts
-    )
 
 
 def degeneralize(h: HybridAutomaton) -> HybridAutomaton:
@@ -171,13 +148,6 @@ def _fresh_name(want: str, taken) -> str:
     name = want
     while name in taken:
         name = name + "_"
-    if name != want:
-        warnings.warn(
-            f"auxiliary variable '{want}' collides with a model variable; "
-            f"using '{name}'",
-            VariableRenamedWarning,
-            stacklevel=3,
-        )
     return name
 
 
@@ -368,8 +338,9 @@ def check(
     timings: dict[str, float] = {}
     counts: dict[str, int] = {}
     with _timed(timings, "observer"):
-        observer = build_negated_observer(
-            formula, system.actions, strict=strict, system=system, counts=counts
+        negated = to_nnf(Not(formula), strict=strict)
+        observer = build_formula_automaton(
+            negated, system.actions, system=system, counts=counts
         )
     with _timed(timings, "compose+prune"):
         product = prune_unreachable(compose(system, observer))

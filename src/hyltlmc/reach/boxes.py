@@ -85,10 +85,6 @@ def is_empty(z: np.ndarray) -> bool:
     return bool((z[:n] + z[n:] < 0.0).any())
 
 
-def contains(outer: np.ndarray, inner: np.ndarray) -> bool:
-    return bool((inner <= outer).all())
-
-
 def image(G: np.ndarray, offset: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The box of M x + c over the box z, for G = G(M) and offset (-c, c).
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from ..errors import UnsupportedDynamicsError, check_settings
 from ..hybrid.automaton import HybridAutomaton, Loc
-from .boxes import Clip, _box, _split, bounds, clip, compile_rows, contains, full_box
+from .boxes import Clip, _box, _split, bounds, clip, compile_rows, full_box
 from .boxes import image, is_empty
 from .dynamics import location_dynamics, transition_image
 from .kernels import FLOW_BUDGET, FLOW_DONE, Discretization, flow_tube
@@ -189,7 +189,8 @@ def reachable(
         return _Plan(*f, *invariant(l), jump_list, pair_list, pushes)
 
     store: dict[Loc, list[np.ndarray]] = {l: [] for l in h.locations}
-    starts: dict[Loc, list[np.ndarray]] = {l: [] for l in h.locations}
+    # One row per start box flowed at the location.
+    starts: dict[Loc, np.ndarray] = {l: np.empty((0, 2 * n)) for l in h.locations}
     visits = {l: 0 for l in h.locations}
     work: list[tuple[Loc, np.ndarray]] = []
 
@@ -209,7 +210,7 @@ def reachable(
     total = 0
     while work:
         l, z = work.pop()
-        if any(contains(s, z) for s in starts[l]):
+        if (z <= starts[l]).all(axis=1).any():
             continue
         total += 1
         if total > max_visits:
@@ -222,7 +223,7 @@ def reachable(
             p = plans[l] = plan(l)
         if visits[l] > widen_after and store[l]:
             z = np.where(z > np.max(store[l], axis=0), p.inv.u, z)
-        starts[l].append(z)
+        starts[l] = np.vstack((starts[l], z))
 
         tube_lo, tube_hi, _end_lo, _end_hi, status = flow_tube(
             *bounds(z), p.A, p.b, step, n_steps, p.inv_lo, p.inv_hi, disc=p.disc

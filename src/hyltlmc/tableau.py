@@ -15,14 +15,14 @@ Every property of the sets is a column (closure.Columns), made with a
 few and/or operations per closure node, and only a kept set gets a name,
 from its rank. A set pins the ordinals its successors must match. The
 valid sets split into classes of one pin profile and one acceptance
-vector, whose members have the same successors and acceptance bits. A
-pruned automaton keeps only the sets in a live pair (system location,
-set), searched per class (see _live_sets), after leaving out the sets
-whose flow atoms no state can meet (reach.boxes.satisfiable). Without a
-system, the one-location system looping on every action stands in, and
-the rule is prune_unreachable's on the tableau alone. With one,
-composing the kept sets with the system and pruning gives the product
-that composing every set and pruning gives.
+vector, whose members have the same successors and acceptance bits.
+Given a system, only the sets in a live pair (system location, set) are
+built, searched per class (see _live_sets), after leaving out the sets
+whose flow atoms no state can meet (reach.boxes.satisfiable); composing
+them with the system and pruning gives the product that composing every
+set and pruning gives. Without one, every consistent set is built; the
+one-location system looping on every action prunes by
+prune_unreachable's rule on the tableau alone.
 """
 
 from __future__ import annotations
@@ -40,21 +40,19 @@ from .reach.boxes import satisfiable
 def build_formula_automaton(
     formula: Formula,
     actions: Sequence[str],
-    prune: bool = False,
     system: HybridAutomaton | None = None,
     counts: dict[str, int] | None = None,
 ) -> HybridAutomaton:
     """Translate a formula over the given action alphabet, which must
     cover every action atom of the formula.
 
-    With prune, only the sets that lie in a live pair of system and tableau
-    are built (see _live_sets), with every edge between them. Without a
-    system that is the one-location system looping on every action, and
-    the result equals prune_unreachable of the full automaton. With a
-    system over the same alphabet, the result is an induced
-    sub-automaton of that one, and prune_unreachable of its composition
-    with the system equals prune_unreachable of the system composed
-    with the full automaton. counts receives observer_sets, the number of
+    Without a system, every consistent set is built. With a system over
+    the same alphabet, only the sets in a live pair of system and tableau
+    are built (see _live_sets), with every edge between them: an induced
+    sub-automaton of the full one, whose composition with the system
+    prunes (prune_unreachable) to what the full one's does. The
+    one-location system looping on every action gives prune_unreachable
+    of the full automaton. counts receives observer_sets, the number of
     consistent sets, and observer_classes, the pair search's nodes.
     """
     actions = tuple(actions)
@@ -95,11 +93,11 @@ def build_formula_automaton(
     for ones, zeros in pinned.values():
         bad |= ones & zeros
 
-    # When pruning, a set whose flow atoms no state can meet lies on no
+    # Given a system, a set whose flow atoms no state can meet lies on no
     # run (see prune_unreachable): it is no target and has no successors.
     # Every combination of flow atoms is a free choice, judged once.
     usable = full
-    if prune:
+    if system is not None:
         combos = [(full, ())]
         for c, i in flows.items():
             combos = [
@@ -137,9 +135,8 @@ def build_formula_automaton(
         classes = [(y, j) for x, j in classes for y in (x & F, x & ~F) if y]
 
     live, searched = full, 0
-    if prune:
+    if system is not None:
         act = {a: col[cl.action_ordinals[a]] & valid for a in actions}
-        system = system or _free_system(actions)
         live, searched = _live_sets(
             system, classes, successors, act, init & valid, acceptance
         )
@@ -178,14 +175,6 @@ def build_formula_automaton(
         acceptance=tuple(
             frozenset(names[r] for r in members(F & live)) for F in acceptance
         ),
-    )
-
-
-def _free_system(actions: tuple[str, ...]) -> HybridAutomaton:
-    """The one-location system looping on every action; its pairs with
-    the sets form the tableau's own location graph."""
-    return HybridAutomaton(
-        (), actions, ("s",), [Transition("s", a, "s") for a in actions], {}, ("s",)
     )
 
 

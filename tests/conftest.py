@@ -86,6 +86,15 @@ def heater_model(
     )
 
 
+def loop_system(actions) -> HybridAutomaton:
+    """The one-location system looping on every action. A tableau pruned
+    against it keeps what prune_unreachable keeps of the full tableau."""
+    actions = tuple(actions)
+    return HybridAutomaton(
+        (), actions, ("s",), [Transition("s", a, "s") for a in actions], {}, ("s",)
+    )
+
+
 @pytest.fixture
 def heater() -> HybridAutomaton:
     return heater_model()

@@ -28,7 +28,10 @@ every axis of a field and remembered no flow (`FrozenDiscretization`,
 degeneralized product whose empty family had been made explicit
 (`normalize_acceptance`, `frozen_instrument`), and of the recurrence
 query read with a hand-built latch vector and gap tests
-(`frozen_recurrence_hits`). Tests compare the two;
+(`frozen_recurrence_hits`). The observers of `unpaired_product` and
+`eager_check` are the negation's tableau as the pipeline once built it:
+pruned against the one-location loop over every action
+(`conftest.loop_system`) and not pruned at all. Tests compare the two;
 nothing in the package imports this module.
 """
 
@@ -43,7 +46,8 @@ import numpy as np
 
 from hyltlmc.errors import ModelError, UnsupportedDynamicsError
 from hyltlmc.formula.closure import MCS, ClosureSet, closure
-from hyltlmc.formula.syntax import Formula, Top
+from hyltlmc.formula.nnf import to_nnf
+from hyltlmc.formula.syntax import Formula, Not, Top
 from hyltlmc.hybrid.automaton import (
     HybridAutomaton,
     Transition,
@@ -52,8 +56,8 @@ from hyltlmc.hybrid.automaton import (
     compose,
     live_nodes,
 )
-from hyltlmc.product import QueryTarget, _fresh_name, build_negated_observer
-from hyltlmc.tableau import _free_system, prune_unreachable
+from hyltlmc.product import QueryTarget, _fresh_name
+from hyltlmc.tableau import build_formula_automaton, prune_unreachable
 from hyltlmc.hybrid.constraints import FlowConstraint, JumpConstraint, Relation
 from hyltlmc.hybrid.expr import Const, DotVar, PrimedVar, Sub, Var, affine_form
 from hyltlmc.reach.boxes import Clip, _bound, _box, _split, bounds, clip, satisfiable
@@ -68,6 +72,8 @@ from hyltlmc.reach.kernels import (
     _shift,
     flow_tube,
 )
+
+from conftest import loop_system
 
 
 # -- boxes as (lo, hi) pairs ------------------------------------------------
@@ -469,7 +475,7 @@ def per_set_formula_automaton(
 
     if prune:
         live = _per_pair_live_sets(
-            system or _free_system(actions), succ, target_actions, init, acceptance
+            system or loop_system(actions), succ, target_actions, init, acceptance
         )
     else:
         live = range(n)
@@ -1004,7 +1010,11 @@ def unpaired_product(
 ) -> HybridAutomaton:
     """The instrumented product as check() built it with an observer blind
     to the system: compose, prune, whole counter product, prune."""
-    observer = build_negated_observer(formula, system.actions, strict=strict)
+    observer = build_formula_automaton(
+        to_nnf(Not(formula), strict=strict),
+        system.actions,
+        system=loop_system(system.actions),
+    )
     product = prune_unreachable(compose(system, observer))
     product = prune_unreachable(normalize_acceptance(full_degeneralize(product)))
     return frozen_instrument(product)[0]
@@ -1091,7 +1101,8 @@ def eager_check(
 ) -> EagerRun:
     """compose -> degeneralize -> instrument -> reach, with the observer
     pruned on its location graph alone and nothing pruned after it."""
-    observer = graph_pruned(build_negated_observer(formula, system.actions, prune=False))
+    negation = to_nnf(Not(formula))
+    observer = graph_pruned(build_formula_automaton(negation, system.actions))
     product = normalize_acceptance(full_degeneralize(eager_compose(system, observer)))
     inst, targets, f_name, y_names, w_names = frozen_instrument(product)
     reach = eager_reachable(inst, horizon=horizon, step=step)

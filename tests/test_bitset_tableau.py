@@ -42,6 +42,7 @@ from hyltlmc.hybrid.modelio import load_model
 from hyltlmc.product import check
 from hyltlmc.tableau import build_formula_automaton
 
+from conftest import loop_system
 from reference_pipeline import per_set_formula_automaton, sorted_consistent_sets
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -114,12 +115,12 @@ def matches_frozen(f, actions, system=None) -> None:
         build_formula_automaton(f, actions), per_set_formula_automaton(f, actions)
     )
     assert_same(
-        build_formula_automaton(f, actions, prune=True),
+        build_formula_automaton(f, actions, system=loop_system(actions)),
         per_set_formula_automaton(f, actions, prune=True),
     )
     if system is not None:
         assert_same(
-            build_formula_automaton(f, actions, prune=True, system=system),
+            build_formula_automaton(f, actions, system=system),
             per_set_formula_automaton(f, actions, prune=True, system=system),
         )
 
@@ -180,7 +181,7 @@ class TestFrozenObserver:
     def test_random_systems_with_acceptance_build_the_frozen_observer(self, f, system):
         assume(closure(f, system.actions).n_pairs <= 12)
         assert_same(
-            build_formula_automaton(f, system.actions, prune=True, system=system),
+            build_formula_automaton(f, system.actions, system=system),
             per_set_formula_automaton(f, system.actions, prune=True, system=system),
         )
 
@@ -194,7 +195,7 @@ class TestTableauBound:
         assert self.SETS > MAX_SETS == 2**20
         f = parse_formula(self.TEXT, Declarations(variables=("x",), actions=("on", "off")))
         with pytest.raises(ModelError, match=str(self.SETS)):
-            build_formula_automaton(f, ("on", "off"), prune=True)
+            build_formula_automaton(f, ("on", "off"), system=loop_system(("on", "off")))
         with pytest.raises(ModelError, match=str(self.SETS)):
             maximally_consistent_sets(closure(f, ("on", "off")))
 

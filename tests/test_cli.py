@@ -11,10 +11,12 @@ import pytest
 
 from hyltlmc.cli import _setting, main
 from hyltlmc.errors import HyltlError
+from hyltlmc.formula.nnf import to_nnf
 from hyltlmc.formula.parser import Declarations, parse_formula
 from hyltlmc.formula.syntax import to_str
 from hyltlmc.hybrid.modelio import model_to_str, parse_model
 from hyltlmc.phaver import embedded_model
+from hyltlmc.tableau import build_formula_automaton, prune_unreachable
 
 from conftest import heater_model
 from test_reach import UNDEFINED_RESET
@@ -267,6 +269,18 @@ class TestTranslateCommand:
     def test_needs_declarations(self, capsys):
         assert main(["translate", "--formula", "F on"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_prunes_the_tableau_unless_told_not_to(self, capsys):
+        text = "G(on -> X(x >= 18 & x <= 22 U off))"
+        decls = Declarations(variables=("x",), actions=("on", "off"))
+        formula = to_nnf(parse_formula(text, decls))
+        full = build_formula_automaton(formula, decls.actions)
+        args = ["translate", "--formula", text, "--vars", "x", "--alphabet", "on,off"]
+        assert main(args) == 0
+        assert capsys.readouterr().out == model_to_str(prune_unreachable(full))
+        assert main([*args, "--no-prune"]) == 0
+        assert capsys.readouterr().out == model_to_str(full)
+        assert prune_unreachable(full) != full
 
 
 class TestComposeCommand:

@@ -36,10 +36,10 @@ from hyltlmc.hybrid import FlowConstraint, JumpConstraint, Relation
 from hyltlmc.hybrid.automaton import HybridAutomaton, Transition, compose
 from hyltlmc.hybrid.expr import Const, DotVar, PrimedVar, Var
 from hyltlmc.hybrid.modelio import load_model
-from hyltlmc.product import build_negated_observer, check
+from hyltlmc.product import check
 from hyltlmc.tableau import build_formula_automaton, live_nodes, prune_unreachable
 
-from conftest import random_formula
+from conftest import loop_system, random_formula
 from reference_pipeline import (
     eager_check,
     eager_compose,
@@ -85,9 +85,10 @@ def negated(h, text: str):
 
 
 def observer(h, text: str, prune: bool = True):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return build_negated_observer(formula_of(h, text), h.actions, prune=prune)
+    """The negation's tableau, pruned against the loop over h's actions
+    unless prune is false."""
+    loop = loop_system(h.actions) if prune else None
+    return build_formula_automaton(negated(h, text), h.actions, system=loop)
 
 
 def assert_same(a: HybridAutomaton, b: HybridAutomaton) -> None:
@@ -194,14 +195,14 @@ class TestLiveObserver:
         h = models[model]
         full = build_formula_automaton(negated(h, text), h.actions)
         assert_same(observer(h, text), prune_unreachable(full))
-        assert_same(observer(h, text, prune=False), full)
 
     @settings(max_examples=100, deadline=None)
     @given(formulas)
     def test_drawn_formulas_prune_alike(self, f):
         assume(closure(f, ACTIONS).n_pairs <= 12)
         full = build_formula_automaton(f, ACTIONS)
-        assert_same(build_formula_automaton(f, ACTIONS, prune=True), prune_unreachable(full))
+        pruned = build_formula_automaton(f, ACTIONS, system=loop_system(ACTIONS))
+        assert_same(pruned, prune_unreachable(full))
 
     def test_rooms_safety_keeps_only_enterable_locations(self, models):
         # The negated envelope can hold x < 15 and x > 25 at once; such
@@ -225,7 +226,11 @@ class TestLiveObserver:
             ref = eager_check(h, f)
             verdict = check(h, f)
         full = build_formula_automaton(negation, ACTIONS)
-        assert_same(build_formula_automaton(negation, ACTIONS, prune=True), prune_unreachable(full))
+        loop = loop_system(ACTIONS)
+        assert_same(
+            build_formula_automaton(negation, ACTIONS, system=loop),
+            prune_unreachable(full),
+        )
         assert verdict.verified or ref.status != "Verified"
 
     def test_three_conjunct_observer_keeps_362_locations(self, models):

@@ -5,11 +5,15 @@ import warnings
 import pytest
 
 from hyltlmc.errors import ExportError
+from hyltlmc.formula.nnf import to_nnf
 from hyltlmc.formula.parser import Declarations, parse_formula
+from hyltlmc.formula.syntax import Not
 from hyltlmc.hybrid.automaton import compose
 from hyltlmc.hybrid.modelio import model_to_str, parse_model
 from hyltlmc.phaver import embedded_model, export_phaver
-from hyltlmc.product import build_negated_observer
+from hyltlmc.tableau import build_formula_automaton
+
+from conftest import loop_system
 
 DECLS = Declarations(variables=("x",), actions=("on", "off"))
 
@@ -17,7 +21,9 @@ DECLS = Declarations(variables=("x",), actions=("on", "off"))
 def observer(text):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return build_negated_observer(parse_formula(text, DECLS), ("on", "off"))
+        negation = to_nnf(Not(parse_formula(text, DECLS)))
+    loop = loop_system(DECLS.actions)
+    return build_formula_automaton(negation, DECLS.actions, system=loop)
 
 
 class TestExportText:

@@ -14,20 +14,22 @@ from hyltlmc.errors import (
     ComplementStrengtheningWarning,
     ConfigError,
     ModelError,
-    VariableRenamedWarning,
 )
+from hyltlmc.formula.nnf import to_nnf
 from hyltlmc.formula.parser import Declarations, parse_formula
+from hyltlmc.formula.syntax import Not
 from hyltlmc.hybrid.automaton import compose
 from hyltlmc.hybrid.discrete import accepts_lasso_word
 from hyltlmc.hybrid.modelio import load_model, parse_model
 from hyltlmc.monitor import evaluate_trace, evaluate_word, random_trace
-from hyltlmc.product import build_negated_observer, check, degeneralize, instrument
+from hyltlmc.product import check, degeneralize, instrument
 from hyltlmc.tableau import build_formula_automaton, prune_unreachable
 
-from conftest import BOOL_ATOMS, heater_model, random_formula
+from conftest import BOOL_ATOMS, heater_model, loop_system, random_formula
 from reference_pipeline import full_degeneralize
 
-DECLS = Declarations(variables=("x",), actions=("on", "off"))
+AB = ("on", "off")
+DECLS = Declarations(variables=("x",), actions=AB)
 
 
 def phi(s: str):
@@ -61,7 +63,7 @@ ALL_WORDS = [
 class TestNegatedObserver:
     def test_accepts_exactly_the_violations(self):
         f = phi("F on")
-        obs = build_negated_observer(f, ("on", "off"))
+        obs = build_formula_automaton(to_nnf(Not(f)), AB, system=loop_system(AB))
         for u, v in ALL_WORDS:
             assert accepts_lasso_word(obs, u, v) == (not evaluate_word(u, v, f))
 
@@ -69,14 +71,15 @@ class TestNegatedObserver:
         decls = Declarations(variables=("x",), actions=("on", "off", "warm"))
         f = parse_formula("F warm", decls)
         with pytest.raises(ModelError, match="alphabet"):
-            build_negated_observer(f, ("on", "off"))
+            build_formula_automaton(to_nnf(Not(f)), AB, system=loop_system(AB))
 
     def test_pruning_only_trims(self):
         # Negating this formula rewrites its flow atom, which warns.
         f = phi("F(x >= 21 & X on)")
         with pytest.warns(ComplementStrengtheningWarning):
-            full = build_negated_observer(f, ("on", "off"), prune=False)
-            trimmed = build_negated_observer(f, ("on", "off"), prune=True)
+            negation = to_nnf(Not(f))
+        full = build_formula_automaton(negation, AB)
+        trimmed = build_formula_automaton(negation, AB, system=loop_system(AB))
         assert set(trimmed.locations) <= set(full.locations)
         assert len(trimmed.locations) < len(full.locations)
 
@@ -90,7 +93,7 @@ class TestDegeneralize:
     def test_counter_product_shape(self):
         """Only the reachable counter locations are built; on a live input
         that is the pruned full counter product."""
-        h = build_formula_automaton(phi("F on & F off"), ("on", "off"), prune=True)
+        h = build_formula_automaton(phi("F on & F off"), AB, system=loop_system(AB))
         k = len(h.acceptance)
         assert k == 2
         g = degeneralize(h)
@@ -192,7 +195,7 @@ class TestInstrument:
         assert len(targets) == 2
 
     def test_generalized_family_is_degeneralized_first(self):
-        h = build_formula_automaton(phi("F on & F off"), ("on", "off"), prune=True)
+        h = build_formula_automaton(phi("F on & F off"), AB, system=loop_system(AB))
         assert len(h.acceptance) == 2
         got, want = instrument(h), instrument(degeneralize(h))
         assert got[0] == want[0]
@@ -210,7 +213,8 @@ class TestInstrument:
             init_region=h.init_region,
             acceptance=(frozenset(h.locations),),
         )
-        with pytest.warns(VariableRenamedWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             inst, _, f, y, _ = instrument(renamed)
         assert f == "f_" and y == ("y",)
         assert "f_" in inst.variables
@@ -300,7 +304,7 @@ class TestTimings:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             v = check(h, f)
-            observer = build_negated_observer(f, h.actions, system=h)
+            observer = build_formula_automaton(to_nnf(Not(f)), h.actions, system=h)
         assert v.stats["observer_locations"] == len(observer.locations) > 0
         assert v.stats["observer_transitions"] == len(observer.transitions) > 0
 

@@ -16,11 +16,12 @@ import pytest
 from hypothesis import assume, given, settings
 
 from hyltlmc.formula.closure import closure
+from hyltlmc.formula.nnf import to_nnf
 from hyltlmc.formula.parser import Declarations, parse_formula
-from hyltlmc.formula.syntax import ActionAtom
+from hyltlmc.formula.syntax import ActionAtom, Not
 from hyltlmc.hybrid.automaton import HybridAutomaton, compose
-from hyltlmc.product import build_negated_observer, check, degeneralize, instrument
-from hyltlmc.tableau import prune_unreachable
+from hyltlmc.product import check, degeneralize, instrument
+from hyltlmc.tableau import build_formula_automaton, prune_unreachable
 
 from reference_pipeline import frozen_instrument, normalize_acceptance
 from test_bitset_tableau import MODELS, assert_same, formulas, systems
@@ -31,7 +32,8 @@ def assert_same_query(system: HybridAutomaton, formula) -> None:
     """instrument and check() build the frozen three-call query automaton."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        observer = build_negated_observer(formula, system.actions, system=system)
+        negation = to_nnf(Not(formula))
+        observer = build_formula_automaton(negation, system.actions, system=system)
         product = prune_unreachable(compose(system, observer))
         want = frozen_instrument(normalize_acceptance(degeneralize(product)))
         got = instrument(product)

@@ -25,7 +25,6 @@ from hyltlmc.reach.boxes import (
     bounds,
     clip,
     compile_rows,
-    contains,
     full_box,
     image,
     is_empty,
@@ -101,8 +100,6 @@ class TestRows:
         a = _box([0.0], [2.0])
         b = _box([1.0], [3.0])
         assert bounds(np.maximum(a, b)) == (pytest.approx([0.0]), pytest.approx([3.0]))
-        assert contains(a, _box([0.5], [1.5]))
-        assert not contains(a, b)
 
 
 @st.composite

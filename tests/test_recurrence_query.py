@@ -19,13 +19,15 @@ import warnings
 import numpy as np
 import pytest
 
+from hyltlmc.formula.nnf import to_nnf
 from hyltlmc.formula.parser import Declarations, parse_formula
+from hyltlmc.formula.syntax import Not
 from hyltlmc.hybrid.automaton import compose
 from hyltlmc.hybrid.modelio import parse_model
-from hyltlmc.product import build_negated_observer, instrument, recurrence_hits
+from hyltlmc.product import instrument, recurrence_hits
 from hyltlmc.reach import reachable
 from hyltlmc.reach.engine import ReachResult
-from hyltlmc.tableau import prune_unreachable
+from hyltlmc.tableau import build_formula_automaton, prune_unreachable
 
 from reference_pipeline import frozen_recurrence_hits
 from test_bitset_tableau import MODELS
@@ -42,7 +44,8 @@ def query_inputs(system, text: str, **settings):
     formula = parse_formula(text, Declarations(system.variables, system.actions))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        observer = build_negated_observer(formula, system.actions, system=system)
+        negation = to_nnf(Not(formula))
+    observer = build_formula_automaton(negation, system.actions, system=system)
     inst, targets, f, y, w = instrument(prune_unreachable(compose(system, observer)))
     return reachable(inst, **settings), targets, f, y, w
 

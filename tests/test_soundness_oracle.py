@@ -31,12 +31,14 @@ settles while the other axis is still on its way out.
 
 import random
 import warnings
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from hyltlmc.errors import ComplementStrengtheningWarning, TraceError
 from hyltlmc.formula.parser import Declarations, parse_formula
-from hyltlmc.hybrid.modelio import parse_model
+from hyltlmc.hybrid.modelio import load_model, parse_model
 from hyltlmc.monitor import evaluate_trace, random_trace
 from hyltlmc.product import check
 from hyltlmc.reach import reachable
@@ -193,3 +195,34 @@ def test_verified_random_automata_admit_no_violating_run():
     assert not outside[2], outside[2][:3]
     # The oracle must have something to judge.
     assert verified >= 10 and drawn >= AUTOMATA and min(points.values()) >= 500
+
+
+# -- negated flow atoms on the thermostat ------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+THERMOSTAT = ROOT / "src/hyltlmc/models/thermostat.hyha"
+ITEM_2 = pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+
+
+@pytest.fixture(scope="module")
+def thermostat_traces():
+    h = load_model(THERMOSTAT)
+    return h, [random_trace(h, np.random.default_rng(seed))[0] for seed in range(30)]
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("G(x <= 22)", marks=ITEM_2),
+    pytest.param("G(x >= 17.5)", marks=ITEM_2),
+    pytest.param("F G(x >= 18)", marks=ITEM_2),
+    "G(x <= 23)",
+])
+def test_not_verified_when_a_trace_violates_it(thermostat_traces, text):
+    # Negating each formula rewrites its flow atom to the complement,
+    # which no sample of a violating trace needs to meet.
+    h, traces = thermostat_traces
+    phi = parse_formula(text, Declarations(variables=h.variables, actions=h.actions))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ComplementStrengtheningWarning)
+        verdict = check(h, phi)
+    violated = sum(not evaluate_trace(trace, phi) for trace in traces)
+    assert not (verdict.verified and violated), f"{violated}/30 traces violate it"

@@ -34,13 +34,18 @@ from hyltlmc.formula.syntax import (
     Until,
 )
 from hyltlmc.hybrid import FlowConstraint, Relation
-from hyltlmc.hybrid.automaton import HybridAutomaton, Transition, compose
+from hyltlmc.hybrid.automaton import HybridAutomaton, compose
 from hyltlmc.hybrid.expr import Const, Var
 from hyltlmc.hybrid.modelio import load_model, parse_model
-from hyltlmc.product import build_negated_observer, check, degeneralize
+from hyltlmc.product import check, degeneralize
 from hyltlmc.tableau import build_formula_automaton, prune_unreachable
 
-from reference_pipeline import full_degeneralize, unpaired_product
+from conftest import loop_system
+from reference_pipeline import (
+    full_degeneralize,
+    per_set_formula_automaton,
+    unpaired_product,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 MODELS = {
@@ -106,6 +111,10 @@ def quiet(fn, *args, **kwargs):
         return fn(*args, **kwargs)
 
 
+def negation(f):
+    return quiet(to_nnf, Not(f))
+
+
 def assert_same(a: HybridAutomaton, b: HybridAutomaton) -> None:
     """Structurally equal, including the order of every part."""
     assert a == b
@@ -163,8 +172,10 @@ class TestPairedObserver:
     def test_observer_is_induced_by_the_blind_one(self, models, model, text):
         h = models[model]
         f = formula_of(h, text)
-        paired = quiet(build_negated_observer, f, h.actions, system=h)
-        blind = quiet(build_negated_observer, f, h.actions)
+        paired = build_formula_automaton(negation(f), h.actions, system=h)
+        blind = build_formula_automaton(
+            negation(f), h.actions, system=loop_system(h.actions)
+        )
         assert_induced(paired, blind)
         # Composing either one gives the same pruned product.
         assert_same(
@@ -179,8 +190,9 @@ class TestPairedObserver:
         # so it takes off after every on: no pair violates the property
         # under the system's own acceptance, though the blind observer
         # has accepting runs.
-        assert quiet(build_negated_observer, f, h.actions, system=h).locations == ()
-        assert quiet(build_negated_observer, f, h.actions).locations
+        assert build_formula_automaton(negation(f), h.actions, system=h).locations == ()
+        loop = loop_system(h.actions)
+        assert build_formula_automaton(negation(f), h.actions, system=loop).locations
 
     def test_three_conjunct_sizes(self, models):
         h = models["thermostat"]
@@ -189,33 +201,34 @@ class TestPairedObserver:
         assert verdict.stats["observer_locations"] == 82
         assert verdict.stats["observer_transitions"] == 896
         assert verdict.stats["product_locations"] == 194
-        blind = quiet(build_negated_observer, f, h.actions)
+        blind = build_formula_automaton(
+            negation(f), h.actions, system=loop_system(h.actions)
+        )
         assert (len(blind.locations), len(blind.transitions)) == (362, 5716)
 
-    def test_one_location_loop_is_no_system(self, models):
+    def test_one_location_loop_prunes_the_tableau_alone(self, models):
         h = models["thermostat"]
-        negation = quiet(to_nnf, Not(formula_of(h, THREE_CONJUNCTS)))
-        loop = HybridAutomaton(
-            (), h.actions, ("s",), [Transition("s", a, "s") for a in h.actions], {}, ("s",)
-        )
+        f = negation(formula_of(h, THREE_CONJUNCTS))
         assert_same(
-            build_formula_automaton(negation, h.actions, prune=True, system=loop),
-            build_formula_automaton(negation, h.actions, prune=True),
+            build_formula_automaton(f, h.actions, system=loop_system(h.actions)),
+            prune_unreachable(build_formula_automaton(f, h.actions)),
         )
 
     def test_system_over_another_alphabet_is_refused(self, models):
         h = models["thermostat"]
         f = formula_of(h, "G(x <= 23)")
         with pytest.raises(ModelError, match="alphabet"):
-            build_negated_observer(f, h.actions + ("tick",), system=h)
+            build_formula_automaton(negation(f), h.actions + ("tick",), system=h)
 
-    def test_unpruned_observer_ignores_the_system(self, models):
+    def test_observer_prunes_exactly_when_given_a_system(self, models):
         h = models["hand"]
-        f = formula_of(h, "F G off")
-        assert_same(
-            quiet(build_negated_observer, f, h.actions, prune=False, system=h),
-            quiet(build_negated_observer, f, h.actions, prune=False),
-        )
+        f = negation(formula_of(h, "F G off"))
+        paired = build_formula_automaton(f, h.actions, system=h)
+        full = build_formula_automaton(f, h.actions)
+        frozen = per_set_formula_automaton(f, h.actions, prune=True, system=h)
+        assert_same(paired, frozen)
+        assert_same(full, per_set_formula_automaton(f, h.actions))
+        assert len(paired.locations) < len(full.locations)
 
 
 def _atoms(variables: tuple[str, str], actions: tuple[str, ...]):
@@ -264,8 +277,10 @@ class TestDrawnFormulas:
         verdict = quiet(check, h, f, max_visits=1)
         assert_same(verdict.product, quiet(unpaired_product, h, f))
         assert_induced(
-            quiet(build_negated_observer, f, h.actions, system=h),
-            quiet(build_negated_observer, f, h.actions),
+            build_formula_automaton(negation(f), h.actions, system=h),
+            build_formula_automaton(
+                negation(f), h.actions, system=loop_system(h.actions)
+            ),
         )
 
 
@@ -278,7 +293,9 @@ class TestForwardDegeneralize:
     )
     def test_live_input_needs_no_second_prune(self, models, model, text):
         h = models[model]
-        observer = quiet(build_negated_observer, formula_of(h, text), h.actions)
+        observer = build_formula_automaton(
+            negation(formula_of(h, text)), h.actions, system=loop_system(h.actions)
+        )
         product = prune_unreachable(compose(h, observer))
         assert_same(degeneralize(product), prune_unreachable(full_degeneralize(product)))
 

@@ -23,7 +23,7 @@ from hyltlmc.hybrid.expr import Const, Var
 from hyltlmc.reach.boxes import satisfiable
 from hyltlmc.tableau import build_formula_automaton, prune_unreachable
 
-from conftest import BOOL_ATOMS, random_formula
+from conftest import BOOL_ATOMS, loop_system, random_formula
 
 DECLS = Declarations(variables=("x",), actions=("on", "off"))
 AB = ("on", "off")
@@ -238,7 +238,8 @@ class TestPrune:
         pruned = prune_unreachable(raw)
         empty = {l for l in raw.locations if not satisfiable(raw.dyn[l])}
         assert empty and not empty & set(pruned.locations)
-        assert pruned == build_formula_automaton(to_nnf(neg(phi)), AB, prune=True)
+        loop = loop_system(AB)
+        assert pruned == build_formula_automaton(to_nnf(neg(phi)), AB, system=loop)
 
     def test_one_shot_helper_agrees(self):
         h = build_formula_automaton(parse_formula("F on", DECLS), AB)
