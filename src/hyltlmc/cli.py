@@ -13,8 +13,8 @@ inconclusive or negative outcome, 1 for any error. With --machine every
 outcome is a single key=value line on stdout and errors carry their
 E_* code.
 
-Numeric settings resolve in order: command line flag, environment
-(HYLTL_MC_EPS, HYLTL_MC_TOL), JSON --config file, built-in default.
+Numeric settings resolve in order: command line flag, JSON --config
+file, built-in default.
 The config file is read whole before any subcommand runs: it holds only
 horizon, step, eps and tol, each a number, and anything else is an
 E_CONFIG error.
@@ -26,7 +26,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import shlex
 import sys
 import warnings
@@ -54,7 +53,6 @@ DEFAULTS = {
     "eps": 1e-6,
     "tol": DEFAULT_FLOW_TOL,
 }
-_ENV = {"eps": "HYLTL_MC_EPS", "tol": "HYLTL_MC_TOL"}
 
 
 def _load_config(path: str | None) -> dict:
@@ -88,15 +86,7 @@ def _load_config(path: str | None) -> dict:
 
 def _setting(args, config: dict, key: str) -> float:
     flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    env = _ENV.get(key)
-    if env and os.environ.get(env):
-        try:
-            return float(os.environ[env])
-        except ValueError:
-            raise ConfigError(f"{env} must be a number, got {os.environ[env]!r}")
-    return config.get(key, DEFAULTS[key])
+    return config.get(key, DEFAULTS[key]) if flag is None else flag
 
 
 def _machine_line(**fields) -> str:
@@ -121,6 +111,12 @@ def _load(path: str):
 
 def _declarations(args, model=None) -> Declarations:
     if model is not None:
+        for flag in ("vars", "alphabet"):
+            if getattr(args, flag, None) is not None:
+                raise ConfigError(
+                    f"--{flag} cannot be combined with --model, which declares "
+                    "the names"
+                )
         return Declarations(variables=model.variables, actions=model.actions)
     variables = tuple(x for x in (args.vars or "").split(",") if x)
     actions = tuple(a for a in (args.alphabet or "").split(",") if a)
@@ -277,6 +273,8 @@ def _read_trace_csv(path: str) -> tuple[tuple[str, ...], list[SampledTrajectory]
 
 
 def _cmd_monitor(args, config: dict) -> int:
+    if args.generated and not args.model:
+        raise ConfigError("--generated needs --model, the model to search for a run")
     names, segments = _read_trace_csv(args.trace)
     actions = tuple(a.strip() for a in args.actions.split(",") if a.strip())
     if len(actions) != len(segments):
@@ -292,21 +290,16 @@ def _cmd_monitor(args, config: dict) -> int:
 
     model = _load(args.model) if args.model else None
     if model is None:
-        decls = Declarations(variables=names, actions=tuple(dict.fromkeys(actions)))
-        if args.alphabet:
-            extra = tuple(a for a in args.alphabet.split(",") if a)
-            decls = Declarations(
-                variables=names,
-                actions=tuple(dict.fromkeys(decls.actions + extra)),
-            )
+        extra = tuple(a for a in (args.alphabet or "").split(",") if a)
+        decls = Declarations(names, tuple(dict.fromkeys(actions + extra)))
     else:
-        decls = Declarations(variables=model.variables, actions=model.actions)
+        decls = _declarations(args, model)
     formula = parse_formula(args.formula, decls)
 
     tol = _setting(args, config, "tol")
     holds = evaluate_trace(trace, formula, tol=tol)
     generated = None
-    if model is not None and args.generated:
+    if args.generated:
         generated = find_accepting_witness(trace, model, tol=tol) is not None
 
     human = f"{'holds' if holds else 'does not hold'}: {to_str(formula)}"
@@ -451,12 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--model", help="model file supplying the declarations")
     p.add_argument(
-        "--alphabet", help="comma separated action names beyond those in --actions"
+        "--alphabet",
+        help="comma separated action names beyond those in --actions (no --model)",
     )
     p.add_argument(
         "--generated",
         action="store_true",
-        help="also search the model for an accepting run over the trace",
+        help="also search the --model for an accepting run over the trace",
     )
     p.add_argument("--tol", type=float, help="flow comparison tolerance")
     p.set_defaults(func=_cmd_monitor)

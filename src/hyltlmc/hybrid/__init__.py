@@ -1,11 +1,10 @@
-"""Hybrid automata: valuations, trajectories, constraints, composition."""
+"""Hybrid automata: trajectories, constraints, composition."""
 
 from .automaton import (
     HybridAutomaton,
     Transition,
     accepts,
     compose,
-    discrete_step,
     is_generated,
 )
 from .constraints import (
@@ -17,14 +16,12 @@ from .constraints import (
 )
 from .lasso import HybridLassoTrace
 from .trajectory import DEFAULT_FLOW_TOL, SampledTrajectory, satisfies_flow
-from .valuation import Valuation
 
 __all__ = [
     "HybridAutomaton",
     "Transition",
     "accepts",
     "compose",
-    "discrete_step",
     "is_generated",
     "FlowConstraint",
     "JumpConstraint",
@@ -35,5 +32,4 @@ __all__ = [
     "DEFAULT_FLOW_TOL",
     "SampledTrajectory",
     "satisfies_flow",
-    "Valuation",
 ]

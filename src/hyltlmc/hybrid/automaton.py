@@ -22,7 +22,6 @@ from .constraints import FlowConstraint, JumpConstraint, Relation, satisfies_jum
 from .expr import PrimedVar, Var, evaluate
 from .lasso import HybridLassoTrace
 from .trajectory import DEFAULT_FLOW_TOL, check_tol, satisfies_flow
-from .valuation import Valuation
 
 Loc = object  # str for source models, tuples for products
 
@@ -146,8 +145,8 @@ class HybridAutomaton:
             )
         return inv
 
-    def admissible(self, loc: Loc, v: Valuation, tol: float = 0.0) -> bool:
-        return all(bool(c.holds_at(v, tol=tol)) for c in self.invariant(loc))
+    def admissible(self, loc: Loc, v: Mapping[str, float]) -> bool:
+        return all(bool(c.holds_at(v)) for c in self.invariant(loc))
 
     def __repr__(self) -> str:
         return (
@@ -287,8 +286,8 @@ def compose(h1: HybridAutomaton, h2: HybridAutomaton) -> HybridAutomaton:
 
 
 def _solve_jump(
-    v: Valuation, jumps: Sequence[JumpConstraint], names: Sequence[str]
-) -> Valuation | None:
+    v: Mapping[str, float], jumps: Sequence[JumpConstraint], names: Sequence[str]
+) -> dict[str, float] | None:
     """Construct the canonical successor valuation of a jump.
 
     A defining row x' = e(state) (JumpConstraint.defines) sets the new
@@ -333,10 +332,10 @@ def _solve_jump(
                 lo[x] = max(lo.get(x, -math.inf), bound)
     for x in (lo.keys() | hi.keys()) - defined:
         new[x] = min(max(new[x], lo.get(x, -math.inf)), hi.get(x, math.inf))
-    return Valuation(new)
+    return new
 
 
-def _successors(h: HybridAutomaton, loc: Loc, v: Valuation, action=None, tol=0.0):
+def _successors(h: HybridAutomaton, loc: Loc, v: Mapping[str, float]):
     """(transition, successor valuation) pairs of the concrete jumps from v.
 
     Successors are built as _solve_jump builds them: defining reset
@@ -344,36 +343,12 @@ def _successors(h: HybridAutomaton, loc: Loc, v: Valuation, action=None, tol=0.0
     They are then filtered by the full jump constraint set and
     admissibility in the target location, in transition order.
     """
-    for t in h.transitions_from(loc, action):
+    for t in h.transitions_from(loc):
         v2 = _solve_jump(v, t.jumps, h.variables)
         if v2 is None or not all(satisfies_jump(v, v2, jc) for jc in t.jumps):
             continue
-        if h.admissible(t.target, v2, tol):
+        if h.admissible(t.target, v2):
             yield t, v2
-
-
-def discrete_step(
-    h: HybridAutomaton,
-    state: tuple[Loc, Valuation],
-    action: str,
-    tol: float = 0.0,
-) -> tuple[tuple[Loc, Valuation], ...]:
-    """Concrete successors of (location, valuation) under one action.
-
-    Only the canonical identity-completed family of `_successors` is
-    enumerated; constraints leaving a variable genuinely free describe
-    more successors than any finite set could.
-    """
-    loc, v = state
-    if loc not in h.dyn:
-        raise ModelError(f"unknown location {loc!r}")
-    if not h.admissible(loc, v, tol):
-        return ()
-    out = []
-    for t, v2 in _successors(h, loc, v, action, tol):
-        if (t.target, v2) not in out:
-            out.append((t.target, v2))
-    return tuple(out)
 
 
 def live_nodes(

@@ -9,6 +9,7 @@ before a discrete action to the values right after it.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,7 +18,6 @@ import numpy as np
 from ..errors import ComplementError, ModelError, TraceError
 from .expr import Expr, PrimedVar, Sub, affine_form, evaluate, fields_only, to_str
 from .expr import variables
-from .valuation import Valuation
 
 
 class Relation(enum.Enum):
@@ -211,7 +211,9 @@ def complement_of(c: FlowConstraint, strict: bool = False) -> FlowConstraint:
     return FlowConstraint(c.lhs, _FLIP[c.rel], c.rhs)
 
 
-def satisfies_jump(v: Valuation, v_next: Valuation, jc: JumpConstraint) -> bool:
+def satisfies_jump(
+    v: Mapping[str, float], v_next: Mapping[str, float], jc: JumpConstraint
+) -> bool:
     """Check one jump constraint with substitution semantics, exactly.
 
     v supplies the unprimed variables, v_next the primed ones. Raises

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from ..errors import TraceError
 from .automaton import HybridAutomaton, live_nodes
 
 
@@ -81,7 +82,7 @@ class WordAutomaton:
 
     def accepts_word(self, prefix: Sequence[str], cycle: Sequence[str]) -> bool:
         if not cycle:
-            raise ValueError("cycle must be nonempty")
+            raise TraceError("lasso word needs a nonempty cycle")
         S = self.after_word(prefix)
         return bool(S & self.good_cycle_entries(cycle))
 

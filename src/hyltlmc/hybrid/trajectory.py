@@ -6,10 +6,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import ModelError, TraceError, check_settings
+from ..errors import TraceError, check_settings
 from .constraints import FlowConstraint, holds, undefined
 from .expr import evaluate
-from .valuation import Valuation
 
 DEFAULT_FLOW_TOL = 1e-9
 
@@ -85,21 +84,15 @@ class SampledTrajectory:
         return (self.n_samples - 1) * self.h
 
     @property
-    def fstate(self) -> Valuation:
+    def fstate(self) -> dict[str, float]:
         return self.value_at(0)
 
     @property
-    def lstate(self) -> Valuation:
+    def lstate(self) -> dict[str, float]:
         return self.value_at(self.n_samples - 1)
 
-    def value_at(self, i: int) -> Valuation:
-        return Valuation(zip(self.names, self.values[i]))
-
-    def column(self, name: str) -> np.ndarray:
-        try:
-            return self.values[:, self.names.index(name)]
-        except ValueError:
-            raise ModelError(f"unknown state variable '{name}' in trajectory") from None
+    def value_at(self, i: int) -> dict[str, float]:
+        return dict(zip(self.names, self.values[i]))
 
     def __repr__(self) -> str:
         return (

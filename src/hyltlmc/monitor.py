@@ -39,7 +39,6 @@ from .hybrid.constraints import FlowConstraint, satisfies_jump
 from .hybrid.lasso import HybridLassoTrace
 from .hybrid.trajectory import DEFAULT_FLOW_TOL, SampledTrajectory, check_tol
 from .hybrid.trajectory import satisfies_flow
-from .hybrid.valuation import Valuation
 from .reach.boxes import bounds, is_empty
 from .reach.dynamics import location_dynamics
 from .reach.engine import initial_box
@@ -224,7 +223,7 @@ def random_trace(
     def enabled(l: Loc, v: np.ndarray):
         return [
             (t, np.array([v2[x] for x in names]))
-            for t, v2 in _successors(h, l, Valuation(dict(zip(names, v))))
+            for t, v2 in _successors(h, l, dict(zip(names, v)))
         ]
 
     # After its dwell, a segment waits at most ten longest dwells for an
@@ -261,9 +260,9 @@ def random_trace(
                 continue
             # Snap the pre-jump sample so the closing jump lands exactly
             # on the recurrence target (docstring).
-            val_tgt = Valuation(dict(zip(names, hvec)))
+            val_tgt = dict(zip(names, hvec))
             for snapped in (hvec.copy(), values[-1] + (hvec - v2)):
-                val_end = Valuation(dict(zip(names, snapped)))
+                val_end = dict(zip(names, snapped))
                 if all(
                     satisfies_jump(val_end, val_tgt, jc) for jc in t.jumps
                 ) and admissible(loc, snapped):

@@ -270,6 +270,18 @@ class TestTranslateCommand:
         assert main(["translate", "--formula", "F on"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--vars", "--alphabet"])
+    def test_declaration_flag_with_a_model_exits_one_with_e_config(
+        self, heater_path, capsys, flag
+    ):
+        """The model's declarations once won and the flag was dropped."""
+        code = main(["--machine", "translate", "--model", heater_path,
+                     "--formula", "F on", flag, "y"])
+        assert code == 1
+        fields = machine_fields(capsys.readouterr().out)
+        assert fields["error"] == "E_CONFIG"
+        assert flag in fields["message"]
+
     def test_prunes_the_tableau_unless_told_not_to(self, capsys):
         text = "G(on -> X(x >= 18 & x <= 22 U off))"
         decls = Declarations(variables=("x",), actions=("on", "off"))
@@ -404,15 +416,9 @@ class TestMonitorCommand:
         assert main(["--machine"] + args) == 1
         assert machine_fields(capsys.readouterr().out)["error"] == "E_CONFIG"
 
-    def test_unusable_tol_from_environment_or_config(
-        self, lasso_path, tmp_path, monkeypatch, capsys
-    ):
+    def test_unusable_tol_from_config(self, lasso_path, tmp_path, capsys):
         args = ["monitor", "--trace", lasso_path, "--actions", "on,off",
                 "--formula", "x >= 1"]
-        monkeypatch.setenv("HYLTL_MC_TOL", "nan")
-        assert main(["--machine"] + args) == 1
-        assert machine_fields(capsys.readouterr().out)["error"] == "E_CONFIG"
-        monkeypatch.delenv("HYLTL_MC_TOL")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"tol": -1}))
         assert main(["--config", str(cfg), "--machine"] + args) == 1
@@ -452,6 +458,29 @@ class TestMonitorCommand:
                      "--alphabet", "off", "--formula", "F off"])
         assert code == 2
 
+    def test_generated_without_a_model_exits_one_with_e_config(
+        self, lasso_path, capsys
+    ):
+        """With no model to search, --generated was once dropped."""
+        code = main(["--machine", "monitor", "--trace", lasso_path,
+                     "--actions", "on,off", "--formula", "F on", "--generated"])
+        assert code == 1
+        fields = machine_fields(capsys.readouterr().out)
+        assert fields["error"] == "E_CONFIG"
+        assert "--generated" in fields["message"]
+
+    def test_alphabet_with_a_model_exits_one_with_e_config(
+        self, lasso_path, heater_path, capsys
+    ):
+        """The model's actions once won and --alphabet was dropped."""
+        code = main(["--machine", "monitor", "--trace", lasso_path,
+                     "--actions", "on,off", "--formula", "F on",
+                     "--model", heater_path, "--alphabet", "reset"])
+        assert code == 1
+        fields = machine_fields(capsys.readouterr().out)
+        assert fields["error"] == "E_CONFIG"
+        assert "--alphabet" in fields["message"]
+
 
 class TestUndefinedComparisons:
     """A constraint side that is nan on a sample is an error (E_TRACE, exit
@@ -490,28 +519,16 @@ class TestUndefinedReset:
 
 
 class TestSettingsResolution:
-    """Flag beats environment beats config file beats default."""
+    """Flag beats config file beats default."""
 
-    def test_flag_wins(self, monkeypatch):
-        monkeypatch.setenv("HYLTL_MC_EPS", "0.5")
+    def test_flag_wins(self):
         args = Namespace(eps=0.125)
         assert _setting(args, {"eps": 0.25}, "eps") == 0.125
 
-    def test_environment_beats_config(self, monkeypatch):
-        monkeypatch.setenv("HYLTL_MC_EPS", "0.5")
-        args = Namespace(eps=None)
-        assert _setting(args, {"eps": 0.25}, "eps") == 0.5
-
-    def test_config_beats_default(self, monkeypatch):
-        monkeypatch.delenv("HYLTL_MC_EPS", raising=False)
+    def test_config_beats_default(self):
         args = Namespace(eps=None)
         assert _setting(args, {"eps": 0.25}, "eps") == 0.25
         assert _setting(args, {}, "eps") == 1e-6
-
-    def test_bad_environment_value_raises(self, monkeypatch):
-        monkeypatch.setenv("HYLTL_MC_EPS", "soon")
-        with pytest.raises(HyltlError, match="HYLTL_MC_EPS"):
-            _setting(Namespace(eps=None), {}, "eps")
 
     def test_config_file_flows_into_check(self, heater_path, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -564,14 +581,6 @@ class TestSettingsResolution:
             cfg.write_text(text)
         code = main(["--machine", "--config", str(cfg), "check", "--model", heater_path,
                      "--formula", "true"])
-        assert code == 1
-        assert machine_fields(capsys.readouterr().out)["error"] == "E_CONFIG"
-
-    def test_non_numeric_environment_value_exits_one_with_e_config(
-        self, heater_path, monkeypatch, capsys
-    ):
-        monkeypatch.setenv("HYLTL_MC_EPS", "abc")
-        code = main(["--machine", "check", "--model", heater_path, "--formula", "true"])
         assert code == 1
         assert machine_fields(capsys.readouterr().out)["error"] == "E_CONFIG"
 

@@ -1,4 +1,4 @@
-"""Valuations, trajectories, constraints and automaton structure."""
+"""Trajectories, constraints and automaton structure."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from hyltlmc.errors import ComplementError, ModelError, TraceError
 from hyltlmc.hybrid import (
@@ -16,13 +15,12 @@ from hyltlmc.hybrid import (
     Relation,
     SampledTrajectory,
     Transition,
-    Valuation,
     complement_of,
     compose,
-    discrete_step,
     satisfies_flow,
     satisfies_jump,
 )
+from hyltlmc.hybrid.automaton import _successors
 from hyltlmc.hybrid.expr import (
     Add,
     Call,
@@ -82,46 +80,6 @@ class TestExpr:
             c = parse_flow_constraint(text, d)
             again = parse_flow_constraint(str(c), d)
             assert again == c
-
-
-class TestValuation:
-    def test_mapping_interface(self):
-        v = Valuation({"x": 1.0, "y": 2.0})
-        assert v["x"] == 1.0
-        assert set(v) == {"x", "y"}
-        assert len(v) == 2
-
-    def test_restrict(self):
-        v = Valuation({"x": 1.0, "y": 2.0})
-        assert v.restrict(["x"]) == Valuation({"x": 1.0})
-        assert v.restrict(["z"]) == Valuation({})
-
-    def test_union_compatible(self):
-        a = Valuation({"x": 1.0, "y": 2.0})
-        b = Valuation({"y": 2.0, "z": 3.0})
-        assert a.union(b) == Valuation({"x": 1.0, "y": 2.0, "z": 3.0})
-
-    def test_union_conflict(self):
-        with pytest.raises(ModelError):
-            Valuation({"x": 1.0}).union(Valuation({"x": 2.0}))
-
-    @given(
-        st.dictionaries(st.sampled_from("abcd"), st.floats(-5, 5), max_size=4),
-        st.dictionaries(st.sampled_from("cdef"), st.floats(-5, 5), max_size=4),
-    )
-    def test_union_restriction_laws(self, d1, d2):
-        """Union restricted to one side gives that side back, when compatible."""
-        a, b = Valuation(d1), Valuation(d2)
-        compatible = all(d1[k] == d2[k] for k in d1.keys() & d2.keys())
-        if not compatible:
-            with pytest.raises(ModelError):
-                a.union(b)
-            return
-        u = a.union(b)
-        assert u.restrict(a.names).restrict(a.names) == u.restrict(a.names)
-        assert u.restrict(a.names) == a
-        assert u.restrict(b.names) == b
-        assert a.union(b) == b.union(a)
 
 
 def decay_trajectory(h=0.01, duration=1.0, x0=20.0, exact_derivs=True):
@@ -196,14 +154,14 @@ class TestTrajectory:
 class TestJump:
     def test_substitution_semantics(self):
         jc = JumpConstraint(PrimedVar("x"), Relation.EQ, Var("x"))
-        assert satisfies_jump(Valuation({"x": 18.0}), Valuation({"x": 18.0}), jc)
-        assert not satisfies_jump(Valuation({"x": 18.0}), Valuation({"x": 18.5}), jc)
+        assert satisfies_jump({"x": 18.0}, {"x": 18.0}, jc)
+        assert not satisfies_jump({"x": 18.0}, {"x": 18.5}, jc)
 
     def test_exact_comparison(self):
         jc = JumpConstraint(Var("x"), Relation.LE, Const(19.0))
-        assert satisfies_jump(Valuation({"x": 19.0}), Valuation({"x": 19.0}), jc)
+        assert satisfies_jump({"x": 19.0}, {"x": 19.0}, jc)
         assert not satisfies_jump(
-            Valuation({"x": 19.0 + 1e-12}), Valuation({"x": 0.0}), jc
+            {"x": 19.0 + 1e-12}, {"x": 0.0}, jc
         )
 
 
@@ -304,21 +262,24 @@ class TestAutomaton:
         assert build(reset) == build(tuple(reset))
         assert build(reset) != build(())
 
-    def test_discrete_step_fires_when_guard_holds(self, heater):
-        out = discrete_step(heater, ("idle", Valuation({"x": 18.0})), "on")
-        assert out == (("heat", Valuation({"x": 18.0})),)
+    @staticmethod
+    def successors(h, loc, v):
+        return [(t.action, t.target, v2) for t, v2 in _successors(h, loc, v)]
 
-    def test_discrete_step_blocked_by_guard(self, heater):
-        assert discrete_step(heater, ("idle", Valuation({"x": 20.0})), "on") == ()
+    def test_successor_fires_when_guard_holds(self, heater):
+        out = self.successors(heater, "idle", {"x": 18.0})
+        assert out == [("on", "heat", {"x": 18.0})]
 
-    def test_discrete_step_from_heat(self, heater):
-        out = discrete_step(heater, ("heat", Valuation({"x": 22.0})), "off")
-        assert out == (("idle", Valuation({"x": 22.0})),)
+    def test_successor_blocked_by_guard(self, heater):
+        assert self.successors(heater, "idle", {"x": 20.0}) == []
 
-    def test_discrete_step_rejects_inadmissible_target(self, heater):
+    def test_successor_from_heat(self, heater):
+        out = self.successors(heater, "heat", {"x": 22.0})
+        assert out == [("off", "idle", {"x": 22.0})]
+
+    def test_successor_rejects_inadmissible_target(self, heater):
         # x = 16.5 violates idle's invariant x >= 17 after the jump.
-        out = discrete_step(heater, ("heat", Valuation({"x": 16.5})), "off")
-        assert out == ()
+        assert self.successors(heater, "heat", {"x": 16.5}) == []
 
 
 class TestCompose:

@@ -29,7 +29,6 @@ from hyltlmc.hybrid.discrete import accepts_lasso_word
 from hyltlmc.hybrid.lasso import HybridLassoTrace
 from hyltlmc.hybrid.expr import Const, Div, DotVar, Mul, PrimedVar, Sub, Var
 from hyltlmc.hybrid.trajectory import SampledTrajectory
-from hyltlmc.hybrid.valuation import Valuation
 from hyltlmc.monitor import _succ_values, evaluate_trace, evaluate_word, random_trace
 from hyltlmc.reach.boxes import bounds, clip, compile_rows, full_box
 from hyltlmc.tableau import build_formula_automaton, prune_unreachable
@@ -236,6 +235,12 @@ class TestWordSemantics:
     def test_empty_cycle_is_an_error(self):
         with pytest.raises(TraceError, match="nonempty cycle"):
             evaluate_word(("on",), (), phi("F on"))
+
+    def test_empty_cycle_is_an_error_for_the_automaton_too(self):
+        """accepts_word once raised a bare ValueError on the same input."""
+        h = build_formula_automaton(to_nnf(phi("F on")), ("on", "off"))
+        with pytest.raises(TraceError, match="nonempty cycle"):
+            accepts_lasso_word(h, ("on",), ())
 
     def test_agrees_with_the_formula_automaton(self):
         words = [
@@ -449,10 +454,10 @@ class TestJumpsThatMoveAVariable:
 
     def test_one_jump_takes_the_nearest_bound(self):
         h = self.model()
-        (t, v2), = list(_successors(h, "a", Valuation({"x": 0.5})))
+        (t, v2), = list(_successors(h, "a", {"x": 0.5}))
         assert t.action == "go" and v2["x"] == 1.5
         # 5.5 is above a's bound x <= 5, but b only asks x >= 0.
-        (t, v2), = list(_successors(h, "a", Valuation({"x": 4.5})))
+        (t, v2), = list(_successors(h, "a", {"x": 4.5}))
         assert v2["x"] == 5.5
 
     def test_random_traces_are_runs_of_the_model(self):
@@ -476,7 +481,7 @@ class TestJumpsThatMoveAVariable:
 
     def test_strict_bound_is_stepped_one_ulp_inside(self):
         h = parse_model(RAISING_JUMP.replace("x' >= x + 1", "x' > x + 1"))
-        (t, v2), = list(_successors(h, "a", Valuation({"x": 0.5})))
+        (t, v2), = list(_successors(h, "a", {"x": 0.5}))
         assert v2["x"] == np.nextafter(1.5, np.inf)
         decls = Declarations(variables=h.variables, actions=h.actions)
         recurrent = parse_formula("G F go & G F back", decls)
@@ -577,7 +582,7 @@ class TestUndefinedComparisons:
     def test_jump_row_raises(self):
         nan = Mul(Const(0.0), Div(Const(1.0), Sub(Var("x"), Var("x"))))
         row = JumpConstraint(PrimedVar("x"), Relation.GE, nan)
-        v = Valuation({"x": np.float64(22.0)})
+        v = {"x": np.float64(22.0)}
         with pytest.raises(TraceError, match=r"x' >= 0 \* \(1 / \(x - x\)\).* x=22 -> x=22"):
             satisfies_jump(v, v, row)
 

@@ -4,7 +4,7 @@ import importlib
 
 
 def test_every_exported_name_resolves():
-    for module in ("hyltlmc", "hyltlmc.hybrid"):
+    for module in ("hyltlmc", "hyltlmc.formula", "hyltlmc.hybrid", "hyltlmc.reach"):
         mod = importlib.import_module(module)
         missing = [name for name in mod.__all__ if not hasattr(mod, name)]
         assert not missing, (module, missing)

@@ -16,7 +16,6 @@ from hyltlmc.hybrid.expr import PrimedVar, Var
 from hyltlmc.hybrid.lasso import HybridLassoTrace
 from hyltlmc.hybrid.modelio import parse_model
 from hyltlmc.hybrid.trajectory import SampledTrajectory
-from hyltlmc.hybrid.valuation import Valuation
 from hyltlmc.monitor import evaluate_trace
 from hyltlmc.product import check
 from hyltlmc.reach.boxes import (
@@ -349,7 +348,7 @@ class TestDynamics:
         img = transition_image(h, t)
         point = [start[x] for x in h.variables]
         lo, hi = bounds(image(_split(img.R), img.offset, _box(point, point)))
-        successor = _solve_jump(Valuation(start), t.jumps, h.variables)
+        successor = _solve_jump(start, t.jumps, h.variables)
         primed = set().union(*(jc.primed_vars for jc in t.jumps))
         for i, x in enumerate(h.variables):
             if x in defined:
@@ -361,7 +360,7 @@ class TestDynamics:
                 assert lo[i] == hi[i] == successor[x] == start[x]
         # Every row holds on the successor, except x' = y', which bounds
         # no single primed variable.
-        holds = all(satisfies_jump(Valuation(start), successor, jc) for jc in t.jumps)
+        holds = all(satisfies_jump(start, successor, jc) for jc in t.jumps)
         assert holds == (row != "x' = y'")
 
 
@@ -483,6 +482,37 @@ class TestFlowKernel:
         tube_lo, tube_hi, _, _, status = self.decay(19.0, 21.0, h=50.0)
         assert status == FLOW_DONE
         assert tube_lo[0] == 17.0 and tube_hi[0] >= 21.0
+
+
+class TestOpenKernelDefects:
+    """Kernel defects recorded as FOUND in CHANGES.md, pinned until mended."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
+    def test_a_flow_below_rounding_does_not_finish_in_place(self):
+        # The thermostat's heat flow: g = 3e-16 is below half an ulp of 21,
+        # so the step image rounds back onto the start box.
+        _, tube_hi, _, _, status = flow_tube(
+            [19.0], [21.0], [[-0.2]], [30.0], 1e-17, 10**6, [-np.inf], [23.0]
+        )
+        assert status != FLOW_DONE or tube_hi[0] >= 23.0
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 8")
+    def test_a_one_sided_equilibrium_reaches_the_fixpoint(self):
+        # x converges to 30 from below; each segment's image reaches past it.
+        *_, status = flow_tube(
+            [19.0, 1.0, 19.5], [21.0, 1.0, 20.5], _AUX_A, _AUX_B, 0.01, 20000,
+            [17.0, -np.inf, -np.inf], [np.inf] * 3,
+        )
+        assert status == FLOW_DONE
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
+    def test_one_infinite_side_keeps_the_finite_sides(self):
+        # x only decreases from at most 21 and y stays at most 3.
+        _, tube_hi, *_ = flow_tube(
+            [19.0, -np.inf], [21.0, 3.0], [[-0.2, 0.1], [0.0, -1.0]], [0.0, 0.0],
+            0.01, 20000, [17.0, -np.inf], [np.inf, np.inf],
+        )
+        assert np.isfinite(tube_hi).all()
 
 
 def bench_kernel_inputs(steps=20000):
