@@ -9,7 +9,7 @@ from importlib.resources import files
 
 import pytest
 
-from hyltlmc.cli import _setting, main
+from hyltlmc.cli import DEFAULTS, _setting, main
 from hyltlmc.errors import HyltlError
 from hyltlmc.formula.nnf import to_nnf
 from hyltlmc.formula.parser import Declarations, parse_formula
@@ -529,6 +529,16 @@ class TestSettingsResolution:
         args = Namespace(eps=None)
         assert _setting(args, {"eps": 0.25}, "eps") == 0.25
         assert _setting(args, {}, "eps") == 1e-6
+
+    def test_environment_is_not_read(self, heater_path, monkeypatch, capsys):
+        """HYLTL_MC_EPS and HYLTL_MC_TOL once sat between flag and config."""
+        monkeypatch.setenv("HYLTL_MC_EPS", "soon")
+        monkeypatch.setenv("HYLTL_MC_TOL", "nan")
+        args = Namespace(eps=None, tol=None)
+        assert _setting(args, {"eps": 0.25}, "eps") == 0.25
+        assert _setting(args, {}, "tol") == DEFAULTS["tol"]
+        code = main(["--machine", "check", "--model", heater_path, "--formula", "true"])
+        assert code == 0
 
     def test_config_file_flows_into_check(self, heater_path, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

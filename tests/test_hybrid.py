@@ -101,6 +101,12 @@ class TestTrajectory:
         assert tr.fstate["x"] == pytest.approx(20.0)
         assert tr.lstate["x"] == pytest.approx(20.0 * math.exp(-0.2), abs=1e-12)
 
+    def test_states_are_plain_dicts(self):
+        tr = decay_trajectory()
+        for state, row in ((tr.fstate, 0), (tr.lstate, 100), (tr.value_at(7), 7)):
+            assert type(state) is dict
+            assert state == {"x": tr.values[row, 0]}
+
     def test_flow_equality_with_field_derivatives(self):
         """der(x) = -0.2 x holds exactly when derivatives come from the field."""
         tr = decay_trajectory()
@@ -266,20 +272,26 @@ class TestAutomaton:
     def successors(h, loc, v):
         return [(t.action, t.target, v2) for t, v2 in _successors(h, loc, v)]
 
-    def test_successor_fires_when_guard_holds(self, heater):
+    def test_discrete_step_fires_when_guard_holds(self, heater):
         out = self.successors(heater, "idle", {"x": 18.0})
         assert out == [("on", "heat", {"x": 18.0})]
 
-    def test_successor_blocked_by_guard(self, heater):
+    def test_discrete_step_blocked_by_guard(self, heater):
         assert self.successors(heater, "idle", {"x": 20.0}) == []
 
-    def test_successor_from_heat(self, heater):
+    def test_discrete_step_from_heat(self, heater):
         out = self.successors(heater, "heat", {"x": 22.0})
         assert out == [("off", "idle", {"x": 22.0})]
 
-    def test_successor_rejects_inadmissible_target(self, heater):
+    def test_discrete_step_rejects_inadmissible_target(self, heater):
         # x = 16.5 violates idle's invariant x >= 17 after the jump.
         assert self.successors(heater, "heat", {"x": 16.5}) == []
+
+    def test_admissible_checks_the_location_invariant(self, heater):
+        assert heater.admissible("idle", {"x": 17.0})
+        assert not heater.admissible("idle", {"x": 16.5})
+        assert heater.admissible("heat", {"x": 23.0})
+        assert not heater.admissible("heat", {"x": 23.5})
 
 
 class TestCompose:
