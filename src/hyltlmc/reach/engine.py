@@ -7,8 +7,17 @@ keep unions of tubes, and a box inside a start box already flowed at its
 location is dropped: the tube and pushes of that start box cover every
 state it holds. A tube is no such bound, since a flow that leaves the
 invariant only covers the states its own start box reaches.
-Locations visited more than widen_after times widen incoming boxes to
-the invariant bounds on every growing axis, which forces termination.
+
+Widening. Past widen_after visits to a location, a popped box that is
+not skipped is joined with H, the hull of the location's start boxes,
+and every axis on which it exceeds H goes to the location's invariant
+bound, infinity where it has none. The first such box becomes a start
+box that holds H, so every later box inside H is skipped, and every
+later one that is flowed exceeds H on some axis. That axis then stays at
+its bound, which no push can exceed, since a pushed box is clipped to
+the target invariant. Each flowed box thus raises one of the 2n bounds
+for good, and a location takes at most 2n + 1 visits past widen_after,
+which forces termination.
 
 Edges that share a jump tuple share their work. On each visit the tube
 is clipped by each distinct guard out of the location and imaged once,
@@ -221,8 +230,11 @@ def reachable(
         p = plans.get(l)
         if p is None:
             p = plans[l] = plan(l)
-        if visits[l] > widen_after and store[l]:
-            z = np.where(z > np.max(store[l], axis=0), p.inv.u, z)
+        if visits[l] > widen_after:
+            # Join with the hull of the start boxes, and widen where the
+            # box exceeds it (module docstring).
+            hull = np.max(starts[l], axis=0)
+            z = np.where(z > hull, p.inv.u, hull)
         starts[l] = np.vstack((starts[l], z))
 
         tube_lo, tube_hi, _end_lo, _end_hi, status = flow_tube(

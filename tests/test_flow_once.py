@@ -1,20 +1,21 @@
 """Each distinct flow runs once per field, on the axes that move.
 
 The kernel flows only the axes of a field that are not decoupled
-constants, and a Discretization remembers every flow it has made. Both
-must leave the results as they were: the frozen kernel of
-`reference_pipeline`, which flowed every axis and kept nothing, gives
-the same four arrays, bit for bit, and the same status, on the whole
-field when no flowed sum has two nonzero terms, and on the flowed block
-otherwise. The engine still calls flow_tube once per visit, but runs
-the kernel's flow only once per distinct start box and invariant of a
-field.
+constants, and a Discretization remembers every flow it has made and
+the operands of its first chunks. None of it may change the results:
+the frozen kernel of `reference_pipeline`, which flowed every axis and
+kept nothing, gives the same four arrays, bit for bit, and the same
+status, on the whole field when no flowed sum has two nonzero terms,
+and on the flowed block otherwise. The engine still calls flow_tube
+once per visit, but runs the kernel's flow only once per distinct
+start box and invariant of a field.
 """
 
 from __future__ import annotations
 
 import copy
 import operator
+import tracemalloc
 import warnings
 from importlib.resources import files
 from pathlib import Path
@@ -181,6 +182,63 @@ class TestFrozenKernel:
         # der(p) = 0, der(x) = p - x: p feeds x, so both are flowed.
         disc = Discretization([[0.0, 0.0], [1.0, -1.0]], [0.0, 0.0], 0.01)
         assert disc.n == 2 and disc.fixed.size == 0
+
+
+# (args, start boxes flowed first on the same field, status): heat
+# der(x) = 30 - 0.2 x crosses x = 23 in its 83rd chunk, and the rotation
+# probe of the benchmark runs to its budget of 79 chunks; both run past
+# the chunks a Discretization keeps.
+LONG_FLOWS = {
+    "heat": (
+        ([17.0], [17.5], [[-0.2]], [30.0], 1e-5, 100000, [-np.inf], [23.0]),
+        [([17.5], [18.0]), ([16.0], [16.2])],
+        kernels.FLOW_DONE,
+    ),
+    "rotation": (
+        ([0.9, -0.1], [1.1, 0.1], [[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.0],
+         0.005, 20000, [-np.inf] * 2, [np.inf] * 2),
+        [([1.0, 0.0], [1.2, 0.1])],
+        kernels.FLOW_BUDGET,
+    ),
+}
+
+
+class TestLongFlows:
+    """Flows of many chunks, and chunk operands shared between flows."""
+
+    @pytest.mark.parametrize("name", LONG_FLOWS)
+    def test_fresh_and_after_other_flows_bit_for_bit(self, name):
+        args, others, status = LONG_FLOWS[name]
+        lo, hi, A, b, h, n_steps, inv_lo, inv_hi = args
+        old = frozen_flow_tube(*args)
+        assert old[4] == status
+        assert_same(flow_tube(*args), old)
+        disc = Discretization(A, b, h)
+        for other_lo, other_hi in others:
+            flow_tube(other_lo, other_hi, A, b, h, n_steps, inv_lo, inv_hi, disc=disc)
+        assert len(disc._chunks) == kernels._KEPT_CHUNKS
+        assert_same(flow_tube(*args, disc=disc), old)
+
+    def test_chunk_operands_stay_within_their_bound(self):
+        # A budget flow of 10^6 steps, 3907 chunks, on a 2-axis field
+        # grows its Discretization by the documented bound (module
+        # docstring of reach.kernels), with a tenth more for the array
+        # headers and the remembered flow, and by more than the kept
+        # chunks alone. Keeping every chunk would take 80 MB.
+        n = 2
+        chunk = kernels._CHUNK * (2 * n * n + n) * 8
+        (lo, hi, A, b, h, _, inv_lo, inv_hi), *_ = LONG_FLOWS["rotation"]
+        tracemalloc.start()
+        try:
+            disc = Discretization(A, b, h)
+            before = tracemalloc.get_traced_memory()[0]
+            *_, status = flow_tube(lo, hi, A, b, h, 10**6, inv_lo, inv_hi, disc=disc)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert status == kernels.FLOW_BUDGET
+        kept = kernels._KEPT_CHUNKS
+        assert kept * chunk < grown < 1.1 * (kept + 2) * chunk
 
 
 def thermostat():

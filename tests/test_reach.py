@@ -1,6 +1,7 @@
 """Box reachability: rows, affine views, flow kernels, worklist engine."""
 
 import itertools
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -848,3 +849,13 @@ class TestEngine:
         assert r.complete
         lo, hi = r.hull()["x"]
         assert lo == 0.0 and hi == 8.0
+
+    def test_tanks_against_false_completes_in_few_boxes(self):
+        # Contracting resets push an endless chain of boxes inside the
+        # hull of the stored tubes but inside no start box; joining each
+        # with the hull of the start boxes ends the chain.
+        root = Path(__file__).resolve().parents[1]
+        tanks = parse_model((root / "perfbench/models/tanks.hyha").read_text())
+        decls = Declarations(variables=tanks.variables, actions=tanks.actions)
+        verdict = check(tanks, parse_formula("false", decls))
+        assert verdict.complete and verdict.stats["boxes"] < 100

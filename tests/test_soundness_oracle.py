@@ -130,7 +130,7 @@ def positive_nnf(rng: random.Random, names, size: int) -> str:
 
 def test_verified_random_automata_admit_no_violating_run():
     rng = random.Random(20131)
-    cases = verified = drawn = undrawn = 0
+    cases = verified = drawn = undrawn = budget = 0
     points = {1: 0, 2: 0}
     violations: list[str] = []
     outside: dict[int, list[str]] = {1: [], 2: []}
@@ -175,6 +175,7 @@ def test_verified_random_automata_admit_no_violating_run():
                 # psi has no negated flow atom, so none is rewritten.
                 warnings.simplefilter("error", ComplementStrengtheningWarning)
                 verdict = check(h, phi, **SETTINGS)
+            budget += "visit budget" in (verdict.stats["reach_incomplete"] or "")
             if not verdict.verified:
                 continue
             verified += 1
@@ -183,7 +184,8 @@ def test_verified_random_automata_admit_no_violating_run():
                     violations.append(f"{phi} on\n{text}")
     REPORT_LINES.append(
         f"{cases} random cases, {verified} Verified, {drawn} traces drawn, "
-        f"{undrawn} could not be drawn, {len(violations)} violations"
+        f"{undrawn} could not be drawn, {len(violations)} violations, "
+        f"{budget} stopped on the visit budget"
     )
     for n in (1, 2):
         REPORT_LINES.append(
@@ -191,6 +193,8 @@ def test_verified_random_automata_admit_no_violating_run():
             f"{len(outside[n])} outside the reach boxes"
         )
     assert not violations, violations[:3]
+    # Widening bounds the visits of every location (reach.engine).
+    assert budget == 0
     assert not outside[1], outside[1][:3]
     assert not outside[2], outside[2][:3]
     # The oracle must have something to judge.
