@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from functools import cache, partial
+from itertools import product
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ..errors import ModelError
@@ -90,9 +91,11 @@ class HybridAutomaton:
                     raise ModelError(
                         f"flow constraint '{c}' of {l!r} uses undeclared {sorted(bad)}"
                     )
+        # Initial locations are declared, so an undeclared one fails too.
+        initial = set(self.init)
         for l, cs in self.init_region.items():
-            if l not in locset:
-                raise ModelError(f"init region for unknown location {l!r}")
+            if l not in initial:
+                raise ModelError(f"init region for {l!r}, which is not initial")
             for c in cs:
                 if c.mentions_dot:
                     raise ModelError(
@@ -192,82 +195,74 @@ def compose(h1: HybridAutomaton, h2: HybridAutomaton) -> HybridAutomaton:
     projections, first automaton's sets first.
 
     Only the location pairs reachable from an initial pair are built, so
-    no run of the product is lost. They keep the order of the full cross
-    product, first automaton's location first, and the edges keep the
-    order (action, edge of h1, edge of h2) of the full edge product.
+    no run of the product is lost: a forward search finds them, then one
+    loop over the full edge product, in the order (action, edge of h1,
+    edge of h2), keeps the edges out of them. That loop visits, summed
+    over actions, the product of the two components' move counts, a
+    stutter counting as a move. Locations keep the full cross product's
+    order, first automaton's location first. Only initial pairs get an
+    init region.
     """
     variables = _dedup(h1.variables + h2.variables)
     actions = _dedup(h1.actions + h2.actions)
-    L1, L2 = h1.locations, h2.locations
 
     def moves(h: HybridAutomaton, private: set):
-        """Per action and source index: (rank, target index, jumps).
-
-        The rank is the move's place in the full product's order: the
-        edge's among h's edges with that action, or, for a stutter on an
-        action h does not own, the location's index.
-        """
-        idx = {l: i for i, l in enumerate(h.locations)}
+        """Per action, h's moves (source, target, jumps) in the full
+        product's order: its edges with the action, or, for an action h
+        does not own, a stutter at each location."""
         frozen = _freeze_jumps(private)
-        table = []
-        for a in actions:
-            out: list[list] = [[] for _ in h.locations]
-            if a in h.actions:
-                rank = 0
-                for t in h.transitions:
-                    if t.action == a:
-                        out[idx[t.source]].append((rank, idx[t.target], t.jumps))
-                        rank += 1
-            else:
-                for i in range(len(out)):
-                    out[i].append((i, i, frozen))
-            table.append(out)
-        return table, idx
+        return {
+            a: [(t.source, t.target, t.jumps) for t in h.transitions if t.action == a]
+            if a in h.actions
+            else [(l, l, frozen) for l in h.locations]
+            for a in actions
+        }
 
-    moves1, idx1 = moves(h1, set(h1.variables) - set(h2.variables))
-    moves2, idx2 = moves(h2, set(h2.variables) - set(h1.variables))
+    def step(h: HybridAutomaton, l: Loc, a: str) -> list:
+        """The targets of h's moves out of l with the action."""
+        return [t.target for t in h.transitions_from(l, a)] if a in h.actions else [l]
 
-    init_pairs = [(idx1[l1], idx2[l2]) for l1 in h1.init for l2 in h2.init]
-    seen = set(init_pairs)
-    stack = list(seen)
-    edges = []
+    moves1 = moves(h1, set(h1.variables) - set(h2.variables))
+    moves2 = moves(h2, set(h2.variables) - set(h1.variables))
+
+    init = tuple((l1, l2) for l1 in h1.init for l2 in h2.init)
+    # Each reached pair maps to the one tuple the product uses for it, so
+    # that lookups of a location by its users find it by identity.
+    reached = {p: p for p in init}
+    stack = list(reached)
     while stack:
-        s1, s2 = stack.pop()
-        for k in range(len(actions)):
-            out2 = moves2[k][s2]
-            if not out2:
-                continue
-            for r1, t1, j1 in moves1[k][s1]:
-                for r2, t2, j2 in out2:
-                    edges.append((k, r1, r2, s1, s2, t1, t2, j1, j2))
-                    if (t1, t2) not in seen:
-                        seen.add((t1, t2))
-                        stack.append((t1, t2))
-    # (action, rank in h1, rank in h2) is unique per edge, so sorting
-    # never compares further fields.
-    edges.sort()
+        l1, l2 = stack.pop()
+        for a in actions:
+            for t1 in step(h1, l1, a):
+                for t2 in step(h2, l2, a):
+                    p = (t1, t2)
+                    if p not in reached:
+                        reached[p] = p
+                        stack.append(p)
 
-    pair = {(i1, i2): (L1[i1], L2[i2]) for i1, i2 in sorted(seen)}
-    locations = tuple(pair.values())
+    locations = tuple(
+        reached[p] for p in product(h1.locations, h2.locations) if p in reached
+    )
     # Components share their jump tuples across edges; merge each
     # combination once.
     merged: dict[tuple[int, int], tuple[JumpConstraint, ...]] = {}
     transitions = []
-    for k, _, _, s1, s2, t1, t2, j1, j2 in edges:
-        jumps = merged.get((id(j1), id(j2)))
-        if jumps is None:
-            jumps = merged[id(j1), id(j2)] = _dedup(j1 + j2)
-        transitions.append(Transition(pair[s1, s2], actions[k], pair[t1, t2], jumps))
+    for a in actions:
+        for s1, t1, j1 in moves1[a]:
+            for s2, t2, j2 in moves2[a]:
+                source = reached.get((s1, s2))
+                if source is not None:
+                    jumps = merged.get((id(j1), id(j2)))
+                    if jumps is None:
+                        jumps = merged[id(j1), id(j2)] = _dedup(j1 + j2)
+                    transitions.append(Transition(source, a, reached[t1, t2], jumps))
 
     dyn = {p: _dedup(h1.dyn[p[0]] + h2.dyn[p[1]]) for p in locations}
-    init = tuple(pair[ij] for ij in init_pairs)
-
-    init_region = {}
-    for l1, l2 in locations:
-        r1 = h1.init_region.get(l1)
-        r2 = h2.init_region.get(l2)
-        if r1 is not None or r2 is not None:
-            init_region[(l1, l2)] = _dedup(tuple(r1 or ()) + tuple(r2 or ()))
+    init_region = {
+        p: _dedup(h1.init_region.get(p[0], ()) + h2.init_region.get(p[1], ()))
+        for p in init
+        if p[0] in h1.init_region or p[1] in h2.init_region
+    }
 
     acceptance = [
         frozenset(p for p in locations if p[0] in s) for s in h1.acceptance
@@ -378,8 +373,6 @@ def live_nodes(
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
-    # Whether an edge out of the node enters a completed live component.
-    exits_live = [False] * n
     live: set[int] = set()
     stack: list[int] = []
     counter = 0
@@ -401,11 +394,8 @@ def live_nodes(
                     on_stack[w] = True
                     work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-                elif w in live:
-                    exits_live[v] = True
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
             else:
                 work.pop()
                 if low[v] == index[v]:
@@ -420,16 +410,12 @@ def live_nodes(
                     for w in comp:
                         bits |= accept[w]
                     if (bits == full and (len(comp) > 1 or v in succ[v])) or any(
-                        exits_live[w] for w in comp
+                        w in live for u in comp for w in succ[u]
                     ):
                         live.update(comp)
-                if work:
-                    u = work[-1][0]
-                    if on_stack[v]:
-                        if low[v] < low[u]:
-                            low[u] = low[v]
-                    elif v in live:
-                        exits_live[u] = True
+                # A completed child has low == index > low of its parent.
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
     return live
 
 

@@ -23,8 +23,9 @@ Location blocks list flow constraints (derivative equations and state
 invariants alike), edge blocks list jump constraints (guards on current
 values, primed equations for post-jump values), and each final block gives
 one acceptance set, in order. A bare init block constrains the starting
-valuation in every initial location; init followed by a location name
-constrains that location only.
+valuation in every initial location, so a model with one must have an
+initial location; init followed by a location name constrains that
+location only, which must be initial. Either mistake is a ModelError.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from ..errors import ParseError
+from ..errors import ModelError, ParseError
 from ..formula.parser import Declarations, Token, _Parser, tokenize
 from .automaton import HybridAutomaton, Transition
 from .constraints import FlowConstraint
@@ -127,6 +128,8 @@ class _ModelParser(_Parser):
                     f"expected one of {', '.join(_ITEM_KEYWORDS)}, found '{kw}'",
                     kw_tok.line, kw_tok.column)
 
+        if self.global_region and not self.init:
+            raise ModelError("init block, but no initial location")
         region = {l: tuple(cs) for l, cs in self.init_region.items()}
         if self.global_region:
             for l in self.init:

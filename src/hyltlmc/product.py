@@ -36,7 +36,10 @@ The question is reduced to a reachability query in three steps:
 
 Interval box reachability over-approximates, so a query hit only means
 the property could not be confirmed: verdicts are Verified or
-Inconclusive, never Falsified.
+Inconclusive, never Falsified. A Verified verdict is vacuous when the
+system has no infinite run at all (live_locations finds none of its
+locations), and then says so: a run that dwells in a location for ever
+is not a trace.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .hybrid.constraints import FlowConstraint, JumpConstraint, Relation
 from .hybrid.expr import Const, DotVar, PrimedVar, Sub, Var
 from .reach.boxes import _box, bounds, clip, compile_rows, is_empty
 from .reach.engine import ReachResult, check_reach_settings, reachable
-from .tableau import build_formula_automaton, prune_unreachable
+from .tableau import build_formula_automaton, live_locations, prune_unreachable
 
 
 def degeneralize(h: HybridAutomaton) -> HybridAutomaton:
@@ -114,9 +117,7 @@ def degeneralize(h: HybridAutomaton) -> HybridAutomaton:
                 )
     dyn = {(l, i): h.dyn[l] for l, i in locations}
     init = tuple((l, 0) for l in h.init)
-    init_region = {
-        (l, 0): r for l, r in h.init_region.items() if reached[idx[l]] & 1
-    }
+    init_region = {(l, 0): r for l, r in h.init_region.items()}
     acceptance = (
         frozenset(
             (l, 0)
@@ -182,9 +183,6 @@ def instrument(h: HybridAutomaton) -> tuple[
 
     aux_init = tuple(FlowConstraint(Var(n), Relation.EQ, zero) for n in aux)
     init_region = {l: h.init_region.get(l, ()) + aux_init for l in h.init}
-    for l, r in h.init_region.items():
-        if l not in init_region:
-            init_region[l] = r
 
     order = [l for l in h.locations if l in finals]
     targets = tuple(QueryTarget(l, i + 1) for i, l in enumerate(order))
@@ -330,8 +328,10 @@ def check(
     ConfigError, before any stage runs, on settings that
     reach.engine.check_reach_settings rejects or an eps that is not
     finite and nonnegative. stats holds the observer and product sizes,
-    the observer's consistent sets and searched class nodes, and
-    stats["timings"] the wall seconds of each stage, observer to query.
+    the observer's consistent sets and searched class nodes,
+    stats["timings"] the wall seconds of each stage, observer to query,
+    and stats["vacuous"] whether the verdict is Verified because the
+    system has no infinite run at all.
     """
     check_reach_settings(horizon, step, widen_after, max_visits)
     check_settings(nonnegative=[("eps", eps)])
@@ -371,6 +371,7 @@ def check(
         "reach_complete": reach.complete,
         "reach_incomplete": reach.incompleteness(),
         "aux": {"f": f_name, "y": y_names, "witness": w_names},
+        "vacuous": False,
         "timings": timings,
     }
     if hits:
@@ -381,7 +382,18 @@ def check(
         reason = f"reachability exploration {reach.incompleteness()}"
     elif not inst.locations:
         status = "Verified"
-        reason = "no path from an initial location reaches an accepting cycle of the product"
+        # A kept product location lies on a path to an accepting cycle of
+        # the product; the observer moves on the system's actions, so the
+        # path's system part runs through live system locations. Only an
+        # empty product can therefore be vacuous.
+        stats["vacuous"] = not live_locations(system)
+        if stats["vacuous"]:
+            reason = (
+                "vacuous: the system has no infinite run, since no initial "
+                "location reaches an accepting cycle of its location graph"
+            )
+        else:
+            reason = "no path from an initial location reaches an accepting cycle of the product"
     else:
         status = "Verified"
         reason = "no reachable state closes the recurrence at any final location"

@@ -79,7 +79,7 @@ def location_dynamics(h: HybridAutomaton, loc: Loc) -> LocationDynamics:
             got = _affine_state_row(expr_side, idx)
             if got is None:
                 raise UnsupportedDynamicsError(
-                    f"{loc!r}: der({dot_side.name}) = {c} is not affine"
+                    f"{loc!r}: '{c}' is not affine"
                 )
             if dot_side.name in defined:
                 raise UnsupportedDynamicsError(

@@ -250,25 +250,14 @@ def _live_sets(
     return live, len(quotient)
 
 
-def prune_unreachable(h: HybridAutomaton) -> HybridAutomaton:
-    """Restrict to locations on a graph path from an initial location to a
-    cycle meeting every acceptance set (see live_nodes), leaving out every
-    location whose invariant the reach engine's clip proves empty
-    (reach.boxes.satisfiable): the clip, compiled from the same rows as
-    the engine's, of the full box is empty.
-
-    Every accepting run of the automaton survives pruning. A run samples
-    each location it visits at a state meeting the location's invariant,
-    so it never visits a location with an empty one, and every location
-    of an accepting run lies on such a path. Unless its visit budget runs
-    out first, the reach engine finds the same boxes, visits and hits at
-    every kept location as without the emptiness rule. A clip is
-    monotone, and the engine's invariant clip is the one that emptied
-    the full box, so it rejects every initial and pushed box at an empty
-    location. A dropped location it can still reach has no
-    path into a kept one that avoids the empty ones, so no box stored
-    there flows into a kept location. The language of `WordAutomaton`,
-    which ignores the continuous part, may shrink.
+def live_locations(h: HybridAutomaton) -> set:
+    """The locations on a graph path from an initial location to a cycle
+    meeting every acceptance set (see live_nodes), a location whose
+    invariant the reach engine's clip proves empty
+    (reach.boxes.satisfiable) having no out-edges: the clip, compiled from
+    the same rows as the engine's, of the full box is empty. Every
+    location of an accepting run is one of them (prune_unreachable), so
+    an empty result proves that h has no accepting run at all.
     """
     locs = h.locations
     idx = {l: i for i, l in enumerate(locs)}
@@ -293,8 +282,27 @@ def prune_unreachable(h: HybridAutomaton) -> HybridAutomaton:
         (idx[l] for l in h.init),
         [[idx[l] for l in F] for F in h.acceptance],
     )
-    kept_locs = tuple(l for l in locs if idx[l] in live)
-    kept_set = set(kept_locs)
+    return {locs[i] for i in live}
+
+
+def prune_unreachable(h: HybridAutomaton) -> HybridAutomaton:
+    """Restrict to the live locations (live_locations).
+
+    Every accepting run of the automaton survives pruning. A run samples
+    each location it visits at a state meeting the location's invariant,
+    so it never visits a location with an empty one, and every location
+    of an accepting run lies on such a path. Unless its visit budget runs
+    out first, the reach engine finds the same boxes, visits and hits at
+    every kept location as without the emptiness rule. A clip is
+    monotone, and the engine's invariant clip is the one that emptied
+    the full box, so it rejects every initial and pushed box at an empty
+    location. A dropped location it can still reach has no
+    path into a kept one that avoids the empty ones, so no box stored
+    there flows into a kept location. The language of `WordAutomaton`,
+    which ignores the continuous part, may shrink.
+    """
+    kept_set = live_locations(h)
+    kept_locs = tuple(l for l in h.locations if l in kept_set)
     return HybridAutomaton(
         variables=h.variables,
         actions=h.actions,

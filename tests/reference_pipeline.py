@@ -627,8 +627,9 @@ def eager_compose(h1: HybridAutomaton, h2: HybridAutomaton) -> HybridAutomaton:
     }
     init = tuple((l1, l2) for l1 in h1.init for l2 in h2.init)
 
+    # An init region belongs to an initial location.
     init_region = {}
-    for l1, l2 in locations:
+    for l1, l2 in init:
         r1 = h1.init_region.get(l1)
         r2 = h2.init_region.get(l2)
         if r1 is not None or r2 is not None:
@@ -792,7 +793,8 @@ def eager_reachable(
     max_visits: int = 4000,
 ) -> ReachResult:
     """The reach loop with every location's dynamics built up front; a
-    popped box is skipped inside a start box already flowed there."""
+    popped box is skipped inside a start box already flowed there, and
+    past widen_after visits is widened against the start boxes' hull."""
     names = h.variables
     n = len(names)
     n_steps = max(1, math.ceil(horizon / step))
@@ -834,13 +836,15 @@ def eager_reachable(
             break
         visits[l] += 1
         d_l = dyn[l]
-        if visits[l] > widen_after and store[l]:
+        if visits[l] > widen_after:
+            # Join with the hull of the start boxes, and widen where the
+            # box exceeds it.
             w_lo = np.full(n, np.inf)
             w_hi = np.full(n, -np.inf)
-            for s_lo, s_hi in store[l]:
+            for s_lo, s_hi in starts[l]:
                 w_lo, w_hi = hull(w_lo, w_hi, s_lo, s_hi)
-            lo = np.where(lo < w_lo, d_l.inv_lo, lo)
-            hi = np.where(hi > w_hi, d_l.inv_hi, hi)
+            lo = np.where(lo < w_lo, d_l.inv_lo, w_lo)
+            hi = np.where(hi > w_hi, d_l.inv_hi, w_hi)
         starts[l].append((lo, hi))
 
         tube_lo, tube_hi, _end_lo, _end_hi, status = flow_tube(

@@ -19,6 +19,7 @@ from hyltlmc.phaver import embedded_model
 from hyltlmc.tableau import build_formula_automaton, prune_unreachable
 
 from conftest import heater_model
+from test_product import DWELLS_IN_B
 from test_reach import UNDEFINED_RESET
 
 LASSO_CSV = """t,x
@@ -229,7 +230,10 @@ class TestCheckCommand:
         )
         locations = int(line.split()[1])
         assert locations > 0
-        assert len(embedded_model(target.read_text()).locations) == locations
+        back = embedded_model(target.read_text())
+        assert len(back.locations) == locations
+        # Only the initial locations carry an init region.
+        assert set(back.init_region) == set(back.init)
 
     def test_graph_only_verdict_exports_an_empty_product(
         self, thermostat_path, tmp_path, capsys
@@ -320,6 +324,41 @@ class TestExportCommand:
         assert main(["export", "--model", heater_path,
                      "-o", str(target)]) == 0
         assert target.read_text().startswith("automaton model")
+
+
+class TestNoTrace:
+    """A model whose init block cannot be read exits 1 with E_MODEL, and a
+    system with no infinite run says that its Verified is vacuous."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("location l { der(x) = 1; }\ninit { x >= 0; x <= 1; }\n",
+             "init block, but no initial location"),
+            ("location l { der(x) = 1; }\nlocation b { der(x) = 1; }\n"
+             "initial l;\ninit b { x >= 0; x <= 1; }\n",
+             "init region for 'b', which is not initial"),
+        ],
+        ids=["bare-init", "not-initial"],
+    )
+    def test_init_rules_exit_one_with_e_model(self, tmp_path, capsys, text, message):
+        path = tmp_path / "m.hyha"
+        path.write_text("vars x;\nactions a;\n" + text)
+        args = ["check", "--model", str(path), "--formula", "false"]
+        assert main(["--machine", *args]) == 1
+        fields = machine_fields(capsys.readouterr().out)
+        assert fields["error"] == "E_MODEL" and fields["message"] == message
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("formula", ["false", "G(x <= 0.7)", "G !go"])
+    def test_dwelling_for_ever_is_a_vacuous_verified(self, tmp_path, capsys, formula):
+        path = tmp_path / "dwell.hyha"
+        path.write_text(DWELLS_IN_B)
+        assert main(["--machine", "check", "--model", str(path), "--formula", formula]) == 0
+        fields = machine_fields(capsys.readouterr().out)
+        assert fields["status"] == "Verified"
+        assert fields["reason"].startswith("vacuous: the system has no infinite run")
 
 
 class TestUndecodableInput:

@@ -357,6 +357,15 @@ class TestFirstValidationError:
         assert str(err.value) == "6:24: unknown identifier 'z'"
 
 
+# Halving resets give an endless chain of boxes that only widening ends.
+GEOMETRIC_SHRINK = (
+    "vars x; actions a;\n"
+    "location p { der(x) = 0; x >= 0; x <= 8; }\n"
+    "edge p -a-> p { x' = 0.5 * x; }\n"
+    "initial p;\ninit { x >= 4; x <= 8; }"
+)
+
+
 def shared_jump_product() -> HybridAutomaton:
     """Edges out of `a` that share one jump tuple and enter targets with
     different invariants: b keeps the whole image, c cuts it, d empties
@@ -446,6 +455,28 @@ class TestEdgeWorkPerJumpTuple:
             ]
         # Both tuples reached b: shift keeps y = 0 from the start, reset sets y = 1.
         assert {hi[1] for _, hi in got.boxes["b"]} == {0.0, 1.0}
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: parse_model(GEOMETRIC_SHRINK),
+            lambda: product_of(load_model(ROOT / "perfbench/models/tanks.hyha"), "false"),
+        ],
+        ids=["geometric-shrink", "tanks-false"],
+    )
+    def test_widening_matches_the_per_edge_loop(self, build):
+        # Both loops join a box past widen_after visits with the hull of
+        # the start boxes and widen it where it exceeds that hull.
+        h = build()
+        got = reachable(h)
+        ref = eager_reachable(h)
+        assert got.complete and ref.complete
+        assert got.visits == ref.visits
+        assert max(got.visits.values()) > 16  # widen_after
+        for l in h.locations:
+            assert [(lo.tobytes(), hi.tobytes()) for lo, hi in got.boxes[l]] == [
+                (lo.tobytes(), hi.tobytes()) for lo, hi in ref.boxes[l]
+            ]
 
     @pytest.mark.parametrize(
         "build", [shared_jump_product, lambda: product_of(thermostat(), THREE_CONJUNCTS)]

@@ -244,6 +244,20 @@ class TestAutomaton:
                 init_region={"l": (rate,)},
             )
 
+    @pytest.mark.parametrize("other", ["m", "undeclared"])
+    def test_init_region_needs_an_initial_location(self, other):
+        low = FlowConstraint(Var("x"), Relation.GE, Const(0.0))
+        with pytest.raises(ModelError, match=f"'{other}', which is not initial"):
+            HybridAutomaton(
+                variables=("x",),
+                actions=("a",),
+                locations=("l", "m"),
+                transitions=(),
+                dyn={},
+                init=("l",),
+                init_region={"l": (low,), other: (low,)},
+            )
+
     def test_transition_is_immutable_and_compares_by_fields(self):
         t = Transition("a", "go", "b")
         assert t.jumps == ()
@@ -341,6 +355,12 @@ class TestCompose:
         dyn = prod.dyn[("idle", "obs")]
         assert len(dyn) == 3  # heater's two plus observer's der(z) = 0
         assert prod.acceptance == (frozenset(prod.locations),)
+
+    def test_init_regions_only_at_initial_pairs(self, heater):
+        prod = compose(heater, heater)
+        assert prod.init == (("idle", "idle"),)
+        assert ("heat", "heat") in prod.locations
+        assert prod.init_region == {("idle", "idle"): heater.init_region["idle"]}
 
     def test_compose_associative_up_to_renesting(self, heater):
         obs = self.make_observer()

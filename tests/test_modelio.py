@@ -2,7 +2,7 @@
 
 import pytest
 
-from hyltlmc.errors import ParseError
+from hyltlmc.errors import ModelError, ParseError
 from hyltlmc.hybrid import HybridAutomaton, compose
 from hyltlmc.hybrid.modelio import (
     bundled_model,
@@ -64,6 +64,23 @@ class TestParse:
     def test_derivative_rejected_in_init_region(self):
         with pytest.raises(ParseError, match="derivative not allowed"):
             parse_model(MINIMAL + "init { der(x) = 1; }\n")
+
+    def test_bare_init_needs_an_initial_location(self):
+        text = "vars x;\nactions a;\nlocation l { der(x) = 1; }\n"
+        with pytest.raises(ModelError, match="no initial location") as e:
+            parse_model(text + "init { x >= 0; x <= 1; }\n")
+        assert e.value.code == "E_MODEL"
+        h = parse_model(text + "initial l;\ninit { x >= 0; x <= 1; }\n")
+        assert list(h.init_region) == ["l"]
+
+    def test_init_region_on_a_location_that_is_not_initial(self):
+        text = (
+            "vars x;\nactions a;\nlocation a { der(x) = 1; }\nlocation b { der(x) = 1; }\n"
+            "initial a;\ninit b { x >= 0; x <= 1; }\n"
+        )
+        with pytest.raises(ModelError, match="'b', which is not initial") as e:
+            parse_model(text)
+        assert e.value.code == "E_MODEL"
 
     def test_comments_and_blank_lines_ignored(self):
         h = parse_model("# header\n\nvars x;  # trailing\nactions a;\n"

@@ -107,7 +107,8 @@ class TestHandBuiltLasso:
         [
             ((("idle",), ("heat",)), {}),
             ((("idle",), ("heat", "cool")), {}),
-            ((("idle",), ("heat", "idle")), {"init": ("heat",)}),
+            # idle's init region goes with its initial mark.
+            ((("idle",), ("heat", "idle")), {"init": ("heat",), "init_region": {}}),
             ((("idle",), ("heat", "idle")), {"init_region": {"idle": ("x >= 20.5",)}}),
         ],
         ids=["wrong-length", "unknown-location", "not-initial", "outside-init"],
@@ -116,7 +117,7 @@ class TestHandBuiltLasso:
         # Only the change named by the id separates each case from the
         # run test_is_a_run_of_the_heater accepts.
         if "init_region" in changes:
-            changes = {"init_region": {
+            changes = {**changes, "init_region": {
                 l: tuple(map(phi_constraint, texts))
                 for l, texts in changes["init_region"].items()
             }}

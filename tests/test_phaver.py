@@ -156,3 +156,24 @@ class TestRejections:
         )
         with pytest.raises(ExportError, match="not affine"):
             export_phaver(h)
+
+
+# Affine, though it divides, negates and calls: each call has a constant
+# argument.
+ARITHMETIC = """
+vars x;
+actions a;
+location l { der(x) = x / 2 + 1; -x <= 3; x <= exp(0) + 5; }
+edge l -a-> l { x <= sin(0) + cos(0); x' = -x + exp(0); }
+initial l;
+init { x >= 0; x <= 1; }
+"""
+
+
+def test_arithmetic_and_calls_round_trip():
+    h = parse_model(ARITHMETIC)
+    assert parse_model(model_to_str(h)) == h
+    text = export_phaver(h, name="calls")
+    assert "loc l: while -x <= 3 & x <= exp(0) + 5 wait {x' == x / 2 + 1};" in text
+    assert "  when x <= sin(0) + cos(0) sync a do {x' == -x + exp(0)} goto l;" in text
+    assert embedded_model(text) == h

@@ -23,7 +23,7 @@ from hyltlmc.hybrid.discrete import accepts_lasso_word
 from hyltlmc.hybrid.modelio import load_model, parse_model
 from hyltlmc.monitor import evaluate_trace, evaluate_word, random_trace
 from hyltlmc.product import check, degeneralize, instrument
-from hyltlmc.tableau import build_formula_automaton, prune_unreachable
+from hyltlmc.tableau import build_formula_automaton, live_locations, prune_unreachable
 
 from conftest import BOOL_ATOMS, heater_model, loop_system, random_formula
 from reference_pipeline import full_degeneralize
@@ -272,6 +272,102 @@ class TestCheck:
         v = check(heater_model(), phi("true"))
         text = str(v)
         assert text.startswith("Verified: ") and "\n" not in text
+
+
+# Every run takes go at x = 1 and then dwells in b for ever.
+DWELLS_IN_B = """
+vars x;
+actions go, back;
+location a { der(x) = 1; x <= 1; }
+location b { der(x) = 1; }
+edge a -go-> b { x >= 1; x' = x; }
+initial a;
+init { x >= 0; x <= 0.5; }
+"""
+
+
+def checked(model: str, text: str):
+    h = parse_model(model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return check(h, parse_formula(text, Declarations(h.variables, h.actions)))
+
+
+class TestVacuity:
+    """A Verified verdict says when the system has no infinite run, so no
+    trace at all: a run that dwells in a location for ever is not one."""
+
+    @pytest.mark.parametrize("text", ["false", "G(x <= 0.7)", "G !go"])
+    def test_dwelling_for_ever_is_no_trace(self, text):
+        v = checked(DWELLS_IN_B, text)
+        assert v.verified and v.stats["vacuous"] is True
+        assert v.reason.startswith("vacuous: the system has no infinite run")
+
+    def test_a_cycle_gives_runs(self):
+        looped = DWELLS_IN_B + "edge b -back-> a { x' = 0; }\n"
+        assert live_locations(parse_model(looped))
+        v = checked(looped, "true")
+        assert v.verified and v.stats["vacuous"] is False
+        assert not v.reason.startswith("vacuous")
+        v = checked(looped, "G !go")
+        assert v.status == "Inconclusive" and v.stats["vacuous"] is False
+
+    def test_an_empty_invariant_breaks_the_cycle(self):
+        empty = DWELLS_IN_B.replace("location b { der(x) = 1; }",
+                                    "location b { der(x) = 1; x >= 2; x <= 1; }")
+        assert not live_locations(parse_model(empty + "edge b -back-> a { x' = 0; }\n"))
+
+    def test_the_cycle_must_meet_every_acceptance_set(self):
+        # a loops, but only b is accepting, and b lies on no cycle.
+        model = DWELLS_IN_B + "edge a -back-> a { x' = 0; }\n"
+        assert live_locations(parse_model(model))
+        assert not live_locations(parse_model(model + "final { b }\n"))
+
+    def test_no_initial_location_is_vacuous(self):
+        v = checked("vars x;\nactions a;\nlocation l { der(x) = 0; }\n"
+                    "edge l -a-> l { x' = x; }\n", "false")
+        assert v.verified and v.stats["vacuous"] is True
+
+    def test_only_an_empty_product_can_be_vacuous(self):
+        # check() asks live_locations of the system only when the pruned
+        # product is empty: a kept location lies on a path to an accepting
+        # cycle whose system part runs through live system locations.
+        # Random models with some edges dropped.
+        from test_soundness_oracle import positive_nnf, random_model
+
+        rng = random.Random(2208)
+        kept = dropped = 0
+        for _ in range(60):
+            lines = random_model(rng).splitlines()
+            text = "\n".join(
+                l for l in lines if not (l.startswith("edge") and rng.random() < 0.5)
+            )
+            h = parse_model(text)
+            decls = Declarations(variables=h.variables, actions=h.actions)
+            for _ in range(3):
+                phi = parse_formula(f"!({positive_nnf(rng, h.variables, 4)})", decls)
+                observer = build_formula_automaton(to_nnf(Not(phi)), h.actions, system=h)
+                product = prune_unreachable(compose(h, observer))
+                assert live_locations(h) or not product.locations, text
+                kept += bool(product.locations)
+            dropped += not live_locations(h)
+        assert kept >= 20 and dropped >= 10
+
+    def test_no_benchmark_case_is_vacuous(self, monkeypatch):
+        root = Path(__file__).resolve().parents[1]
+        monkeypatch.syspath_prepend(str(root))
+        from perfbench.cases import MODEL_FILES, WORKLOADS
+
+        cases = [c for w in WORKLOADS.values() for c in w.checks]
+        assert len(cases) == 8
+        for c in cases:
+            h = load_model(root / MODEL_FILES[c.model])
+            assert live_locations(h), c.model
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                f = parse_formula(c.formula, Declarations(h.variables, h.actions))
+                v = check(h, f, step=c.step)
+            assert v.stats["vacuous"] is False, c.label
 
 
 class TestTimings:

@@ -283,8 +283,10 @@ class TestDynamics:
         h = self.model(
             "vars x; actions a;\nlocation p { der(x) = x * x; }\ninitial p;"
         )
-        with pytest.raises(UnsupportedDynamicsError, match="not affine"):
+        with pytest.raises(UnsupportedDynamicsError) as e:
             location_dynamics(h, "p")
+        # The constraint is named once.
+        assert str(e.value) == "'p': 'der(x) = x * x' is not affine"
 
     def test_derivative_inequality_is_rejected(self):
         h = self.model(
@@ -838,7 +840,7 @@ class TestEngine:
 
     def test_geometric_shrink_terminates(self):
         # Halving produces an infinite chain of uncovered boxes; widening
-        # against the store must cut it off at the invariant floor.
+        # against the start boxes must cut it off at the invariant floor.
         h = parse_model(
             "vars x; actions a;\n"
             "location p { der(x) = 0; x >= 0; x <= 8; }\n"
