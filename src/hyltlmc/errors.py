@@ -1,7 +1,7 @@
 """Exception and warning types shared across the package."""
 
 import math
-from numbers import Integral, Real
+from numbers import Real
 
 
 class HyltlError(Exception):
@@ -57,11 +57,10 @@ class ConfigError(HyltlError):
     code = "E_CONFIG"
 
 
-def check_settings(positive=(), nonnegative=(), counts=()) -> None:
+def check_settings(positive=(), nonnegative=()) -> None:
     """Raise ConfigError unless every (name, value) pair of positive holds
-    a finite number > 0, of nonnegative a finite number >= 0 and of counts
-    an integer >= 1. A bool is none of these, and an integer beyond the
-    float range is not finite."""
+    a finite number > 0 and of nonnegative a finite number >= 0. A bool
+    is neither, and an integer beyond the float range is not finite."""
 
     def finite(v) -> bool:
         try:
@@ -75,9 +74,6 @@ def check_settings(positive=(), nonnegative=(), counts=()) -> None:
     for name, v in nonnegative:
         if not (finite(v) and v >= 0):
             raise ConfigError(f"{name} must be a finite number >= 0, got {v!r}")
-    for name, v in counts:
-        if isinstance(v, bool) or not (isinstance(v, Integral) and v >= 1):
-            raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
 
 
 class ComplementStrengtheningWarning(UserWarning):

@@ -74,6 +74,9 @@ class HybridAutomaton:
             raise ModelError("duplicate variable")
         if len(set(self.actions)) != len(self.actions):
             raise ModelError("duplicate action")
+        initial = set(self.init)
+        if len(initial) != len(self.init):
+            raise ModelError("duplicate initial location")
         for l in self.init:
             if l not in locset:
                 raise ModelError(f"initial location {l!r} not declared")
@@ -92,7 +95,6 @@ class HybridAutomaton:
                         f"flow constraint '{c}' of {l!r} uses undeclared {sorted(bad)}"
                     )
         # Initial locations are declared, so an undeclared one fails too.
-        initial = set(self.init)
         for l, cs in self.init_region.items():
             if l not in initial:
                 raise ModelError(f"init region for {l!r}, which is not initial")

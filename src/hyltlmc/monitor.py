@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import TraceError, check_settings
+from .errors import TraceError
 from .formula.syntax import (
     ActionAtom,
     And,
@@ -163,44 +163,39 @@ def _runge_kutta(A: np.ndarray, b: np.ndarray, v: np.ndarray, dt: float) -> np.n
     return v + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def random_trace(
-    h: HybridAutomaton,
-    rng: np.random.Generator,
-    step: float = 0.05,
-    max_jumps: int = 80,
-    recurrence_tol: float = 0.05,
-    dwell_max: float = 4.0,
-):
+# random_trace's sample step, jump limit, recurrence tolerance (between
+# post-jump states at one location, in every variable) and longest dwell.
+STEP = 0.05
+MAX_JUMPS = 80
+RECURRENCE_TOL = 0.05
+DWELL_MAX = 4.0
+
+
+def random_trace(h: HybridAutomaton, rng: np.random.Generator):
     """A random valid lasso trace of the automaton, with its witness.
 
     Simulates each location's affine field der(x) = A x + b, read by
     `reach.dynamics.location_dynamics` as for check(), with fourth order
-    Runge-Kutta from a random state of a nonempty box where reachability
-    starts (reach.engine.initial_box), dwelling a random time before
-    taking a random enabled transition (or jumping early when the
-    invariant is about to break).
+    Runge-Kutta at sample step STEP from a random state of a nonempty box
+    where reachability starts (reach.engine.initial_box), dwelling a
+    random time of at most DWELL_MAX before taking a random enabled
+    transition (or jumping early when the invariant is about to break).
     Derivative samples come from the field itself, so derivative
     equations hold at every sample. The lasso closes once a post-jump
-    state nearly recurs; the final pre-jump sample is then snapped so the
-    closing jump reproduces the recurrence target exactly: onto the
-    target itself, or else shifted by the target's offset from the
-    post-jump state, as a jump that moves a variable needs. Returns
-    (trace, (prefix locations, cycle locations)).
+    state comes within RECURRENCE_TOL of an earlier one; the final
+    pre-jump sample is then snapped so the closing jump reproduces the
+    recurrence target exactly: onto the target itself, or else shifted
+    by the target's offset from the post-jump state, as a jump that
+    moves a variable needs. Returns (trace, (prefix locations, cycle
+    locations)).
 
-    Raises ConfigError, before any random draw, unless step and
-    dwell_max are finite numbers > 0, recurrence_tol a finite number >= 0
-    and max_jumps an integer >= 1. Raises UnsupportedDynamicsError when
-    some location's dynamics lie outside the affine fragment check()
-    accepts (a nonaffine field or a variable without der()), and
-    TraceError when every initial box is empty, the drawn one unbounded,
-    no edge is enabled within 10 * dwell_max time units after a dwell,
-    or no cycle closes within max_jumps.
+    Raises UnsupportedDynamicsError when some location's dynamics lie
+    outside the affine fragment check() accepts (a nonaffine field or a
+    variable without der()), and TraceError when every initial box is
+    empty, the drawn one unbounded, no edge is enabled within
+    10 * DWELL_MAX time units after a dwell, or no cycle closes within
+    MAX_JUMPS jumps.
     """
-    check_settings(
-        positive=[("step", step), ("dwell_max", dwell_max)],
-        nonnegative=[("recurrence_tol", recurrence_tol)],
-        counts=[("max_jumps", max_jumps)],
-    )
     names = h.variables
     starts = [(l, z) for l in h.init if not is_empty(z := initial_box(h, l))]
     if not starts:
@@ -229,15 +224,15 @@ def random_trace(
     # After its dwell, a segment waits at most ten longest dwells for an
     # enabled edge: a flow that settles inside its invariant with no edge
     # enabled would otherwise wait forever.
-    patience = 10 * dwell_max
-    for _ in range(max_jumps):
+    patience = 10 * DWELL_MAX
+    for _ in range(MAX_JUMPS):
         field = fields[loc]
-        dwell = rng.uniform(3 * step, dwell_max)
+        dwell = rng.uniform(3 * STEP, DWELL_MAX)
         values = [vec.copy()]
         while True:
-            elapsed = (len(values) - 1) * step
+            elapsed = (len(values) - 1) * STEP
             options = enabled(loc, values[-1]) if elapsed >= dwell else []
-            nxt = _runge_kutta(field.A, field.b, values[-1], step)
+            nxt = _runge_kutta(field.A, field.b, values[-1], STEP)
             if not admissible(loc, nxt) and not options:
                 options = enabled(loc, values[-1])
                 if not options:
@@ -256,7 +251,7 @@ def random_trace(
         for (hloc, hvec, hseg) in history:
             if hloc != t.target:
                 continue
-            if np.max(np.abs(hvec - v2)) > recurrence_tol:
+            if np.max(np.abs(hvec - v2)) > RECURRENCE_TOL:
                 continue
             # Snap the pre-jump sample so the closing jump lands exactly
             # on the recurrence target (docstring).
@@ -276,7 +271,7 @@ def random_trace(
             values[-1] = snapped
             segments.append((loc, np.stack(values), t.action))
             trajs = [
-                (SampledTrajectory(names, vals, step, vals @ fields[l].A.T + fields[l].b), a)
+                (SampledTrajectory(names, vals, STEP, vals @ fields[l].A.T + fields[l].b), a)
                 for l, vals, a in segments
             ]
             trace = HybridLassoTrace(trajs[: hseg - 1], trajs[hseg - 1 :])
@@ -289,4 +284,4 @@ def random_trace(
         vec = v2
         history.append((loc, vec.copy(), len(segments) + 1))
 
-    raise TraceError(f"no cycle closed within {max_jumps} jumps")
+    raise TraceError(f"no cycle closed within {MAX_JUMPS} jumps")

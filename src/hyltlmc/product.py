@@ -311,8 +311,6 @@ def check(
     horizon: float = 100.0,
     step: float = 0.01,
     eps: float = 1e-6,
-    widen_after: int = 16,
-    max_visits: int = 4000,
     strict: bool = False,
 ) -> Verdict:
     """Decide system |= formula via the instrumented reachability query.
@@ -333,7 +331,7 @@ def check(
     and stats["vacuous"] whether the verdict is Verified because the
     system has no infinite run at all.
     """
-    check_reach_settings(horizon, step, widen_after, max_visits)
+    check_reach_settings(horizon, step)
     check_settings(nonnegative=[("eps", eps)])
     timings: dict[str, float] = {}
     counts: dict[str, int] = {}
@@ -348,13 +346,7 @@ def check(
         inst, targets, f_name, y_names, w_names = instrument(product)
 
     with _timed(timings, "reach"):
-        reach = reachable(
-            inst,
-            horizon=horizon,
-            step=step,
-            widen_after=widen_after,
-            max_visits=max_visits,
-        )
+        reach = reachable(inst, horizon=horizon, step=step)
     with _timed(timings, "query"):
         hits = recurrence_hits(reach, targets, f_name, y_names, w_names, eps)
 

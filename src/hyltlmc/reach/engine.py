@@ -8,7 +8,7 @@ location is dropped: the tube and pushes of that start box cover every
 state it holds. A tube is no such bound, since a flow that leaves the
 invariant only covers the states its own start box reaches.
 
-Widening. Past widen_after visits to a location, a popped box that is
+Widening. Past WIDEN_AFTER visits to a location, a popped box that is
 not skipped is joined with H, the hull of the location's start boxes,
 and every axis on which it exceeds H goes to the location's invariant
 bound, infinity where it has none. The first such box becomes a start
@@ -16,7 +16,7 @@ box that holds H, so every later box inside H is skipped, and every
 later one that is flowed exceeds H on some axis. That axis then stays at
 its bound, which no push can exceed, since a pushed box is clipped to
 the target invariant. Each flowed box thus raises one of the 2n bounds
-for good, and a location takes at most 2n + 1 visits past widen_after,
+for good, and a location takes at most 2n + 1 visits past WIDEN_AFTER,
 which forces termination.
 
 Edges that share a jump tuple share their work. On each visit the tube
@@ -35,6 +35,12 @@ and remembers each flow by the moving axes' start box and invariant
 bounds, so product copies of one system location that receive the same
 box share one flow; flow_tube is still called once per visit, and
 `flows` counts the flows actually run.
+
+No stored tube is empty. Every popped box lies inside its location's
+invariant: initial boxes and pushes are clipped by it, and widening
+joins only start boxes and invariant bounds. The tube flow_tube returns
+contains its start box, and clip is monotone, so the tube clipped by the
+invariant still contains the popped box.
 
 The result is an over-approximation: every reachable state lies in some
 stored box. It is only guaranteed to cover everything when `complete`
@@ -105,14 +111,17 @@ class _Plan(NamedTuple):
     pushes: list[tuple[int, Loc]]
 
 
-def check_reach_settings(horizon, step, widen_after, max_visits) -> None:
+# Visits to one location before its boxes are widened (module docstring).
+WIDEN_AFTER = 16
+# Visits of a whole run before it stops incomplete. Widening bounds each
+# location's visits, so this only caps the time a run may take.
+MAX_VISITS = 4000
+
+
+def check_reach_settings(horizon, step) -> None:
     """Raise ConfigError unless horizon and step are finite numbers > 0
-    with a finite ratio, the flow step budget, and widen_after and
-    max_visits are integers >= 1."""
-    check_settings(
-        positive=[("horizon", horizon), ("step", step)],
-        counts=[("widen_after", widen_after), ("max_visits", max_visits)],
-    )
+    with a finite ratio, the flow step budget."""
+    check_settings(positive=[("horizon", horizon), ("step", step)])
     check_settings(nonnegative=[("horizon / step", horizon / step)])
 
 
@@ -125,21 +134,18 @@ def initial_box(h: HybridAutomaton, l: Loc) -> np.ndarray:
 
 
 def reachable(
-    h: HybridAutomaton,
-    horizon: float = 100.0,
-    step: float = 0.01,
-    widen_after: int = 16,
-    max_visits: int = 4000,
+    h: HybridAutomaton, horizon: float = 100.0, step: float = 0.01
 ) -> ReachResult:
     """Over-approximate the reachable states of the automaton.
 
     horizon bounds the continuous time of any single flow segment; a
     location whose flow neither stabilizes nor leaves its invariant
-    within it clears the complete flag. Initial regions must give every
-    variable a finite interval. Raises ConfigError on settings that
-    check_reach_settings rejects.
+    within it clears the complete flag, and so does a run of more than
+    MAX_VISITS visits. Initial regions must give every variable a finite
+    interval. Raises ConfigError on settings that check_reach_settings
+    rejects.
     """
-    check_reach_settings(horizon, step, widen_after, max_visits)
+    check_reach_settings(horizon, step)
     names = h.variables
     n = len(names)
     n_steps = max(1, math.ceil(horizon / step))
@@ -222,15 +228,15 @@ def reachable(
         if (z <= starts[l]).all(axis=1).any():
             continue
         total += 1
-        if total > max_visits:
+        if total > MAX_VISITS:
             if cause is None:
-                cause, cause_location = f"visit budget of {max_visits} spent", l
+                cause, cause_location = f"visit budget of {MAX_VISITS} spent", l
             break
         visits[l] += 1
         p = plans.get(l)
         if p is None:
             p = plans[l] = plan(l)
-        if visits[l] > widen_after:
+        if visits[l] > WIDEN_AFTER:
             # Join with the hull of the start boxes, and widen where the
             # box exceeds it (module docstring).
             hull = np.max(starts[l], axis=0)
@@ -253,8 +259,6 @@ def reachable(
             else:
                 cause = "no validated flow enclosure"
         tube = clip(_box(tube_lo, tube_hi), p.inv)
-        if is_empty(tube):
-            tube = z
         store[l].append(tube)
 
         # One guard clip and image per jump tuple, one clip per (jump

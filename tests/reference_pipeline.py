@@ -63,7 +63,7 @@ from hyltlmc.hybrid.expr import Const, DotVar, PrimedVar, Sub, Var, affine_form
 from hyltlmc.reach.boxes import Clip, _bound, _box, _split, bounds, clip, satisfiable
 from hyltlmc.reach.boxes import is_empty as box_is_empty
 from hyltlmc.reach.dynamics import TransitionImage, location_dynamics, transition_image
-from hyltlmc.reach.engine import ReachResult
+from hyltlmc.reach.engine import MAX_VISITS, WIDEN_AFTER, ReachResult
 from hyltlmc.reach.kernels import (
     FLOW_BUDGET,
     FLOW_DONE,
@@ -786,15 +786,11 @@ def eager_dynamics(h: HybridAutomaton, l) -> EagerDynamics:
 
 
 def eager_reachable(
-    h: HybridAutomaton,
-    horizon: float = 100.0,
-    step: float = 0.01,
-    widen_after: int = 16,
-    max_visits: int = 4000,
+    h: HybridAutomaton, horizon: float = 100.0, step: float = 0.01
 ) -> ReachResult:
     """The reach loop with every location's dynamics built up front; a
     popped box is skipped inside a start box already flowed there, and
-    past widen_after visits is widened against the start boxes' hull."""
+    past WIDEN_AFTER visits is widened against the start boxes' hull."""
     names = h.variables
     n = len(names)
     n_steps = max(1, math.ceil(horizon / step))
@@ -830,13 +826,13 @@ def eager_reachable(
         if any(contains(s_lo, s_hi, lo, hi) for s_lo, s_hi in starts[l]):
             continue
         total += 1
-        if total > max_visits:
+        if total > MAX_VISITS:
             if cause is None:
-                cause, cause_location = f"visit budget of {max_visits} spent", l
+                cause, cause_location = f"visit budget of {MAX_VISITS} spent", l
             break
         visits[l] += 1
         d_l = dyn[l]
-        if visits[l] > widen_after:
+        if visits[l] > WIDEN_AFTER:
             # Join with the hull of the start boxes, and widen where the
             # box exceeds it.
             w_lo = np.full(n, np.inf)

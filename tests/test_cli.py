@@ -1,5 +1,6 @@
 """Command line behaviour: exit codes, machine lines, file plumbing."""
 
+import inspect
 import json
 import shlex
 import subprocess
@@ -15,7 +16,10 @@ from hyltlmc.formula.nnf import to_nnf
 from hyltlmc.formula.parser import Declarations, parse_formula
 from hyltlmc.formula.syntax import to_str
 from hyltlmc.hybrid.modelio import model_to_str, parse_model
+from hyltlmc.monitor import evaluate_trace
 from hyltlmc.phaver import embedded_model
+from hyltlmc.product import check
+from hyltlmc.reach import reachable
 from hyltlmc.tableau import build_formula_automaton, prune_unreachable
 
 from conftest import heater_model
@@ -327,8 +331,9 @@ class TestExportCommand:
 
 
 class TestNoTrace:
-    """A model whose init block cannot be read exits 1 with E_MODEL, and a
-    system with no infinite run says that its Verified is vacuous."""
+    """A model whose initial locations or init block cannot be read exits 1
+    with E_MODEL, and a system with no infinite run says that its Verified
+    is vacuous."""
 
     @pytest.mark.parametrize(
         "text, message",
@@ -338,8 +343,10 @@ class TestNoTrace:
             ("location l { der(x) = 1; }\nlocation b { der(x) = 1; }\n"
              "initial l;\ninit b { x >= 0; x <= 1; }\n",
              "init region for 'b', which is not initial"),
+            ("location l { der(x) = 1; }\ninitial l, l;\ninit { x >= 0; x <= 1; }\n",
+             "duplicate initial location"),
         ],
-        ids=["bare-init", "not-initial"],
+        ids=["bare-init", "not-initial", "repeated-initial"],
     )
     def test_init_rules_exit_one_with_e_model(self, tmp_path, capsys, text, message):
         path = tmp_path / "m.hyha"
@@ -386,6 +393,32 @@ class TestUndecodableInput:
         fields = machine_fields(capsys.readouterr().out)
         assert fields["error"] == "E_TRACE"
         assert "UTF-8" in fields["message"]
+
+
+class TestTraceFile:
+    """A trace file monitor cannot read exits 1 with E_TRACE."""
+
+    def monitor(self, tmp_path, text, actions="on"):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        return main(["--machine", "monitor", "--trace", str(path),
+                     "--actions", actions, "--formula", "true"])
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "trace file is empty"),
+        ("x,t\n0.0,1.0\n0.1,1.0\n", "trace header must be t followed by variable names"),
+        ("t,x\n0.0,1.0\n0.1,1.0,2.0\n", "row ['0.1', '1.0', '2.0'] does not match the header"),
+        ("t,x\n0.0,1.0\n0.1,warm\n", "row ['0.1', 'warm'] holds a non-numeric sample"),
+        ("t,x\n0.0,1.0\n0.1,1.0\n\n0.0,1.0\n", "every segment needs at least two samples"),
+    ], ids=["empty", "header", "row-length", "non-numeric", "one-sample"])
+    def test_refusals_exit_one_with_e_trace(self, tmp_path, capsys, text, message):
+        assert self.monitor(tmp_path, text, actions="on,off") == 1
+        fields = machine_fields(capsys.readouterr().out)
+        assert fields["error"] == "E_TRACE" and fields["message"] == message
+
+    def test_trailing_blank_lines_open_no_segment(self, tmp_path, capsys):
+        assert self.monitor(tmp_path, "t,x\n0.0,1.0\n0.1,1.0\n\n\n") == 0
+        assert machine_fields(capsys.readouterr().out)["status"] == "Holds"
 
 
 class TestMonitorCommand:
@@ -568,6 +601,18 @@ class TestSettingsResolution:
         args = Namespace(eps=None)
         assert _setting(args, {"eps": 0.25}, "eps") == 0.25
         assert _setting(args, {}, "eps") == 1e-6
+
+    def test_defaults_are_the_library_defaults(self):
+        # The command line restates them; each setting it names defaults
+        # to the same value in every library call that takes it.
+        params = [
+            p
+            for f in (check, reachable, evaluate_trace)
+            for p in inspect.signature(f).parameters.values()
+        ]
+        for name, value in DEFAULTS.items():
+            defaults = [p.default for p in params if p.name == name]
+            assert defaults and all(d == value for d in defaults), name
 
     def test_environment_is_not_read(self, heater_path, monkeypatch, capsys):
         """HYLTL_MC_EPS and HYLTL_MC_TOL once sat between flag and config."""

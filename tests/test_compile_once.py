@@ -26,7 +26,7 @@ from hyltlmc.hybrid.expr import Add, Call, Const, DotVar, Mul, Neg, PrimedVar, S
 from hyltlmc.hybrid.modelio import load_model, parse_model
 from hyltlmc.monitor import random_trace
 from hyltlmc.product import check, instrument
-from hyltlmc.reach.engine import reachable
+from hyltlmc.reach.engine import WIDEN_AFTER, reachable
 
 from conftest import heater_model
 from reference_pipeline import eager_reachable
@@ -465,14 +465,14 @@ class TestEdgeWorkPerJumpTuple:
         ids=["geometric-shrink", "tanks-false"],
     )
     def test_widening_matches_the_per_edge_loop(self, build):
-        # Both loops join a box past widen_after visits with the hull of
+        # Both loops join a box past WIDEN_AFTER visits with the hull of
         # the start boxes and widen it where it exceeds that hull.
         h = build()
         got = reachable(h)
         ref = eager_reachable(h)
         assert got.complete and ref.complete
         assert got.visits == ref.visits
-        assert max(got.visits.values()) > 16  # widen_after
+        assert max(got.visits.values()) > WIDEN_AFTER
         for l in h.locations:
             assert [(lo.tobytes(), hi.tobytes()) for lo, hi in got.boxes[l]] == [
                 (lo.tobytes(), hi.tobytes()) for lo, hi in ref.boxes[l]

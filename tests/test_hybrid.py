@@ -258,6 +258,36 @@ class TestAutomaton:
                 init_region={"l": (low,), other: (low,)},
             )
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"locations": ("l", "m", "l")}, "duplicate location"),
+            ({"variables": ("x", "x")}, "duplicate variable"),
+            ({"actions": ("a", "a")}, "duplicate action"),
+            ({"init": ("l", "l")}, "duplicate initial location"),
+            ({"init": ("l", "z")}, "initial location 'z' not declared"),
+            (
+                {"init_region": {"l": (FlowConstraint(Var("y"), Relation.GE, Const(0.0)),)}},
+                "init region constraint 'y >= 0' uses undeclared variables",
+            ),
+            ({"acceptance": ({"l", "z"},)}, "acceptance set contains undeclared locations"),
+        ],
+        ids=["location", "variable", "action", "initial", "undeclared-initial",
+             "init-variable", "acceptance"],
+    )
+    def test_validation_refusals(self, changes, message):
+        fields = dict(
+            variables=("x",),
+            actions=("a",),
+            locations=("l", "m"),
+            transitions=(Transition("l", "a", "m"),),
+            dyn={},
+            init=("l",),
+        )
+        HybridAutomaton(**fields)
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            HybridAutomaton(**{**fields, **changes})
+
     def test_transition_is_immutable_and_compares_by_fields(self):
         t = Transition("a", "go", "b")
         assert t.jumps == ()

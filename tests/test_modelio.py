@@ -82,6 +82,14 @@ class TestParse:
             parse_model(text)
         assert e.value.code == "E_MODEL"
 
+    @pytest.mark.parametrize("initial", ["initial l, l;", "initial l;\ninitial l;"])
+    def test_repeated_initial_location(self, initial):
+        # Accepted, it stored the bare init block's rows once per entry.
+        text = f"vars x;\nactions a;\nlocation l {{ der(x) = 1; }}\n{initial}\n"
+        with pytest.raises(ModelError, match="duplicate initial location") as e:
+            parse_model(text + "init { x >= 0; x <= 0.5; }\n")
+        assert e.value.code == "E_MODEL"
+
     def test_comments_and_blank_lines_ignored(self):
         h = parse_model("# header\n\nvars x;  # trailing\nactions a;\n"
                         "location l {\n# inside\nder(x) = 1;\n}\ninitial l;")

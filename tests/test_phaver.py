@@ -177,3 +177,25 @@ def test_arithmetic_and_calls_round_trip():
     assert "loc l: while -x <= 3 & x <= exp(0) + 5 wait {x' == x / 2 + 1};" in text
     assert "  when x <= sin(0) + cos(0) sync a do {x' == -x + exp(0)} goto l;" in text
     assert embedded_model(text) == h
+
+
+# Two initial locations with different regions: one init line each.
+TWO_REGIONS = """
+vars x;
+actions a;
+location l { der(x) = 1; }
+location m { der(x) = -1; }
+edge l -a-> m { x' = x; }
+edge m -a-> l { x' = x; }
+initial l, m;
+init l { x >= 0; x <= 1; }
+init m { x >= 2; x <= 3; }
+"""
+
+
+def test_init_regions_per_location_round_trip():
+    h = parse_model(TWO_REGIONS)
+    text = model_to_str(h)
+    assert "init l { x >= 0; x <= 1; }\ninit m { x >= 2; x <= 3; }\n" in text
+    assert parse_model(text) == h
+    assert embedded_model(export_phaver(h, name="two")) == h

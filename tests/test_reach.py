@@ -3,6 +3,7 @@
 import itertools
 from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from hyltlmc.reach.boxes import (
     satisfiable,
 )
 from hyltlmc.reach.dynamics import TransitionImage, location_dynamics, transition_image
+from hyltlmc.reach import engine
 from hyltlmc.reach.engine import reachable
 from hyltlmc.reach.kernels import (
     FLOW_BUDGET,
@@ -287,6 +289,26 @@ class TestDynamics:
             location_dynamics(h, "p")
         # The constraint is named once.
         assert str(e.value) == "'p': 'der(x) = x * x' is not affine"
+
+    def test_derivative_on_the_right_is_read(self):
+        h = self.model(
+            "vars x; actions a;\nlocation p { -0.2 * x = der(x); }\ninitial p;"
+        )
+        d = location_dynamics(h, "p")
+        assert d.A.tolist() == [[-0.2]] and d.b.tolist() == [0.0]
+
+    @pytest.mark.parametrize("flow, message", [
+        ("der(x) = 1; der(x) = 2;", "'p': two derivative equations for x"),
+        ("der(x) = der(y); der(y) = 0;",
+         "'p': cannot read 'der(x) = der(y)' as der(x) = affine state expression"),
+    ])
+    def test_unreadable_derivative_equations_are_rejected(self, flow, message):
+        h = self.model(
+            f"vars x, y; actions a;\nlocation p {{ {flow} }}\ninitial p;"
+        )
+        with pytest.raises(UnsupportedDynamicsError) as e:
+            location_dynamics(h, "p")
+        assert str(e.value) == message
 
     def test_derivative_inequality_is_rejected(self):
         h = self.model(
@@ -771,9 +793,6 @@ class TestEngine:
         ({"step": float("nan")}, "step"),
         ({"horizon": float("inf")}, "horizon"),
         ({"horizon": 1e308, "step": 1e-308}, "horizon / step"),
-        ({"widen_after": 0}, "widen_after"),
-        ({"max_visits": 2.5}, "max_visits"),
-        ({"max_visits": True}, "max_visits"),
     ])
     def test_unusable_settings_are_config_errors(self, settings, name):
         with pytest.raises(ConfigError, match=name):
@@ -784,7 +803,8 @@ class TestEngine:
         assert r.cause is None and r.incompleteness() is None
 
     def test_visit_budget_is_named_with_its_location(self):
-        r = reachable(heater_model(), max_visits=1)
+        with mock.patch.object(engine, "MAX_VISITS", 1):
+            r = reachable(heater_model())
         assert not r.complete
         assert r.incompleteness() == (
             "incomplete, visit budget of 1 spent at location 'heat'"
@@ -834,7 +854,7 @@ class TestEngine:
             "edge p -a-> p { x' = x + 1; }\n"
             "initial p;\ninit { x = 0; }"
         )
-        r = reachable(h, widen_after=4)
+        r = reachable(h)
         assert r.complete
         assert r.hull()["x"][1] == np.inf
 

@@ -43,7 +43,7 @@ from hyltlmc.monitor import evaluate_trace, random_trace
 from hyltlmc.product import check
 from hyltlmc.reach import reachable
 
-SETTINGS = dict(step=0.05, horizon=20.0, max_visits=300)
+SETTINGS = dict(step=0.05, horizon=20.0)
 CONTAINMENT_TOL = 1e-9
 AUTOMATA = 12
 FORMULAS = 4
@@ -147,6 +147,8 @@ def test_verified_random_automata_admit_no_violating_run():
         drawn += len(traces)
 
         reach = reachable(h, **SETTINGS)
+        # No stored box is empty (reach.engine).
+        assert all((lo <= hi).all() for store in reach.boxes.values() for lo, hi in store)
         if reach.complete:
             for trace, (wp, wc) in traces:
                 segments = (*trace.prefix, *trace.cycle)

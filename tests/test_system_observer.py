@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -38,6 +39,7 @@ from hyltlmc.hybrid.automaton import HybridAutomaton, compose
 from hyltlmc.hybrid.expr import Const, Var
 from hyltlmc.hybrid.modelio import load_model, parse_model
 from hyltlmc.product import check, degeneralize
+from hyltlmc.reach import engine
 from hyltlmc.tableau import build_formula_automaton, prune_unreachable
 
 from conftest import loop_system
@@ -274,7 +276,8 @@ class TestDrawnFormulas:
         h = models[model]
         assume(closure(f, h.actions).n_pairs <= 10)
         # The product does not depend on the reach budget.
-        verdict = quiet(check, h, f, max_visits=1)
+        with mock.patch.object(engine, "MAX_VISITS", 1):
+            verdict = quiet(check, h, f)
         assert_same(verdict.product, quiet(unpaired_product, h, f))
         assert_induced(
             build_formula_automaton(negation(f), h.actions, system=h),
