@@ -8,6 +8,7 @@ with the independently built formula automaton for word-only formulas.
 import itertools
 import random
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from hyltlmc.hybrid.discrete import accepts_lasso_word
 from hyltlmc.hybrid.lasso import HybridLassoTrace
 from hyltlmc.hybrid.expr import Const, Div, DotVar, Mul, PrimedVar, Sub, Var
 from hyltlmc.hybrid.trajectory import SampledTrajectory
+from hyltlmc import monitor
 from hyltlmc.monitor import _succ_values, evaluate_trace, evaluate_word, random_trace
 from hyltlmc.reach.boxes import bounds, clip, compile_rows, full_box
 from hyltlmc.tableau import build_formula_automaton, prune_unreachable
@@ -391,6 +393,13 @@ class TestRandomTraces:
         )
         with pytest.raises(TraceError, match="no cycle closed within 80 jumps"):
             random_trace(h, np.random.default_rng(0))
+
+    def test_zero_recurrence_tol_is_usable(self):
+        # Only an exact recurrence closes the lasso, and none comes.
+        with mock.patch.object(monitor, "RECURRENCE_TOL", 0.0), \
+                mock.patch.object(monitor, "MAX_JUMPS", 10):
+            with pytest.raises(TraceError, match="no cycle closed within 10 jumps"):
+                random_trace(heater_model(), np.random.default_rng(3))
 
     @pytest.mark.parametrize(
         "heat_flow",

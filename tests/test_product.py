@@ -5,6 +5,7 @@ import random
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hyltlmc.hybrid.discrete import accepts_lasso_word
 from hyltlmc.hybrid.modelio import load_model, parse_model
 from hyltlmc.monitor import evaluate_trace, evaluate_word, random_trace
 from hyltlmc.product import check, degeneralize, instrument
+from hyltlmc.reach import engine
 from hyltlmc.tableau import build_formula_automaton, live_locations, prune_unreachable
 
 from conftest import BOOL_ATOMS, heater_model, loop_system, random_formula
@@ -447,13 +449,13 @@ class TestSettings:
     """check refuses numeric settings it cannot run on, with E_CONFIG."""
 
     @pytest.mark.parametrize("name", ["step", "horizon"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), True])
     def test_step_and_horizon_must_be_finite_and_positive(self, name, value):
         with pytest.raises(ConfigError, match=name) as err:
             check(heater_model(), phi("!F(x >= 21 & X on)"), **{name: value})
         assert err.value.code == "E_CONFIG"
 
-    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf"), True])
     def test_eps_must_be_finite_and_nonnegative(self, value):
         with pytest.raises(ConfigError, match="eps"):
             check(heater_model(), phi("!F(x >= 21 & X on)"), eps=value)
@@ -477,6 +479,15 @@ class TestSettings:
     def test_boundary_values_run(self):
         v = check(heater_model(), phi("!F(x >= 21 & X on)"), eps=0.0)
         assert v.status in ("Verified", "Inconclusive")
+
+    def test_budgets_of_one_run(self):
+        # The smallest visit budget and widening threshold still give a
+        # verdict; one visit cannot finish the heater's reach set.
+        with mock.patch.object(engine, "MAX_VISITS", 1), \
+                mock.patch.object(engine, "WIDEN_AFTER", 1):
+            v = check(heater_model(), phi("!F(x >= 21 & X on)"))
+        assert v.status == "Inconclusive" and not v.complete
+        assert "visit budget of 1 spent" in v.stats["reach_incomplete"]
 
     def test_a_step_rounding_the_flow_to_the_identity_is_not_a_fixpoint(self):
         # At step 1e-17 the idle flow's one-step map rounds to the identity.

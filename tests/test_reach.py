@@ -858,6 +858,21 @@ class TestEngine:
         assert r.complete
         assert r.hull()["x"][1] == np.inf
 
+    def test_widening_bounds_the_visits_past_widen_after(self):
+        # One variable has two bounds, so p takes at most 2 * 1 + 1 visits
+        # past WIDEN_AFTER (module docstring).
+        h = parse_model(
+            "vars x; actions a;\n"
+            "location p { der(x) = 0; }\n"
+            "edge p -a-> p { x' = x + 1; }\n"
+            "initial p;\ninit { x = 0; }"
+        )
+        with mock.patch.object(engine, "WIDEN_AFTER", 4):
+            r = reachable(h)
+        assert r.complete
+        assert r.hull()["x"][1] == np.inf
+        assert 4 < r.visits["p"] <= 4 + 3
+
     def test_geometric_shrink_terminates(self):
         # Halving produces an infinite chain of uncovered boxes; widening
         # against the start boxes must cut it off at the invariant floor.
