@@ -74,6 +74,9 @@ class HybridAutomaton:
             raise ModelError("duplicate variable")
         if len(set(self.actions)) != len(self.actions):
             raise ModelError("duplicate action")
+        both = varset.intersection(self.actions)
+        if both:
+            raise ModelError(f"name '{min(both)}' is both a variable and an action")
         initial = set(self.init)
         if len(initial) != len(self.init):
             raise ModelError("duplicate initial location")

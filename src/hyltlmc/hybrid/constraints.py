@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import ComplementError, ModelError, TraceError
-from .expr import Expr, PrimedVar, Sub, affine_form, evaluate, fields_only, to_str
+from .expr import DotVar, Expr, PrimedVar, Sub, affine_form, evaluate, fields_only, to_str
 from .expr import variables
 
 
@@ -96,48 +96,55 @@ def undefined(c, *states) -> TraceError:
 
 
 @dataclass(frozen=True)
-class FlowConstraint:
-    """Comparison over state and dotted variables, e.g. der(x) = -0.2 * x.
+class _Comparison:
+    """lhs rel rhs over state variables and one marked namespace: dotted
+    on FlowConstraint, primed on JumpConstraint.
 
-    The variable sets and the rows are cached, outside equality, hashing,
-    repr and pickles. rows holds the comparison as rows sum(a * x) + k <= 0
-    over plain variables (_rows); one that mentions der(x) gives none.
+    The variable sets, the rows and the defined variable are cached,
+    outside equality, hashing, repr and pickles. rows holds the comparison
+    as rows sum(a * x) + k <= 0 over plain variables (_rows); one that
+    mentions a marked variable gives none.
     """
 
     lhs: Expr
     rel: Relation
     rhs: Expr
 
-    def __post_init__(self):
-        for e in (self.lhs, self.rhs):
-            _, _, primed = variables(e)
-            if primed:
-                raise ModelError(f"primed variable in flow constraint: {to_str(e)}")
+    # Each subclass sets _marked, its marked variable node, and _slot,
+    # that node's place in the triple expr.variables returns.
 
     __getstate__ = fields_only
 
-    @cached_property
-    def mentions_dot(self) -> bool:
-        return bool(self.dot_vars)
+    def _marked_vars(self) -> frozenset[str]:
+        return variables(self.lhs)[self._slot] | variables(self.rhs)[self._slot]
 
     @cached_property
     def state_vars(self) -> frozenset[str]:
         return variables(self.lhs)[0] | variables(self.rhs)[0]
 
     @cached_property
-    def dot_vars(self) -> frozenset[str]:
-        return variables(self.lhs)[1] | variables(self.rhs)[1]
-
-    @cached_property
     def rows(self) -> tuple[Row, ...]:
         return _rows(self.lhs, self.rel, self.rhs)
 
-    def holds_at(self, state, dot=None, tol: float = 0.0):
-        """Raises TraceError when a side is nan at the state."""
-        a = evaluate(self.lhs, state=state, dot=dot)
-        b = evaluate(self.rhs, state=state, dot=dot)
+    @cached_property
+    def defines(self) -> tuple[str, Expr] | None:
+        """(x, e) when the comparison is m = e or e = m, with m the marked
+        variable of x (der(x) or x') and e free of marked variables: the
+        equation that gives x its derivative or its successor value."""
+        if self.rel is not Relation.EQ:
+            return None
+        for side, e in ((self.lhs, self.rhs), (self.rhs, self.lhs)):
+            if isinstance(side, self._marked) and not variables(e)[self._slot]:
+                return side.name, e
+        return None
+
+    def _holds(self, state, primed=None, tol: float = 0.0):
+        """Evaluate both sides and compare them; raises TraceError when a
+        side is nan at the state, or at the states before and after."""
+        a = evaluate(self.lhs, state=state, primed=primed)
+        b = evaluate(self.rhs, state=state, primed=primed)
         if np.isnan(a).any() or np.isnan(b).any():
-            raise undefined(self, state)
+            raise undefined(self, state, *(() if primed is None else (primed,)))
         return holds(a, self.rel, b, tol)
 
     def __str__(self) -> str:
@@ -145,56 +152,47 @@ class FlowConstraint:
 
 
 @dataclass(frozen=True)
-class JumpConstraint:
-    """Comparison over state and primed variables, e.g. x' = x; variable
-    sets, rows and the defined variable cached as on FlowConstraint."""
+class FlowConstraint(_Comparison):
+    """Comparison over state and dotted variables, e.g. der(x) = -0.2 * x."""
 
-    lhs: Expr
-    rel: Relation
-    rhs: Expr
+    _marked, _slot = DotVar, 1
 
     def __post_init__(self):
         for e in (self.lhs, self.rhs):
-            _, dotted, _ = variables(e)
-            if dotted:
+            if variables(e)[2]:
+                raise ModelError(f"primed variable in flow constraint: {to_str(e)}")
+
+    dot_vars = cached_property(_Comparison._marked_vars)
+
+    @cached_property
+    def mentions_dot(self) -> bool:
+        return bool(self.dot_vars)
+
+    def holds_at(self, state, tol: float = 0.0):
+        """Raises TraceError when a side is nan at the state."""
+        return self._holds(state, tol=tol)
+
+
+@dataclass(frozen=True)
+class JumpConstraint(_Comparison):
+    """Comparison over state and primed variables, e.g. x' = x. Only a
+    comparison free of primed variables, a guard, gives rows, so a whole
+    jump tuple can be read for its guards."""
+
+    _marked, _slot = PrimedVar, 2
+
+    def __post_init__(self):
+        for e in (self.lhs, self.rhs):
+            if variables(e)[1]:
                 raise ModelError(f"dotted variable in jump constraint: {to_str(e)}")
 
-    __getstate__ = fields_only
-
-    @cached_property
-    def state_vars(self) -> frozenset[str]:
-        return variables(self.lhs)[0] | variables(self.rhs)[0]
-
-    @cached_property
-    def primed_vars(self) -> frozenset[str]:
-        return variables(self.lhs)[2] | variables(self.rhs)[2]
-
-    @cached_property
-    def rows(self) -> tuple[Row, ...]:
-        """As on FlowConstraint: only a row free of primed variables, a
-        guard, gives rows, so a whole jump tuple can be read for its
-        guards."""
-        return _rows(self.lhs, self.rel, self.rhs)
+    primed_vars = cached_property(_Comparison._marked_vars)
 
     @cached_property
     def jump_rows(self) -> tuple[Row, ...]:
         """The comparison as rows over state and primed variables, a
         primed one named x' (_rows); none when it is not affine."""
         return _rows(self.lhs, self.rel, self.rhs, primed=True)
-
-    @cached_property
-    def defines(self) -> tuple[str, Expr] | None:
-        """(x, e) when the row is x' = e or e = x' with e free of primed
-        variables: the row that sets the successor value of x."""
-        if self.rel is not Relation.EQ:
-            return None
-        for side, e in ((self.lhs, self.rhs), (self.rhs, self.lhs)):
-            if isinstance(side, PrimedVar) and not variables(e)[2]:
-                return side.name, e
-        return None
-
-    def __str__(self) -> str:
-        return f"{to_str(self.lhs)} {self.rel} {to_str(self.rhs)}"
 
 
 def complement_of(c: FlowConstraint, strict: bool = False) -> FlowConstraint:
@@ -219,9 +217,4 @@ def satisfies_jump(
     v supplies the unprimed variables, v_next the primed ones. Raises
     TraceError when a side is nan.
     """
-    a = evaluate(jc.lhs, state=v, primed=v_next)
-    b = evaluate(jc.rhs, state=v, primed=v_next)
-    if np.isnan(a) or np.isnan(b):
-        raise undefined(jc, v, v_next)
-    return bool(holds(a, jc.rel, b, 0.0))
-
+    return bool(jc._holds(v, v_next))

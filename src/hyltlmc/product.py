@@ -172,8 +172,9 @@ def instrument(h: HybridAutomaton) -> tuple[
     h = degeneralize(h)
     finals = h.acceptance[0] if h.acceptance else frozenset(h.locations)
     witness_vars = (min(h.variables),) if h.variables else ()
-    f_name = _fresh_name("f", h.variables)
-    y_names = (_fresh_name("y", (*h.variables, f_name)),) if witness_vars else ()
+    taken = (*h.variables, *h.actions)
+    f_name = _fresh_name("f", taken)
+    y_names = (_fresh_name("y", (*taken, f_name)),) if witness_vars else ()
     aux = (f_name, *y_names)
     variables = h.variables + aux
 

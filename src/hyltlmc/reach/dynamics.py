@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import UnsupportedDynamicsError
 from ..hybrid.automaton import HybridAutomaton, Loc
 from ..hybrid.constraints import Relation
-from ..hybrid.expr import DotVar, affine_form, variables
+from ..hybrid.expr import affine_form
 from .boxes import Clip, compile_rows
 
 
@@ -70,28 +70,20 @@ def location_dynamics(h: HybridAutomaton, loc: Loc) -> LocationDynamics:
             raise UnsupportedDynamicsError(
                 f"{loc!r}: derivative constraint '{c}' is not an equation"
             )
-        for dot_side, expr_side in ((c.lhs, c.rhs), (c.rhs, c.lhs)):
-            if not isinstance(dot_side, DotVar):
-                continue
-            plain, dotted, primed = variables(expr_side)
-            if dotted or primed:
-                continue
-            got = _affine_state_row(expr_side, idx)
-            if got is None:
-                raise UnsupportedDynamicsError(
-                    f"{loc!r}: '{c}' is not affine"
-                )
-            if dot_side.name in defined:
-                raise UnsupportedDynamicsError(
-                    f"{loc!r}: two derivative equations for {dot_side.name}"
-                )
-            defined.add(dot_side.name)
-            A[idx[dot_side.name]], b[idx[dot_side.name]] = got
-            break
-        else:
+        if c.defines is None:
             raise UnsupportedDynamicsError(
                 f"{loc!r}: cannot read '{c}' as der(x) = affine state expression"
             )
+        x, e = c.defines
+        got = _affine_state_row(e, idx)
+        if got is None:
+            raise UnsupportedDynamicsError(f"{loc!r}: '{c}' is not affine")
+        if x in defined:
+            raise UnsupportedDynamicsError(
+                f"{loc!r}: two derivative equations for {x}"
+            )
+        defined.add(x)
+        A[idx[x]], b[idx[x]] = got
     missing = set(names) - defined
     if missing:
         raise UnsupportedDynamicsError(

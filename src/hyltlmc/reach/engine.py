@@ -39,8 +39,14 @@ box share one flow; flow_tube is still called once per visit, and
 No stored tube is empty. Every popped box lies inside its location's
 invariant: initial boxes and pushes are clipped by it, and widening
 joins only start boxes and invariant bounds. The tube flow_tube returns
-contains its start box, and clip is monotone, so the tube clipped by the
-invariant still contains the popped box.
+contains its start box.
+
+The tube is stored as flow_tube returns it, with no second clip by the
+invariant, since that clip would not change a bit of it. The kernel cuts
+every segment to the invariant box, the bounds of its single-variable
+rows, and the start box lies inside that box too. A multi-variable row
+can only prove a box empty, and that test is monotone: it would have
+emptied the popped box, which the tube contains.
 
 The result is an over-approximation: every reachable state lies in some
 stored box. It is only guaranteed to cover everything when `complete`
@@ -258,7 +264,7 @@ def reachable(
                 )
             else:
                 cause = "no validated flow enclosure"
-        tube = clip(_box(tube_lo, tube_hi), p.inv)
+        tube = _box(tube_lo, tube_hi)
         store[l].append(tube)
 
         # One guard clip and image per jump tuple, one clip per (jump

@@ -42,6 +42,7 @@ from hyltlmc.hybrid.modelio import load_model, parse_model
 from hyltlmc.monitor import evaluate_trace, random_trace
 from hyltlmc.product import check
 from hyltlmc.reach import reachable
+from hyltlmc.reach.boxes import clip, compile_rows
 
 SETTINGS = dict(step=0.05, horizon=20.0)
 CONTAINMENT_TOL = 1e-9
@@ -147,8 +148,14 @@ def test_verified_random_automata_admit_no_violating_run():
         drawn += len(traces)
 
         reach = reachable(h, **SETTINGS)
-        # No stored box is empty (reach.engine).
+        # No stored box is empty, and none moves when clipped by its
+        # location's invariant, bit for bit (reach.engine).
         assert all((lo <= hi).all() for store in reach.boxes.values() for lo, hi in store)
+        for loc, store in reach.boxes.items():
+            rows = compile_rows(h.invariant(loc), h.variables)
+            for lo, hi in store:
+                z = np.concatenate([-lo, hi])
+                assert clip(z, rows).tobytes() == z.tobytes(), (loc, z, text)
         if reach.complete:
             for trace, (wp, wc) in traces:
                 segments = (*trace.prefix, *trace.cycle)
