@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from ..errors import ParseError
 from ..hybrid.constraints import FlowConstraint, JumpConstraint, Relation
 from ..hybrid.expr import (
@@ -45,6 +47,7 @@ from ..hybrid.expr import (
     to_str,
     variables,
 )
+from ..lexer import Token, is_name, tokenize
 from .syntax import (
     ActionAtom,
     And,
@@ -59,88 +62,8 @@ from .syntax import (
     Until,
 )
 
-RESERVED = frozenset(
-    {"true", "false", "X", "U", "R", "F", "G", "der", "sin", "cos", "exp"}
-)
-
 _RELOPS = {"<": Relation.LT, "<=": Relation.LE, "=": Relation.EQ,
            ">=": Relation.GE, ">": Relation.GT}
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # IDENT | NUMBER | OP | EOF
-    value: str
-    line: int
-    column: int
-
-
-def tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    two_char = ("->", "<=", ">=")
-    singles = "()+-*/{};,<>=!&|'"
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("IDENT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            lit = text[i:j]
-            try:
-                value = float(lit)
-            except ValueError:
-                raise ParseError(f"bad number literal '{lit}'", line, start_col) from None
-            if math.isinf(value):
-                raise ParseError(f"number literal '{lit}' is out of range", line, start_col)
-            toks.append(Token("NUMBER", lit, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if text[i : i + 2] in two_char:
-            toks.append(Token("OP", text[i : i + 2], line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in singles:
-            toks.append(Token("OP", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    toks.append(Token("EOF", "", line, col))
-    return toks
 
 
 @dataclass(frozen=True)
@@ -153,8 +76,8 @@ class Declarations:
     def __post_init__(self):
         seen: set[str] = set()
         for name in (*self.variables, *self.actions):
-            if name in RESERVED:
-                raise ParseError(f"name '{name}' is reserved")
+            if not is_name(name):
+                raise ParseError(f"name {name!r} is reserved or not an identifier")
             if name in seen:
                 raise ParseError(f"name '{name}' declared in more than one namespace")
             seen.add(name)
@@ -363,14 +286,12 @@ class _Parser:
 
 
 def _constant_value(e: Expr) -> float | None:
-    """The value of a variable-free expression (nan when it overflows or
-    divides by zero); None when e has a variable."""
+    """The value of a variable-free expression in float64 (inf or nan when
+    it overflows or divides by zero); None when e has a variable."""
     if any(variables(e)):
         return None
-    try:
+    with np.errstate(all="ignore"):
         return float(evaluate(e))
-    except (ZeroDivisionError, OverflowError):
-        return math.nan
 
 
 def parse_formula(text: str, decls: Declarations | None = None) -> Formula:

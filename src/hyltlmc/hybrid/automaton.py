@@ -18,7 +18,10 @@ from functools import cache, partial
 from itertools import product
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from ..errors import ModelError
+from ..lexer import is_name
 from .constraints import FlowConstraint, JumpConstraint, Relation, satisfies_jump
 from .expr import PrimedVar, Var, evaluate
 from .lasso import HybridLassoTrace
@@ -74,6 +77,9 @@ class HybridAutomaton:
             raise ModelError("duplicate variable")
         if len(set(self.actions)) != len(self.actions):
             raise ModelError("duplicate action")
+        for name in (*self.variables, *self.actions):
+            if not is_name(name):
+                raise ModelError(f"name {name!r} is reserved or not an identifier")
         both = varset.intersection(self.actions)
         if both:
             raise ModelError(f"name '{min(both)}' is both a variable and an action")
@@ -154,7 +160,7 @@ class HybridAutomaton:
         return inv
 
     def admissible(self, loc: Loc, v: Mapping[str, float]) -> bool:
-        return all(bool(c.holds_at(v)) for c in self.invariant(loc))
+        return all(c.holds_at(v) for c in self.invariant(loc))
 
     def __repr__(self) -> str:
         return (
@@ -299,7 +305,7 @@ def _solve_jump(
     jump relation or none: the trace oracles build and check only real
     runs, though not every one (x' >= x allows more). A strict bound
     (x' > e) is stepped one ulp inside, so the value on it is not taken.
-    Returns None when a defining equation is itself unevaluable.
+    Returns None when the value a defining equation gives is not finite.
     """
     new = {x: v[x] for x in names}
     defined: set[str] = set()
@@ -308,9 +314,9 @@ def _solve_jump(
     for jc in jumps:
         if jc.defines is not None:
             x, e = jc.defines
-            try:
+            with np.errstate(all="ignore"):
                 new[x] = float(evaluate(e, state=v))
-            except (ModelError, ZeroDivisionError):
+            if not math.isfinite(new[x]):
                 return None
             defined.add(x)
             continue
@@ -465,7 +471,7 @@ def _run_graph(trace: HybridLassoTrace, h: HybridAutomaton, tol: float):
         index[1, l]
         for l in h.init
         if (1, l) in index
-        and all(bool(c.holds_at(ends[1][1], tol=tol)) for c in h.init_region.get(l, ()))
+        and all(c.holds_at(ends[1][1], tol=tol) for c in h.init_region.get(l, ()))
     ]
     return index, succ, roots
 

@@ -4,6 +4,12 @@ A flow constraint compares expressions over state and dotted variables and is
 checked against every sample of a trajectory. A jump constraint compares
 expressions over state and primed variables and relates the values right
 before a discrete action to the values right after it.
+
+_Comparison.judge alone decides a comparison, at one state (a float per
+name) or over a trajectory (an array per name): both sides are float64 by
+numpy's rules, so +-inf (1/0, exp(1000)) compares, a nan side at a judged
+sample is a TraceError (E_TRACE), and a derivative constraint skips the
+first and last sample. holds_at, satisfies_jump and satisfies_flow call it.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ def holds(lhs: float, rel: Relation, rhs: float, tol: float = 0.0):
     satisfaction. tol = 0 is exact comparison on the represented numbers.
     """
     if rel is Relation.EQ:
-        return np.abs(lhs - rhs) <= tol if isinstance(lhs - rhs, np.ndarray) else abs(lhs - rhs) <= tol
+        return np.abs(lhs - rhs) <= tol
     if rel is Relation.LE:
         return lhs <= rhs + tol
     if rel is Relation.LT:
@@ -86,15 +92,6 @@ def _rows(
     )
 
 
-def undefined(c, *states) -> TraceError:
-    """The error for a constraint with a side that is nan at a state, or
-    at the states before and after a jump: undefined, not false."""
-    at = " -> ".join(
-        ", ".join(f"{x}={float(v):g}" for x, v in sorted(s.items())) for s in states
-    )
-    return TraceError(f"constraint '{c}' is undefined (nan) at {at}")
-
-
 @dataclass(frozen=True)
 class _Comparison:
     """lhs rel rhs over state variables and one marked namespace: dotted
@@ -123,6 +120,10 @@ class _Comparison:
         return variables(self.lhs)[0] | variables(self.rhs)[0]
 
     @cached_property
+    def mentions_dot(self) -> bool:
+        return bool(variables(self.lhs)[1] | variables(self.rhs)[1])
+
+    @cached_property
     def rows(self) -> tuple[Row, ...]:
         return _rows(self.lhs, self.rel, self.rhs)
 
@@ -138,14 +139,27 @@ class _Comparison:
                 return side.name, e
         return None
 
-    def _holds(self, state, primed=None, tol: float = 0.0):
-        """Evaluate both sides and compare them; raises TraceError when a
-        side is nan at the state, or at the states before and after."""
-        a = evaluate(self.lhs, state=state, primed=primed)
-        b = evaluate(self.rhs, state=state, primed=primed)
-        if np.isnan(a).any() or np.isnan(b).any():
-            raise undefined(self, state, *(() if primed is None else (primed,)))
-        return holds(a, self.rel, b, tol)
+    def judge(self, state, dot=None, primed=None, tol: float = 0.0) -> bool:
+        """lhs rel rhs, with slack tol, at every judged sample (module docstring)."""
+        with np.errstate(all="ignore"):
+            a = evaluate(self.lhs, state, dot, primed)
+            b = evaluate(self.rhs, state, dot, primed)
+            ok = holds(a, self.rel, b, tol)
+        first = int(self.mentions_dot)
+        if first:
+            ok = ok[1:-1]
+        if np.count_nonzero(ok) == ok.size:
+            return True
+        # A nan side fails every comparison, so only a failure looks for one.
+        nan = np.flatnonzero(np.isnan(a) | np.isnan(b))
+        nan = [i for i in nan if first <= i < first + ok.size]
+        if not nan:
+            return False
+        at = " -> ".join(
+            ", ".join(f"{x}={float(np.take(v, nan[0])):g}" for x, v in sorted(s.items()))
+            for s in (state, primed) if s is not None
+        )
+        raise TraceError(f"constraint '{self}' is undefined (nan) at {at}")
 
     def __str__(self) -> str:
         return f"{to_str(self.lhs)} {self.rel} {to_str(self.rhs)}"
@@ -164,13 +178,8 @@ class FlowConstraint(_Comparison):
 
     dot_vars = cached_property(_Comparison._marked_vars)
 
-    @cached_property
-    def mentions_dot(self) -> bool:
-        return bool(self.dot_vars)
-
-    def holds_at(self, state, tol: float = 0.0):
-        """Raises TraceError when a side is nan at the state."""
-        return self._holds(state, tol=tol)
+    def holds_at(self, state, tol: float = 0.0) -> bool:
+        return self.judge(state, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -217,4 +226,4 @@ def satisfies_jump(
     v supplies the unprimed variables, v_next the primed ones. Raises
     TraceError when a side is nan.
     """
-    return bool(jc._holds(v, v_next))
+    return jc.judge(v, primed=v_next)

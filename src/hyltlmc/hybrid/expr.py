@@ -86,8 +86,8 @@ class Call(Expr):
     operand: Expr
 
 
+_FUNCS: dict[str, Callable] = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _SCALAR_FUNCS: dict[str, Callable] = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
-_ARRAY_FUNCS: dict[str, Callable] = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 
 
 def evaluate(
@@ -96,19 +96,19 @@ def evaluate(
     dot: Mapping[str, float] | None = None,
     primed: Mapping[str, float] | None = None,
 ):
-    """Evaluate an expression. Values may be floats or numpy arrays.
-
-    Raises ModelError when a referenced variable is absent from its namespace.
-    """
+    """Evaluate an expression in float64 by numpy's rules: values, floats
+    or arrays, are read as np.float64, so 1/0 is inf, and numpy warns
+    unless the caller holds np.errstate. Raises ModelError when a
+    referenced variable is absent from its namespace."""
 
     def look(env: Mapping | None, name: str, kind: str):
         if env is None or name not in env:
             raise ModelError(f"unknown {kind} variable '{name}' in expression")
-        return env[name]
+        return np.float64(env[name])
 
     match e:
         case Const(v):
-            return v
+            return np.float64(v)
         case Var(n):
             return look(state, n, "state")
         case DotVar(n):
@@ -126,9 +126,7 @@ def evaluate(
         case Neg(a):
             return -evaluate(a, state, dot, primed)
         case Call(f, a):
-            v = evaluate(a, state, dot, primed)
-            fn = _ARRAY_FUNCS[f] if isinstance(v, np.ndarray) else _SCALAR_FUNCS[f]
-            return fn(v)
+            return _FUNCS[f](evaluate(a, state, dot, primed))
     raise TypeError(f"not an expression: {e!r}")
 
 

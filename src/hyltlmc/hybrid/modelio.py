@@ -34,7 +34,8 @@ from importlib import resources
 from pathlib import Path
 
 from ..errors import ModelError, ParseError
-from ..formula.parser import Declarations, Token, _Parser, tokenize
+from ..formula.parser import Declarations, _Parser
+from ..lexer import Token, tokenize
 from .automaton import HybridAutomaton, Transition
 from .constraints import FlowConstraint
 

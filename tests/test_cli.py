@@ -559,7 +559,6 @@ class TestUndefinedComparisons:
     1): on this one-segment trace at x = 22 the atom once gave Fails and
     its negation Holds."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("negate", [False, True])
     def test_monitor_exits_one(self, tmp_path, capsys, negate):
         trace = tmp_path / "one.csv"

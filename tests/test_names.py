@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 
 from hyltlmc.cli import main
-from hyltlmc.errors import ModelError
+from hyltlmc import lexer
+from hyltlmc.errors import ModelError, ParseError
 from hyltlmc.formula.parser import Declarations, parse_formula
 from hyltlmc.hybrid import HybridAutomaton, compose
 from hyltlmc.hybrid.modelio import load_model, model_to_str, parse_model
@@ -90,6 +91,29 @@ class TestVariableAndActionClash:
             "error": "E_MODEL",
             "message": "name 'go' is both a variable and an action",
         }
+
+
+class TestNamesTheReaderTakes:
+    """The constructor refuses what Declarations and the model reader
+    refuse, so `vars G;` is never printed."""
+
+    @pytest.mark.parametrize("name", ["G", "der", "x y", "1x", "x'", "x#", "", 7])
+    def test_constructor_refuses_a_reserved_word_or_non_identifier(self, name):
+        for variables, actions in (((name,), ("a",)), (("x",), (name,))):
+            with pytest.raises(ModelError, match="is reserved or not an identifier"):
+                HybridAutomaton(variables, actions, ("l",), [], {"l": ()}, ("l",))
+        with pytest.raises(ParseError, match="is reserved or not an identifier"):
+            Declarations(variables=(name,))
+
+    def test_each_distinct_name_is_tokenized_once(self, monkeypatch):
+        seen = []
+        tokenize = lexer.tokenize
+        monkeypatch.setattr(lexer, "tokenize", lambda s: seen.append(s) or tokenize(s))
+        lexer.is_name.cache_clear()
+        h = parse_model(VAR_X_ACTION_GO)
+        for _ in range(5):
+            HybridAutomaton(h.variables, h.actions, h.locations, h.transitions, h.dyn, h.init)
+        assert sorted(seen) == ["go", "x"]
 
 
 class TestInstrumentNames:
