@@ -49,11 +49,12 @@ _FLIP = {
 def holds(lhs: float, rel: Relation, rhs: float, tol: float = 0.0):
     """Compare two values (scalars or arrays) with symmetric slack tol.
 
-    Equality means |lhs - rhs| <= tol; inequalities get tol of slack toward
-    satisfaction. tol = 0 is exact comparison on the represented numbers.
+    Inequalities get tol of slack toward satisfaction, and an equality
+    holds where both of its inequalities do, so equal infinities are
+    equal. tol = 0 is exact comparison on the represented numbers.
     """
     if rel is Relation.EQ:
-        return np.abs(lhs - rhs) <= tol
+        return (lhs <= rhs + tol) & (lhs >= rhs - tol)
     if rel is Relation.LE:
         return lhs <= rhs + tol
     if rel is Relation.LT:

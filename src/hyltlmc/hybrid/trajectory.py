@@ -33,7 +33,8 @@ class SampledTrajectory:
     holds per-sample time derivatives with the same shape. When derivatives
     are not supplied they are estimated by central differences (one-sided at
     the endpoints); flow checking never consults the endpoint derivatives, so
-    the one-sided estimates carry no semantic weight.
+    the one-sided estimates carry no semantic weight. Estimating them needs
+    finite values: a non-finite one is a TraceError naming its sample.
     """
 
     __slots__ = ("names", "values", "derivs", "h")
@@ -53,6 +54,10 @@ class SampledTrajectory:
         if not (np.isfinite(h) and h > 0):
             raise TraceError(f"sample step must be finite and positive, got {h}")
         if derivs is None:
+            if not np.isfinite(values).all():
+                i, j = np.argwhere(~np.isfinite(values))[0]
+                value = f"{names[j]}={values[i, j]:g}"
+                raise TraceError(f"sample {i} holds a non-finite value {value}")
             derivs = _central_differences(values, h)
         else:
             derivs = np.asarray(derivs, dtype=float)

@@ -69,7 +69,7 @@ def _bound(G: np.ndarray, z: np.ndarray) -> np.ndarray:
     nonzero entries of G.
     """
     inf = np.isinf(z)
-    if not inf.any():
+    if not np.logical_or.reduce(inf, axis=None):
         return G @ z
     out = G @ np.where(inf, 0.0, z)
     out[(G > 0.0) @ inf] = np.inf
@@ -81,8 +81,9 @@ def full_box(n: int) -> np.ndarray:
 
 
 def is_empty(z: np.ndarray) -> bool:
-    n = len(z) // 2
-    return bool((z[:n] + z[n:] < 0.0).any())
+    v = z.tolist()  # on floats: faster than array operations on a few axes
+    n = len(v) // 2
+    return any(lo + hi < 0.0 for lo, hi in zip(v[:n], v[n:]))
 
 
 def image(G: np.ndarray, offset: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -92,8 +93,7 @@ def image(G: np.ndarray, offset: np.ndarray, z: np.ndarray) -> np.ndarray:
     no bound.
     """
     out = _bound(G, z) + offset
-    out[np.isnan(out)] = np.inf
-    return out
+    return np.fmin(out, np.inf, out=out)
 
 
 class Clip(NamedTuple):

@@ -17,7 +17,9 @@ later one that is flowed exceeds H on some axis. That axis then stays at
 its bound, which no push can exceed, since a pushed box is clipped to
 the target invariant. Each flowed box thus raises one of the 2n bounds
 for good, and a location takes at most 2n + 1 visits past WIDEN_AFTER,
-which forces termination.
+which forces termination. So a location's start boxes fit one array of
+WIDEN_AFTER + 2n + 1 rows, made with its plan: each visit writes the
+next row, and the skip test reads the rows written so far.
 
 Edges that share a jump tuple share their work. On each visit the tube
 is clipped by each distinct guard out of the location and imaged once,
@@ -57,6 +59,7 @@ cause is recorded with the location where it struck.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -103,8 +106,8 @@ class ReachResult:
 
 
 class _Plan(NamedTuple):
-    """What the engine reads of a location once: its flow, its invariant,
-    and its out-edges grouped by jump tuple (module docstring)."""
+    """What the engine reads of a location once: its flow, invariant and
+    out-edges by jump tuple, and room for its start boxes (module docstring)."""
 
     A: np.ndarray
     b: np.ndarray
@@ -115,6 +118,7 @@ class _Plan(NamedTuple):
     jumps: list[tuple[Clip, np.ndarray, np.ndarray]]
     pairs: list[tuple[int, Clip]]
     pushes: list[tuple[int, Loc]]
+    starts: np.ndarray
 
 
 # Visits to one location before its boxes are widened (module docstring).
@@ -168,6 +172,7 @@ def reachable(
     jumps: dict[int, tuple[Clip, np.ndarray, np.ndarray]] = {}
     plans: dict[Loc, _Plan] = {}
 
+    @functools.cache
     def invariant(l: Loc) -> tuple[Clip, np.ndarray, np.ndarray]:
         """The invariant's clip and its bounds (lo, hi) as a box."""
         inv = h.invariant(l)
@@ -207,11 +212,11 @@ def reachable(
                 k = pairs[g, id(target_inv)] = len(pair_list)
                 pair_list.append((g, target_inv))
             pushes.append((k, t.target))
-        return _Plan(*f, *invariant(l), jump_list, pair_list, pushes)
+        # The most visits widening allows (module docstring).
+        starts = np.empty((WIDEN_AFTER + 2 * n + 1, 2 * n))
+        return _Plan(*f, *invariant(l), jump_list, pair_list, pushes, starts)
 
     store: dict[Loc, list[np.ndarray]] = {l: [] for l in h.locations}
-    # One row per start box flowed at the location.
-    starts: dict[Loc, np.ndarray] = {l: np.empty((0, 2 * n)) for l in h.locations}
     visits = {l: 0 for l in h.locations}
     work: list[tuple[Loc, np.ndarray]] = []
 
@@ -231,7 +236,10 @@ def reachable(
     total = 0
     while work:
         l, z = work.pop()
-        if (z <= starts[l]).all(axis=1).any():
+        p = plans.get(l)
+        if p is not None and np.logical_or.reduce(
+            np.logical_and.reduce(z <= p.starts[: visits[l]], axis=1)
+        ):
             continue
         total += 1
         if total > MAX_VISITS:
@@ -239,15 +247,14 @@ def reachable(
                 cause, cause_location = f"visit budget of {MAX_VISITS} spent", l
             break
         visits[l] += 1
-        p = plans.get(l)
         if p is None:
             p = plans[l] = plan(l)
         if visits[l] > WIDEN_AFTER:
             # Join with the hull of the start boxes, and widen where the
             # box exceeds it (module docstring).
-            hull = np.max(starts[l], axis=0)
+            hull = np.max(p.starts[: visits[l] - 1], axis=0)
             z = np.where(z > hull, p.inv.u, hull)
-        starts[l] = np.vstack((starts[l], z))
+        p.starts[visits[l] - 1] = z
 
         tube_lo, tube_hi, _end_lo, _end_hi, status = flow_tube(
             *bounds(z), p.A, p.b, step, n_steps, p.inv_lo, p.inv_hi, disc=p.disc
@@ -264,7 +271,7 @@ def reachable(
                 )
             else:
                 cause = "no validated flow enclosure"
-        tube = _box(tube_lo, tube_hi)
+        tube = np.concatenate((-tube_lo, tube_hi))
         store[l].append(tube)
 
         # One guard clip and image per jump tuple, one clip per (jump

@@ -23,35 +23,30 @@ keeps one sign over E0 is monotone along every trajectory on [0, h], so
 each of its states lies between its start value and its value at h:
 the axis is also cut to the hull of X0 and X1 = box(Phi X0 + g).
 
-Flowed axes. An axis with a zero row and a zero column of A and zero b
-(the latch f and the snapshots y of a product, for instance) moves
-nothing and nothing moves it. Discretization finds these decoupled
-constant axes once per field, and only the other axes are flowed; a
-constant axis that feeds a moving one, such as a parameter p in
-der(x) = p - x, stays in the flowed block. In every segment a decoupled
-axis holds its start interval cut by the invariant: min(x, inv) + 0.0,
-then cut again, in the upper-bound vector. That is the value the
-segment sums of the whole block give it, with an endpoint -0.0 read as
-+0.0. When that interval is empty no state is inside the invariant, and
-the flow is FLOW_DONE with the tube and end box equal to the start box.
-The flowed block runs the same arithmetic as the whole field would,
-without the zero terms of the dropped axes. Where a sum has at most one
-nonzero term, as in a diagonal field, the results are the whole field's
-bit for bit; a sum of several may round otherwise in its last bits,
-since the matrix-vector product groups its terms by position.
+Flowed axes. An axis with a zero row and column of A and zero b, such as
+a product's latch f or snapshot y, is a decoupled constant: it moves
+nothing and nothing moves it. Discretization finds these once per field
+and flows only the others (a constant that feeds a moving axis, such as
+p in der(x) = p - x, is flowed). In every segment a decoupled axis holds
+min(min(x, inv) + 0.0, inv) in the upper-bound vector: its start
+interval cut by the invariant as the whole block's segment sums give it,
+an endpoint -0.0 read as +0.0. If that interval is empty, the flow is
+FLOW_DONE with the start box as tube and end box. The flowed block's
+sums drop only zero terms: bit for bit where a sum has at most one
+nonzero term, as in a diagonal field; with several, the matrix-vector
+product may round otherwise in the last bits, as it groups terms by
+position.
 
-Memo. The flow of the moving block is a pure function of its start box,
-its invariant bounds, n_steps and of whether the whole start box is
-finite (which picks the product rule of the segment maps, see _flow).
-Discretization keeps every flow it has made under that key, so a hit
-gives the same bits as a new run would. The engine makes one
-Discretization per field per run and shares it between every location
-with that field, so the memo lives as long as the run. flow_tube copies
-a hit into new arrays, so no caller can write into the memo. It also
-keeps the operands of its first _KEPT_CHUNKS chunks, and of the last
-one past them, from which the next is chained. With the powers that is
-at most (_KEPT_CHUNKS + 2) 256 (2n^2 + n) float64 for n flowed axes:
-64 chunks take 1.3 MB at n = 2, all of a 10^6-step flow 80 MB.
+Memo. A Discretization keeps each flow of the flowed block under its
+start box, invariant bounds, n_steps and whether the whole start box is
+finite (which picks the product rule, see _flow), and the decoupled
+axes' result under their start and invariant intervals. A hit gives the
+bits a new run would, copied into new arrays: no caller is handed an
+array of the memo. The engine shares one per field and run. It keeps the
+operands of its first _KEPT_CHUNKS chunks and of the last one past them,
+from which the next is chained: with the powers, at most
+(_KEPT_CHUNKS + 2) 256 (2n^2 + n) float64 for n flowed axes, 1.3 MB at
+n = 2 (all of a 10^6-step flow would take 80 MB).
 
 Direct mapping. A trajectory that is inside the invariant at time
 kh + t stayed inside it from time 0, so it was in S_0 = E0 & inv at
@@ -62,6 +57,11 @@ in vectorized chunks of 256, as the columns of a (2n, count) array;
 the operands of one chunk are the split powers of Psi and the offsets
 (Discretization.chunk), shifted by Psi^(chunk start) from those of the
 first chunk, that power chained from the last one of the chunk before.
+A chunk's split powers times the columns (z_lo, z_hi) are one matrix
+product, whose rows come out the same whatever rows stand beside them.
+A column of a matrix product need not equal the matrix-vector product
+of that column (OpenBLAS, n >= 2), so the offsets are shifted by their
+own matrix-vector product, never batched as a column of the powers'.
 
 Stopping rules and statuses:
 - FLOW_DONE, S_k empty: every trajectory left the invariant before or
@@ -81,7 +81,11 @@ Stopping rules and statuses:
   rule would then hold at once, although the flow moves. The tube is
   then the start box.
 Both nonzero codes mean the tube may miss states, and the caller must
-degrade the overall verdict.
+degrade the overall verdict. The first segment that meets a rule stops
+the flow, and is left out of the tube unless only the fixpoint rule
+holds. A chunk tests the fixpoint rule per segment, and the others on
+the whole chunk first (is some -lo + hi negative or nan, or a power not
+finite?), then per segment only when they hold somewhere.
 
 Boxes are upper-bound vectors z = (-lo, hi), imaged under a matrix M by
 G(M) z with 0 * inf = 0; `reach.boxes` defines both.
@@ -97,7 +101,7 @@ import math
 
 import numpy as np
 
-from .boxes import _bound, _box, _split, bounds, is_empty
+from .boxes import _bound, _box, _split, is_empty
 
 FLOW_DONE = 0
 FLOW_BUDGET = 1
@@ -161,9 +165,16 @@ class Discretization:
         # box vector (-lo, hi) of the whole field.
         self.moving = np.concatenate([axes, axes + len(b)])
         self.fixed = np.concatenate([fixed, fixed + len(b)])
+        # Columns of flow_tube's rows, start box and invariant, with the
+        # flowed axes first, at their places in (-lo, -inv_lo, hi, inv_hi);
+        # and the inverse order of columns.
+        order = np.concatenate([self.moving, self.fixed])
+        self.order = order + len(b) * ((order >= len(b)) + np.array([[0], [1]]))
+        self.unorder = np.argsort(order)
         self.flows = 0
         self._tubes: dict = {}
-        A, b = A[np.ix_(axes, axes)], b[axes]
+        self._held: dict = {}
+        A, b = A[axes][:, axes], b[axes]
         self.n = n = len(b)
         # g is linear in b: scaling b down by a power of two c to the size
         # of A h and g back up is exact, and keeps a large b from scaling
@@ -194,6 +205,7 @@ class Discretization:
         self.GA = _split(A)
         self.b2 = np.concatenate([-b, b])
         self.g2 = np.concatenate([-self.g, self.g])
+        self.g2s = np.repeat(self.g2[:, None], _CHUNK, axis=1)
         self._P = np.eye(n)[None]
         self._V = np.zeros((1, n))
         # Operands of the kept chunks and of the last one past them, each
@@ -242,15 +254,15 @@ class Discretization:
 
 def _first_segment(disc: Discretization, x: np.ndarray, bound) -> np.ndarray:
     """E0, the enclosure of every state on [0, h] from the box x."""
-    n = disc.n
     f = bound(disc.GA, x) + disc.b2
-    rem = bound(disc.W, np.maximum(np.abs(f[:n]), np.abs(f[n:])))
-    e = x + disc.h * np.maximum(f, 0.0) + np.concatenate([rem, rem])
+    rem = bound(disc.W, np.maximum.reduce(np.abs(f.reshape(2, -1))))
+    e = x + disc.h * np.maximum(f, 0.0)
+    sides = e.reshape(2, -1)
+    sides += rem
     d = bound(disc.GA, e) + disc.b2
-    mono = (d[:n] <= 0.0) | (d[n:] <= 0.0)
-    if mono.any():
-        x1 = bound(disc.Gphi, x) + disc.g2
-        e = np.where(np.concatenate([mono, mono]), np.minimum(e, np.maximum(x, x1)), e)
+    mono = np.logical_or.reduce(d.reshape(2, -1) <= 0.0)
+    x1 = bound(disc.Gphi, x) + disc.g2
+    np.copyto(sides, np.minimum(e, np.maximum(x, x1)).reshape(2, -1), where=mono)
     return e
 
 
@@ -262,76 +274,103 @@ def flow_tube(lo, hi, A, b, h, n_steps, inv_lo, inv_hi, *, disc=None):
     given, must be Discretization(A, b, h); callers that flow the same
     field many times pass it to share its powers and its memo.
     """
-    x = _box(lo, hi)
+    # The start box and the invariant as z vectors, their halves
+    # interleaved: (-lo, -inv_lo, hi, inv_hi).
+    boxes = np.concatenate((lo, inv_lo, hi, inv_hi), dtype=np.float64)
+    np.negative(boxes[: len(boxes) // 2], out=boxes[: len(boxes) // 2])
     n_steps = int(n_steps)
     if disc is None and n_steps > 0:
         disc = Discretization(A, b, h)
     if n_steps <= 0 or not disc.finite or disc.stalled:
         status = FLOW_BUDGET if n_steps <= 0 else FLOW_NO_ENCLOSURE
-        return *bounds(x), *bounds(x), status
-    inv = _box(inv_lo, inv_hi)
-    fixed, moving = disc.fixed, disc.moving
-    # The decoupled constant axes (module docstring).
-    s = np.minimum(np.minimum(x[fixed], inv[fixed]) + 0.0, inv[fixed])
-    if is_empty(s):
-        return *bounds(x), *bounds(x), FLOW_DONE
-    xm, finite = x[moving], bool(np.isfinite(x).all())
-    key = (xm.tobytes(), inv[moving].tobytes(), n_steps, finite)
+        return _result(np.tile(_box(lo, hi), (2, 1)), status)
+    rows, m = boxes.take(disc.order), 2 * disc.n
+    key = rows[:, m:].tobytes()
+    fixed = disc._held.get(key)
+    if fixed is None:
+        # The decoupled constant axes (module docstring).
+        x, inv = rows[:, m:]
+        s = np.minimum(np.minimum(x, inv) + 0.0, inv)
+        held = None if is_empty(s) else np.stack((np.maximum(x, s), s))
+        fixed = disc._held[key] = held, bool(np.isfinite(x).all())
+    held, finite = fixed
+    if held is None:
+        return _result(np.tile(_box(lo, hi), (2, 1)), FLOW_DONE)
+    key = (rows[:, :m].tobytes(), n_steps, finite)
     flow = disc._tubes.get(key)
     if flow is None:
         disc.flows += 1
+        x, inv = rows[:, :m]
         # Overflow is detected from the results and reported as a status.
         with np.errstate(over="ignore", invalid="ignore"):
-            flow = disc._tubes[key] = _flow(disc, xm, n_steps, inv[moving], finite)
-    tube_m, end_m, status = flow
-    if end_m is None:
-        return *bounds(x), *bounds(x), status
-    out = np.empty((2, len(x)))
-    out[:, moving] = tube_m, end_m
-    out[:, fixed] = np.maximum(x[fixed], s), s
-    return *bounds(out[0]), *bounds(out[1]), status
+            flow = _flow(disc, x, inv, n_steps, finite and bool(np.isfinite(x).all()))
+        disc._tubes[key] = flow
+    flowed, status = flow
+    if flowed is None:
+        return _result(np.tile(_box(lo, hi), (2, 1)), status)
+    # The memo's rows are copied into rows, never handed out.
+    rows[:, :m] = flowed
+    rows[:, m:] = held
+    return _result(rows.take(disc.unorder, axis=1), status)
 
 
-def _flow(disc: Discretization, x, n_steps: int, inv, finite: bool):
-    """Tube, end box and status of the flowed block from its box x; the
-    end box is None when the flow stops before its first segment."""
+def _result(out: np.ndarray, status: int):
+    """flow_tube's tuple from the z rows of its tube and end box."""
+    N = out.shape[1] // 2
+    np.negative(out[:, :N], out=out[:, :N])
+    return out[0, :N], out[0, N:], out[1, :N], out[1, N:], status
+
+
+def _flow(disc: Discretization, x, inv, n_steps: int, finite: bool):
+    """Tube and end box of the flowed block from its box x, as the rows
+    of one array (None when the flow stops before its first segment),
+    and the status."""
     n = disc.n
     if not n:
-        return x, x, FLOW_DONE
+        return np.empty((2, 0)), FLOW_DONE
     # A finite start box keeps every box finite, and an overflow then
     # shows as nan; only infinite sides need 0 * inf = 0.
     bound = np.matmul if finite else _bound
     s0 = np.minimum(_first_segment(disc, x, bound), inv)
     # Columns (z_lo, z_hi): the positive and negative parts of Phi^k,
     # stacked, times them give every product that G(Phi^k) s0 sums.
-    halves = np.stack([s0[:n], s0[n:]], axis=1)
-    inv, g2 = inv[:, None], disc.g2[:, None]
-    tube, end = x, None
+    halves = np.ascontiguousarray(s0.reshape(2, n).T)
+    # The invariant and g as columns of full chunks: ufuncs run faster on
+    # whole arrays than broadcast along rows.
+    inv, g2 = np.repeat(inv[:, None], _CHUNK, axis=1), disc.g2s
+    tube, end, status = x, None, FLOW_BUDGET
     for j, start in enumerate(range(0, n_steps, _CHUNK)):
         count = min(_CHUNK, n_steps - start)
         G, VT, nonfinite = disc.chunk(j, count)
+        lim = inv[:, :count]
         R = bound(G, halves).reshape(2, count, n, 2).transpose(0, 3, 2, 1)
         # Segment k is column k: with Phi = Phi^k and v = v_k, its -lo is
         # Phi+ z_lo + Phi- z_hi - v and its hi is Phi- z_lo + Phi+ z_hi + v.
         seg = np.empty((2 * n, count))
+        neg_lo, hi = seg[:n], seg[n:]
         np.add(R[:, 0], R[::-1, 1], out=seg.reshape(2, n, count))
-        seg[:n] -= VT
-        seg[n:] += VT
-        np.minimum(seg, inv, out=seg)
+        np.subtract(neg_lo, VT, out=neg_lo)
+        np.add(hi, VT, out=hi)
+        np.minimum(seg, lim, out=seg)
         img = bound(disc.Gphi, seg)
-        img += g2
-        np.minimum(img, inv, out=img)
-        bad = np.isnan(seg).any(axis=0)
-        if nonfinite is not None:
-            bad |= nonfinite
-        empty = (seg[:n] + seg[n:] < 0.0).any(axis=0)
-        stop = bad | empty | (img <= seg).all(axis=0)
-        k = int(stop.argmax()) if stop.any() else count
-        last = k + 1 if k < count and not (bad[k] or empty[k]) else k
+        img += g2[:, :count]
+        np.minimum(img, lim, out=img)
+        # Stop tests (module docstring): the fixpoint rule per column, the
+        # others per column only when the whole chunk fails them.
+        stop, cut = np.logical_and.reduce(img <= seg), None
+        if nonfinite is not None or not np.minimum.reduce(neg_lo + hi, axis=None) >= 0.0:
+            bad = np.logical_or.reduce(np.isnan(seg))
+            if nonfinite is not None:
+                bad |= nonfinite
+            cut = bad | np.logical_or.reduce(neg_lo + hi < 0.0)
+            stop |= cut
+        k = int(stop.argmax())
+        halt = stop[k] and cut is not None and cut[k]
+        last = k + (not halt) if stop[k] else count
         if last:
-            tube = np.maximum(tube, seg[:, :last].max(axis=1))
-            # A copy, so a remembered flow does not keep its chunk alive.
-            end = seg[:, last - 1].copy()
-        if k < count:
-            return tube, end, FLOW_NO_ENCLOSURE if bad[k] else FLOW_DONE
-    return tube, end, FLOW_BUDGET
+            tube = np.maximum(tube, np.maximum.reduce(seg[:, :last], axis=1))
+            end = seg[:, last - 1]
+        if stop[k]:
+            status = FLOW_NO_ENCLOSURE if halt and bad[k] else FLOW_DONE
+            break
+    return None if end is None else np.array((tube, end)), status

@@ -123,3 +123,55 @@ def test_one_answer_whatever_holds_the_state(lhs, rel, rhs, state):
         outcome(lambda: satisfies_flow(traj, c, tol=0.0)),
     }
     assert len(answers) == 1, answers
+
+
+class TestEqualityIsBothInequalities:
+    """An equality holds where both of its inequalities hold, so equal
+    infinities are equal; |inf - inf| is nan, which no slack reaches."""
+
+    @FLOAT_TYPES
+    @pytest.mark.parametrize("text, x", [("1/x {} 1/x", 0.0), ("x {} x", math.inf)])
+    def test_equal_infinities(self, num, text, x):
+        assert [at(text.format(rel), num(x)) for rel in ("=", "<=", ">=")] == [True] * 3
+
+    @FLOAT_TYPES
+    def test_opposite_infinities_differ(self, num):
+        assert at("1/x = -1/x", num(0.0)) is False
+
+    def test_slack_on_both_sides(self):
+        c = parse_flow_constraint("x = 1", DECLS)
+        assert c.holds_at({"x": 1.0 + 1e-10}, tol=1e-9)
+        assert c.holds_at({"x": 1.0 - 1e-10}, tol=1e-9)
+        assert not c.holds_at({"x": 1.0 + 1e-8}, tol=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lhs=EXPRS, rhs=EXPRS, state=st.tuples(VALUES, VALUES))
+def test_equality_holds_where_both_inequalities_do(lhs, rhs, state):
+    s = dict(zip(NAMES, state))
+    eq, le, ge = (
+        outcome(lambda rel=rel: FlowConstraint(lhs, rel, rhs).holds_at(s))
+        for rel in (Relation.EQ, Relation.LE, Relation.GE)
+    )
+    if "undefined" in (le, ge):
+        assert eq == le == ge == "undefined"
+    else:
+        assert eq is (le and ge)
+
+
+class TestTrajectoryValues:
+    """Derivatives are estimated from finite values only; given ones are
+    taken as they are."""
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_estimating_from_a_non_finite_value_names_its_sample(self, bad):
+        with pytest.raises(TraceError, match=rf"sample 1 holds a non-finite value y={bad:g}"):
+            SampledTrajectory(NAMES, [[0.0, 0.0], [1.0, bad], [2.0, 0.0]], 0.1)
+
+    def test_all_infinite_samples(self):
+        with pytest.raises(TraceError, match="sample 0 holds a non-finite value x=inf"):
+            SampledTrajectory(("x",), [[math.inf]] * 3, 0.1)
+
+    def test_given_derivatives_leave_values_alone(self):
+        traj = SampledTrajectory(("x",), [[math.inf]] * 3, 0.1, np.zeros((3, 1)))
+        assert satisfies_flow(traj, parse_flow_constraint("x >= 1", DECLS), tol=0.0)
