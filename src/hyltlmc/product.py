@@ -8,14 +8,17 @@ The question is reduced to a reachability query in three steps:
    in a live pair with a system location: a pair on a path from an
    initial pair to a cycle meeting every acceptance set of the
    composition, searched on the composition's location graph from the
-   initial pairs, with the sets whose flow atoms no state can meet left
-   out.
+   initial pairs. The sets whose flow atoms no state can meet, and the
+   pairs whose joint dynamics none can, are left out, as step 2 prunes
+   them, so the observer's locations are exactly the observer halves of
+   the pruned product's.
 2. Observer and system are composed, from the initial pairs forward;
    accepting product runs are system traces that violate the property.
    Such a run only visits locations that an initial location reaches,
    that reach a cycle meeting every acceptance set and whose invariant
    the reach engine's own clip does not prove empty, so the product is
-   pruned to those (tableau.prune_unreachable). Every live pair of the
+   pruned to those (tableau.prune_unreachable), which hands it back as
+   it is when every location is kept. Every live pair of the
    composition with the full observer is a pair of kept locations, so
    this is the product the full observer would give. When nothing is
    left, no run violates the property, and it is Verified from the
@@ -24,13 +27,15 @@ The question is reduced to a reachability query in three steps:
    first reduced to a single final set (counter product) built forward
    from the initial locations; every counter location reachable from a
    live product is live (see degeneralize), so it needs no second
-   prune. An empty family accepts every run, so every location is then
-   final. Every exit edge of a final location gets a twin that, once,
-   records a code in a latch f and the first variable in its snapshot
-   y. An accepting run must revisit a final location with a state close
-   to an earlier visit, so if no state with f set and that variable
-   back within eps of y is reachable, no accepting run exists and the
-   property is Verified. The query is compiled like every other region
+   prune. The counter product is built straight into the query
+   automaton, so only that one automaton is built. An empty family
+   accepts every run, so every location is then final. Every exit edge
+   of a final location gets a twin that, once, records a code in a
+   latch f and the first variable in its snapshot y. An accepting run
+   must revisit a final location with a state close to an earlier
+   visit, so if no state with f set and that variable back within eps
+   of y is reachable, no accepting run exists and the property is
+   Verified. The query is compiled like every other region
    (reach.boxes.compile_rows), and a stored box is a hit unless its clip
    proves the box empty, an unbounded one included.
 
@@ -67,7 +72,9 @@ def degeneralize(h: HybridAutomaton) -> HybridAutomaton:
     set 0 at index 0. Only the counter locations reachable from an
     initial (location, 0) are built, in the order (index, location) of
     the full counter product, and edges in the order (edge, index).
-    Families of size 0 or 1 are returned unchanged.
+    Families of size 0 or 1 are returned unchanged. instrument builds
+    the same counter product (_counter_parts) straight into its query
+    automaton.
 
     On a live input (every location on a path from an initial location
     to a nontrivial component meeting every set, as prune_unreachable
@@ -79,9 +86,17 @@ def degeneralize(h: HybridAutomaton) -> HybridAutomaton:
     finitely many final counter locations, so one of them lies on a
     cycle that the run reaches.
     """
+    if len(h.acceptance) <= 1:
+        return h
+    return HybridAutomaton(h.variables, h.actions, *_counter_parts(h))
+
+
+def _counter_parts(h: HybridAutomaton) -> tuple:
+    """The locations, transitions, dyn, init, init region and acceptance
+    of degeneralize(h), without building an automaton of them."""
     k = len(h.acceptance)
     if k <= 1:
-        return h
+        return h.locations, h.transitions, h.dyn, h.init, h.init_region, h.acceptance
     idx = {l: n for n, l in enumerate(h.locations)}
     member = [[l in F for F in h.acceptance] for l in h.locations]
     out: list[list[int]] = [[] for _ in h.locations]
@@ -125,16 +140,7 @@ def degeneralize(h: HybridAutomaton) -> HybridAutomaton:
             if member[n][0] and reached[n] & 1
         ),
     )
-    return HybridAutomaton(
-        h.variables,
-        h.actions,
-        locations,
-        transitions,
-        dyn,
-        init,
-        init_region,
-        acceptance,
-    )
+    return locations, transitions, dyn, init, init_region, acceptance
 
 
 @dataclass(frozen=True)
@@ -158,19 +164,22 @@ def instrument(h: HybridAutomaton) -> tuple[
     """The recurrence query automaton: h degeneralized, with the latch f
     and snapshot variable y added.
 
-    A family of several acceptance sets is first reduced to one
-    (degeneralize); an empty family accepts every run, so every location
-    is final. Every exit edge of a final location gains a twin, enabled
-    only while f = 0, that sets f to the location's code and copies the
-    tracked variable, the lexicographically first one, into y. An
-    automaton with no variables gets no snapshot, and the latch alone
-    answers. All auxiliaries start at 0 and never flow. Returns the
-    instrumented automaton, whose one acceptance set is the final
-    locations, the query targets, the latch name, the snapshot names and
-    the tracked variable names, the last two aligned index by index.
+    A family of several acceptance sets is first reduced to one: the
+    counter product of degeneralize is built straight into the query
+    automaton (_counter_parts), so this is instrument(degeneralize(h))
+    with one automaton built and validated instead of two. An empty
+    family accepts every run, so every location is final. Every exit
+    edge of a final location gains a twin, enabled only while f = 0, that
+    sets f to the location's code and copies the tracked variable, the
+    lexicographically first one, into y. An automaton with no variables
+    gets no snapshot, and the latch alone answers. All auxiliaries start
+    at 0 and never flow. Returns the instrumented automaton, whose one
+    acceptance set is the final locations, the query targets, the latch
+    name, the snapshot names and the tracked variable names, the last two
+    aligned index by index.
     """
-    h = degeneralize(h)
-    finals = h.acceptance[0] if h.acceptance else frozenset(h.locations)
+    locations, edges, base_dyn, init, base_region, acceptance = _counter_parts(h)
+    finals = acceptance[0] if acceptance else frozenset(locations)
     witness_vars = (min(h.variables),) if h.variables else ()
     taken = (*h.variables, *h.actions)
     f_name = _fresh_name("f", taken)
@@ -180,12 +189,12 @@ def instrument(h: HybridAutomaton) -> tuple[
 
     zero = Const(0.0)
     aux_dyn = tuple(FlowConstraint(DotVar(n), Relation.EQ, zero) for n in aux)
-    dyn = {l: h.dyn[l] + aux_dyn for l in h.locations}
+    dyn = {l: base_dyn[l] + aux_dyn for l in locations}
 
     aux_init = tuple(FlowConstraint(Var(n), Relation.EQ, zero) for n in aux)
-    init_region = {l: h.init_region.get(l, ()) + aux_init for l in h.init}
+    init_region = {l: base_region.get(l, ()) + aux_init for l in init}
 
-    order = [l for l in h.locations if l in finals]
+    order = [l for l in locations if l in finals]
     targets = tuple(QueryTarget(l, i + 1) for i, l in enumerate(order))
 
     # One set of latch rows per final location, shared by its exit twins.
@@ -205,8 +214,8 @@ def instrument(h: HybridAutomaton) -> tuple[
     # Edges share their jump tuples, and so do their twins: one twin tuple
     # per (jumps, latch rows) pair.
     twins: dict[tuple[int, int], tuple[JumpConstraint, ...]] = {}
-    transitions = list(h.transitions)
-    for t in h.transitions:
+    transitions = list(edges)
+    for t in edges:
         rows = latch.get(t.source)
         if rows is not None:
             jumps = twins.setdefault((id(t.jumps), id(rows)), t.jumps + rows)
@@ -215,10 +224,10 @@ def instrument(h: HybridAutomaton) -> tuple[
     out = HybridAutomaton(
         variables,
         h.actions,
-        h.locations,
+        locations,
         transitions,
         dyn,
-        h.init,
+        init,
         init_region,
         (finals,),
     )
@@ -336,13 +345,16 @@ def check(
     check_settings(nonnegative=[("eps", eps)])
     timings: dict[str, float] = {}
     counts: dict[str, int] = {}
+    # The tableau judges each (system location, flow atoms) pair on the
+    # dynamics compose gives it, and pruning then reads those answers.
+    judged: dict[tuple[int, ...], bool] = {}
     with _timed(timings, "observer"):
         negated = to_nnf(Not(formula), strict=strict)
         observer = build_formula_automaton(
-            negated, system.actions, system=system, counts=counts
+            negated, system.actions, system=system, counts=counts, judged=judged
         )
     with _timed(timings, "compose+prune"):
-        product = prune_unreachable(compose(system, observer))
+        product = prune_unreachable(compose(system, observer), judged)
     with _timed(timings, "instrument"):
         inst, targets, f_name, y_names, w_names = instrument(product)
 

@@ -18,10 +18,13 @@ valid sets split into classes of one pin profile and one acceptance
 vector, whose members have the same successors and acceptance bits.
 Given a system, only the sets in a live pair (system location, set) are
 built, searched per class (see _live_sets), after leaving out the sets
-whose flow atoms no state can meet (reach.boxes.satisfiable); composing
-them with the system and pruning gives the product that composing every
-set and pruning gives. Without one, every consistent set is built; the
-one-location system looping on every action prunes by
+whose flow atoms no state can meet (reach.boxes.satisfiable) and the
+pairs whose joint dynamics, the system location's with the set's flow
+atoms, none can. So the search keeps prune_unreachable's rule: composing
+the kept sets with the system and pruning gives the product that
+composing every set and pruning gives, and the kept sets are exactly
+the observer halves of its locations. Without one, every consistent set
+is built; the one-location system looping on every action prunes by
 prune_unreachable's rule on the tableau alone.
 """
 
@@ -42,6 +45,7 @@ def build_formula_automaton(
     actions: Sequence[str],
     system: HybridAutomaton | None = None,
     counts: dict[str, int] | None = None,
+    judged: dict[tuple[int, ...], bool] | None = None,
 ) -> HybridAutomaton:
     """Translate a formula over the given action alphabet, which must
     cover every action atom of the formula.
@@ -50,10 +54,14 @@ def build_formula_automaton(
     the same alphabet, only the sets in a live pair of system and tableau
     are built (see _live_sets), with every edge between them: an induced
     sub-automaton of the full one, whose composition with the system
-    prunes (prune_unreachable) to what the full one's does. The
-    one-location system looping on every action gives prune_unreachable
-    of the full automaton. counts receives observer_sets, the number of
+    prunes (prune_unreachable) to what the full one's does, and whose
+    locations are the observer halves of that pruned product's. A pair
+    whose joint dynamics the engine's clip proves empty is never reached,
+    as pruning drops it. The one-location system looping on every action
+    has no dynamics, so it gives prune_unreachable of the full
+    automaton. counts receives observer_sets, the number of
     consistent sets, and observer_classes, the pair search's nodes.
+    judged, when given, memoizes the emptiness tests (see feasible).
     """
     actions = tuple(actions)
     missing = action_atoms(formula) - set(actions)
@@ -98,6 +106,7 @@ def build_formula_automaton(
     # Every combination of flow atoms is a free choice, judged once.
     usable = full
     if system is not None:
+        judged = {} if judged is None else judged
         combos = [(full, ())]
         for c, i in flows.items():
             combos = [
@@ -106,8 +115,9 @@ def build_formula_automaton(
                 for p in ((x & col[i ^ 1], cs), (x & col[i], cs + (c,)))
             ]
         for x, cs in combos:
-            if not satisfiable(cs):
+            if not feasible(cs, judged):
                 usable ^= x
+        combos = [(x, cs) for x, cs in combos if x & usable]
 
     # At most one action atom is positive, so the columns are disjoint.
     has_action = sum(col[i] for i in sets.actions)
@@ -138,7 +148,7 @@ def build_formula_automaton(
     if system is not None:
         act = {a: col[cl.action_ordinals[a]] & valid for a in actions}
         live, searched = _live_sets(
-            system, classes, successors, act, init & valid, acceptance
+            system, classes, successors, act, init & valid, acceptance, combos, judged
         )
     if counts is not None:
         counts.update(observer_sets=sets.n, observer_classes=searched)
@@ -185,17 +195,25 @@ def _live_sets(
     act: dict[str, int],
     init: int,
     acceptance: Sequence[int],
+    combos: Sequence[tuple[int, tuple]],
+    judged: dict[tuple[int, ...], bool],
 ) -> tuple[int, int]:
     """The sets in a live pair (system location, set), and the number of
     (system location, class) nodes searched.
 
     (s, i) steps to (s', j) when j is a successor of i whose action
     labels a system edge s -> s', as in compose; a pair is live
-    (live_nodes) under the acceptance family compose lifts. reach[s]
-    collects the sets paired with s on a path from an initial pair: a
-    class met at s adds its successors by each action to the system
-    locations that action leads to. The quotient steps from (s, K) to
-    (s', K') when a successor of K by an edge s -> s' lies in K'. Every
+    (live_nodes) under the acceptance family compose lifts, a pair whose
+    joint dynamics the engine's clip proves empty (prune_unreachable)
+    having no successors. Such a pair is never live, so it is left out:
+    reach[s] collects the sets paired with s on a path from an initial
+    pair that some state of s may meet. combos holds each combination of
+    flow atoms as (its sets, its atoms), judged (feasible, with judged)
+    on the dynamics compose gives the pair the first time one of its
+    sets is paired with s. A class met at s adds its kept successors by
+    each action to the system locations that action leads to. The
+    quotient steps from (s, K) to (s', K') when a successor of K by an
+    edge s -> s' lies in K' and is kept at s'. Every
     member of K has those successors, so each quotient edge leaves every
     member, and the quotient is a forward bisimulation: following a
     closed walk through every node of a quotient component from one
@@ -210,16 +228,39 @@ def _live_sets(
     for t in system.transitions:
         moves[sidx[t.source]].setdefault(t.action, []).append(sidx[t.target])
 
+    # compose gives a pair the system's dynamics followed by the set's
+    # flow atoms, less any atom equal to a system constraint. A repeated
+    # row changes no clip, so dyn + cs is judged as the pair is, under the
+    # pair's key unless such an atom was dropped; pruning then judges the
+    # pair again.
+    seen, fits = [0] * ns, [0] * ns
+
+    def fit(s: int, x: int) -> int:
+        """The members of the bitset x that some state of s may meet."""
+        new = x & ~seen[s]
+        if new:
+            seen[s] |= new
+            dyn = system.dyn[locs[s]]
+            for y, cs in combos:
+                if y & new and feasible(dyn + cs, judged):
+                    fits[s] |= y
+        return x & fits[s]
+
+    found: dict[int, list[int]] = {}
+
     def meets(x: int) -> list[int]:
         """The classes the bitset x meets."""
-        return [k for k, (y, _) in enumerate(classes) if x & y]
+        ks = found.get(x)
+        if ks is None:
+            ks = found[x] = [k for k, (y, _) in enumerate(classes) if x & y]
+        return ks
 
-    # Per part and action: the successors and the classes they meet.
-    steps: dict[tuple[int, str], tuple[int, list[int]]] = {}
+    # Per part and action: the successors.
+    steps: dict[tuple[int, str], int] = {}
     reach, scanned = [0] * ns, [0] * ns
     todo = [sidx[l] for l in system.init]
     for s in todo:
-        reach[s] = init
+        reach[s] = fit(s, init)
     # Quotient node s * nk + k -> its successor nodes.
     quotient: dict[int, list[int]] = {}
     while todo:
@@ -231,14 +272,14 @@ def _live_sets(
             quotient[s * nk + k] = out = []
             j = classes[k][1]
             for a, dests in moves[s].items():
-                if (j, a) not in steps:
-                    ts = successors[j] & act[a]
-                    steps[j, a] = ts, meets(ts)
-                ts, ks = steps[j, a]
+                ts = steps.get((j, a))
+                if ts is None:
+                    ts = steps[j, a] = successors[j] & act[a]
                 for s2 in dests:
-                    out += [s2 * nk + k2 for k2 in ks]
-                    if ts & ~reach[s2]:
-                        reach[s2] |= ts
+                    kept = fit(s2, ts)
+                    out += [s2 * nk + k2 for k2 in meets(kept)]
+                    if kept & ~reach[s2]:
+                        reach[s2] |= kept
                         todo.append(s2)
 
     lifted = [[v for v in quotient if locs[v // nk] in F] for F in system.acceptance]
@@ -250,14 +291,30 @@ def _live_sets(
     return live, len(quotient)
 
 
-def live_locations(h: HybridAutomaton) -> set:
+def feasible(dyn: tuple, judged: dict[tuple[int, ...], bool]) -> bool:
+    """satisfiable(dyn), memoized in judged by the ids of dyn's
+    constraints. Automata share their constraint objects, so each
+    distinct dynamics is judged once; judged must not outlive the
+    constraints it has seen, since their ids could then be reused.
+    """
+    key = tuple(map(id, dyn))
+    ok = judged.get(key)
+    if ok is None:
+        ok = judged[key] = satisfiable(dyn)
+    return ok
+
+
+def live_locations(
+    h: HybridAutomaton, judged: dict[tuple[int, ...], bool] | None = None
+) -> set:
     """The locations on a graph path from an initial location to a cycle
     meeting every acceptance set (see live_nodes), a location whose
     invariant the reach engine's clip proves empty
     (reach.boxes.satisfiable) having no out-edges: the clip, compiled from
     the same rows as the engine's, of the full box is empty. Every
     location of an accepting run is one of them (prune_unreachable), so
-    an empty result proves that h has no accepting run at all.
+    an empty result proves that h has no accepting run at all. judged,
+    when given, memoizes the emptiness tests (see feasible).
     """
     locs = h.locations
     idx = {l: i for i, l in enumerate(locs)}
@@ -265,16 +322,10 @@ def live_locations(h: HybridAutomaton) -> set:
     for t in h.transitions:
         succ[idx[t.source]].append(idx[t.target])
     # An empty location loses its out-edges, so it lies on no path to a
-    # cycle. Locations share their constraint objects, so each distinct
-    # dynamics is judged once.
-    feasible: dict[tuple[int, ...], bool] = {}
+    # cycle.
+    judged = {} if judged is None else judged
     for i, l in enumerate(locs):
-        dyn = h.dyn[l]
-        key = tuple(map(id, dyn))
-        ok = feasible.get(key)
-        if ok is None:
-            ok = feasible[key] = satisfiable(dyn)
-        if not ok:
+        if not feasible(h.dyn[l], judged):
             succ[i] = []
     live = live_nodes(
         len(locs),
@@ -285,7 +336,9 @@ def live_locations(h: HybridAutomaton) -> set:
     return {locs[i] for i in live}
 
 
-def prune_unreachable(h: HybridAutomaton) -> HybridAutomaton:
+def prune_unreachable(
+    h: HybridAutomaton, judged: dict[tuple[int, ...], bool] | None = None
+) -> HybridAutomaton:
     """Restrict to the live locations (live_locations).
 
     Every accepting run of the automaton survives pruning. A run samples
@@ -299,9 +352,14 @@ def prune_unreachable(h: HybridAutomaton) -> HybridAutomaton:
     location. A dropped location it can still reach has no
     path into a kept one that avoids the empty ones, so no box stored
     there flows into a kept location. The language of `WordAutomaton`,
-    which ignores the continuous part, may shrink.
+    which ignores the continuous part, may shrink. When every location is
+    live, h itself is returned, not a copy; pruning is idempotent, since
+    every location on a path to an accepting cycle keeps that path.
+    judged, when given, memoizes the emptiness tests (see feasible).
     """
-    kept_set = live_locations(h)
+    kept_set = live_locations(h, judged)
+    if len(kept_set) == len(h.locations):
+        return h
     kept_locs = tuple(l for l in h.locations if l in kept_set)
     return HybridAutomaton(
         variables=h.variables,

@@ -11,7 +11,8 @@ consistent-set enumerator (`powerset_consistent_sets`), of the
 enumerator that built the sets one at a time and sorted them
 (`sorted_consistent_sets`), of the tableau that computed pins, targets
 and acceptance per set and searched live (system location, set) pairs
-one pair at a time (`per_set_formula_automaton`), and of the full
+one pair at a time, a pair whose joint dynamics `satisfiable` proves
+empty having no successors (`per_set_formula_automaton`), and of the full
 cross-product `eager_compose`, which the pipeline's enumerator and
 forward compose must agree with, of the observer pruning that saw only
 the location graph (`graph_pruned`), of the two-pass liveness search it
@@ -475,7 +476,12 @@ def per_set_formula_automaton(
 
     if prune:
         live = _per_pair_live_sets(
-            system or loop_system(actions), succ, target_actions, init, acceptance
+            system or loop_system(actions),
+            succ,
+            target_actions,
+            init,
+            acceptance,
+            [flow_constraints(m) for m in sets],
         )
     else:
         live = range(n)
@@ -507,9 +513,12 @@ def _per_pair_live_sets(
     target_actions: Sequence[tuple[str, ...]],
     init: Sequence[int],
     acceptance: Sequence[Sequence[int]],
+    flows: Sequence[tuple[FlowConstraint, ...]],
 ) -> set[int]:
     """Sets that lie in a live pair (system location, set), searched on
-    compose's location graph with the system's acceptance sets first."""
+    compose's location graph with the system's acceptance sets first. A
+    pair whose system dynamics and set flow atoms (flows) `satisfiable`
+    proves empty has no successors, as in prune_unreachable."""
     n = len(succ)
     sidx = {l: k for k, l in enumerate(system.locations)}
     # Pair (s, i) is the node s * n + i.
@@ -519,8 +528,20 @@ def _per_pair_live_sets(
     lifted = [[sidx[l] * n + i for l in F for i in range(n)] for F in system.acceptance]
     lifted += [[s * n + i for s in range(len(sidx)) for i in F] for F in acceptance]
     roots = [sidx[l] * n + i for l in system.init for i in init]
+    judged: dict[tuple[int, tuple[FlowConstraint, ...]], bool] = {}
+
+    def empty(s: int, i: int) -> bool:
+        key = (s, flows[i])
+        if key not in judged:
+            dyn = system.dyn[system.locations[s]] + flows[i]
+            judged[key] = not satisfiable(dyn)
+        return judged[key]
+
     live = live_nodes(
-        len(sidx) * n, _PairSuccessors(n, moves, succ, target_actions), roots, lifted
+        len(sidx) * n,
+        _PairSuccessors(n, moves, succ, target_actions, empty),
+        roots,
+        lifted,
     )
     return {v % n for v in live}
 
@@ -528,18 +549,23 @@ def _per_pair_live_sets(
 class _PairSuccessors(dict):
     """Successor lists of pair nodes, each computed when the search first
     asks for it; pairs of one system location with sets of one pin
-    profile share one list."""
+    profile share one list, and a pair that empty(s, i) calls empty has
+    none."""
 
-    def __init__(self, n, moves, succ, target_actions):
+    def __init__(self, n, moves, succ, target_actions, empty):
         super().__init__()
         self.n = n
         self.moves = moves
         self.succ = succ
         self.target_actions = target_actions
+        self.empty = empty
         self.shared: dict[tuple[int, int], list[int]] = {}
 
     def __missing__(self, v: int) -> list[int]:
         s, i = divmod(v, self.n)
+        if self.empty(s, i):
+            self[v] = []
+            return []
         js = self.succ[i]
         out = self.shared.get((s, id(js)))
         if out is None:
