@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, HyltlError, TraceError
+from .errors import ConfigError, HyltlError, ParseError, TraceError
 from .formula.nnf import to_nnf
 from .formula.parser import Declarations, parse_formula
 from .formula.syntax import Not, to_str
@@ -242,6 +242,10 @@ def _read_trace_csv(path: str) -> tuple[tuple[str, ...], list[SampledTrajectory]
     if header[:1] != ["t"] or len(header) < 2:
         raise TraceError("trace header must be t followed by variable names")
     names = tuple(header[1:])
+    try:
+        Declarations(names)
+    except ParseError as e:
+        raise TraceError(f"trace header: {e}") from e
     blocks: list[list[list[float]]] = [[]]
     for row in rows[1:]:
         if not row or all(not c.strip() for c in row):

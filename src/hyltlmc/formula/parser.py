@@ -74,13 +74,14 @@ class Declarations:
     actions: tuple[str, ...] = ()
 
     def __post_init__(self):
-        seen: set[str] = set()
-        for name in (*self.variables, *self.actions):
+        names = (*self.variables, *self.actions)
+        for i, name in enumerate(names):
             if not is_name(name):
                 raise ParseError(f"name {name!r} is reserved or not an identifier")
-            if name in seen:
-                raise ParseError(f"name '{name}' declared in more than one namespace")
-            seen.add(name)
+            if name in names[:i]:
+                both = name in self.variables and name in self.actions
+                where = "in more than one namespace" if both else "twice"
+                raise ParseError(f"name '{name}' declared {where}")
 
 
 class _Parser:

@@ -98,10 +98,11 @@ class _Comparison:
     """lhs rel rhs over state variables and one marked namespace: dotted
     on FlowConstraint, primed on JumpConstraint.
 
-    The variable sets, the rows and the defined variable are cached,
-    outside equality, hashing, repr and pickles. rows holds the comparison
-    as rows sum(a * x) + k <= 0 over plain variables (_rows); one that
-    mentions a marked variable gives none.
+    The hash, the variable sets, the rows and the defined variable are
+    cached, outside equality, repr and pickles, so a copy hashes afresh
+    under its own process's hash seed. rows holds the comparison as rows
+    sum(a * x) + k <= 0 over plain variables (_rows); one that mentions a
+    marked variable gives none.
     """
 
     lhs: Expr
@@ -112,6 +113,13 @@ class _Comparison:
     # that node's place in the triple expr.variables returns.
 
     __getstate__ = fields_only
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.lhs, self.rel, self.rhs))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def _marked_vars(self) -> frozenset[str]:
         return variables(self.lhs)[self._slot] | variables(self.rhs)[self._slot]
@@ -171,6 +179,7 @@ class FlowConstraint(_Comparison):
     """Comparison over state and dotted variables, e.g. der(x) = -0.2 * x."""
 
     _marked, _slot = DotVar, 1
+    __hash__ = _Comparison.__hash__
 
     def __post_init__(self):
         for e in (self.lhs, self.rhs):
@@ -190,6 +199,7 @@ class JumpConstraint(_Comparison):
     jump tuple can be read for its guards."""
 
     _marked, _slot = PrimedVar, 2
+    __hash__ = _Comparison.__hash__
 
     def __post_init__(self):
         for e in (self.lhs, self.rhs):

@@ -56,9 +56,6 @@ class _ModelParser(_Parser):
         self.init_region: dict[str, list[FlowConstraint]] = {}
         self.global_region: list[FlowConstraint] = []
         self.acceptance: list[frozenset[str]] = []
-        # One object per distinct constraint, so that caches keyed by id
-        # (the engine's fields, invariants and jumps) see equal ones as one.
-        self.interned: dict = {}
 
     def ident(self, what: str) -> str:
         t = self.peek()
@@ -145,10 +142,6 @@ class _ModelParser(_Parser):
             init_region=region,
             acceptance=tuple(self.acceptance),
         )
-
-    def comparison(self, allow_dot: bool = True, allow_primed: bool = False):
-        c = super().comparison(allow_dot, allow_primed)
-        return self.interned.setdefault(c, c)
 
     def block(self, allow_dot: bool = False, allow_primed: bool = False) -> list:
         """A braced block of comparisons, each ended by ';': flow

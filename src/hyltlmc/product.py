@@ -345,16 +345,11 @@ def check(
     check_settings(nonnegative=[("eps", eps)])
     timings: dict[str, float] = {}
     counts: dict[str, int] = {}
-    # The tableau judges each (system location, flow atoms) pair on the
-    # dynamics compose gives it, and pruning then reads those answers.
-    judged: dict[tuple[int, ...], bool] = {}
     with _timed(timings, "observer"):
         negated = to_nnf(Not(formula), strict=strict)
-        observer = build_formula_automaton(
-            negated, system.actions, system=system, counts=counts, judged=judged
-        )
+        observer = build_formula_automaton(negated, system.actions, system, counts)
     with _timed(timings, "compose+prune"):
-        product = prune_unreachable(compose(system, observer), judged)
+        product = prune_unreachable(compose(system, observer))
     with _timed(timings, "instrument"):
         inst, targets, f_name, y_names, w_names = instrument(product)
 

@@ -35,6 +35,7 @@ rows to a fixpoint.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -153,11 +154,21 @@ def clip(z: np.ndarray, rows: Clip) -> np.ndarray:
 def satisfiable(constraints: Iterable) -> bool:
     """False when the clip of the full box by the constraints' rows is
     empty; True only means not proved empty. A clip is monotone, so the
-    engine's clip by these rows empties every box too. One axis that no
-    row names lets a constant false row show when no row names a variable.
+    engine's clip by these rows empties every box too. The answer is
+    remembered per set of constraints, whatever their order or repeats.
     """
-    constraints = tuple(constraints)
+    return _satisfiable(frozenset(constraints))
+
+
+# A check judges a few dozen distinct sets (52 on the largest benchmark
+# case); the bound only keeps a long-lived process from holding every set
+# it ever judged.
+@functools.lru_cache(maxsize=4096)
+def _satisfiable(constraints: frozenset) -> bool:
+    """satisfiable of one set. The axes are sorted by name, since a set's
+    order follows the process's hash seed, and one axis that no row names
+    lets a constant false row show when no row names a variable."""
     names = ("",) + tuple(
-        dict.fromkeys(x for c in constraints for coeffs, _ in c.rows for x, _ in coeffs)
+        sorted({x for c in constraints for coeffs, _ in c.rows for x, _ in coeffs})
     )
     return not is_empty(clip(full_box(len(names)), compile_rows(constraints, names)))

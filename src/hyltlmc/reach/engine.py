@@ -28,8 +28,8 @@ invariant) pair. Every edge then pushes its pair's box, in transition
 order, so the LIFO worklist pops the same boxes as with one clip and
 image per edge; a pushed box may sit in several work items and is never
 written in place. The dynamics are read once per distinct tuple of
-derivative constraints, and a flow's invariant bounds come from the
-location's compiled invariant clip.
+derivative constraints, compared by value, and a flow's invariant bounds
+come from the location's compiled invariant clip.
 
 Each distinct field gets one kernel Discretization per run, shared by
 every location with that field. It flows only the field's moving axes
@@ -164,24 +164,19 @@ def reachable(
     # when a box is first flowed there; initial and pushed boxes only
     # need an invariant clip, so locations and edges no box is flowed at
     # are never read. The product repeats a few fields, invariants and
-    # jump tuples at many locations and edges, so each is read once per
-    # distinct tuple of constraints; a field's discretization is made
-    # with its dynamics.
-    inv_clips: dict[tuple[int, ...], tuple[Clip, np.ndarray, np.ndarray]] = {}
-    flows: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, Discretization]] = {}
+    # jump tuples at many locations and edges, so each is read once: a
+    # field or an invariant per equal tuple of constraints, a jump tuple,
+    # which compose and instrument share between edges, per object. A
+    # field's discretization is made with its dynamics.
+    flows: dict[tuple, tuple[np.ndarray, np.ndarray, Discretization]] = {}
     jumps: dict[int, tuple[Clip, np.ndarray, np.ndarray]] = {}
     plans: dict[Loc, _Plan] = {}
 
     @functools.cache
-    def invariant(l: Loc) -> tuple[Clip, np.ndarray, np.ndarray]:
-        """The invariant's clip and its bounds (lo, hi) as a box."""
-        inv = h.invariant(l)
-        key = tuple(map(id, inv))
-        c = inv_clips.get(key)
-        if c is None:
-            rows = compile_rows(inv, names)
-            c = inv_clips[key] = (rows, *bounds(clip(full_box(n), rows)))
-        return c
+    def invariant_clip(inv: tuple) -> tuple[Clip, np.ndarray, np.ndarray]:
+        """An invariant's clip and its bounds (lo, hi) as a box."""
+        rows = compile_rows(inv, names)
+        return (rows, *bounds(clip(full_box(n), rows)))
 
     def jump(t) -> tuple[Clip, np.ndarray, np.ndarray]:
         """The guard clip and the reset's G(R) and offset."""
@@ -193,7 +188,7 @@ def reachable(
 
     def plan(l: Loc) -> _Plan:
         """The location's flow, invariant and out-edges grouped by jump tuple."""
-        key = tuple(id(c) for c in h.dyn[l] if c.mentions_dot)
+        key = tuple(c for c in h.dyn[l] if c.mentions_dot)
         f = flows.get(key)
         if f is None:
             d = location_dynamics(h, l)
@@ -206,7 +201,7 @@ def reachable(
             if g is None:
                 g = groups[id(t.jumps)] = len(jump_list)
                 jump_list.append(jump(t))
-            target_inv = invariant(t.target)[0]
+            target_inv = invariant_clip(h.invariant(t.target))[0]
             k = pairs.get((g, id(target_inv)))
             if k is None:
                 k = pairs[g, id(target_inv)] = len(pair_list)
@@ -214,7 +209,7 @@ def reachable(
             pushes.append((k, t.target))
         # The most visits widening allows (module docstring).
         starts = np.empty((WIDEN_AFTER + 2 * n + 1, 2 * n))
-        return _Plan(*f, *invariant(l), jump_list, pair_list, pushes, starts)
+        return _Plan(*f, *invariant_clip(h.invariant(l)), jump_list, pair_list, pushes, starts)
 
     store: dict[Loc, list[np.ndarray]] = {l: [] for l in h.locations}
     visits = {l: 0 for l in h.locations}

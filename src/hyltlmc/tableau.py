@@ -25,7 +25,8 @@ the kept sets with the system and pruning gives the product that
 composing every set and pruning gives, and the kept sets are exactly
 the observer halves of its locations. Without one, every consistent set
 is built; the one-location system looping on every action prunes by
-prune_unreachable's rule on the tableau alone.
+prune_unreachable's rule on the tableau alone. satisfiable remembers its
+answers, so pruning judges no pair that the search judged already.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ def build_formula_automaton(
     actions: Sequence[str],
     system: HybridAutomaton | None = None,
     counts: dict[str, int] | None = None,
-    judged: dict[tuple[int, ...], bool] | None = None,
 ) -> HybridAutomaton:
     """Translate a formula over the given action alphabet, which must
     cover every action atom of the formula.
@@ -61,7 +61,6 @@ def build_formula_automaton(
     has no dynamics, so it gives prune_unreachable of the full
     automaton. counts receives observer_sets, the number of
     consistent sets, and observer_classes, the pair search's nodes.
-    judged, when given, memoizes the emptiness tests (see feasible).
     """
     actions = tuple(actions)
     missing = action_atoms(formula) - set(actions)
@@ -106,7 +105,6 @@ def build_formula_automaton(
     # Every combination of flow atoms is a free choice, judged once.
     usable = full
     if system is not None:
-        judged = {} if judged is None else judged
         combos = [(full, ())]
         for c, i in flows.items():
             combos = [
@@ -115,7 +113,7 @@ def build_formula_automaton(
                 for p in ((x & col[i ^ 1], cs), (x & col[i], cs + (c,)))
             ]
         for x, cs in combos:
-            if not feasible(cs, judged):
+            if not satisfiable(cs):
                 usable ^= x
         combos = [(x, cs) for x, cs in combos if x & usable]
 
@@ -148,7 +146,7 @@ def build_formula_automaton(
     if system is not None:
         act = {a: col[cl.action_ordinals[a]] & valid for a in actions}
         live, searched = _live_sets(
-            system, classes, successors, act, init & valid, acceptance, combos, judged
+            system, classes, successors, act, init & valid, acceptance, combos
         )
     if counts is not None:
         counts.update(observer_sets=sets.n, observer_classes=searched)
@@ -196,7 +194,6 @@ def _live_sets(
     init: int,
     acceptance: Sequence[int],
     combos: Sequence[tuple[int, tuple]],
-    judged: dict[tuple[int, ...], bool],
 ) -> tuple[int, int]:
     """The sets in a live pair (system location, set), and the number of
     (system location, class) nodes searched.
@@ -208,18 +205,18 @@ def _live_sets(
     having no successors. Such a pair is never live, so it is left out:
     reach[s] collects the sets paired with s on a path from an initial
     pair that some state of s may meet. combos holds each combination of
-    flow atoms as (its sets, its atoms), judged (feasible, with judged)
-    on the dynamics compose gives the pair the first time one of its
-    sets is paired with s. A class met at s adds its kept successors by
-    each action to the system locations that action leads to. The
-    quotient steps from (s, K) to (s', K') when a successor of K by an
-    edge s -> s' lies in K' and is kept at s'. Every
-    member of K has those successors, so each quotient edge leaves every
-    member, and the quotient is a forward bisimulation: following a
-    closed walk through every node of a quotient component from one
-    member, a pair repeats after whole rounds, and the cycle between
-    meets every acceptance set the component meets. So a reached pair is
-    live exactly when its quotient node is.
+    flow atoms as (its sets, its atoms), judged on s's dynamics with the
+    atoms, the set of constraints compose gives the pair, the first time
+    one of its sets is paired with s. A class met at s adds its kept
+    successors by each action to the system locations that action leads
+    to. The quotient steps from (s, K) to (s', K') when a successor of K
+    by an edge s -> s' lies in K' and is kept at s'. Every member of K
+    has those successors, so each quotient edge leaves every member, and
+    the quotient is a forward bisimulation: following a closed walk
+    through every node of a quotient component from one member, a pair
+    repeats after whole rounds, and the cycle between meets every
+    acceptance set the component meets. So a reached pair is live exactly
+    when its quotient node is.
     """
     locs = system.locations
     ns, nk = len(locs), len(classes)
@@ -228,11 +225,6 @@ def _live_sets(
     for t in system.transitions:
         moves[sidx[t.source]].setdefault(t.action, []).append(sidx[t.target])
 
-    # compose gives a pair the system's dynamics followed by the set's
-    # flow atoms, less any atom equal to a system constraint. A repeated
-    # row changes no clip, so dyn + cs is judged as the pair is, under the
-    # pair's key unless such an atom was dropped; pruning then judges the
-    # pair again.
     seen, fits = [0] * ns, [0] * ns
 
     def fit(s: int, x: int) -> int:
@@ -242,7 +234,7 @@ def _live_sets(
             seen[s] |= new
             dyn = system.dyn[locs[s]]
             for y, cs in combos:
-                if y & new and feasible(dyn + cs, judged):
+                if y & new and satisfiable(dyn + cs):
                     fits[s] |= y
         return x & fits[s]
 
@@ -291,30 +283,14 @@ def _live_sets(
     return live, len(quotient)
 
 
-def feasible(dyn: tuple, judged: dict[tuple[int, ...], bool]) -> bool:
-    """satisfiable(dyn), memoized in judged by the ids of dyn's
-    constraints. Automata share their constraint objects, so each
-    distinct dynamics is judged once; judged must not outlive the
-    constraints it has seen, since their ids could then be reused.
-    """
-    key = tuple(map(id, dyn))
-    ok = judged.get(key)
-    if ok is None:
-        ok = judged[key] = satisfiable(dyn)
-    return ok
-
-
-def live_locations(
-    h: HybridAutomaton, judged: dict[tuple[int, ...], bool] | None = None
-) -> set:
+def live_locations(h: HybridAutomaton) -> set:
     """The locations on a graph path from an initial location to a cycle
     meeting every acceptance set (see live_nodes), a location whose
     invariant the reach engine's clip proves empty
     (reach.boxes.satisfiable) having no out-edges: the clip, compiled from
     the same rows as the engine's, of the full box is empty. Every
     location of an accepting run is one of them (prune_unreachable), so
-    an empty result proves that h has no accepting run at all. judged,
-    when given, memoizes the emptiness tests (see feasible).
+    an empty result proves that h has no accepting run at all.
     """
     locs = h.locations
     idx = {l: i for i, l in enumerate(locs)}
@@ -323,9 +299,8 @@ def live_locations(
         succ[idx[t.source]].append(idx[t.target])
     # An empty location loses its out-edges, so it lies on no path to a
     # cycle.
-    judged = {} if judged is None else judged
     for i, l in enumerate(locs):
-        if not feasible(h.dyn[l], judged):
+        if not satisfiable(h.dyn[l]):
             succ[i] = []
     live = live_nodes(
         len(locs),
@@ -336,9 +311,7 @@ def live_locations(
     return {locs[i] for i in live}
 
 
-def prune_unreachable(
-    h: HybridAutomaton, judged: dict[tuple[int, ...], bool] | None = None
-) -> HybridAutomaton:
+def prune_unreachable(h: HybridAutomaton) -> HybridAutomaton:
     """Restrict to the live locations (live_locations).
 
     Every accepting run of the automaton survives pruning. A run samples
@@ -355,9 +328,8 @@ def prune_unreachable(
     which ignores the continuous part, may shrink. When every location is
     live, h itself is returned, not a copy; pruning is idempotent, since
     every location on a path to an accepting cycle keeps that path.
-    judged, when given, memoizes the emptiness tests (see feasible).
     """
-    kept_set = live_locations(h, judged)
+    kept_set = live_locations(h)
     if len(kept_set) == len(h.locations):
         return h
     kept_locs = tuple(l for l in h.locations if l in kept_set)

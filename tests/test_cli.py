@@ -290,6 +290,16 @@ class TestTranslateCommand:
         assert fields["error"] == "E_CONFIG"
         assert flag in fields["message"]
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--vars", "x,x"], "name 'x' declared twice"),
+        (["--alphabet", "on,on"], "name 'on' declared twice"),
+        (["--vars", "x", "--alphabet", "x"], "name 'x' declared in more than one namespace"),
+    ], ids=["vars", "alphabet", "both"])
+    def test_repeated_declaration_exits_one_with_e_parse(self, capsys, flags, message):
+        assert main(["--machine", "translate", "--formula", "true", *flags]) == 1
+        fields = machine_fields(capsys.readouterr().out)
+        assert fields == {"error": "E_PARSE", "message": message}
+
     def test_prunes_the_tableau_unless_told_not_to(self, capsys):
         text = "G(on -> X(x >= 18 & x <= 22 U off))"
         decls = Declarations(variables=("x",), actions=("on", "off"))
@@ -410,7 +420,13 @@ class TestTraceFile:
         ("t,x\n0.0,1.0\n0.1,1.0,2.0\n", "row ['0.1', '1.0', '2.0'] does not match the header"),
         ("t,x\n0.0,1.0\n0.1,warm\n", "row ['0.1', 'warm'] holds a non-numeric sample"),
         ("t,x\n0.0,1.0\n0.1,1.0\n\n0.0,1.0\n", "every segment needs at least two samples"),
-    ], ids=["empty", "header", "row-length", "non-numeric", "one-sample"])
+        ("t,x,x\n0.0,1.0,1.0\n0.1,1.0,1.0\n", "trace header: name 'x' declared twice"),
+        ("t,\n0.0,1.0\n0.1,1.0\n", "trace header: name '' is reserved or not an identifier"),
+        ("t,G\n0.0,1.0\n0.1,1.0\n", "trace header: name 'G' is reserved or not an identifier"),
+        ("t,1x\n0.0,1.0\n0.1,1.0\n",
+         "trace header: name '1x' is reserved or not an identifier"),
+    ], ids=["empty", "header", "row-length", "non-numeric", "one-sample",
+            "repeated-column", "empty-column", "reserved-column", "non-identifier-column"])
     def test_refusals_exit_one_with_e_trace(self, tmp_path, capsys, text, message):
         assert self.monitor(tmp_path, text, actions="on,off") == 1
         fields = machine_fields(capsys.readouterr().out)

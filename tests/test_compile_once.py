@@ -10,7 +10,10 @@ validation error and the check's results stay as they were.
 from __future__ import annotations
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 import warnings
 from importlib.resources import files
 from pathlib import Path
@@ -20,7 +23,7 @@ import pytest
 
 import hyltlmc.reach.engine as engine_module
 from hyltlmc.errors import ModelError, ParseError
-from hyltlmc.formula.parser import Declarations, parse_formula
+from hyltlmc.formula.parser import Declarations, parse_flow_constraint, parse_formula
 from hyltlmc.hybrid import FlowConstraint, HybridAutomaton, JumpConstraint, Relation, Transition
 from hyltlmc.hybrid.expr import Add, Call, Const, DotVar, Mul, Neg, PrimedVar, Sub, Var, variables
 from hyltlmc.hybrid.modelio import load_model, parse_model
@@ -134,6 +137,57 @@ class TestCachedValuesStayOutOfIdentity:
             c.rel = Relation.GE
         with pytest.raises(AttributeError):
             c.lhs.left = Const(0.0)
+
+
+# Unpickles a constraint hashed under the parent's hash seed, argv[2], and
+# checks it against a freshly parsed one under this process's seed.
+UNPICKLE = """
+import pickle, sys
+from hyltlmc.formula.parser import Declarations, parse_flow_constraint
+back = pickle.loads(bytes.fromhex(sys.argv[1]))
+fresh = parse_flow_constraint(sys.argv[3], Declarations(variables=("x", "y")))
+assert "_hash" not in vars(back)
+assert back == fresh and hash(back) == hash(fresh) and {fresh: 1}[back] == 1
+assert hash(back) != int(sys.argv[2])
+"""
+
+
+class TestCachedHash:
+    """A constraint hashes its expression trees once and keeps the hash
+    beside its other derived values, out of pickles and copies."""
+
+    @pytest.mark.parametrize("pair", [flow_pair, jump_pair])
+    @pytest.mark.parametrize(
+        "roundtrip", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy]
+    )
+    def test_a_copy_carries_no_cached_hash(self, pair, roundtrip):
+        hashed, _ = pair()
+        hash(hashed)
+        assert "_hash" in vars(hashed)
+        back = roundtrip(hashed)
+        assert "_hash" not in vars(back)
+        assert back == hashed and hash(back) == hash(hashed)
+
+    def test_unpickled_under_another_hash_seed_hashes_afresh(self):
+        text = "der(x) = -0.2 * x + y"
+        hashed = parse_flow_constraint(text, Declarations(variables=("x", "y")))
+        parent_hash = hash(hashed)
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        )
+        blob = pickle.dumps(hashed).hex()
+        subprocess.run(
+            [sys.executable, "-c", UNPICKLE, blob, str(parent_hash), text],
+            env=env, check=True, timeout=60,
+        )
+
+    def test_flow_and_jump_with_the_same_sides_stay_unequal(self):
+        flow = FlowConstraint(Var("x"), Relation.LE, Const(1.0))
+        jump = JumpConstraint(Var("x"), Relation.LE, Const(1.0))
+        assert flow != jump and jump != flow
+        assert len({flow, jump}) == 2
 
 
 class TestVariables:

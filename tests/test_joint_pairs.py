@@ -24,6 +24,7 @@ from hyltlmc.formula.parser import Declarations, parse_formula
 from hyltlmc.formula.syntax import ActionAtom, And, Not, Top, Until
 from hyltlmc.hybrid.automaton import HybridAutomaton, compose
 from hyltlmc.product import check, degeneralize, instrument
+from hyltlmc.reach import boxes
 from hyltlmc.tableau import build_formula_automaton, live_locations, prune_unreachable
 
 from conftest import loop_system
@@ -97,29 +98,22 @@ class TestJointPairs:
 
     @pytest.mark.parametrize("model, text", BENCH_FORMULAS)
     def test_pruning_reads_the_tableaus_answers(self, model, text):
-        # The tableau judges the pairs it meets on the dynamics compose
-        # gives them. On these products compose reaches no pair that the
-        # search did not meet, so pruning with its answers judges none.
-        from hyltlmc import tableau
-
+        # The tableau judges the pairs it meets on the set of constraints
+        # compose gives them. On these products compose reaches no pair
+        # that the search did not meet, so pruning judges none anew.
         h = MODELS[model]
-        judged: dict = {}
         f = negated(parsed(h, text))
-        observer = build_formula_automaton(f, h.actions, system=h, judged=judged)
+        judge = boxes._satisfiable
+        judge.cache_clear()
+        observer = build_formula_automaton(f, h.actions, system=h)
         product = compose(h, observer)
-        calls = []
-        real = tableau.satisfiable
-
-        def counted(dyn):
-            calls.append(dyn)
-            return real(dyn)
-
-        with mock.patch.object(tableau, "satisfiable", counted):
-            shared = prune_unreachable(product, judged)
-            assert calls == []
-            assert_same(shared, prune_unreachable(product))
-        distinct = {tuple(map(id, product.dyn[l])) for l in product.locations}
-        assert len(calls) == len(distinct)
+        before = judge.cache_info().misses
+        shared = prune_unreachable(product)
+        assert judge.cache_info().misses == before
+        judge.cache_clear()
+        assert_same(shared, prune_unreachable(product))
+        distinct = {frozenset(product.dyn[l]) for l in product.locations}
+        assert judge.cache_info().misses == len(distinct)
 
 
 class TestPruneKeepsALiveAutomaton:

@@ -325,6 +325,15 @@ class TestVacuity:
         assert live_locations(parse_model(model))
         assert not live_locations(parse_model(model + "final { b }\n"))
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 10")
+    def test_a_cycle_no_state_completes_gives_no_run(self):
+        # a's invariant keeps x <= 1 and its only edge needs x >= 2, so no
+        # run ever jumps, though the location graph has a cycle.
+        v = checked("vars x;\nactions go;\nlocation a { der(x) = 1; x <= 1; }\n"
+                    "edge a -go-> a { x >= 2; x' = x; }\ninitial a;\n"
+                    "init { x >= 0; x <= 0.5; }\n", "false")
+        assert v.verified and v.stats["vacuous"] is True
+
     def test_no_initial_location_is_vacuous(self):
         v = checked("vars x;\nactions a;\nlocation l { der(x) = 0; }\n"
                     "edge l -a-> l { x' = x; }\n", "false")
