@@ -281,6 +281,10 @@ def _cmd_monitor(args, config: dict) -> int:
         raise ConfigError("--generated needs --model, the model to search for a run")
     names, segments = _read_trace_csv(args.trace)
     actions = tuple(a.strip() for a in args.actions.split(",") if a.strip())
+    extra = tuple(a for a in (args.alphabet or "").split(",") if a)
+    for x in names:
+        if x in actions or x in extra:
+            raise TraceError(f"trace header: column '{x}' is named like an action")
     if len(actions) != len(segments):
         raise TraceError(
             f"{len(segments)} segment(s) need {len(segments)} action(s), "
@@ -294,7 +298,6 @@ def _cmd_monitor(args, config: dict) -> int:
 
     model = _load(args.model) if args.model else None
     if model is None:
-        extra = tuple(a for a in (args.alphabet or "").split(",") if a)
         decls = Declarations(names, tuple(dict.fromkeys(actions + extra)))
     else:
         decls = _declarations(args, model)

@@ -3,7 +3,16 @@
 The question is reduced to a reachability query in three steps:
 
 1. The negated formula is compiled into an observer automaton whose
-   accepting runs are exactly the traces violating the property. Given
+   accepting runs are exactly the traces violating the property. The
+   negation of a conjunction A & B is !A | !B, so each top-level
+   conjunct's negation gets an observer of its own, and the observer is
+   their disjoint union (_union): a tableau tracks every subformula of
+   its formula together, so one tableau of the whole would have the
+   product of the parts' sizes. A formula with one top-level conjunct,
+   G(a & b) or A -> B for example, gets its one observer. The union's
+   product partitions reach boxes more coarsely than the whole's, so
+   when it does not prove the property, the whole formula's one
+   observer is tried too (see check). Given
    the system, the tableau builds only the observer locations that lie
    in a live pair with a system location: a pair on a path from an
    initial pair to a cycle meeting every acceptance set of the
@@ -50,12 +59,13 @@ is not a trace.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .errors import check_settings
 from .formula.nnf import to_nnf
-from .formula.syntax import Formula, Not, to_str
+from .formula.syntax import And, Formula, Not, Or, to_str
 from .hybrid.automaton import HybridAutomaton, Loc, Transition, compose
 from .hybrid.constraints import FlowConstraint, JumpConstraint, Relation
 from .hybrid.expr import Const, DotVar, PrimedVar, Sub, Var
@@ -307,6 +317,62 @@ def recurrence_hits(
     return hits
 
 
+def _conjuncts(f: Formula) -> list[Formula]:
+    """The top-level conjuncts of f, left to right: A & B splits into
+    A's and B's, !(A | B) into !A's and !B's, and !!A is A. The
+    negations' NNFs, to_nnf(Not(c)), are then exactly the top-level
+    disjuncts of to_nnf(Not(f)), nested Ors flattened."""
+    match f:
+        case And(a, b):
+            return _conjuncts(a) + _conjuncts(b)
+        case Not(Or(a, b)):
+            return _conjuncts(Not(a)) + _conjuncts(Not(b))
+        case Not(Not(a)):
+            return _conjuncts(a)
+    return [f]
+
+
+def _union(parts: list[HybridAutomaton]) -> tuple[HybridAutomaton, dict]:
+    """The disjoint union of observers over one alphabet, and the part
+    index of each of its locations when there are several.
+
+    One part is returned as it is, with no index. Otherwise part i's
+    location l becomes f"c{i}_{l}", and the variables are the sorted
+    union of the parts'. Acceptance set j holds set j of every part, and
+    all of a part's locations where its family is shorter: an empty
+    family accepts every run. No edge joins two parts, so a run stays in
+    the part it starts in, and the union accepts exactly the runs that
+    some part accepts.
+    """
+    if len(parts) == 1:
+        return parts[0], {}
+    names = [{l: f"c{i}_{l}" for l in h.locations} for i, h in enumerate(parts)]
+    pairs = list(zip(parts, names))
+    width = max(len(h.acceptance) for h in parts)
+    union = HybridAutomaton(
+        sorted(set().union(*(h.variables for h in parts))),
+        parts[0].actions,
+        [n[l] for h, n in pairs for l in h.locations],
+        [
+            Transition(n[t.source], t.action, n[t.target], t.jumps)
+            for h, n in pairs
+            for t in h.transitions
+        ],
+        {n[l]: cs for h, n in pairs for l, cs in h.dyn.items()},
+        [n[l] for h, n in pairs for l in h.init],
+        {n[l]: cs for h, n in pairs for l, cs in h.init_region.items()},
+        [
+            frozenset(
+                n[l]
+                for h, n in pairs
+                for l in (h.acceptance[j] if j < len(h.acceptance) else h.locations)
+            )
+            for j in range(width)
+        ],
+    )
+    return union, {name: i for i, n in enumerate(names) for name in n.values()}
+
+
 @contextmanager
 def _timed(timings: dict[str, float], stage: str):
     """Record the wall seconds of the enclosed stage under its name."""
@@ -325,29 +391,72 @@ def check(
 ) -> Verdict:
     """Decide system |= formula via the instrumented reachability query.
 
-    An accepting product run stays on locations that an initial location
-    reaches, that reach a cycle meeting every acceptance set and whose
-    invariant some state meets. The observer is built only where it
-    pairs with the system on such a location, the composed product is
-    pruned to those locations, and instrument builds the counter product
-    forward from them, which keeps it live. When none is left, no run
+    The observer is the disjoint union of one observer per top-level
+    conjunct (_conjuncts), each the tableau of the conjunct's negation;
+    the rest of the pipeline runs once on it. An accepting product run
+    stays on locations that an initial location reaches, that reach a
+    cycle meeting every acceptance set and whose invariant some state
+    meets. Each observer is built only where it pairs with the system on
+    such a location, the composed product is pruned to those locations,
+    and instrument builds the counter product forward from them, which
+    keeps it live. When none is left, no run
     violates the formula and the verdict is Verified from the location
     graph alone: reachability has no location to visit. Raises
     ConfigError, before any stage runs, on settings that
     reach.engine.check_reach_settings rejects or an eps that is not
     finite and nonnegative. stats holds the observer and product sizes,
-    the observer's consistent sets and searched class nodes,
-    stats["timings"] the wall seconds of each stage, observer to query,
-    and stats["vacuous"] whether the verdict is Verified because the
-    system has no infinite run at all.
+    the observer's consistent sets and searched class nodes, each summed
+    over the conjuncts' observers, stats["timings"] the wall seconds of
+    each stage, observer to query, and stats["vacuous"] whether the
+    verdict is Verified because the system has no infinite run at all.
+    A formula of several top-level conjuncts also gets
+    stats["observer_parts"], their number, and each hit a "conjunct", the
+    conjunct whose observer the hit's location lies in; the Inconclusive
+    reason then names the conjuncts hit.
+
+    Box reachability over-approximates, and the union's product does not
+    partition boxes by the other conjuncts' locations as one observer of
+    the whole would, so the union may fail to prove what the whole
+    proves (on tanks, G(a <= 6) & G X(a <= 6)). When the union's verdict
+    is not Verified, the whole formula is therefore checked on its one
+    observer, and its verdict is returned when it is Verified, with
+    stats["timings"]["conjuncts"] the seconds the union's check took;
+    otherwise the union's verdict is, with stats["timings"]["whole"] the
+    seconds of the whole's.
     """
     check_reach_settings(horizon, step)
     check_settings(nonnegative=[("eps", eps)])
+    conjuncts = _conjuncts(formula)
+    verdict = _decide(system, formula, conjuncts, horizon, step, eps, strict)
+    if len(conjuncts) > 1 and not verdict.verified:
+        whole = _decide(system, formula, [formula], horizon, step, eps, strict)
+        if whole.verified:
+            whole.stats["timings"]["conjuncts"] = sum(verdict.stats["timings"].values())
+            return whole
+        verdict.stats["timings"]["whole"] = sum(whole.stats["timings"].values())
+    return verdict
+
+
+def _decide(
+    system: HybridAutomaton,
+    formula: Formula,
+    conjuncts: list[Formula],
+    horizon: float,
+    step: float,
+    eps: float,
+    strict: bool,
+) -> Verdict:
+    """check() on the union of the conjuncts' observers."""
     timings: dict[str, float] = {}
-    counts: dict[str, int] = {}
+    # Counter.update adds, so each part's counts add up.
+    counts: Counter[str] = Counter()
     with _timed(timings, "observer"):
-        negated = to_nnf(Not(formula), strict=strict)
-        observer = build_formula_automaton(negated, system.actions, system, counts)
+        observer, part_of = _union([
+            build_formula_automaton(
+                to_nnf(Not(c), strict=strict), system.actions, system, counts
+            )
+            for c in conjuncts
+        ])
     with _timed(timings, "compose+prune"):
         product = prune_unreachable(compose(system, observer))
     with _timed(timings, "instrument"):
@@ -374,9 +483,18 @@ def check(
         "vacuous": False,
         "timings": timings,
     }
+    if len(conjuncts) > 1:
+        stats["observer_parts"] = len(conjuncts)
+        for hit in hits:
+            # A counter location is (product location, index).
+            pair = hit["location"][0] if len(product.acceptance) > 1 else hit["location"]
+            hit["conjunct"] = to_str(conjuncts[part_of[pair[1]]])
     if hits:
         status = "Inconclusive"
         reason = f"recurrence query reachable at {len(hits)} final location box(es)"
+        if len(conjuncts) > 1:
+            hit_conjuncts = dict.fromkeys(hit["conjunct"] for hit in hits)
+            reason += " of conjunct(s) " + ", ".join(f"'{c}'" for c in hit_conjuncts)
     elif not reach.complete:
         status = "Inconclusive"
         reason = f"reachability exploration {reach.incompleteness()}"

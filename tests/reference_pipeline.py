@@ -32,8 +32,13 @@ query read with a hand-built latch vector and gap tests
 (`frozen_recurrence_hits`). The observers of `unpaired_product` and
 `eager_check` are the negation's tableau as the pipeline once built it:
 pruned against the one-location loop over every action
-(`conftest.loop_system`) and not pruned at all. Tests compare the two;
-nothing in the package imports this module.
+(`conftest.loop_system`) and not pruned at all. `unpaired_product`, and
+`eager_check` when asked to split, build one such tableau per top-level
+disjunct of the negation's NNF and join them as a disjoint union, as
+check() does (`split_negation`, `union_observer`, `split_observer`);
+`eager_check` otherwise builds one tableau of the whole negation, the
+check from before the split. Tests compare the two; nothing in the
+package imports this module.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ import numpy as np
 from hyltlmc.errors import ModelError, UnsupportedDynamicsError
 from hyltlmc.formula.closure import MCS, ClosureSet, closure
 from hyltlmc.formula.nnf import to_nnf
-from hyltlmc.formula.syntax import Formula, Not, Top
+from hyltlmc.formula.syntax import Formula, Not, Or, Top
 from hyltlmc.hybrid.automaton import (
     HybridAutomaton,
     Transition,
@@ -1031,15 +1036,74 @@ def frozen_instrument(h: HybridAutomaton) -> tuple[
     return out, targets, f_name, y_names, witness_vars
 
 
+def split_negation(formula, strict: bool = False) -> list[Formula]:
+    """The top-level disjuncts of to_nnf(Not(formula)), left to right,
+    nested Ors flattened."""
+    parts: list[Formula] = []
+    todo = [to_nnf(Not(formula), strict=strict)]
+    while todo:
+        f = todo.pop()
+        if isinstance(f, Or):
+            todo += [f.right, f.left]
+        else:
+            parts.append(f)
+    return parts
+
+
+def union_observer(parts: Sequence[HybridAutomaton]) -> HybridAutomaton:
+    """The disjoint union of two or more observers: part i's location l
+    renamed c{i}_l, variables sorted, and each acceptance family padded
+    to the longest with the part's full location set."""
+    variables: set[str] = set()
+    locations, transitions, dyn, init, init_region = [], [], {}, [], {}
+    width = max(len(h.acceptance) for h in parts)
+    acceptance: list[set] = [set() for _ in range(width)]
+    for i, h in enumerate(parts):
+        name = f"c{i}_{{}}".format
+        variables |= set(h.variables)
+        locations += [name(l) for l in h.locations]
+        transitions += [
+            Transition(name(t.source), t.action, name(t.target), t.jumps)
+            for t in h.transitions
+        ]
+        dyn.update((name(l), h.dyn[l]) for l in h.locations)
+        init += [name(l) for l in h.init]
+        init_region.update((name(l), r) for l, r in h.init_region.items())
+        family = list(h.acceptance) + [h.locations] * (width - len(h.acceptance))
+        for F, G in zip(acceptance, family):
+            F.update(name(l) for l in G)
+    return HybridAutomaton(
+        sorted(variables),
+        parts[0].actions,
+        locations,
+        transitions,
+        dyn,
+        init,
+        init_region,
+        acceptance,
+    )
+
+
+def split_observer(
+    formula, actions, system: HybridAutomaton | None = None, strict: bool = False
+) -> HybridAutomaton:
+    """One tableau per part of split_negation, given the system, joined by
+    union_observer when there are several."""
+    parts = [
+        build_formula_automaton(p, actions, system=system)
+        for p in split_negation(formula, strict)
+    ]
+    return parts[0] if len(parts) == 1 else union_observer(parts)
+
+
 def unpaired_product(
     system: HybridAutomaton, formula, strict: bool = False
 ) -> HybridAutomaton:
     """The instrumented product as check() built it with an observer blind
-    to the system: compose, prune, whole counter product, prune."""
-    observer = build_formula_automaton(
-        to_nnf(Not(formula), strict=strict),
-        system.actions,
-        system=loop_system(system.actions),
+    to the system, split as check() splits it: compose, prune, whole
+    counter product, prune."""
+    observer = split_observer(
+        formula, system.actions, loop_system(system.actions), strict
     )
     product = prune_unreachable(compose(system, observer))
     product = prune_unreachable(normalize_acceptance(full_degeneralize(product)))
@@ -1124,11 +1188,17 @@ def eager_check(
     step: float = 0.01,
     horizon: float = 100.0,
     eps: float = 1e-6,
+    split: bool = False,
 ) -> EagerRun:
     """compose -> degeneralize -> instrument -> reach, with the observer
-    pruned on its location graph alone and nothing pruned after it."""
-    negation = to_nnf(Not(formula))
-    observer = graph_pruned(build_formula_automaton(negation, system.actions))
+    pruned on its location graph alone and nothing pruned after it. The
+    observer is the whole negation's tableau, or with split the union of
+    its parts' (split_observer), as check() builds it."""
+    if split:
+        observer = split_observer(formula, system.actions)
+    else:
+        observer = build_formula_automaton(to_nnf(Not(formula)), system.actions)
+    observer = graph_pruned(observer)
     product = normalize_acceptance(full_degeneralize(eager_compose(system, observer)))
     inst, targets, f_name, y_names, w_names = frozen_instrument(product)
     reach = eager_reachable(inst, horizon=horizon, step=step)

@@ -217,11 +217,18 @@ class TestObserverStats:
         decls = Declarations(variables=h.variables, actions=h.actions)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            stats = check(h, parse_formula(THREE_CONJUNCTS, decls)).stats
-        assert stats["observer_locations"] == 82
-        assert stats["observer_sets"] == 1536
+            f = parse_formula(THREE_CONJUNCTS, decls)
+            stats = check(h, f).stats
+            counts: dict = {}
+            whole = build_formula_automaton(to_nnf(Not(f)), h.actions, h, counts)
+        assert len(whole.locations) == 82
+        assert counts["observer_sets"] == 1536
         # The per-pair search reached 1472 (system location, set) pairs.
-        assert stats["observer_classes"] == 133
+        assert counts["observer_classes"] == 133
+        # check() builds one observer per conjunct, and sums their counts.
+        assert stats["observer_locations"] == 17
+        assert stats["observer_sets"] == 84
+        assert stats["observer_classes"] == 21
 
     def test_counts_without_pruning(self):
         counts: dict = {}

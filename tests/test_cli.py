@@ -425,8 +425,10 @@ class TestTraceFile:
         ("t,G\n0.0,1.0\n0.1,1.0\n", "trace header: name 'G' is reserved or not an identifier"),
         ("t,1x\n0.0,1.0\n0.1,1.0\n",
          "trace header: name '1x' is reserved or not an identifier"),
+        ("t,on\n0.0,1.0\n0.1,1.0\n", "trace header: column 'on' is named like an action"),
     ], ids=["empty", "header", "row-length", "non-numeric", "one-sample",
-            "repeated-column", "empty-column", "reserved-column", "non-identifier-column"])
+            "repeated-column", "empty-column", "reserved-column", "non-identifier-column",
+            "action-column"])
     def test_refusals_exit_one_with_e_trace(self, tmp_path, capsys, text, message):
         assert self.monitor(tmp_path, text, actions="on,off") == 1
         fields = machine_fields(capsys.readouterr().out)

@@ -269,7 +269,7 @@ class TestWorkDoneOnce:
     @pytest.mark.parametrize(
         "model, formula, visits, flows",
         [
-            (thermostat, THREE_CONJUNCTS, 38, 6),
+            (thermostat, THREE_CONJUNCTS, 9, 6),
             (lambda: load_model(ROOT / "perfbench/models/thermostat_relaxed.hyha"),
              NO_ON_WHEN_WARM, 35, 8),
         ],

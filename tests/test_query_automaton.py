@@ -6,6 +6,8 @@ must build the automaton that the frozen three-call construction builds
 (`reference_pipeline.normalize_acceptance` and `frozen_instrument` after
 `degeneralize`), location for location and edge for edge, with the same
 query targets and auxiliary names, and check() must query that automaton.
+The product is built from the observer check() builds, one tableau per
+top-level conjunct (`reference_pipeline.split_observer`).
 """
 
 from __future__ import annotations
@@ -16,14 +18,13 @@ import pytest
 from hypothesis import assume, given, settings
 
 from hyltlmc.formula.closure import closure
-from hyltlmc.formula.nnf import to_nnf
 from hyltlmc.formula.parser import Declarations, parse_formula
-from hyltlmc.formula.syntax import ActionAtom, Not
+from hyltlmc.formula.syntax import ActionAtom
 from hyltlmc.hybrid.automaton import HybridAutomaton, compose
 from hyltlmc.product import check, degeneralize, instrument
-from hyltlmc.tableau import build_formula_automaton, prune_unreachable
+from hyltlmc.tableau import prune_unreachable
 
-from reference_pipeline import frozen_instrument, normalize_acceptance
+from reference_pipeline import frozen_instrument, normalize_acceptance, split_observer
 from test_bitset_tableau import MODELS, assert_same, formulas, systems
 from test_live_product import BENCH_FORMULAS
 
@@ -32,8 +33,7 @@ def assert_same_query(system: HybridAutomaton, formula) -> None:
     """instrument and check() build the frozen three-call query automaton."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        negation = to_nnf(Not(formula))
-        observer = build_formula_automaton(negation, system.actions, system=system)
+        observer = split_observer(formula, system.actions, system)
         product = prune_unreachable(compose(system, observer))
         want = frozen_instrument(normalize_acceptance(degeneralize(product)))
         got = instrument(product)

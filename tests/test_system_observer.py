@@ -5,8 +5,10 @@ built forward.
 system location, and only the counter locations reachable from an
 initial one. Its product must equal the one built with an observer blind
 to the system, composed, pruned, turned into the whole counter product
-and pruned again (`reference_pipeline.unpaired_product`), and the
-system-aware observer must be an induced sub-automaton of the blind one.
+and pruned again (`reference_pipeline.unpaired_product`, which splits the
+negation into one observer per top-level conjunct as check() does), and
+the system-aware observer must be an induced sub-automaton of the blind
+one.
 """
 
 from __future__ import annotations
@@ -200,9 +202,13 @@ class TestPairedObserver:
         h = models["thermostat"]
         f = formula_of(h, THREE_CONJUNCTS)
         verdict = quiet(check, h, f)
-        assert verdict.stats["observer_locations"] == 82
-        assert verdict.stats["observer_transitions"] == 896
-        assert verdict.stats["product_locations"] == 194
+        # One observer per conjunct, of 9, 8 and 0 locations.
+        assert verdict.stats["observer_parts"] == 3
+        assert verdict.stats["observer_locations"] == 17
+        assert verdict.stats["observer_transitions"] == 54
+        assert verdict.stats["product_locations"] == 17
+        whole = build_formula_automaton(negation(f), h.actions, system=h)
+        assert (len(whole.locations), len(whole.transitions)) == (82, 896)
         blind = build_formula_automaton(
             negation(f), h.actions, system=loop_system(h.actions)
         )
