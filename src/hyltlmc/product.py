@@ -9,11 +9,8 @@ The question is reduced to a reachability query in three steps:
    their disjoint union (_union): a tableau tracks every subformula of
    its formula together, so one tableau of the whole would have the
    product of the parts' sizes. A formula with one top-level conjunct,
-   G(a & b) or A -> B for example, gets its one observer. The union's
-   product partitions reach boxes more coarsely than the whole's, so
-   when it does not prove the property, the whole formula's one
-   observer is tried too (see check). Given
-   the system, the tableau builds only the observer locations that lie
+   G(a & b) or A -> B for example, gets its one observer. Given the
+   system, the tableau builds only the observer locations that lie
    in a live pair with a system location: a pair on a path from an
    initial pair to a cycle meeting every acceptance set of the
    composition, searched on the composition's location graph from the
@@ -343,12 +340,20 @@ def _union(parts: list[HybridAutomaton]) -> tuple[HybridAutomaton, dict]:
     family accepts every run. No edge joins two parts, so a run stays in
     the part it starts in, and the union accepts exactly the runs that
     some part accepts.
+
+    The family has at least two sets, so that instrument's counter
+    product puts every location entered from a final location at index
+    1, where it is not final. With one set, on tanks G(a <= 6) &
+    G X(a <= 6), a final location entered by both the plain and the
+    latching edge out of another final location widens their boxes
+    together, and the widened box meets its own latch code: a hit the
+    whole formula's two-set observer never stores.
     """
     if len(parts) == 1:
         return parts[0], {}
     names = [{l: f"c{i}_{l}" for l in h.locations} for i, h in enumerate(parts)]
     pairs = list(zip(parts, names))
-    width = max(len(h.acceptance) for h in parts)
+    width = max(2, *(len(h.acceptance) for h in parts))
     union = HybridAutomaton(
         sorted(set().union(*(h.variables for h in parts))),
         parts[0].actions,
@@ -399,9 +404,9 @@ def check(
     meets. Each observer is built only where it pairs with the system on
     such a location, the composed product is pruned to those locations,
     and instrument builds the counter product forward from them, which
-    keeps it live. When none is left, no run
-    violates the formula and the verdict is Verified from the location
-    graph alone: reachability has no location to visit. Raises
+    keeps it live. When none is left, no run violates the formula and
+    the verdict is Verified from the location graph alone: reachability
+    has no location to visit. Raises
     ConfigError, before any stage runs, on settings that
     reach.engine.check_reach_settings rejects or an eps that is not
     finite and nonnegative. stats holds the observer and product sizes,
@@ -413,40 +418,10 @@ def check(
     stats["observer_parts"], their number, and each hit a "conjunct", the
     conjunct whose observer the hit's location lies in; the Inconclusive
     reason then names the conjuncts hit.
-
-    Box reachability over-approximates, and the union's product does not
-    partition boxes by the other conjuncts' locations as one observer of
-    the whole would, so the union may fail to prove what the whole
-    proves (on tanks, G(a <= 6) & G X(a <= 6)). When the union's verdict
-    is not Verified, the whole formula is therefore checked on its one
-    observer, and its verdict is returned when it is Verified, with
-    stats["timings"]["conjuncts"] the seconds the union's check took;
-    otherwise the union's verdict is, with stats["timings"]["whole"] the
-    seconds of the whole's.
     """
     check_reach_settings(horizon, step)
     check_settings(nonnegative=[("eps", eps)])
     conjuncts = _conjuncts(formula)
-    verdict = _decide(system, formula, conjuncts, horizon, step, eps, strict)
-    if len(conjuncts) > 1 and not verdict.verified:
-        whole = _decide(system, formula, [formula], horizon, step, eps, strict)
-        if whole.verified:
-            whole.stats["timings"]["conjuncts"] = sum(verdict.stats["timings"].values())
-            return whole
-        verdict.stats["timings"]["whole"] = sum(whole.stats["timings"].values())
-    return verdict
-
-
-def _decide(
-    system: HybridAutomaton,
-    formula: Formula,
-    conjuncts: list[Formula],
-    horizon: float,
-    step: float,
-    eps: float,
-    strict: bool,
-) -> Verdict:
-    """check() on the union of the conjuncts' observers."""
     timings: dict[str, float] = {}
     # Counter.update adds, so each part's counts add up.
     counts: Counter[str] = Counter()
@@ -486,9 +461,8 @@ def _decide(
     if len(conjuncts) > 1:
         stats["observer_parts"] = len(conjuncts)
         for hit in hits:
-            # A counter location is (product location, index).
-            pair = hit["location"][0] if len(product.acceptance) > 1 else hit["location"]
-            hit["conjunct"] = to_str(conjuncts[part_of[pair[1]]])
+            # A counter location is ((system, observer) location, index).
+            hit["conjunct"] = to_str(conjuncts[part_of[hit["location"][0][1]]])
     if hits:
         status = "Inconclusive"
         reason = f"recurrence query reachable at {len(hits)} final location box(es)"

@@ -1053,10 +1053,11 @@ def split_negation(formula, strict: bool = False) -> list[Formula]:
 def union_observer(parts: Sequence[HybridAutomaton]) -> HybridAutomaton:
     """The disjoint union of two or more observers: part i's location l
     renamed c{i}_l, variables sorted, and each acceptance family padded
-    to the longest with the part's full location set."""
+    with the part's full location set to the longest, and to at least
+    two sets."""
     variables: set[str] = set()
     locations, transitions, dyn, init, init_region = [], [], {}, [], {}
-    width = max(len(h.acceptance) for h in parts)
+    width = max(2, *(len(h.acceptance) for h in parts))
     acceptance: list[set] = [set() for _ in range(width)]
     for i, h in enumerate(parts):
         name = f"c{i}_{{}}".format

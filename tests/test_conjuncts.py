@@ -7,9 +7,10 @@ the observer of the whole negation decides. The split parts are the
 top-level disjuncts of the negation's NNF (`reference_pipeline.
 split_negation`); each one's observer is built against the system, and
 the union (`reference_pipeline.union_observer`) pads the shorter
-acceptance families with their part's full location set. A split check
-must keep the status of the whole formula's check
-(`reference_pipeline.eager_check`), and its hits name their conjunct.
+acceptance families with their part's full location set, to at least
+two sets. A split check must prove what the whole formula's check
+(`reference_pipeline.eager_check`) proves, and its hits name their
+conjunct.
 """
 
 from __future__ import annotations
@@ -38,10 +39,12 @@ from hyltlmc.formula.syntax import (
     to_str,
 )
 from hyltlmc.hybrid import FlowConstraint, Relation
+from hyltlmc.hybrid.automaton import HybridAutomaton, compose
 from hyltlmc.hybrid.expr import Const, Var
 from hyltlmc.hybrid.modelio import load_model
-from hyltlmc.product import _conjuncts, _union, check
-from hyltlmc.tableau import build_formula_automaton
+from hyltlmc.product import _conjuncts, _union, check, instrument, recurrence_hits
+from hyltlmc.reach.engine import reachable
+from hyltlmc.tableau import build_formula_automaton, prune_unreachable
 
 from reference_pipeline import eager_check, split_negation, unpaired_product
 
@@ -200,8 +203,10 @@ class TestUnion:
         assert [len(p.acceptance) for p in parts] == [0, 1]
         union, part_of = _union(parts)
         every = {f"c0_{l}" for l in parts[0].locations}
+        # Padded to two sets, the longest family's one set and one more.
         assert every and union.acceptance == (
             frozenset(every | {f"c1_{l}" for l in parts[1].acceptance[0]}),
+            frozenset(every | {f"c1_{l}" for l in parts[1].locations}),
         )
         assert union.init == tuple(
             f"c{i}_{l}" for i, p in enumerate(parts) for l in p.init
@@ -209,6 +214,21 @@ class TestUnion:
         assert part_of == {
             f"c{i}_{l}": i for i, p in enumerate(parts) for l in p.locations
         }
+
+    def test_two_sets_need_no_more(self):
+        h = MODELS["thermostat"]
+        parts = [
+            quiet(build_formula_automaton, p, h.actions, system=h)
+            for p in quiet(
+                split_negation, formula_of("thermostat", "(F G on | F G off) & X off")
+            )
+        ]
+        assert [len(p.acceptance) for p in parts] == [2, 0]
+        union, _ = _union(parts)
+        every = {f"c1_{l}" for l in parts[1].locations}
+        assert union.acceptance == tuple(
+            frozenset({f"c0_{l}" for l in F} | every) for F in parts[0].acceptance
+        )
 
     def test_one_part_is_returned_as_it_is(self):
         h = MODELS["thermostat"]
@@ -241,31 +261,54 @@ class TestUnion:
         )
 
 
-class TestWholeFallback:
-    def test_whole_proves_what_the_union_cannot(self):
-        # Found by the precision oracle below: the union's product stores
-        # boxes at resting with a > 6 that close a recurrence, and the whole
-        # observer's product closes none.
+def one_set_hits(h, f):
+    """The recurrence hits of check()'s pipeline on the union of f's
+    parts with its family cut to the first set, as padding only to the
+    longest family would leave it when every part has one set."""
+    parts = [
+        build_formula_automaton(p, h.actions, system=h) for p in split_negation(f)
+    ]
+    assert [len(p.acceptance) for p in parts] == [1] * len(parts)
+    union, _ = _union(parts)
+    one_set = HybridAutomaton(
+        union.variables, union.actions, union.locations, union.transitions,
+        union.dyn, union.init, union.init_region, union.acceptance[:1],
+    )
+    inst, targets, f_name, y_names, w_names = instrument(
+        prune_unreachable(compose(h, one_set))
+    )
+    reach = reachable(inst, horizon=100.0, step=0.01)
+    return recurrence_hits(reach, targets, f_name, y_names, w_names, 1e-6)
+
+
+class TestTwoSetFamily:
+    def test_two_sets_prove_what_one_set_cannot(self):
+        # Found by the precision oracle below. With one set, a final
+        # location at resting with a > 6 is entered by both the plain and
+        # the latching stop edge out of a final location at pumping, and
+        # widening joins their boxes into one that meets its own code.
         h, f = MODELS["tanks"], formula_of("tanks", "G(a <= 6) & G X(a <= 6)")
-        assert quiet(eager_check, h, f, split=True).status == "Inconclusive"
-        assert quiet(eager_check, h, f).status == "Verified"
+        assert len(quiet(one_set_hits, h, f)) == 2
         verdict = quiet(check, h, f)
-        assert verdict.verified
-        assert "observer_parts" not in verdict.stats
-        assert verdict.stats["timings"]["conjuncts"] > 0
+        assert verdict.verified and verdict.stats["observer_parts"] == 2
+        assert quiet(eager_check, h, f).status == "Verified"
+        assert quiet(eager_check, h, f, split=True).status == "Verified"
 
-    def test_union_verdict_kept_when_the_whole_proves_nothing(self):
-        verdict = checked("thermostat_relaxed", "G F on & " + NO_ON_WHEN_WARM)
-        assert verdict.status == "Inconclusive"
-        assert verdict.stats["observer_parts"] == 2
-        assert verdict.stats["timings"]["whole"] > 0
-
-    def test_verified_union_checks_nothing_else(self):
-        verdict = checked("thermostat", THREE_CONJUNCTS)
-        assert verdict.verified and verdict.stats["observer_parts"] == 3
+    @pytest.mark.parametrize(
+        "model, text",
+        [
+            ("thermostat", THREE_CONJUNCTS),
+            ("rooms", "G F on1 & G F on2"),
+        ],
+    )
+    def test_one_run_of_the_pipeline(self, model, text):
+        verdict = checked(model, text)
         assert set(verdict.stats["timings"]) == {
             "observer", "compose+prune", "instrument", "reach", "query"
         }
+        assert len(verdict.product.acceptance) == 1
+        # Every product location is a counter location.
+        assert all(isinstance(l[1], int) for l in verdict.product.locations)
 
 
 class TestHitsNameTheirConjunct:
@@ -274,15 +317,19 @@ class TestHitsNameTheirConjunct:
         alone = checked("thermostat_relaxed", NO_ON_WHEN_WARM)
         split = checked("thermostat_relaxed", "G F on & " + NO_ON_WHEN_WARM)
         assert split.status == alone.status == "Inconclusive"
-        assert len(split.hits) == 4
-        assert [hit["conjunct"] for hit in split.hits] == [conjunct] * 4
-        # The same hits as the conjunct alone, in its part c1.
-        assert [
-            {**hit, "location": (hit["location"][0], "c1_" + hit["location"][1])}
-            for hit in alone.hits
-        ] == [{k: v for k, v in hit.items() if k != "conjunct"} for hit in split.hits]
+        assert len(split.hits) == 2 and len(alone.hits) == 4
+        assert [hit["conjunct"] for hit in split.hits] == [conjunct] * 2
+        # Hits of the conjunct alone, in its part c1 at counter index 0.
+        for hit in split.hits:
+            (l, q), index = hit.pop("location")
+            assert index == 0 and q.startswith("c1_")
+            assert {**hit, "location": (l, q.removeprefix("c1_"))} in [
+                a | {"conjunct": conjunct} for a in alone.hits
+            ]
         assert alone.reason == "recurrence query reachable at 4 final location box(es)"
-        assert split.reason == alone.reason + f" of conjunct(s) '{conjunct}'"
+        assert split.reason == (
+            f"recurrence query reachable at 2 final location box(es) of conjunct(s) '{conjunct}'"
+        )
 
 
 # -- precision: the split proves what the whole proves ---------------------

@@ -72,24 +72,22 @@ def formula_of(h, text: str):
 
 
 def recorded_check(monkeypatch, h, formula, **kwargs):
-    """check() with the instrument and reachable results of the run whose
-    verdict it returned: a split check that is not Verified runs twice."""
-    seen: dict[str, list] = {"instrument": [], "reachable": []}
+    """check() with the instrument and reachable results it used."""
+    seen = {}
 
     def keep(name):
         original = getattr(product_module, name)
 
         def wrapper(*args, **kw):
-            seen[name].append(original(*args, **kw))
-            return seen[name][-1]
+            seen[name] = original(*args, **kw)
+            return seen[name]
 
         monkeypatch.setattr(product_module, name, wrapper)
 
     keep("instrument")
     keep("reachable")
     verdict = check(h, formula, **kwargs)
-    run = next(i for i, r in enumerate(seen["instrument"]) if r[0] is verdict.product)
-    return verdict, {name: calls[run] for name, calls in seen.items() if len(calls) > run}
+    return verdict, seen
 
 
 def code_map(ref_targets, new_targets) -> dict[float, float]:

@@ -206,7 +206,7 @@ class TestPairedObserver:
         assert verdict.stats["observer_parts"] == 3
         assert verdict.stats["observer_locations"] == 17
         assert verdict.stats["observer_transitions"] == 54
-        assert verdict.stats["product_locations"] == 17
+        assert verdict.stats["product_locations"] == 25
         whole = build_formula_automaton(negation(f), h.actions, system=h)
         assert (len(whole.locations), len(whole.transitions)) == (82, 896)
         blind = build_formula_automaton(
