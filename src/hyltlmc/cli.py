@@ -34,18 +34,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, HyltlError, ParseError, TraceError
-from .formula.nnf import to_nnf
 from .formula.parser import Declarations, parse_formula
 from .formula.syntax import Not, to_str
-from .hybrid.automaton import HybridAutomaton, Transition, compose
-from .hybrid.automaton import find_accepting_witness
+from .hybrid.automaton import compose, find_accepting_witness
 from .hybrid.lasso import HybridLassoTrace
 from .hybrid.modelio import load_model, model_to_str, parse_model
 from .hybrid.trajectory import DEFAULT_FLOW_TOL, SampledTrajectory
 from .monitor import evaluate_trace
 from .phaver import export_phaver
-from .product import check
-from .tableau import build_formula_automaton
+from .product import check, observer_of
+from .tableau import prune_unreachable
 
 DEFAULTS = {
     "horizon": 100.0,
@@ -190,7 +188,8 @@ def _cmd_check(args, config: dict) -> int:
             spans = ", ".join(
                 f"{x} in [{lo:.6g}, {hi:.6g}]" for x, (lo, hi) in hit["box"].items()
             )
-            print(f"hit: location {hit['location']!r} with {spans}")
+            part = f" of conjunct '{hit['conjunct']}'" if "conjunct" in hit else ""
+            print(f"hit: location {hit['location']!r} with {spans}{part}")
         print(
             "time: "
             + ", ".join(f"{k} {v * 1e3:.1f} ms" for k, v in s["timings"].items())
@@ -202,16 +201,11 @@ def _cmd_translate(args, config: dict) -> int:
     model = _load(args.model) if args.model else None
     decls = _declarations(args, model)
     formula = parse_formula(args.formula, decls)
-    actions = decls.actions
-    # Pruned by the one-location loop over every action, as by prune_unreachable.
-    loop = HybridAutomaton(
-        (), actions, ("s",), [Transition("s", a, "s") for a in actions], {}, ("s",)
-    )
-    observer = build_formula_automaton(
-        to_nnf(Not(formula) if args.negate else formula, strict=args.strict_negation),
-        actions,
-        system=None if args.no_prune else loop,
-    )
+    # observer_of builds the observer of its argument's negation.
+    negated = formula if args.negate else Not(formula)
+    observer, _ = observer_of(negated, decls.actions, strict=args.strict_negation)
+    if not args.no_prune:
+        observer = prune_unreachable(observer)
     _write_out(args, model_to_str(observer))
     return 0
 
@@ -356,9 +350,7 @@ def _cmd_selftest(args, config: dict) -> int:
         agree &= not evaluate_trace(trace, parse_formula("F(x >= 21 & X on)", decls))
     report("random traces are runs and respect the guard", agree)
 
-    auto = build_formula_automaton(
-        to_nnf(parse_formula("F on", decls)), model.actions
-    )
+    auto, _ = observer_of(parse_formula("!F on", decls), model.actions)
     word_ok = evaluate_word(("off",), ("on",), parse_formula("F on", decls))
     report("word monitor matches hand semantics", word_ok and len(auto.locations) > 0)
 
@@ -413,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="model file supplying the declarations")
     add_decl_flags(p)
     p.add_argument(
-        "--negate", action="store_true", help="build the observer of the negation"
+        "--negate", action="store_true", help="print the observer check composes"
     )
     p.add_argument("--no-prune", action="store_true", help="keep unreachable locations")
     p.add_argument("--strict-negation", action="store_true")

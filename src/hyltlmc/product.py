@@ -6,8 +6,8 @@ The question is reduced to a reachability query in three steps:
    accepting runs are exactly the traces violating the property. The
    negation of a conjunction A & B is !A | !B, so each top-level
    conjunct's negation gets an observer of its own, and the observer is
-   their disjoint union (_union): a tableau tracks every subformula of
-   its formula together, so one tableau of the whole would have the
+   their disjoint union (observer_of): a tableau tracks every subformula
+   of its formula together, so one tableau of the whole would have the
    product of the parts' sizes. A formula with one top-level conjunct,
    G(a & b) or A -> B for example, gets its one observer. Given the
    system, the tableau builds only the observer locations that lie
@@ -59,6 +59,7 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .errors import check_settings
 from .formula.nnf import to_nnf
@@ -378,6 +379,27 @@ def _union(parts: list[HybridAutomaton]) -> tuple[HybridAutomaton, dict]:
     return union, {name: i for i, n in enumerate(names) for name in n.values()}
 
 
+def observer_of(
+    formula: Formula,
+    actions: Sequence[str],
+    system: HybridAutomaton | None = None,
+    strict: bool = False,
+    counts: dict[str, int] | None = None,
+) -> tuple[HybridAutomaton, dict]:
+    """The observer of formula's negation, as check() composes it with
+    the system, and the part index of each of its locations (see _union).
+
+    Each top-level conjunct c (_conjuncts) gets the tableau of
+    to_nnf(Not(c), strict), built against the system when one is given
+    and in full otherwise (build_formula_automaton), and the tableaux
+    are joined by _union. counts receives each tableau's counts in turn.
+    """
+    return _union([
+        build_formula_automaton(to_nnf(Not(c), strict=strict), actions, system, counts)
+        for c in _conjuncts(formula)
+    ])
+
+
 @contextmanager
 def _timed(timings: dict[str, float], stage: str):
     """Record the wall seconds of the enclosed stage under its name."""
@@ -397,7 +419,7 @@ def check(
     """Decide system |= formula via the instrumented reachability query.
 
     The observer is the disjoint union of one observer per top-level
-    conjunct (_conjuncts), each the tableau of the conjunct's negation;
+    conjunct (observer_of), each the tableau of the conjunct's negation;
     the rest of the pipeline runs once on it. An accepting product run
     stays on locations that an initial location reaches, that reach a
     cycle meeting every acceptance set and whose invariant some state
@@ -426,12 +448,7 @@ def check(
     # Counter.update adds, so each part's counts add up.
     counts: Counter[str] = Counter()
     with _timed(timings, "observer"):
-        observer, part_of = _union([
-            build_formula_automaton(
-                to_nnf(Not(c), strict=strict), system.actions, system, counts
-            )
-            for c in conjuncts
-        ])
+        observer, part_of = observer_of(formula, system.actions, system, strict, counts)
     with _timed(timings, "compose+prune"):
         product = prune_unreachable(compose(system, observer))
     with _timed(timings, "instrument"):

@@ -24,9 +24,8 @@ atoms, none can. So the search keeps prune_unreachable's rule: composing
 the kept sets with the system and pruning gives the product that
 composing every set and pruning gives, and the kept sets are exactly
 the observer halves of its locations. Without one, every consistent set
-is built; the one-location system looping on every action prunes by
-prune_unreachable's rule on the tableau alone. satisfiable remembers its
-answers, so pruning judges no pair that the search judged already.
+is built. satisfiable remembers its answers, so pruning judges no pair
+that the search judged already.
 """
 
 from __future__ import annotations
@@ -57,9 +56,7 @@ def build_formula_automaton(
     prunes (prune_unreachable) to what the full one's does, and whose
     locations are the observer halves of that pruned product's. A pair
     whose joint dynamics the engine's clip proves empty is never reached,
-    as pruning drops it. The one-location system looping on every action
-    has no dynamics, so it gives prune_unreachable of the full
-    automaton. counts receives observer_sets, the number of
+    as pruning drops it. counts receives observer_sets, the number of
     consistent sets, and observer_classes, the pair search's nodes.
     """
     actions = tuple(actions)
@@ -238,17 +235,10 @@ def _live_sets(
                     fits[s] |= y
         return x & fits[s]
 
-    found: dict[int, list[int]] = {}
-
     def meets(x: int) -> list[int]:
         """The classes the bitset x meets."""
-        ks = found.get(x)
-        if ks is None:
-            ks = found[x] = [k for k, (y, _) in enumerate(classes) if x & y]
-        return ks
+        return [k for k, (y, _) in enumerate(classes) if x & y]
 
-    # Per part and action: the successors.
-    steps: dict[tuple[int, str], int] = {}
     reach, scanned = [0] * ns, [0] * ns
     todo = [sidx[l] for l in system.init]
     for s in todo:
@@ -264,9 +254,7 @@ def _live_sets(
             quotient[s * nk + k] = out = []
             j = classes[k][1]
             for a, dests in moves[s].items():
-                ts = steps.get((j, a))
-                if ts is None:
-                    ts = steps[j, a] = successors[j] & act[a]
+                ts = successors[j] & act[a]
                 for s2 in dests:
                     kept = fit(s2, ts)
                     out += [s2 * nk + k2 for k2 in meets(kept)]

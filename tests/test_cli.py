@@ -5,8 +5,10 @@ import json
 import shlex
 import subprocess
 import sys
+import warnings
 from argparse import Namespace
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +16,8 @@ from hyltlmc.cli import DEFAULTS, _setting, main
 from hyltlmc.errors import HyltlError
 from hyltlmc.formula.nnf import to_nnf
 from hyltlmc.formula.parser import Declarations, parse_formula
-from hyltlmc.formula.syntax import to_str
-from hyltlmc.hybrid.modelio import model_to_str, parse_model
+from hyltlmc.formula.syntax import Not, to_str
+from hyltlmc.hybrid.modelio import load_model, model_to_str, parse_model
 from hyltlmc.monitor import evaluate_trace
 from hyltlmc.phaver import embedded_model
 from hyltlmc.product import check
@@ -25,6 +27,29 @@ from hyltlmc.tableau import build_formula_automaton, prune_unreachable
 from conftest import heater_model
 from test_product import DWELLS_IN_B
 from test_reach import UNDEFINED_RESET
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from perfbench.cases import (  # noqa: E402
+    MODEL_FILES,
+    RECURRENT_ON,
+    THREE_CONJUNCTS,
+    WORKLOADS,
+)
+
+# The benchmark's (model, formula, negate) whose observer has one part.
+# Negated, the three conjuncts split. Plain, translate builds the
+# observer of the negation of G F(x>=21) -> G F on, an Or, which splits.
+ONE_PART_BENCHMARK_FORMULAS = [
+    (model, text, negate)
+    for model, text in dict.fromkeys(
+        (c.model, c.formula) for w in WORKLOADS.values() for c in w.checks
+    )
+    for negate in (False, True)
+    if (text, negate) not in {(THREE_CONJUNCTS, True), (RECURRENT_ON, False)}
+]
+SPLIT = "G F on & !F(x >= 21 & X on)"
 
 LASSO_CSV = """t,x
 0.0,22.0
@@ -198,6 +223,16 @@ class TestCheckCommand:
             l.startswith("hit: location ('b', ") and "x in [5, inf]" in l for l in hits
         )
 
+    def test_split_check_names_each_hits_conjunct(self, capsys):
+        model = str(ROOT / MODEL_FILES["thermostat_relaxed"])
+        for text, suffix in ((SPLIT, " of conjunct '!(true U (x >= 21 & X on))'"),
+                             ("!F(x >= 21 & X on)", "]")):
+            code = main(["check", "--model", model, "--formula", text])
+            out = capsys.readouterr().out.splitlines()
+            hits = [l for l in out if l.startswith("hit: ")]
+            assert code == 2 and hits
+            assert all(l.endswith(suffix) for l in hits), hits
+
     def test_parse_error_exits_one_with_code(self, heater_path, capsys):
         code = main(["--machine", "check", "--model", heater_path,
                      "--formula", "F(x >="])
@@ -300,17 +335,49 @@ class TestTranslateCommand:
         fields = machine_fields(capsys.readouterr().out)
         assert fields == {"error": "E_PARSE", "message": message}
 
-    def test_prunes_the_tableau_unless_told_not_to(self, capsys):
-        text = "G(on -> X(x >= 18 & x <= 22 U off))"
-        decls = Declarations(variables=("x",), actions=("on", "off"))
-        formula = to_nnf(parse_formula(text, decls))
-        full = build_formula_automaton(formula, decls.actions)
-        args = ["translate", "--formula", text, "--vars", "x", "--alphabet", "on,off"]
-        assert main(args) == 0
-        assert capsys.readouterr().out == model_to_str(prune_unreachable(full))
-        assert main([*args, "--no-prune"]) == 0
-        assert capsys.readouterr().out == model_to_str(full)
+    @pytest.mark.parametrize("model, text, negate", [
+        (None, "G(on -> X(x >= 18 & x <= 22 U off))", False),
+        *ONE_PART_BENCHMARK_FORMULAS,
+    ])
+    def test_prunes_the_tableau_unless_told_not_to(self, capsys, model, text, negate):
+        """A formula whose observer has one part prints that one tableau."""
+        if model is None:
+            decls = Declarations(variables=("x",), actions=("on", "off"))
+            args = ["--vars", "x", "--alphabet", "on,off"]
+        else:
+            path = ROOT / MODEL_FILES[model]
+            h = load_model(path)
+            decls = Declarations(h.variables, h.actions)
+            args = ["--model", str(path)]
+        args = ["translate", "--formula", text, *args, *["--negate"] * negate]
+        formula = parse_formula(text, decls)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            full = build_formula_automaton(
+                to_nnf(Not(formula) if negate else formula), decls.actions
+            )
+            assert main(args) == 0
+            assert capsys.readouterr().out == model_to_str(prune_unreachable(full))
+            assert main([*args, "--no-prune"]) == 0
+            assert capsys.readouterr().out == model_to_str(full)
         assert prune_unreachable(full) != full
+
+    def test_negate_prints_the_observer_a_split_check_composes(self, capsys):
+        """Every hit's observer location is printed, with flow atoms among
+        the hit location's dynamics."""
+        path = ROOT / MODEL_FILES["thermostat_relaxed"]
+        h = load_model(path)
+        verdict = check(h, parse_formula(SPLIT, Declarations(h.variables, h.actions)))
+        assert verdict.stats["observer_parts"] == 2 and verdict.hits
+        assert main(["translate", "--model", str(path), "--formula", SPLIT,
+                     "--negate"]) == 0
+        observer = parse_model(capsys.readouterr().out)
+        for hit in verdict.hits:
+            # A counter location is ((system, observer) location, index).
+            (_, location), _ = hit["location"]
+            assert location in observer.locations
+            atoms = set(observer.dyn[location])
+            assert atoms <= set(verdict.product.dyn[hit["location"]])
 
 
 class TestComposeCommand:
